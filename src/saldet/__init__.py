@@ -58,8 +58,7 @@ from .seeds import (
     SeedAssignment,
     SeedScore,
     make_assignment,
-    neighborhood_saliency,
-    region_saliency,
+    proposal_scores,
     saliency_contrast,
     select_negatives,
     select_seeds,
@@ -113,11 +112,10 @@ __all__ = [
     "load_dataset",
     "loss_and_grads",
     "make_assignment",
-    "neighborhood_saliency",
     "nms",
     "precompute_assignments",
     "proposal_from_superpixels",
-    "region_saliency",
+    "proposal_scores",
     "run_gradient_check",
     "saliency_contrast",
     "save_checkpoint",

@@ -1,32 +1,19 @@
-"""Grid and box kernels with numba-compiled and pure-numpy implementations.
+"""Grid and box kernels, one numpy implementation each.
 
-Every kernel has two interchangeable implementations: a numba ``@njit``
-version used when numba is importable, and a vectorized/plain-numpy
-fallback. Set ``SALDET_DISABLE_NUMBA=1`` before import to force the
-fallbacks (identical results, slower on large inputs).
-``benchmarks/bench_kernels.py`` times both paths side by side.
+The kernels take under 4% of a standard run, so none has a compiled
+twin. ``USE_NUMBA`` is always ``False``; ``perfbench/envinfo.py`` still
+records it.
 """
-
-import os
 
 import numpy as np
 
-NUMBA_DISABLED = os.environ.get("SALDET_DISABLE_NUMBA", "").strip() not in ("", "0")
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    NUMBA_AVAILABLE = False
-
-USE_NUMBA = NUMBA_AVAILABLE and not NUMBA_DISABLED
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # superpixel adjacency (4-connectivity)
 
-def adjacency_matrix_py(labels, n_sp):
+def adjacency_matrix(labels, n_sp):
     """Symmetric boolean adjacency of superpixel ids from a label grid."""
     adj = np.zeros((n_sp, n_sp), dtype=np.bool_)
     # horizontal then vertical 4-connected pixel pairs
@@ -40,65 +27,23 @@ def adjacency_matrix_py(labels, n_sp):
     return adj
 
 
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _adjacency_matrix_nb(labels, n_sp):
-        h, w = labels.shape
-        adj = np.zeros((n_sp, n_sp), dtype=np.bool_)
-        for i in range(h):
-            for j in range(w):
-                s = labels[i, j]
-                if j + 1 < w:
-                    t = labels[i, j + 1]
-                    if t != s:
-                        adj[s, t] = True
-                        adj[t, s] = True
-                if i + 1 < h:
-                    t = labels[i + 1, j]
-                    if t != s:
-                        adj[s, t] = True
-                        adj[t, s] = True
-        return adj
-
-
 # ---------------------------------------------------------------------------
 # per-superpixel reductions
 
-def superpixel_sums_py(labels, values, n_sp):
+def superpixel_sums(labels, values, n_sp):
     """Sum of ``values`` over the pixels of each superpixel id."""
     return np.bincount(labels.ravel(), weights=values.ravel(), minlength=n_sp)
 
 
-def superpixel_counts_py(labels, n_sp):
+def superpixel_counts(labels, n_sp):
     """Pixel count of each superpixel id."""
     return np.bincount(labels.ravel(), minlength=n_sp).astype(np.int64)
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _superpixel_sums_nb(labels, values, n_sp):
-        out = np.zeros(n_sp, dtype=np.float64)
-        flat_l = labels.ravel()
-        flat_v = values.ravel()
-        for k in range(flat_l.size):
-            out[flat_l[k]] += flat_v[k]
-        return out
-
-    @njit(cache=True)
-    def _superpixel_counts_nb(labels, n_sp):
-        out = np.zeros(n_sp, dtype=np.int64)
-        flat_l = labels.ravel()
-        for k in range(flat_l.size):
-            out[flat_l[k]] += 1
-        return out
 
 
 # ---------------------------------------------------------------------------
 # 4-connected components of a binary mask
 
-def connected_components_py(mask):
+def connected_components(mask):
     """Label 4-connected True components; background gets -1.
 
     Returns ``(labels, count)`` with component ids 0..count-1 assigned in
@@ -130,135 +75,28 @@ def connected_components_py(mask):
     return out, count
 
 
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _connected_components_nb(mask):
-        h, w = mask.shape
-        out = np.full((h, w), -1, dtype=np.int32)
-        # explicit stack of flat pixel indices; a component never exceeds h*w
-        stack = np.empty(h * w, dtype=np.int64)
-        count = 0
-        for i in range(h):
-            for j in range(w):
-                if mask[i, j] and out[i, j] < 0:
-                    top = 0
-                    stack[top] = i * w + j
-                    top += 1
-                    out[i, j] = count
-                    while top > 0:
-                        top -= 1
-                        p = stack[top]
-                        y = p // w
-                        x = p % w
-                        if y > 0 and mask[y - 1, x] and out[y - 1, x] < 0:
-                            out[y - 1, x] = count
-                            stack[top] = p - w
-                            top += 1
-                        if y + 1 < h and mask[y + 1, x] and out[y + 1, x] < 0:
-                            out[y + 1, x] = count
-                            stack[top] = p + w
-                            top += 1
-                        if x > 0 and mask[y, x - 1] and out[y, x - 1] < 0:
-                            out[y, x - 1] = count
-                            stack[top] = p - 1
-                            top += 1
-                        if x + 1 < w and mask[y, x + 1] and out[y, x + 1] < 0:
-                            out[y, x + 1] = count
-                            stack[top] = p + 1
-                            top += 1
-                    count += 1
-        return out, count
-
-
 # ---------------------------------------------------------------------------
 # greedy NMS over boxes already sorted by priority
 
-def nms_keep_py(boxes, threshold):
+def nms_keep(boxes, threshold):
     """Greedy suppression over priority-sorted half-open boxes.
 
     ``boxes`` is (M, 4) int64 rows (x0, y0, x1, y1) in descending priority.
-    A box is dropped when its IoU with any earlier kept box is >= threshold.
+    A box is dropped when its IoU with any earlier kept box is >= threshold;
+    boxes that only touch (no shared pixel) never suppress each other.
     """
-    m = boxes.shape[0]
-    keep = np.ones(m, dtype=np.bool_)
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    for i in range(m):
-        if not keep[i]:
-            continue
-        for j in range(i + 1, m):
-            if not keep[j]:
-                continue
-            ix = min(boxes[i, 2], boxes[j, 2]) - max(boxes[i, 0], boxes[j, 0])
-            iy = min(boxes[i, 3], boxes[j, 3]) - max(boxes[i, 1], boxes[j, 1])
-            if ix <= 0 or iy <= 0:
-                continue
-            inter = ix * iy
-            if inter / (areas[i] + areas[j] - inter) >= threshold:
-                keep[j] = False
-    return keep
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _nms_keep_nb(boxes, threshold):
-        m = boxes.shape[0]
-        keep = np.ones(m, dtype=np.bool_)
-        areas = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            areas[i] = (boxes[i, 2] - boxes[i, 0]) * (boxes[i, 3] - boxes[i, 1])
-        for i in range(m):
-            if not keep[i]:
-                continue
-            for j in range(i + 1, m):
-                if not keep[j]:
-                    continue
-                ix = min(boxes[i, 2], boxes[j, 2]) - max(boxes[i, 0], boxes[j, 0])
-                iy = min(boxes[i, 3], boxes[j, 3]) - max(boxes[i, 1], boxes[j, 1])
-                if ix <= 0 or iy <= 0:
-                    continue
-                inter = ix * iy
-                if inter / (areas[i] + areas[j] - inter) >= threshold:
-                    keep[j] = False
-        return keep
-
-
-# numba wrappers coerce dtypes once so the jitted kernels see stable signatures
-
-def _adjacency_matrix(labels, n_sp):
-    return _adjacency_matrix_nb(np.ascontiguousarray(labels, dtype=np.int32), n_sp)
-
-
-def _superpixel_sums(labels, values, n_sp):
-    return _superpixel_sums_nb(
-        np.ascontiguousarray(labels, dtype=np.int32),
-        np.ascontiguousarray(values, dtype=np.float64),
-        n_sp,
+    x0, y0, x1, y1 = boxes.T
+    areas = (x1 - x0) * (y1 - y0)
+    ix = np.clip(np.minimum(x1[:, None], x1) - np.maximum(x0[:, None], x0), 0, None)
+    iy = np.clip(np.minimum(y1[:, None], y1) - np.maximum(y0[:, None], y0), 0, None)
+    inter = ix * iy
+    overlap = inter > 0
+    iou = np.divide(
+        inter, areas[:, None] + areas - inter, out=np.zeros(inter.shape), where=overlap
     )
-
-
-def _superpixel_counts(labels, n_sp):
-    return _superpixel_counts_nb(np.ascontiguousarray(labels, dtype=np.int32), n_sp)
-
-
-def _connected_components(mask):
-    return _connected_components_nb(np.ascontiguousarray(mask, dtype=np.bool_))
-
-
-def _nms_keep(boxes, threshold):
-    return _nms_keep_nb(np.ascontiguousarray(boxes, dtype=np.int64), float(threshold))
-
-
-if USE_NUMBA:
-    adjacency_matrix = _adjacency_matrix
-    superpixel_sums = _superpixel_sums
-    superpixel_counts = _superpixel_counts
-    connected_components = _connected_components
-    nms_keep = _nms_keep
-else:
-    adjacency_matrix = adjacency_matrix_py
-    superpixel_sums = superpixel_sums_py
-    superpixel_counts = superpixel_counts_py
-    connected_components = connected_components_py
-    nms_keep = nms_keep_py
+    suppress = overlap & (iou >= threshold)
+    keep = np.ones(boxes.shape[0], dtype=np.bool_)
+    for i in range(boxes.shape[0]):
+        if keep[i]:
+            keep[i + 1:] &= ~suppress[i, i + 1:]
+    return keep

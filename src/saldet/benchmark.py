@@ -123,34 +123,51 @@ def benchmark_datasets(seed: int):
     return train_records, test_records
 
 
-def run_variant(variant: str, seed: int) -> BenchmarkRun:
-    """Train one variant on one benchmark seed and evaluate both splits."""
+def run_variant(
+    variant: str, seed: int, records=None, model_config: ModelConfig = STANDARD_MODEL
+) -> BenchmarkRun:
+    """Train one variant on one seed and evaluate it.
+
+    By default the standard split pair of ``seed`` is used, with CorLoc
+    on the training split and mAP on the held-out split. Given
+    ``records``, the model trains on them and both reports are the one
+    evaluation of those records.
+    """
     if variant not in VARIANT_FLAGS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    train_records, test_records = benchmark_datasets(seed)
+    if records is None:
+        train_records, test_records = benchmark_datasets(seed)
+    else:
+        train_records = test_records = records
     train_config = replace(
         STANDARD_TRAIN,
         shuffle_seed=seed,
         init_seed=seed,
         **VARIANT_FLAGS[variant],
     )
-    params, _ = train(train_records, STANDARD_MODEL, train_config)
-    config = train_config.effective_model_config(STANDARD_MODEL)
-    return BenchmarkRun(
-        variant=variant,
-        seed=seed,
-        train_report=evaluate(params, train_records, config),
-        test_report=evaluate(params, test_records, config),
-    )
+    params, _ = train(train_records, model_config, train_config)
+    config = train_config.effective_model_config(model_config)
+    train_report = evaluate(params, train_records, config)
+    if test_records is train_records:
+        test_report = train_report
+    else:
+        test_report = evaluate(params, test_records, config)
+    return BenchmarkRun(variant, seed, train_report, test_report)
 
 
-def run_benchmark(variants=VARIANTS, seeds=range(5)) -> BenchmarkResult:
-    """The full ablation grid: full vs no-saliency-branch vs label-only."""
+def run_benchmark(
+    variants=VARIANTS, seeds=range(5), records=None,
+    model_config: ModelConfig = STANDARD_MODEL,
+) -> BenchmarkResult:
+    """The ablation grid: full vs no-saliency-branch vs label-only.
+
+    ``records`` and ``model_config`` pass through to :func:`run_variant`.
+    """
     result = BenchmarkResult()
     tic = time.perf_counter()
     for variant in variants:
         for seed in seeds:
-            run = run_variant(variant, seed)
+            run = run_variant(variant, seed, records, model_config)
             result.runs.append(run)
             log.info(
                 "variant=%s seed=%d train CorLoc %.3f test mAP %.3f",

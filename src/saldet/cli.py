@@ -16,8 +16,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import benchmark as bench
 from .dataio import DatasetError, SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .evaluate import evaluate
@@ -246,36 +244,21 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    seeds = range(args.seeds)
+    dataset = {}
     if args.data:
         records, manifest = load_dataset(args.data)
-        model_config = replace(
-            bench.STANDARD_MODEL,
-            feature_dim=manifest.feature_dim,
-            num_classes=manifest.num_classes,
-        )
-        rows = []
-        for variant in bench.VARIANTS:
-            corlocs, maps = [], []
-            for seed in seeds:
-                train_config = replace(
-                    bench.STANDARD_TRAIN,
-                    shuffle_seed=seed,
-                    init_seed=seed,
-                    **bench.VARIANT_FLAGS[variant],
-                )
-                params, _ = train(records, model_config, train_config)
-                config = train_config.effective_model_config(model_config)
-                report = evaluate(params, records, config)
-                corlocs.append(report.mean_corloc)
-                maps.append(report.mean_detection_ap)
-            rows.append((variant, float(np.mean(corlocs)), float(np.mean(maps))))
-    else:
-        result = bench.run_benchmark(seeds=seeds)
-        rows = [
-            (v, result.mean_corloc(v), result.mean_test_map(v))
-            for v in bench.VARIANTS
-        ]
+        dataset = {
+            "records": records,
+            "model_config": replace(
+                bench.STANDARD_MODEL,
+                feature_dim=manifest.feature_dim,
+                num_classes=manifest.num_classes,
+            ),
+        }
+    result = bench.run_benchmark(seeds=range(args.seeds), **dataset)
+    rows = [
+        (v, result.mean_corloc(v), result.mean_test_map(v)) for v in bench.VARIANTS
+    ]
     _emit(
         args,
         {"rows": [

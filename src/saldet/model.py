@@ -17,7 +17,7 @@ the trunk. Seed/negative indices are inputs here, never differentiated.
 import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +72,6 @@ def _tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     shapes.append(("det.w", (config.trunk_out, config.num_classes)))
     shapes.append(("det.b", (config.num_classes,)))
     return shapes
-
-
-_WEIGHT_KEYS = ("trunk", "sal_hidden.w", "sal_out.w", "cls.w", "det.w")
 
 
 def _is_weight(name: str) -> bool:

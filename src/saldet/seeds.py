@@ -24,6 +24,10 @@ log = logging.getLogger(__name__)
 # any meaningful contrast scale, so capping only guards float overflow
 _EXP_ARG_CAP = 64.0
 
+# libm's exp elementwise: numpy's vectorized exp can differ from it in the
+# last bit, which would change reported contrasts from earlier releases
+_exp = np.vectorize(math.exp, otypes=[np.float64])
+
 
 @dataclass(frozen=True)
 class SeedScore:
@@ -80,88 +84,59 @@ class SeedAssignment:
 # ---------------------------------------------------------------------------
 # scoring
 
-def region_saliency(grid, proposal, smap) -> float:
-    """Mean saliency over the proposal's pixels."""
-    sums = _accel.superpixel_sums(
-        grid.labels, np.asarray(smap.values, dtype=np.float64), grid.n_superpixels
-    )
-    ids = np.fromiter(proposal.superpixel_ids, dtype=np.int64)
-    return float(sums[ids].sum() / proposal.area_px)
+def _region_terms(record: ImageRecord):
+    """Membership (P, n_sp), class sums (C, n_sp), areas and region saliency (C, P).
 
-
-def neighborhood_saliency(grid, proposal, smap, adj) -> float:
-    """Mean saliency over superpixels adjacent to the proposal.
-
-    The neighborhood is the union of neighbors of the member superpixels
-    minus the members themselves; an empty neighborhood scores 0.
+    Rows of the class sums and of ``rs`` follow ``record.labels.positives``.
     """
-    sums = _accel.superpixel_sums(
-        grid.labels, np.asarray(smap.values, dtype=np.float64), grid.n_superpixels
-    )
-    counts = _accel.superpixel_counts(grid.labels, grid.n_superpixels)
-    ids = np.fromiter(proposal.superpixel_ids, dtype=np.int64)
-    nb = adj[ids].any(axis=0)
-    nb[ids] = False
-    if not nb.any():
-        return 0.0
-    return float(sums[nb].sum() / counts[nb].sum())
+    grid = record.grid
+    n_sp = grid.n_superpixels
+    member = np.zeros((record.num_proposals, n_sp))
+    for k, prop in enumerate(record.proposals):
+        member[k, list(prop.superpixel_ids)] = 1.0
+    sums = np.stack([
+        _accel.superpixel_sums(
+            grid.labels, np.asarray(record.saliency[c].values, dtype=np.float64), n_sp
+        )
+        for c in record.labels.positives
+    ])
+    area = np.array([p.area_px for p in record.proposals], dtype=np.float64)
+    return member, sums, area, sums @ member.T / area
 
 
-def saliency_contrast(rs: float, ns: float, area_px: int, sigma: float) -> float:
-    """Area-weighted contrast exp(area/sigma^2) * (rs - ns)."""
+def proposal_scores(record: ImageRecord, sigma: float) -> dict[int, tuple]:
+    """``(rs, ns, contrast)`` rows over all proposals, per positive class.
+
+    ``rs`` is the mean saliency inside each proposal; ``ns`` the mean
+    saliency of its neighborhood, the superpixels adjacent to a member
+    but not members themselves, or 0 when that neighborhood is empty.
+    """
+    member, sums, area, rs = _region_terms(record)
+    grid = record.grid
+    # only superpixels some proposal uses can put a neighbor into a row
+    used = member.any(axis=0)
+    touched = member[:, used] @ adjacency(grid)[used]
+    near = ((touched > 0) & (member == 0)).astype(np.float64)
+    near_px = near @ _accel.superpixel_counts(grid.labels, grid.n_superpixels)
+    ns = np.divide(sums @ near.T, near_px, out=np.zeros_like(rs), where=near_px > 0)
+    contrast = saliency_contrast(rs, ns, area, sigma)
+    return {
+        c: (rs[k], ns[k], contrast[k])
+        for k, c in enumerate(record.labels.positives)
+    }
+
+
+def saliency_contrast(rs, ns, area_px, sigma: float):
+    """Area-weighted contrast exp(area/sigma^2) * (rs - ns), elementwise."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    arg = area_px / (sigma * sigma)
-    if arg > _EXP_ARG_CAP:
+    arg = np.asarray(area_px, dtype=np.float64) / (sigma * sigma)
+    if np.any(arg > _EXP_ARG_CAP):
         log.warning(
-            "capping exp argument area/sigma^2 = %.3g at %g", arg, _EXP_ARG_CAP
+            "capping exp argument area/sigma^2 = %.3g at %g", np.max(arg), _EXP_ARG_CAP
         )
-        arg = _EXP_ARG_CAP
-    return math.exp(arg) * (rs - ns)
-
-
-def _record_geometry(record: ImageRecord):
-    """Per-proposal member ids and neighborhood masks, shared across classes."""
-    grid = record.grid
-    adj = adjacency(grid)
-    counts = _accel.superpixel_counts(grid.labels, grid.n_superpixels)
-    geometry = []
-    for prop in record.proposals:
-        ids = np.fromiter(prop.superpixel_ids, dtype=np.int64)
-        nb = adj[ids].any(axis=0)
-        nb[ids] = False
-        nb_px = int(counts[nb].sum())
-        geometry.append((ids, nb, prop.area_px, nb_px))
-    return geometry, counts
-
-
-def _class_sums(record, class_id):
-    grid = record.grid
-    return _accel.superpixel_sums(
-        grid.labels,
-        np.asarray(record.saliency[class_id].values, dtype=np.float64),
-        grid.n_superpixels,
-    )
-
-
-def _class_rs(record, class_id, geometry):
-    """Region saliency of every proposal for one class."""
-    sums = _class_sums(record, class_id)
-    return np.array([sums[ids].sum() / area for ids, _, area, _ in geometry])
-
-
-def _class_scores(record, class_id, sigma, geometry):
-    """(rs, ns, contrast) arrays over all proposals for one class."""
-    sums = _class_sums(record, class_id)
-    n = len(geometry)
-    rs = np.empty(n)
-    ns = np.empty(n)
-    sc = np.empty(n)
-    for i, (ids, nb, area_px, nb_px) in enumerate(geometry):
-        rs[i] = sums[ids].sum() / area_px
-        ns[i] = sums[nb].sum() / nb_px if nb_px > 0 else 0.0
-        sc[i] = saliency_contrast(rs[i], ns[i], area_px, sigma)
-    return rs, ns, sc
+        arg = np.minimum(arg, _EXP_ARG_CAP)
+    return _exp(arg) * (rs - ns)
 
 
 def select_seeds(record: ImageRecord, sigma: float) -> dict[int, SeedScore]:
@@ -169,10 +144,8 @@ def select_seeds(record: ImageRecord, sigma: float) -> dict[int, SeedScore]:
 
     Ties break toward the lowest proposal index.
     """
-    geometry, _ = _record_geometry(record)
     chosen = {}
-    for c in record.labels.positives:
-        rs, ns, sc = _class_scores(record, c, sigma, geometry)
+    for c, (rs, ns, sc) in proposal_scores(record, sigma).items():
         i = int(np.argmax(sc))  # argmax returns the first (lowest) index on ties
         chosen[c] = SeedScore(
             proposal_index=i, class_id=c, rs=float(rs[i]), ns=float(ns[i]),
@@ -189,7 +162,8 @@ def select_negatives(record: ImageRecord, seeds: dict[int, SeedScore]) -> SeedAs
     When the image has too few proposals the negative list is truncated
     with a warning.
     """
-    geometry, _ = _record_geometry(record)
+    *_, rs = _region_terms(record)
+    row = {c: k for k, c in enumerate(record.labels.positives)}
     used = {score.proposal_index for score in seeds.values()}
     negatives = []
     n_props = record.num_proposals
@@ -201,7 +175,7 @@ def select_negatives(record: ImageRecord, seeds: dict[int, SeedScore]) -> SeedAs
                 record.id, n_props, 2 * len(seeds),
             )
             break
-        masked = _class_rs(record, c, geometry)
+        masked = rs[row[c]].copy()
         masked[list(blocked)] = np.inf
         negatives.append(int(np.argmin(masked)))
     seed_items = tuple((c, seeds[c].proposal_index) for c in sorted(seeds))

@@ -131,16 +131,21 @@ def precompute_assignments(
 
 
 def sgd_step(params: ModelParams, grads: dict, lr: float, momentum: float) -> None:
-    """In-place heavy-ball update: v <- momentum*v + g; w <- w - lr*v."""
+    """In-place heavy-ball update: v <- momentum*v + g; w <- w - lr*v.
+
+    Every gradient is checked before any tensor changes, so a rejected
+    step leaves all values and velocities as they were.
+    """
     for name, w in params.values.items():
         g = grads[name]
         if g.shape != w.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name}")
+    for name, w in params.values.items():
         v = params.velocity[name]
         v *= momentum
-        v += g
+        v += grads[name]
         w -= lr * v
 
 
@@ -152,9 +157,10 @@ def train(
 ):
     """Optimize over the dataset; returns (final params, TrainLog).
 
-    Raises TrainingDivergedError when any step's total loss is non-finite;
-    the exception carries the parameters from the last completed epoch
-    (already written to ``checkpoint_path`` when one was given).
+    Raises TrainingDivergedError when any step's total loss or gradient is
+    non-finite; the exception carries the parameters from the last
+    completed epoch (already written to ``checkpoint_path`` when one was
+    given).
     """
     if not records:
         raise ValueError("cannot train on an empty dataset")
@@ -202,19 +208,14 @@ def train(
                 breakdown, grads = loss_and_grads(
                     params, features, rec.labels.y, assignments.get(rec.id), config
                 )
+                if not np.isfinite(breakdown.total):
+                    raise FloatingPointError("non-finite total loss")
+                sgd_step(params, grads, lr, train_config.momentum)
             except FloatingPointError as exc:
                 checkpoint(last_good)
                 raise TrainingDivergedError(
                     f"epoch {epoch}, image {rec.id}: {exc}", last_good, train_log
                 ) from exc
-            if not np.isfinite(breakdown.total):
-                checkpoint(last_good)
-                raise TrainingDivergedError(
-                    f"epoch {epoch}, image {rec.id}: non-finite total loss",
-                    last_good,
-                    train_log,
-                )
-            sgd_step(params, grads, lr, train_config.momentum)
             sums += (
                 breakdown.image_cls,
                 breakdown.seed_cls,

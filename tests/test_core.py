@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from saldet import _accel
 from saldet.core import (
     Box,
     ImageRecord,
@@ -99,14 +98,6 @@ class TestAdjacency:
                     break
             grid = SuperpixelGrid(width=int(w), height=int(h), labels=labels)
             np.testing.assert_array_equal(adjacency(grid), pixel_adjacency(labels, n_sp))
-
-    def test_both_kernel_paths_agree(self):
-        rng = np.random.default_rng(2)
-        labels = rng.integers(0, 7, size=(20, 30)).astype(np.int32)
-        labels.flat[:7] = np.arange(7)  # every id present
-        a = _accel.adjacency_matrix(labels, 7)
-        b = _accel.adjacency_matrix_py(labels, 7)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestProposal:

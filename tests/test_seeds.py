@@ -9,13 +9,12 @@ import pytest
 import scipy.ndimage
 
 from oracles import pixel_seed_scores, pixel_select_negatives, pixel_select_seeds
-from saldet.core import Box, SaliencyMap, adjacency
+from saldet.core import Box, SaliencyMap
 from saldet.dataio import SynthConfig, generate_synthetic
 from saldet.seeds import (
     SeedAssignment,
     make_assignment,
-    neighborhood_saliency,
-    region_saliency,
+    proposal_scores,
     saliency_contrast,
     select_negatives,
     select_seeds,
@@ -27,26 +26,17 @@ SIGMA = 1e3
 
 class TestHandValues:
     def test_region_saliency(self, two_superpixel_record):
-        rec = two_superpixel_record
-        smap = rec.saliency[0]
-        assert region_saliency(rec.grid, rec.proposals[0], smap) == float(np.float32(0.8))
-        assert region_saliency(rec.grid, rec.proposals[1], smap) == float(np.float32(0.2))
-        assert region_saliency(rec.grid, rec.proposals[2], smap) == pytest.approx(
-            0.5, rel=1e-6
-        )
+        rs, _, _ = proposal_scores(two_superpixel_record, SIGMA)[0]
+        assert rs[0] == float(np.float32(0.8))
+        assert rs[1] == float(np.float32(0.2))
+        assert rs[2] == pytest.approx(0.5, rel=1e-6)
 
     def test_neighborhood_saliency(self, two_superpixel_record):
-        rec = two_superpixel_record
-        smap = rec.saliency[0]
-        adj = adjacency(rec.grid)
-        assert neighborhood_saliency(rec.grid, rec.proposals[0], smap, adj) == float(
-            np.float32(0.2)
-        )
-        assert neighborhood_saliency(rec.grid, rec.proposals[1], smap, adj) == float(
-            np.float32(0.8)
-        )
+        _, ns, _ = proposal_scores(two_superpixel_record, SIGMA)[0]
+        assert ns[0] == float(np.float32(0.2))
+        assert ns[1] == float(np.float32(0.8))
         # the union covers the whole image: empty neighborhood scores 0
-        assert neighborhood_saliency(rec.grid, rec.proposals[2], smap, adj) == 0.0
+        assert ns[2] == 0.0
 
     def test_contrast_formula(self):
         assert saliency_contrast(0.8, 0.2, 4, 2.0) == pytest.approx(
@@ -123,13 +113,10 @@ class TestAgainstPixelOracle:
     def test_scores_match(self, corpus):
         for rec in corpus:
             expected = pixel_seed_scores(rec, SIGMA)
-            adj = adjacency(rec.grid)
+            scores = proposal_scores(rec, SIGMA)
+            assert sorted(scores) == sorted(expected)
             for c, per_class in expected.items():
-                smap = rec.saliency[c]
-                for i, prop in enumerate(rec.proposals):
-                    rs = region_saliency(rec.grid, prop, smap)
-                    ns = neighborhood_saliency(rec.grid, prop, smap, adj)
-                    sc = saliency_contrast(rs, ns, prop.area_px, SIGMA)
+                for i, (rs, ns, sc) in enumerate(zip(*scores[c])):
                     assert rs == pytest.approx(per_class[i][0], rel=1e-9)
                     assert ns == pytest.approx(per_class[i][1], rel=1e-9)
                     assert sc == pytest.approx(per_class[i][2], rel=1e-9)

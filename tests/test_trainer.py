@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from saldet import trainer
 from saldet.dataio import SynthConfig, generate_synthetic
 from saldet.model import ModelConfig, ModelParams, init_params, load_checkpoint
 from saldet.seeds import make_assignment
@@ -103,6 +104,19 @@ class TestSgdStep:
         with pytest.raises(ValueError, match="shape"):
             sgd_step(params, {"w": np.zeros(3)}, 0.1, 0.9)
 
+    def test_nan_in_last_gradient_changes_nothing(self):
+        params = init_params(MODEL, rng_seed=0)
+        params.velocity = {k: np.full_like(v, 0.5) for k, v in params.velocity.items()}
+        before = params.copy()
+        grads = {k: np.ones_like(v) for k, v in params.values.items()}
+        last = list(grads)[-1]
+        grads[last][0] = np.nan
+        with pytest.raises(FloatingPointError, match=last):
+            sgd_step(params, grads, 0.1, 0.9)
+        for name in before.values:
+            np.testing.assert_array_equal(params.values[name], before.values[name])
+            np.testing.assert_array_equal(params.velocity[name], before.velocity[name])
+
 
 class TestTrain:
     def test_rejects_empty_dataset(self):
@@ -198,6 +212,32 @@ class TestTrain:
             np.testing.assert_array_equal(
                 loaded.values[name],
                 np.clip(arr, -f4_max, f4_max).astype(np.float32).astype(np.float64),
+            )
+
+    def test_nan_gradient_raises_diverged_with_rescue_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        real = trainer.loss_and_grads
+        calls = []
+
+        def nan_on_tenth_step(*args):
+            breakdown, grads = real(*args)
+            calls.append(1)
+            if len(calls) == 10:  # epoch 2 of 6 images
+                grads[list(grads)[-1]][0] = np.nan
+            return breakdown, grads
+
+        monkeypatch.setattr(trainer, "loss_and_grads", nan_on_tenth_step)
+        path = tmp_path / "rescue.ckpt"
+        cfg = TrainConfig(epochs=3, lr_phase1=1e-3, lr_phase2=1e-3)
+        with pytest.raises(TrainingDivergedError, match="non-finite gradient") as info:
+            train(small_dataset(), MODEL, cfg, checkpoint_path=path)
+        err = info.value
+        assert len(err.partial_log.epochs) == 1
+        loaded, _ = load_checkpoint(path)
+        for name, arr in err.last_good_params.values.items():
+            np.testing.assert_array_equal(
+                loaded.values[name], arr.astype(np.float32).astype(np.float64)
             )
 
     def test_log_serializes_to_json(self):
