@@ -42,6 +42,7 @@ from .model import (
     LossBreakdown,
     ModelConfig,
     ModelParams,
+    ParamLayout,
     backward,
     forward,
     image_classification_loss,
@@ -88,6 +89,7 @@ __all__ = [
     "LossBreakdown",
     "ModelConfig",
     "ModelParams",
+    "ParamLayout",
     "Proposal",
     "SaliencyMap",
     "SeedAssignment",

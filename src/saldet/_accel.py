@@ -48,31 +48,38 @@ def connected_components(mask):
 
     Returns ``(labels, count)`` with component ids 0..count-1 assigned in
     scan order of each component's first pixel.
+
+    Every pixel starts as its own tree, rooted at its flat index. Each
+    round hooks the larger root of every edge whose ends sit in different
+    trees under the smallest root it meets, then jumps pointers until
+    each pixel points at its root. At the end a component's root is its
+    smallest flat index, i.e. its first pixel in scan order.
     """
     h, w = mask.shape
-    out = np.full((h, w), -1, dtype=np.int32)
-    count = 0
-    for i in range(h):
-        for j in range(w):
-            if mask[i, j] and out[i, j] < 0:
-                stack = [(i, j)]
-                out[i, j] = count
-                while stack:
-                    y, x = stack.pop()
-                    if y > 0 and mask[y - 1, x] and out[y - 1, x] < 0:
-                        out[y - 1, x] = count
-                        stack.append((y - 1, x))
-                    if y + 1 < h and mask[y + 1, x] and out[y + 1, x] < 0:
-                        out[y + 1, x] = count
-                        stack.append((y + 1, x))
-                    if x > 0 and mask[y, x - 1] and out[y, x - 1] < 0:
-                        out[y, x - 1] = count
-                        stack.append((y, x - 1))
-                    if x + 1 < w and mask[y, x + 1] and out[y, x + 1] < 0:
-                        out[y, x + 1] = count
-                        stack.append((y, x + 1))
-                count += 1
-    return out, count
+    flat_mask = mask.ravel()
+    idx = np.arange(h * w, dtype=np.int32).reshape(h, w)
+    horiz = mask[:, :-1] & mask[:, 1:]
+    vert = mask[:-1, :] & mask[1:, :]
+    u = np.concatenate([idx[:, :-1][horiz], idx[:-1, :][vert]])
+    v = np.concatenate([idx[:, 1:][horiz], idx[1:, :][vert]])
+    parent = idx.ravel().copy()
+    while True:
+        ru, rv = parent[u], parent[v]
+        split = ru != rv
+        if not split.any():
+            break
+        u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    roots = np.flatnonzero(flat_mask & (parent == idx.ravel()))
+    # background pixels are never hooked, so they map to their own -1
+    rank = np.full(h * w, -1, dtype=np.int32)
+    rank[roots] = np.arange(roots.size, dtype=np.int32)
+    return rank[parent].reshape(h, w), int(roots.size)
 
 
 # ---------------------------------------------------------------------------

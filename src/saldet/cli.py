@@ -150,19 +150,18 @@ def _cmd_train(args) -> int:
     params, train_log = train(
         records, model_config, train_config, checkpoint_path=args.out
     )
-    for e in train_log.epochs:
-        if args.json:
+    if args.json:
+        for entry in train_log.as_json_dict()["epochs"]:
             print(json.dumps({
                 "schema_version": SCHEMA_VERSION,
                 "command": "train",
                 "event": "epoch",
-                "epoch": e.epoch,
-                "lr": e.lr,
-                "wall_time_s": e.wall_time_s,
-                "mean_total_loss": e.mean_loss.total,
-                "mean_image_cls_loss": e.mean_loss.image_cls,
+                **entry,
+                "mean_total_loss": entry["loss"]["total"],
+                "mean_image_cls_loss": entry["loss"]["image_cls"],
             }, sort_keys=True))
-        else:
+    else:
+        for e in train_log.epochs:
             print(
                 f"epoch {e.epoch:3d} lr {e.lr:g} "
                 f"mean loss {e.mean_loss.total:.6f} ({e.wall_time_s:.2f}s)"

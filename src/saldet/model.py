@@ -14,11 +14,13 @@ Gradients flow through the saliency weighting into both the branch and
 the trunk. Seed/negative indices are inputs here, never differentiated.
 """
 
+import functools
 import math
 import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,33 +84,88 @@ def _is_saliency(name: str) -> bool:
     return name.startswith("sal_")
 
 
-@dataclass
-class ModelParams:
-    """All learnable tensors plus parallel momentum buffers, float64."""
+class ParamLayout:
+    """Where each named tensor lives in one flat float64 vector.
 
-    values: dict[str, np.ndarray]
-    velocity: dict[str, np.ndarray]
+    ``shapes`` lists (name, shape) pairs in declaration order; the buffer
+    stores them in ``flat_order`` (default: declaration order). The first
+    ``l2_end`` entries of the buffer are the L2-penalised weights.
+    """
+
+    def __init__(self, shapes, flat_order=None, l2_end=0):
+        shape_of = dict(shapes)
+        starts, off = {}, 0
+        for name in flat_order or shape_of:
+            starts[name] = off
+            off += math.prod(shape_of[name])
+        self.size = off
+        self.l2_end = l2_end
+        # declaration order, which is the order ``views`` iterates in
+        self.tensors = tuple(
+            (name, shape, slice(starts[name], starts[name] + math.prod(shape)))
+            for name, shape in shapes
+        )
+
+    def views(self, flat: np.ndarray) -> MappingProxyType:
+        """Read-only name -> reshaped view of ``flat``, in declaration order."""
+        return MappingProxyType(
+            {name: flat[sl].reshape(shape) for name, shape, sl in self.tensors}
+        )
+
+
+@functools.lru_cache(maxsize=64)
+def param_layout(config: ModelConfig) -> ParamLayout:
+    """Weights outside the saliency branch, then saliency weights, then biases.
+
+    The L2 set is then one prefix: it ends after the saliency weights
+    when the branch is enabled, before them when it is not.
+    """
+    shapes = _tensor_shapes(config)
+    weights = [n for n, _ in shapes if _is_weight(n) and not _is_saliency(n)]
+    sal_weights = [n for n, _ in shapes if _is_weight(n) and _is_saliency(n)]
+    biases = [n for n, _ in shapes if not _is_weight(n)]
+    shape_of = dict(shapes)
+    l2_names = weights + sal_weights if config.saliency_enabled else weights
+    return ParamLayout(
+        shapes,
+        flat_order=weights + sal_weights + biases,
+        l2_end=sum(math.prod(shape_of[n]) for n in l2_names),
+    )
+
+
+class ModelParams:
+    """All learnable tensors in one float64 vector, momentum in a second.
+
+    ``values`` and ``velocity`` map each tensor name, in declaration
+    order, to a reshaped view of its slice of ``flat_values`` /
+    ``flat_velocity``. Their entries cannot be rebound; write in place
+    (``params.values[name][...] = x``). A new instance is all zeros.
+    """
+
+    def __init__(self, layout: ParamLayout):
+        self.layout = layout
+        self.flat_values = np.zeros(layout.size)
+        self.flat_velocity = np.zeros(layout.size)
+        self.values = layout.views(self.flat_values)
+        self.velocity = layout.views(self.flat_velocity)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            values={k: v.copy() for k, v in self.values.items()},
-            velocity={k: v.copy() for k, v in self.velocity.items()},
-        )
+        out = ModelParams(self.layout)
+        out.flat_values[...] = self.flat_values
+        out.flat_velocity[...] = self.flat_velocity
+        return out
 
 
 def init_params(config: ModelConfig, rng_seed: int) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng(rng_seed)
-    values = {}
+    params = ModelParams(param_layout(config))
     for name, shape in _tensor_shapes(config):
         if _is_weight(name):
             fan_in = shape[0]
             scale = 1.0 / math.sqrt(fan_in)
-            values[name] = rng.uniform(-scale, scale, size=shape)
-        else:
-            values[name] = np.zeros(shape)
-    velocity = {k: np.zeros_like(v) for k, v in values.items()}
-    return ModelParams(values=values, velocity=velocity)
+            params.values[name][...] = rng.uniform(-scale, scale, size=shape)
+    return params
 
 
 @dataclass
@@ -165,7 +222,7 @@ def _sigmoid(x):
 
 
 def _check_finite(arr, layer: str):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite activation in {layer}")
 
 
@@ -290,14 +347,8 @@ class LossBreakdown:
 
 def l2_penalty(params: ModelParams, config: ModelConfig) -> float:
     """Sum of squared weights (biases excluded; saliency branch only if active)."""
-    total = 0.0
-    for name, arr in params.values.items():
-        if not _is_weight(name):
-            continue
-        if not config.saliency_enabled and _is_saliency(name):
-            continue
-        total += float((arr * arr).sum())
-    return total
+    w = params.flat_values[: param_layout(config).l2_end]
+    return float(w @ w)
 
 
 def step_losses(params, trace, labels_y, assignment, config):
@@ -351,11 +402,18 @@ def backward(params, trace, d_scores, d_saliency, config):
     ``d_scores`` and ``d_saliency`` are the gradients of the objective
     w.r.t. the score matrix and P (both already lambda-weighted); the L2
     term is added here. Disabled-branch tensors get zero gradients.
+    Returns one flat vector laid out like ``params.flat_values``;
+    ``params.layout.views(grad)`` names its tensors.
     """
     v = params.values
     a, b = trace.cls_softmax, trace.det_softmax
     if d_scores.shape != trace.scores.shape:
         raise ValueError("d_scores shape mismatch")
+    layout = param_layout(config)
+    if params.layout is not layout and params.layout.tensors != layout.tensors:
+        raise ValueError("gradient shape mismatch: parameters do not fit the config")
+    grad = np.zeros(layout.size)
+    gv = layout.views(grad)
 
     d_a = d_scores * b
     d_b = d_scores * a
@@ -363,12 +421,10 @@ def backward(params, trace, d_scores, d_saliency, config):
     d_s_det = b * (d_b - (d_b * b).sum(axis=0, keepdims=True))
 
     g = trace.weighted
-    grads = {
-        "cls.w": g.T @ d_s_cls,
-        "cls.b": d_s_cls.sum(axis=0),
-        "det.w": g.T @ d_s_det,
-        "det.b": d_s_det.sum(axis=0),
-    }
+    np.matmul(g.T, d_s_cls, out=gv["cls.w"])
+    d_s_cls.sum(axis=0, out=gv["cls.b"])
+    np.matmul(g.T, d_s_det, out=gv["det.w"])
+    d_s_det.sum(axis=0, out=gv["det.b"])
     d_g = d_s_cls @ v["cls.w"].T + d_s_det @ v["det.w"].T
 
     h = trace.trunk_act[-1]
@@ -378,37 +434,31 @@ def backward(params, trace, d_scores, d_saliency, config):
     if config.saliency_enabled:
         d_p = (d_g * h).sum(axis=1) + d_saliency
         d_logit = d_p * p * (1.0 - p)
-        grads["sal_out.w"] = trace.sal_hidden.T @ d_logit
-        grads["sal_out.b"] = np.array([d_logit.sum()])
+        np.matmul(trace.sal_hidden.T, d_logit, out=gv["sal_out.w"])
+        gv["sal_out.b"][0] = d_logit.sum()
         d_u = np.outer(d_logit, v["sal_out.w"])
         d_z = d_u * (trace.sal_pre > 0)
-        grads["sal_hidden.w"] = h.T @ d_z
-        grads["sal_hidden.b"] = d_z.sum(axis=0)
+        np.matmul(h.T, d_z, out=gv["sal_hidden.w"])
+        d_z.sum(axis=0, out=gv["sal_hidden.b"])
         d_h = d_h + d_z @ v["sal_hidden.w"].T
-    else:
-        for name in ("sal_hidden.w", "sal_hidden.b", "sal_out.w", "sal_out.b"):
-            grads[name] = np.zeros_like(v[name])
 
     for l in reversed(range(len(config.trunk_widths))):
         d_z = d_h * (trace.trunk_pre[l] > 0)
-        grads[f"trunk{l}.w"] = trace.trunk_act[l].T @ d_z
-        grads[f"trunk{l}.b"] = d_z.sum(axis=0)
+        np.matmul(trace.trunk_act[l].T, d_z, out=gv[f"trunk{l}.w"])
+        d_z.sum(axis=0, out=gv[f"trunk{l}.b"])
         d_h = d_z @ v[f"trunk{l}.w"].T
 
-    for name, arr in v.items():
-        if _is_weight(name) and (config.saliency_enabled or not _is_saliency(name)):
-            grads[name] = grads[name] + config.lambda_l2 * arr
-        if grads[name].shape != arr.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-    return grads
+    n = layout.l2_end
+    grad[:n] += config.lambda_l2 * params.flat_values[:n]
+    return grad
 
 
 def loss_and_grads(params, features, labels_y, assignment, config):
-    """Forward, losses, and backward in one call; returns (breakdown, grads)."""
+    """Forward, losses, and backward in one call; returns (breakdown, flat grad)."""
     trace = forward(params, features, config)
     breakdown, d_scores, d_sal = step_losses(params, trace, labels_y, assignment, config)
-    grads = backward(params, trace, d_scores, d_sal, config)
-    return breakdown, grads
+    grad = backward(params, trace, d_scores, d_sal, config)
+    return breakdown, grad
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +511,20 @@ def load_checkpoint(path):
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     off = 16
-    feature_dim, num_classes, sal_hidden, sal_enabled = struct.unpack(
-        "<IIII", blob[off : off + 16]
-    )
-    off += 16
-    (n_trunk,) = struct.unpack("<I", blob[off : off + 4])
-    off += 4
-    widths = struct.unpack(f"<{n_trunk}I", blob[off : off + 4 * n_trunk])
-    off += 4 * n_trunk
+
+    def take(n_bytes):
+        nonlocal off
+        if off + n_bytes > len(blob):
+            raise ValueError(f"{path}: truncated checkpoint")
+        off += n_bytes
+        return off - n_bytes
+
+    def unpack(fmt):
+        return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt)))
+
+    feature_dim, num_classes, sal_hidden, sal_enabled = unpack("<IIII")
+    (n_trunk,) = unpack("<I")
+    widths = unpack(f"<{n_trunk}I")
     config = ModelConfig(
         feature_dim=feature_dim,
         num_classes=num_classes,
@@ -481,23 +537,18 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: shape table length mismatch")
     stored = []
     for _ in range(n_tensors):
-        (ndim,) = struct.unpack("<I", blob[off : off + 4])
-        off += 4
-        dims = struct.unpack(f"<{ndim}I", blob[off : off + 4 * ndim])
-        off += 4 * ndim
-        stored.append(tuple(dims))
-    values = {}
+        (ndim,) = unpack("<I")
+        stored.append(unpack(f"<{ndim}I"))
+    params = ModelParams(param_layout(config))
     for (name, shape), dims in zip(shapes, stored):
         if shape != dims:
             raise ValueError(f"{path}: tensor {name} shape {dims} != expected {shape}")
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-        off += 4 * count
-        values[name] = arr.reshape(shape).astype(np.float64)
+        count = math.prod(shape)
+        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=take(4 * count))
+        params.values[name][...] = arr.reshape(shape)
     if off != len(blob):
         raise ValueError(f"{path}: trailing bytes after tensor data")
-    velocity = {k: np.zeros_like(v) for k, v in values.items()}
-    return ModelParams(values=values, velocity=velocity), config
+    return params, config
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +594,9 @@ def run_gradient_check(seed: int = 7, instances: int = 20, step: float = 1e-5):
         )
         params = init_params(config, rng_seed=int(rng.integers(2**31)))
         # non-zero biases move pre-activations off the ReLU kink
-        for name in params.values:
+        for name, arr in params.values.items():
             if not _is_weight(name):
-                params.values[name] = rng.uniform(-0.1, 0.1, params.values[name].shape)
+                arr[...] = rng.uniform(-0.1, 0.1, arr.shape)
         features = rng.normal(size=(n, d))
 
         y = rng.choice([-1, 1], size=c)
@@ -564,25 +615,23 @@ def run_gradient_check(seed: int = 7, instances: int = 20, step: float = 1e-5):
             breakdown, _, _ = step_losses(params, trace, y, assignment, config)
             return breakdown.total
 
-        breakdown, grads = loss_and_grads(params, features, y, assignment, config)
+        breakdown, grad = loss_and_grads(params, features, y, assignment, config)
         noise_floor = 64.0 * abs(breakdown.total) * np.finfo(np.float64).eps / (2.0 * step)
 
         inst_worst = 0.0
-        for name, arr in params.values.items():
-            flat = arr.ravel()
-            g_flat = grads[name].ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + step
-                plus = total_loss()
-                flat[j] = orig - step
-                minus = total_loss()
-                flat[j] = orig
-                fd = (plus - minus) / (2.0 * step)
-                if abs(g_flat[j] - fd) < noise_floor:
-                    continue
-                denom = max(abs(g_flat[j]), abs(fd), 1e-6)
-                inst_worst = max(inst_worst, abs(g_flat[j] - fd) / denom)
+        flat = params.flat_values
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + step
+            plus = total_loss()
+            flat[j] = orig - step
+            minus = total_loss()
+            flat[j] = orig
+            fd = (plus - minus) / (2.0 * step)
+            if abs(grad[j] - fd) < noise_floor:
+                continue
+            denom = max(abs(grad[j]), abs(fd), 1e-6)
+            inst_worst = max(inst_worst, abs(grad[j] - fd) / denom)
         per_instance.append((f"C={c} N_R={n} D={d}", inst_worst))
         worst = max(worst, inst_worst)
     return GradCheckReport(

@@ -204,8 +204,13 @@ def threshold_baseline(smap, theta: float = 0.5) -> list[Box]:
         return []
     mask = values >= theta * peak
     comp, count = _accel.connected_components(mask)
-    boxes = []
-    for label in range(count):
-        ys, xs = np.nonzero(comp == label)
-        boxes.append(Box(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1))
-    return boxes
+    ys, xs = np.nonzero(mask)
+    label = comp[ys, xs]
+    h, w = mask.shape
+    x0, y0 = np.full(count, w), np.full(count, h)
+    x1, y1 = np.zeros(count, np.int64), np.zeros(count, np.int64)
+    np.minimum.at(x0, label, xs)
+    np.minimum.at(y0, label, ys)
+    np.maximum.at(x1, label, xs + 1)
+    np.maximum.at(y1, label, ys + 1)
+    return [Box(*map(int, row)) for row in zip(x0, y0, x1, y1)]

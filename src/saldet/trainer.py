@@ -130,23 +130,23 @@ def precompute_assignments(
     return {rec.id: make_assignment(rec, sigma=sigma) for rec in records}
 
 
-def sgd_step(params: ModelParams, grads: dict, lr: float, momentum: float) -> None:
+def sgd_step(params: ModelParams, grad: np.ndarray, lr: float, momentum: float) -> None:
     """In-place heavy-ball update: v <- momentum*v + g; w <- w - lr*v.
 
-    Every gradient is checked before any tensor changes, so a rejected
-    step leaves all values and velocities as they were.
+    ``grad`` is one flat vector laid out like ``params.flat_values``. It
+    is checked before anything changes, so a rejected step leaves all
+    values and velocities as they were.
     """
-    for name, w in params.values.items():
-        g = grads[name]
-        if g.shape != w.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for {name}")
-    for name, w in params.values.items():
-        v = params.velocity[name]
-        v *= momentum
-        v += grads[name]
-        w -= lr * v
+    w, v = params.flat_values, params.flat_velocity
+    if grad.shape != w.shape:
+        raise ValueError(f"gradient shape mismatch: {grad.shape} != {w.shape}")
+    if not np.isfinite(grad).all():
+        for name, g in params.layout.views(grad).items():
+            if not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient for {name}")
+    v *= momentum
+    v += grad
+    w -= lr * v
 
 
 def train(
@@ -205,12 +205,12 @@ def train(
                     0.0, train_config.feature_jitter, size=features.shape
                 )
             try:
-                breakdown, grads = loss_and_grads(
+                breakdown, grad = loss_and_grads(
                     params, features, rec.labels.y, assignments.get(rec.id), config
                 )
                 if not np.isfinite(breakdown.total):
                     raise FloatingPointError("non-finite total loss")
-                sgd_step(params, grads, lr, train_config.momentum)
+                sgd_step(params, grad, lr, train_config.momentum)
             except FloatingPointError as exc:
                 checkpoint(last_good)
                 raise TrainingDivergedError(

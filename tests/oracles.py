@@ -7,7 +7,7 @@ package internals it verifies.
 
 import numpy as np
 
-from saldet.core import Box, iou
+from saldet.core import iou
 
 
 def pixel_adjacency(labels, n_sp):

@@ -3,6 +3,7 @@
 import warnings
 
 import numpy as np
+import pytest
 
 from oracles import bfs_components, pixel_adjacency, quadratic_nms
 from saldet import _accel
@@ -18,6 +19,22 @@ def oracle_keep(boxes, threshold):
     items = [(Box(*map(int, b)), -float(i), i) for i, b in enumerate(boxes)]
     kept = {idx for _, _, idx in quadratic_nms(items, threshold)}
     return np.array([i in kept for i in range(len(boxes))])
+
+
+def spiral_mask(side):
+    """Square rings two pixels apart, each joined to the next ring inside."""
+    mask = np.zeros((side, side), dtype=bool)
+    lo, hi = 0, side - 1
+    while lo <= hi:
+        mask[lo, lo:hi + 1] = True
+        mask[lo:hi + 1, hi] = True
+        if lo + 2 <= hi:
+            mask[hi, lo:hi + 1] = True
+            mask[lo + 2:hi + 1, lo] = True
+        lo, hi = lo + 2, hi - 2
+        if lo <= hi:
+            mask[lo, lo - 2:lo] = True
+    return mask
 
 
 class TestPathParity:
@@ -96,6 +113,30 @@ class TestAgainstOracles:
             want_l, want_n = bfs_components(mask)
             assert got_n == want_n
             np.testing.assert_array_equal(got_l, want_l)
+
+    def test_components_match_bfs_at_256(self):
+        mask = np.random.default_rng(7).random((256, 256)) < 0.55
+        got_l, got_n = _accel.connected_components(mask)
+        want_l, want_n = bfs_components(mask)
+        assert got_n == want_n
+        np.testing.assert_array_equal(got_l, want_l)
+
+    @pytest.mark.parametrize("side", [15, 64, 256])
+    def test_spiral_is_one_component(self, side):
+        # a one-pixel corridor winding inward: the longest path a mask of
+        # this size can force label propagation to cover
+        mask = spiral_mask(side)
+        got_l, got_n = _accel.connected_components(mask)
+        want_l, want_n = bfs_components(mask)
+        assert got_n == want_n == 1
+        np.testing.assert_array_equal(got_l, want_l)
+        # a one-pixel cut splits it into two components, still in scan order
+        ys, xs = np.nonzero(mask)
+        mask[ys[len(ys) // 2], xs[len(xs) // 2]] = False
+        got_l, got_n = _accel.connected_components(mask)
+        want_l, want_n = bfs_components(mask)
+        assert got_n == want_n
+        np.testing.assert_array_equal(got_l, want_l)
 
     def test_sums_match_python_loop(self):
         rng = np.random.default_rng(6)

@@ -77,7 +77,7 @@ def test_criterion_2_score_matrix_invariants_hold():
         params = init_params(config, rng_seed=int(rng.integers(2**31)))
         for name, arr in params.values.items():
             if name.endswith(".b"):
-                params.values[name] = rng.uniform(-0.5, 0.5, arr.shape)
+                arr[...] = rng.uniform(-0.5, 0.5, arr.shape)
         trace = forward(params, rng.normal(size=(n, d)), config)
         assert trace.scores.min() >= 0.0 and trace.scores.max() <= 1.0
         assert trace.image_scores.min() >= 0.0 and trace.image_scores.max() <= 1.0

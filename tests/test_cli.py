@@ -112,6 +112,22 @@ class TestTrain:
         assert lines[1]["lr"] == 1e-4
         assert path.is_file()
 
+    def test_json_epoch_lines_carry_every_loss_term(self, dataset, tmp_path, capsys):
+        code = main([
+            "--json", "train", "--data", str(dataset), "--out", str(tmp_path / "m.ckpt"),
+            "--epochs", "2", "--lr-phase1", "1e-3", "--lr-phase2", "1e-4",
+            "--phase-boundary", "1", "--trunk-widths", "8", "--saliency-hidden", "4",
+        ])
+        assert code == 0
+        epochs = [json.loads(l) for l in capsys.readouterr().out.splitlines()][:2]
+        for line in epochs:
+            loss = line["loss"]
+            assert set(loss) == {"image_cls", "seed_cls", "seed_sal", "l2", "total"}
+            assert loss["seed_cls"] > 0 and loss["seed_sal"] > 0 and loss["l2"] > 0
+            assert loss["total"] == line["mean_total_loss"]
+            assert loss["image_cls"] == line["mean_image_cls_loss"]
+            assert line["wall_time_s"] >= 0.0
+
     def test_human_output(self, dataset, tmp_path, capsys):
         path = tmp_path / "m.ckpt"
         code = main([
@@ -148,6 +164,16 @@ class TestEval:
                      "--checkpoint", str(checkpoint), "--ap11"])
         assert code == 0
         json.loads(capsys.readouterr().out.strip())
+
+    def test_truncated_checkpoint_is_one_error_line(
+        self, dataset, checkpoint, tmp_path, capsys
+    ):
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(checkpoint.read_bytes()[:40])
+        code = main(["eval", "--data", str(dataset), "--checkpoint", str(cut)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {cut}: truncated checkpoint"]
 
     def test_csv_table(self, dataset, checkpoint, tmp_path, capsys):
         table = tmp_path / "report.csv"

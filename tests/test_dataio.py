@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saldet.core import Box, iou
+from saldet.core import iou
 from saldet.dataio import (
     DatasetError,
     SynthConfig,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from saldet.model import (
-    ForwardTrace,
     ModelConfig,
     forward,
     image_classification_loss,
@@ -14,6 +13,7 @@ from saldet.model import (
     l2_penalty,
     load_checkpoint,
     loss_and_grads,
+    param_layout,
     run_gradient_check,
     save_checkpoint,
     seed_classification_loss,
@@ -28,7 +28,7 @@ CFG = ModelConfig(feature_dim=4, num_classes=4, trunk_widths=(8,), saliency_hidd
 def zero_params(config):
     params = init_params(config, rng_seed=0)
     for name in params.values:
-        params.values[name] = np.zeros_like(params.values[name])
+        params.values[name][...] = 0.0
     return params
 
 
@@ -90,6 +90,53 @@ class TestInitParams:
         assert a.values["cls.w"][0, 0] != b.values["cls.w"][0, 0]
 
 
+class TestFlatBuffers:
+    def test_entries_are_views_of_one_buffer(self):
+        params = init_params(CFG, rng_seed=0)
+        for flat, named in (
+            (params.flat_values, params.values),
+            (params.flat_velocity, params.velocity),
+        ):
+            flat[...] = np.arange(flat.size)
+            covered = np.concatenate([arr.ravel() for arr in named.values()])
+            # every buffer slot sits in exactly one tensor
+            np.testing.assert_array_equal(np.sort(covered), np.arange(flat.size))
+            for arr in named.values():
+                assert np.shares_memory(arr, flat)
+
+    def test_rebinding_an_entry_raises(self):
+        params = init_params(CFG, rng_seed=0)
+        with pytest.raises(TypeError):
+            params.values["cls.w"] = np.zeros((8, 4))
+        with pytest.raises(TypeError):
+            params.velocity["cls.w"] = np.zeros((8, 4))
+
+    def test_l2_prefix_holds_exactly_the_penalised_weights(self):
+        for enabled in (True, False):
+            config = ModelConfig(
+                feature_dim=4, num_classes=4, trunk_widths=(8, 6), saliency_hidden=4,
+                saliency_enabled=enabled,
+            )
+            params = init_params(config, rng_seed=0)
+            params.flat_values[...] = np.arange(params.flat_values.size)
+            penalised = [
+                arr.ravel() for name, arr in params.values.items()
+                if name.endswith(".w") and (enabled or not name.startswith("sal_"))
+            ]
+            np.testing.assert_array_equal(
+                np.sort(np.concatenate(penalised)),
+                np.arange(param_layout(config).l2_end),
+            )
+
+    def test_l2_penalty_matches_per_tensor_sum(self):
+        params = init_params(CFG, rng_seed=4)
+        want = sum(
+            float((arr * arr).sum()) for name, arr in params.values.items()
+            if name.endswith(".w")
+        )
+        assert l2_penalty(params, CFG) == pytest.approx(want, rel=1e-12)
+
+
 class TestForward:
     def test_zero_params_exact_uniform(self):
         # C=4, N_R=8: every stage lands on exact binary fractions
@@ -137,7 +184,7 @@ class TestForward:
     def test_extreme_logits_stay_in_open_interval(self):
         params = zero_params(CFG)
         for bias in (500.0, -500.0):
-            params.values["sal_out.b"] = np.array([bias])
+            params.values["sal_out.b"][...] = bias
             trace = forward(params, np.zeros((3, 4)), CFG)
             assert 0.0 < trace.saliency.min() and trace.saliency.max() < 1.0
 
@@ -273,7 +320,8 @@ class TestStepLosses:
         params = init_params(config, rng_seed=8)
         feats = np.random.default_rng(3).normal(size=(4, 4))
         assignment = SeedAssignment(seeds=((0, 1),), negatives=(2,))
-        _, grads = loss_and_grads(params, feats, [1, -1, -1, -1], assignment, config)
+        _, grad = loss_and_grads(params, feats, [1, -1, -1, -1], assignment, config)
+        grads = params.layout.views(grad)
         for name in ("sal_hidden.w", "sal_hidden.b", "sal_out.w", "sal_out.b"):
             np.testing.assert_array_equal(grads[name], 0.0)
 
@@ -291,9 +339,9 @@ class TestGradientCheck:
         orig = m.loss_and_grads
 
         def broken(params, features, y, assignment, config):
-            breakdown, grads = orig(params, features, y, assignment, config)
-            grads["cls.w"] = grads["cls.w"] * 1.001
-            return breakdown, grads
+            breakdown, grad = orig(params, features, y, assignment, config)
+            params.layout.views(grad)["cls.w"][...] *= 1.001
+            return breakdown, grad
 
         m.loss_and_grads = broken
         try:
@@ -342,6 +390,16 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
+
+    def test_every_truncation_is_a_value_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(CFG, 0), CFG)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            msg = "truncated checkpoint" if cut >= 16 else "not a checkpoint"
+            with pytest.raises(ValueError, match=msg):
+                load_checkpoint(path)
 
     def test_rejects_truncation_and_trailing(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -1,13 +1,20 @@
 """Optimizer mechanics, the training loop, and its failure modes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from saldet import trainer
 from saldet.dataio import SynthConfig, generate_synthetic
-from saldet.model import ModelConfig, ModelParams, init_params, load_checkpoint
+from saldet.model import (
+    ModelConfig,
+    ModelParams,
+    ParamLayout,
+    init_params,
+    load_checkpoint,
+)
 from saldet.seeds import make_assignment
 from saldet.trainer import (
     TrainConfig,
@@ -70,7 +77,9 @@ class TestTrainConfig:
 class TestSgdStep:
     def _single(self, w):
         w = np.asarray(w, dtype=np.float64)
-        return ModelParams(values={"w": w.copy()}, velocity={"w": np.zeros_like(w)})
+        params = ModelParams(ParamLayout([("w", w.shape)]))
+        params.values["w"][...] = w
+        return params
 
     def test_matches_hand_recurrence(self):
         params = self._single([1.0, -2.0])
@@ -79,7 +88,7 @@ class TestSgdStep:
         rng = np.random.default_rng(0)
         for _ in range(5):
             g = rng.normal(size=2)
-            sgd_step(params, {"w": g}, lr, m)
+            sgd_step(params, g, lr, m)
             v = m * v + g
             w = w - lr * v
             np.testing.assert_array_equal(params.values["w"], w)
@@ -87,35 +96,69 @@ class TestSgdStep:
 
     def test_zero_momentum_is_plain_gd(self):
         params = self._single([3.0])
-        sgd_step(params, {"w": np.array([2.0])}, lr=0.5, momentum=0.0)
+        sgd_step(params, np.array([2.0]), lr=0.5, momentum=0.0)
         np.testing.assert_array_equal(params.values["w"], [2.0])
 
     def test_converges_on_quadratic(self):
         # f(w) = ||w||^2 / 2, grad = w
         params = self._single([1.0])
         for _ in range(200):
-            sgd_step(params, {"w": params.values["w"].copy()}, lr=0.1, momentum=0.9)
+            sgd_step(params, params.values["w"].copy(), lr=0.1, momentum=0.9)
         assert abs(params.values["w"][0]) < 1e-3
 
     def test_rejects_bad_gradients(self):
         params = self._single([1.0, 2.0])
         with pytest.raises(FloatingPointError, match="non-finite"):
-            sgd_step(params, {"w": np.array([np.nan, 0.0])}, 0.1, 0.9)
+            sgd_step(params, np.array([np.nan, 0.0]), 0.1, 0.9)
         with pytest.raises(ValueError, match="shape"):
-            sgd_step(params, {"w": np.zeros(3)}, 0.1, 0.9)
+            sgd_step(params, np.zeros(3), 0.1, 0.9)
 
     def test_nan_in_last_gradient_changes_nothing(self):
         params = init_params(MODEL, rng_seed=0)
-        params.velocity = {k: np.full_like(v, 0.5) for k, v in params.velocity.items()}
+        for v in params.velocity.values():
+            v[...] = 0.5
         before = params.copy()
-        grads = {k: np.ones_like(v) for k, v in params.values.items()}
+        grad = np.ones_like(params.flat_values)
+        grads = params.layout.views(grad)
         last = list(grads)[-1]
         grads[last][0] = np.nan
         with pytest.raises(FloatingPointError, match=last):
-            sgd_step(params, grads, 0.1, 0.9)
+            sgd_step(params, grad, 0.1, 0.9)
         for name in before.values:
             np.testing.assert_array_equal(params.values[name], before.values[name])
             np.testing.assert_array_equal(params.velocity[name], before.velocity[name])
+
+
+    def test_flat_step_matches_per_tensor_reference(self):
+        params = init_params(MODEL, rng_seed=0)
+        rng = np.random.default_rng(1)
+        params.flat_velocity[...] = rng.normal(size=params.flat_velocity.size)
+        ref_w = {k: v.copy() for k, v in params.values.items()}
+        ref_v = {k: v.copy() for k, v in params.velocity.items()}
+        for _ in range(5):
+            grad = rng.normal(size=params.flat_values.size)
+            sgd_step(params, grad, 0.05, 0.9)
+            for name, g in params.layout.views(grad).items():
+                ref_v[name] *= 0.9
+                ref_v[name] += g
+                ref_w[name] -= 0.05 * ref_v[name]
+        for name in ref_w:
+            assert params.values[name].tobytes() == ref_w[name].tobytes()
+            assert params.velocity[name].tobytes() == ref_v[name].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_names_its_tensor(self, bad):
+        params = init_params(MODEL, rng_seed=0)
+        params.flat_velocity[...] = 0.5
+        before_w = params.flat_values.tobytes()
+        before_v = params.flat_velocity.tobytes()
+        for name in params.values:
+            grad = np.ones_like(params.flat_values)
+            params.layout.views(grad)[name].flat[-1] = bad
+            with pytest.raises(FloatingPointError, match=f"for {re.escape(name)}$"):
+                sgd_step(params, grad, 0.1, 0.9)
+            assert params.flat_values.tobytes() == before_w
+            assert params.flat_velocity.tobytes() == before_v
 
 
 class TestTrain:
@@ -220,12 +263,13 @@ class TestTrain:
         real = trainer.loss_and_grads
         calls = []
 
-        def nan_on_tenth_step(*args):
-            breakdown, grads = real(*args)
+        def nan_on_tenth_step(params, *args):
+            breakdown, grad = real(params, *args)
             calls.append(1)
             if len(calls) == 10:  # epoch 2 of 6 images
+                grads = params.layout.views(grad)
                 grads[list(grads)[-1]][0] = np.nan
-            return breakdown, grads
+            return breakdown, grad
 
         monkeypatch.setattr(trainer, "loss_and_grads", nan_on_tenth_step)
         path = tmp_path / "rescue.ckpt"
