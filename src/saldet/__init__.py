@@ -27,7 +27,7 @@ from .dataio import (
     save_dataset,
 )
 from .evaluate import (
-    Detection,
+    DetectionTable,
     EvalReport,
     classification_ap,
     corloc,
@@ -80,7 +80,7 @@ __all__ = [
     "Box",
     "DatasetError",
     "DatasetManifest",
-    "Detection",
+    "DetectionTable",
     "EvalReport",
     "ForwardTrace",
     "GradCheckReport",

@@ -83,27 +83,100 @@ def connected_components(mask):
 
 
 # ---------------------------------------------------------------------------
-# greedy NMS over boxes already sorted by priority
+# box IoU and greedy NMS
 
-def nms_keep(boxes, threshold):
-    """Greedy suppression over priority-sorted half-open boxes.
+def box_iou(a, b):
+    """Elementwise IoU of half-open integer boxes ``(..., 4)``, broadcasting.
 
-    ``boxes`` is (M, 4) int64 rows (x0, y0, x1, y1) in descending priority.
-    A box is dropped when its IoU with any earlier kept box is >= threshold;
-    boxes that only touch (no shared pixel) never suppress each other.
+    Boxes that share no pixel get exactly 0.0, zero-area ones included.
     """
-    x0, y0, x1, y1 = boxes.T
-    areas = (x1 - x0) * (y1 - y0)
-    ix = np.clip(np.minimum(x1[:, None], x1) - np.maximum(x0[:, None], x0), 0, None)
-    iy = np.clip(np.minimum(y1[:, None], y1) - np.maximum(y0[:, None], y0), 0, None)
-    inter = ix * iy
-    overlap = inter > 0
-    iou = np.divide(
-        inter, areas[:, None] + areas - inter, out=np.zeros(inter.shape), where=overlap
-    )
-    suppress = overlap & (iou >= threshold)
-    keep = np.ones(boxes.shape[0], dtype=np.bool_)
-    for i in range(boxes.shape[0]):
-        if keep[i]:
-            keep[i + 1:] &= ~suppress[i, i + 1:]
+    inter = np.minimum(a[..., 2], b[..., 2])
+    inter -= np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3])
+    iy -= np.maximum(a[..., 1], b[..., 1])
+    np.maximum(inter, 0, out=inter)
+    np.maximum(iy, 0, out=iy)
+    inter *= iy
+    union = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    union = union + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union -= inter
+    # a union of 0 only comes with an intersection of 0
+    return inter / np.maximum(union, 1, out=union)
+
+
+def nms_keep(boxes, threshold, image=None, rank=None):
+    """Greedy suppression of half-open boxes, for many groups at once.
+
+    ``boxes`` is (M, 4) int64 rows (x0, y0, x1, y1). Without ``rank`` the
+    rows are one group in descending priority and the result is an (M,)
+    keep mask: a box is dropped when its IoU with any earlier kept box is
+    >= threshold; boxes that only touch (no shared pixel) never suppress
+    each other.
+
+    ``rank`` (G, M) runs G groups over the same boxes: ``rank[g, k]`` is
+    box k's priority in group g (lower first, distinct within a group),
+    negative where box k is not in group g; the result is a (G, M) mask,
+    False outside each group. ``image`` (M,) labels each box with its
+    image; boxes of one image must be contiguous. Boxes of different
+    images never suppress each other, and the IoU is computed once per
+    image, whatever the number of groups.
+    """
+    m = boxes.shape[0]
+    single = rank is None
+    if single:
+        rank = np.arange(m)[None, :]
+    # int32 halves the memory traffic; below 2**15 two areas still sum in range
+    if m and 0 <= boxes.min() and boxes.max() < 2**15:
+        boxes = boxes.astype(np.int32)
+    cuts = [0, m]
+    if image is not None:
+        cuts[1:1] = (np.flatnonzero(image[1:] != image[:-1]) + 1).tolist()
+    # a positive IoU is at least 2**-63, so touching boxes never reach this
+    reach = max(threshold, np.finfo(np.float64).tiny)
+    # node ids g * m + k index every (group, box); int32 halves the edge lists
+    node = np.int32 if rank.size < 2**31 else np.int64
+    pair_a, pair_b = [np.zeros(0, dtype=node)], [np.zeros(0, dtype=node)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        b = boxes[lo:hi]
+        a_idx, b_idx = np.nonzero(box_iou(b[:, None, :], b[None, :, :]) >= reach)
+        upper = a_idx < b_idx
+        pair_a.append((a_idx[upper] + lo).astype(node))
+        pair_b.append((b_idx[upper] + lo).astype(node))
+    pair_a = np.concatenate(pair_a)
+    pair_b = np.concatenate(pair_b)
+    # each group orients the pairs of its boxes by its ranks (one pass per
+    # group keeps the temporaries pair-sized)
+    hi_node, lo_node = [], []
+    for g, group_rank in enumerate(rank):
+        rank_a, rank_b = group_rank[pair_a], group_rank[pair_b]
+        both = (rank_a >= 0) & (rank_b >= 0)
+        a, b = pair_a[both], pair_b[both]
+        a_first = rank_a[both] < rank_b[both]
+        hi_node.append(np.where(a_first, a, b) + node(g * m))
+        lo_node.append(np.where(a_first, b, a) + node(g * m))
+    hi_node = np.concatenate(hi_node)
+    lo_node = np.concatenate(lo_node)
+    keep = _suppress(rank.size, hi_node, lo_node, (rank >= 0).ravel())
+    return keep if single else keep.reshape(rank.shape)
+
+
+def _suppress(n, hi, lo, present):
+    """Greedy NMS outcome over suppression edges ``hi -> lo``.
+
+    A node is kept when every higher-priority neighbour is removed, and
+    removed when a kept higher-priority neighbour suppresses it. Each
+    round settles at least the highest-priority open node of every group,
+    so it ends after at most (longest chain of edges + 1) rounds.
+    """
+    keep = np.zeros(n, dtype=np.bool_)
+    open_ = present.copy()
+    while open_.any():
+        blocked = np.zeros(n, dtype=np.bool_)
+        blocked[lo] = True
+        settled = open_ & ~blocked
+        keep |= settled
+        open_ &= ~settled
+        open_[lo[keep[hi]]] = False
+        live = open_[hi] & open_[lo]
+        hi, lo = hi[live], lo[live]
     return keep

@@ -337,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--data", required=True, help="path to manifest.json")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--nms", type=float, default=0.4, help="NMS IoU threshold")
-    p.add_argument("--iou", type=float, default=0.5, help="matching IoU threshold")
+    p.add_argument("--nms", type=float, default=0.4, help="NMS IoU threshold, in (0, 1)")
+    p.add_argument("--iou", type=float, default=0.5,
+                   help="matching IoU threshold, in (0, 1]")
     p.add_argument("--ap11", action="store_true",
                    help="11-point interpolated AP instead of continuous")
     p.add_argument("--csv", default=None, help="also write a per-class CSV table")

@@ -20,6 +20,7 @@ pass is applied anywhere.
 import json
 import logging
 import math
+import reprlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,11 +176,15 @@ def load_dataset(manifest_path):
     if not manifest_path.is_file():
         raise DatasetError(f"{manifest_path}: manifest file not found")
     doc = _read_json(manifest_path)
-    for key in ("version", "num_classes", "feature_dim", "class_names", "images"):
-        if key not in doc:
-            raise DatasetError(f"{manifest_path}: missing field '{key}'")
+    _check_fields(doc, manifest_path, _MANIFEST_FIELDS)
+    if not (doc.get("seed") is None or _is_int(doc["seed"])):
+        raise DatasetError(f"{manifest_path}: field 'seed' must be an integer or null")
     if doc["version"] != FORMAT_VERSION:
         raise DatasetError(f"{manifest_path}: unsupported version {doc['version']}")
+    for stem in doc["images"]:
+        # a stem names files inside records/, so it must be one plain name
+        if stem in ("", ".", "..") or any(ch in stem for ch in "/\\\0"):
+            raise DatasetError(f"{manifest_path}: image stem {stem!r} is not a plain file name")
     try:
         manifest = DatasetManifest(
             num_classes=doc["num_classes"],
@@ -196,6 +201,63 @@ def load_dataset(manifest_path):
     return records, manifest
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(check, length=None):
+    def is_list(value):
+        return (
+            isinstance(value, list)
+            and (length is None or len(value) == length)
+            and all(check(v) for v in value)
+        )
+    return is_list
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+_INT = (_is_int, "an integer")
+_MANIFEST_FIELDS = {
+    "version": _INT,
+    "num_classes": _INT,
+    "feature_dim": _INT,
+    "class_names": (_list_of(_is_str), "a list of strings"),
+    "images": (_list_of(_is_str), "a list of strings"),
+}
+_RECORD_FIELDS = {
+    "version": _INT,
+    "id": (_is_str, "a string"),
+    "width": _INT,
+    "height": _INT,
+    "num_superpixels": _INT,
+    "num_proposals": _INT,
+    "labels": (_list_of(_is_int), "a list of integers"),
+    "proposals": (_list_of(_list_of(_is_int)), "a list of integer lists"),
+    "saliency_classes": (_list_of(_is_int), "a list of integers"),
+    "gt_boxes": (_list_of(lambda v: isinstance(v, dict)), "a list of objects"),
+}
+_GT_BOX_FIELDS = {
+    "class_id": _INT,
+    "box": (_list_of(_is_int, 4), "a list of 4 integers"),
+}
+
+
+def _check_fields(doc, where, fields) -> None:
+    """Raise DatasetError unless ``doc`` is an object holding each field with its type."""
+    if not isinstance(doc, dict):
+        raise DatasetError(f"{where}: expected a JSON object")
+    for key, (check, kind) in fields.items():
+        if key not in doc:
+            raise DatasetError(f"{where}: missing field '{key}'")
+        if not check(doc[key]):
+            raise DatasetError(
+                f"{where}: field '{key}' must be {kind}, got {reprlib.repr(doc[key])}"
+            )
+
+
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -210,12 +272,9 @@ def _load_record(rec_dir: Path, stem: str, manifest: DatasetManifest) -> ImageRe
         if not p.is_file():
             raise DatasetError(f"{p}: record file not found")
     doc = _read_json(json_path)
-    for key in (
-        "version", "id", "width", "height", "num_superpixels",
-        "num_proposals", "labels", "proposals", "saliency_classes", "gt_boxes",
-    ):
-        if key not in doc:
-            raise DatasetError(f"{json_path}: missing field '{key}'")
+    _check_fields(doc, json_path, _RECORD_FIELDS)
+    for k, gt in enumerate(doc["gt_boxes"]):
+        _check_fields(gt, f"{json_path}: gt_boxes[{k}]", _GT_BOX_FIELDS)
     if doc["version"] != FORMAT_VERSION:
         raise DatasetError(f"{json_path}: unsupported version {doc['version']}")
     if doc["id"] != stem:
@@ -267,9 +326,7 @@ def _load_record(rec_dir: Path, stem: str, manifest: DatasetManifest) -> ImageRe
                 f"grid holds {grid.n_superpixels} superpixels, header says {n_sp}"
             )
         proposals = [proposal_from_superpixels(grid, ids) for ids in doc["proposals"]]
-        gt_boxes = [
-            (int(g["class_id"]), Box(*(int(v) for v in g["box"]))) for g in doc["gt_boxes"]
-        ]
+        gt_boxes = [(g["class_id"], Box(*g["box"])) for g in doc["gt_boxes"]]
         record = ImageRecord(
             id=doc["id"],
             grid=grid,

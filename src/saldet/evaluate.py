@@ -5,6 +5,14 @@ Scoring runs the frozen model per image; labels and saliency maps are
 never used to produce scores. AP uses the continuous interpolation
 (area under the monotone precision envelope); an 11-point mode is
 available for comparability with older conventions.
+
+Everything after scoring works on one :class:`DetectionTable` per split,
+a row per scored (image, class, proposal), with no per-detection Python
+objects: NMS computes each image's proposal IoUs once and suppresses in
+every (image, class) group at once; AP orders a class's detections with
+one lexsort and runs its greedy ground-truth matching only over the
+detections that reach the IoU threshold against some ground-truth box;
+CorLoc takes the top row of every (image, class) group in one pass.
 """
 
 import logging
@@ -13,25 +21,50 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from .core import Box, ImageRecord, iou
+from .core import ImageRecord
 from .model import ModelConfig, ModelParams, forward
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One scored box: a proposal's bbox with its per-class score."""
+@dataclass(frozen=True, eq=False)
+class DetectionTable:
+    """Columnar scored boxes: one row per (image, class, proposal).
 
-    image_id: str
-    class_id: int
-    bbox: Box
-    score: float
-    proposal_index: int
+    ``image`` indexes the evaluated records, ``proposal`` the image's
+    proposals, and ``box`` holds the proposal's half-open
+    (x0, y0, x1, y1). Every score must be finite and in [0, 1].
+    """
+
+    image: np.ndarray     # (K,) int64
+    class_id: np.ndarray  # (K,) int64
+    proposal: np.ndarray  # (K,) int64
+    score: np.ndarray     # (K,) float64
+    box: np.ndarray       # (K, 4) int64
 
     def __post_init__(self):
-        if not np.isfinite(self.score) or not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"detection score {self.score} outside [0, 1]")
+        for name in ("image", "class_id", "proposal", "score", "box"):
+            dtype = np.float64 if name == "score" else np.int64
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        k = self.score.shape[0]
+        columns = (self.image, self.class_id, self.proposal, self.score)
+        if any(col.shape != (k,) for col in columns) or self.box.shape != (k, 4):
+            raise ValueError("detection columns must be K rows long, boxes (K, 4)")
+        if k and min(self.image.min(), self.class_id.min(), self.proposal.min()) < 0:
+            raise ValueError("detection image, class and proposal indices must be >= 0")
+        bad = ~((self.score >= 0.0) & (self.score <= 1.0))  # NaN fails both
+        if bad.any():
+            raise ValueError(f"detection score {self.score[bad][0]} outside [0, 1]")
+
+    def __len__(self) -> int:
+        return self.score.shape[0]
+
+    def take(self, rows) -> "DetectionTable":
+        """The table of the given rows, in that order."""
+        return DetectionTable(
+            self.image[rows], self.class_id[rows], self.proposal[rows],
+            self.score[rows], self.box[rows],
+        )
 
 
 @dataclass
@@ -69,49 +102,63 @@ class EvalReport:
 def score_dataset(params: ModelParams, records: list[ImageRecord], config: ModelConfig):
     """Forward every image; returns (detections, image_scores).
 
-    ``detections`` holds one Detection per (class, proposal);
-    ``image_scores`` maps image_id to the per-class tau vector.
+    ``detections`` is a :class:`DetectionTable` with one row per
+    (image, proposal, class), in that order; ``image_scores`` maps
+    image_id to the per-class tau vector.
     """
-    detections = []
+    num_classes = config.num_classes
+    counts = np.array([rec.num_proposals for rec in records], dtype=np.int64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    scores = np.empty((int(counts.sum()), num_classes))
+    boxes = []
     image_scores = {}
-    for rec in records:
+    for rec, lo, hi in zip(records, starts.tolist(), ends.tolist()):
         trace = forward(params, rec.features, config)
         image_scores[rec.id] = trace.image_scores.copy()
-        phi = trace.scores
-        for i, prop in enumerate(rec.proposals):
-            for c in range(config.num_classes):
-                detections.append(
-                    Detection(
-                        image_id=rec.id,
-                        class_id=c,
-                        bbox=prop.bbox,
-                        score=float(phi[i, c]),
-                        proposal_index=i,
-                    )
-                )
-    return detections, image_scores
+        scores[lo:hi] = trace.scores
+        boxes += [p.bbox.as_tuple() for p in rec.proposals]
+    table = DetectionTable(
+        image=np.repeat(np.arange(len(records)), counts * num_classes),
+        class_id=np.tile(np.arange(num_classes), len(boxes)),
+        proposal=np.repeat(np.arange(len(boxes)) - np.repeat(starts, counts), num_classes),
+        score=scores.ravel(),
+        box=np.repeat(np.array(boxes, dtype=np.int64).reshape(-1, 4), num_classes, axis=0),
+    )
+    return table, image_scores
 
 
-def nms(detections: list[Detection], iou_threshold: float = 0.4) -> list[Detection]:
+def nms(detections: DetectionTable, iou_threshold: float = 0.4) -> DetectionTable:
     """Greedy non-maximum suppression within each (image, class) group.
 
     Candidates are visited by descending score (ties by lower proposal
     index); a candidate is dropped when its IoU with an already kept box
-    is >= the threshold. Output order follows the same total order, so
-    the result is independent of input order.
+    is >= the threshold. Rows sharing an (image, proposal) must share a
+    box, and an (image, class, proposal) may occur once. The result is
+    ordered by (image, class, descending score, proposal), so it is
+    independent of input order.
     """
     if not (0.0 < iou_threshold < 1.0):
-        raise ValueError("iou_threshold must be in (0, 1)")
-    groups: dict[tuple[str, int], list[Detection]] = {}
-    for det in detections:
-        groups.setdefault((det.image_id, det.class_id), []).append(det)
-    kept = []
-    for key in sorted(groups):
-        dets = sorted(groups[key], key=lambda d: (-d.score, d.proposal_index))
-        boxes = np.array([d.bbox.as_tuple() for d in dets], dtype=np.int64)
-        mask = _accel.nms_keep(boxes, iou_threshold)
-        kept.extend(d for d, keep in zip(dets, mask) if keep)
-    return kept
+        raise ValueError(f"NMS threshold must be in (0, 1), got {iou_threshold}")
+    d = detections
+    if not len(d):
+        return d
+    order = np.lexsort((d.proposal, -d.score, d.class_id, d.image))
+    # one box per (image, proposal), numbered image-major
+    _, first, box_of = np.unique(
+        d.image * (int(d.proposal.max()) + 1) + d.proposal,
+        return_index=True, return_inverse=True,
+    )
+    if not np.array_equal(d.box[first][box_of], d.box):
+        raise ValueError("detections of one (image, proposal) disagree on its box")
+    classes, group_of = np.unique(d.class_id, return_inverse=True)
+    # a row's rank is its position in ``order``: its priority in its group
+    rank = np.full((classes.size, first.size), -1, dtype=np.int64)
+    rank[group_of[order], box_of[order]] = np.arange(len(d))
+    if np.count_nonzero(rank >= 0) != len(d):
+        raise ValueError("an (image, class, proposal) occurs more than once")
+    keep = _accel.nms_keep(d.box[first], iou_threshold, d.image[first], rank)
+    return d.take(order[np.sort(rank[keep])])
 
 
 def _pr_curve(tp_flags: np.ndarray, num_positive: int):
@@ -132,106 +179,139 @@ def _ap_from_pr(recall: np.ndarray, precision: np.ndarray, eleven_point: bool) -
         return total / 11.0
     r = np.concatenate(([0.0], recall, [1.0]))
     p = np.concatenate(([0.0], precision, [0.0]))
-    for k in range(p.size - 2, -1, -1):
-        p[k] = max(p[k], p[k + 1])
+    p = np.maximum.accumulate(p[::-1])[::-1]
     steps = np.flatnonzero(r[1:] != r[:-1])
     return float(((r[steps + 1] - r[steps]) * p[steps + 1]).sum())
 
 
-def _sorted_dets(detections):
-    return sorted(
-        detections, key=lambda d: (-d.score, d.image_id, d.proposal_index)
+def _check_matching_threshold(iou_threshold: float):
+    if not (0.0 < iou_threshold <= 1.0):  # NaN fails too
+        raise ValueError(f"IoU matching threshold must be in (0, 1], got {iou_threshold}")
+
+
+def _id_rank(records: list[ImageRecord]) -> np.ndarray:
+    """Each record's position in image-id order, which breaks score ties."""
+    rank = np.empty(len(records), dtype=np.int64)
+    rank[sorted(range(len(records)), key=lambda i: records[i].id)] = np.arange(len(records))
+    return rank
+
+
+def _ground_truth(records: list[ImageRecord], detections: DetectionTable):
+    """GT boxes keyed like the detections, sorted by key.
+
+    A row's key is ``image * width + class``, with ``width`` above every
+    class id in play; within a key the boxes keep their record order,
+    which breaks matching ties. Returns (keys, boxes, classes, width).
+    """
+    d = detections
+    if len(d) and d.image.max() >= len(records):
+        raise ValueError("detection image index outside the evaluated records")
+    width = max(
+        [rec.labels.num_classes for rec in records]
+        + [int(d.class_id.max()) + 1 if len(d) else 0]
     )
+    gt = [(i, c, box.as_tuple()) for i, rec in enumerate(records) for c, box in rec.gt_boxes]
+    keys = np.array([i * width + c for i, c, _ in gt], dtype=np.int64)
+    classes = np.array([c for _, c, _ in gt], dtype=np.int64)
+    boxes = np.array([b for _, _, b in gt], dtype=np.int64).reshape(-1, 4)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], boxes[order], classes[order], width
+
+
+def _gt_pairs(row_keys, row_boxes, gt_keys, gt_boxes):
+    """(row, gt, IoU) for every row and GT box of the same (image, class) key."""
+    lo = np.searchsorted(gt_keys, row_keys, side="left")
+    counts = np.searchsorted(gt_keys, row_keys, side="right") - lo
+    row = np.repeat(np.arange(row_keys.size), counts)
+    gt = lo[row] + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return row, gt, _accel.box_iou(row_boxes[row], gt_boxes[gt])
 
 
 def detection_ap(
-    detections: list[Detection],
+    detections: DetectionTable,
     records: list[ImageRecord],
     iou_threshold: float = 0.5,
     eleven_point: bool = False,
 ) -> dict[int, float]:
     """Per-class average precision of (ideally post-NMS) detections.
 
-    Each detection, in descending score order, is matched to the
-    highest-IoU still-unmatched ground-truth box of its class in its
-    image; it is a true positive when that IoU is >= the threshold,
-    otherwise a false positive (duplicates included). Classes with no
-    ground truth are skipped with a log note.
+    Each detection, in descending score order (ties by image id, then
+    proposal index), is matched to the highest-IoU still-unmatched
+    ground-truth box of its class in its image; it is a true positive
+    when that IoU is >= the threshold, otherwise a false positive
+    (duplicates included). Classes with no ground truth are skipped with
+    a log note.
     """
-    gt: dict[tuple[str, int], list[Box]] = {}
-    classes = set()
-    for rec in records:
-        for c, box in rec.gt_boxes:
-            gt.setdefault((rec.id, c), []).append(box)
-            classes.add(c)
-    for det in detections:
-        classes.add(det.class_id)
+    _check_matching_threshold(iou_threshold)
+    d = detections
+    gt_keys, gt_boxes, gt_cls, width = _ground_truth(records, d)
+    order = np.lexsort((d.proposal, _id_rank(records)[d.image], -d.score, d.class_id))
+    row, gt, iou = _gt_pairs(
+        d.image[order] * width + d.class_id[order], d.box[order], gt_keys, gt_boxes
+    )
+    # only rows reaching the threshold against some GT box can be true
+    # positives; their matching depends on earlier matches, so it is sequential
+    tp = np.zeros(len(d), dtype=bool)
+    used = np.zeros(gt_keys.size, dtype=bool)
+    reach = np.unique(row[iou >= iou_threshold])
+    bounds = np.searchsorted(row, np.stack([reach, reach + 1]))
+    for k, lo, hi in zip(reach.tolist(), *bounds.tolist()):
+        free = np.where(used[gt[lo:hi]], -1.0, iou[lo:hi])
+        j = int(free.argmax())
+        if free[j] >= iou_threshold:
+            used[gt[lo + j]] = True
+            tp[k] = True
 
+    classes = np.union1d(gt_cls, d.class_id)
+    n_gt = np.bincount(gt_cls, minlength=width)
+    cls_sorted = d.class_id[order]
+    starts = np.searchsorted(cls_sorted, classes, side="left")
+    ends = np.searchsorted(cls_sorted, classes, side="right")
     result = {}
-    for c in sorted(classes):
-        n_gt = sum(len(boxes) for (_, cc), boxes in gt.items() if cc == c)
-        if n_gt == 0:
+    for c, lo, hi in zip(classes.tolist(), starts.tolist(), ends.tolist()):
+        if n_gt[c] == 0:
             log.info("class %d has no ground-truth boxes; AP undefined", c)
             continue
-        dets = _sorted_dets(d for d in detections if d.class_id == c)
-        if not dets:
+        if lo == hi:
             result[c] = 0.0
             continue
-        matched: dict[tuple[str, int], set[int]] = {}
-        tp_flags = np.zeros(len(dets), dtype=bool)
-        for k, det in enumerate(dets):
-            boxes = gt.get((det.image_id, c), [])
-            used = matched.setdefault((det.image_id, c), set())
-            best_iou, best_j = 0.0, -1
-            for j, box in enumerate(boxes):
-                if j in used:
-                    continue
-                v = iou(det.bbox, box)
-                if v > best_iou:
-                    best_iou, best_j = v, j
-            if best_j >= 0 and best_iou >= iou_threshold:
-                used.add(best_j)
-                tp_flags[k] = True
-        recall, precision = _pr_curve(tp_flags, n_gt)
+        recall, precision = _pr_curve(tp[lo:hi], int(n_gt[c]))
         result[c] = _ap_from_pr(recall, precision, eleven_point)
     return result
 
 
 def corloc(
-    detections: list[Detection],
+    detections: DetectionTable,
     records: list[ImageRecord],
     iou_threshold: float = 0.5,
 ) -> dict[int, float]:
     """Fraction of positive images whose top-scoring box hits a GT box.
 
     For each (image, positive class) pair the single highest-scoring raw
-    detection of that class is checked against the class's ground truth
-    at the IoU threshold. Classes with no positive images are skipped.
+    detection of that class (ties by lower proposal index) is checked
+    against the class's ground truth at the IoU threshold. Classes with
+    no positive images are skipped.
     """
-    top: dict[tuple[str, int], Detection] = {}
-    for det in detections:
-        key = (det.image_id, det.class_id)
-        cur = top.get(key)
-        if (
-            cur is None
-            or det.score > cur.score
-            or (det.score == cur.score and det.proposal_index < cur.proposal_index)
-        ):
-            top[key] = det
+    _check_matching_threshold(iou_threshold)
+    d = detections
+    gt_keys, gt_boxes, _, width = _ground_truth(records, d)
+    order = np.lexsort((d.proposal, -d.score, d.class_id, d.image))
+    keys = d.image[order] * width + d.class_id[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    top_keys, top_rows = keys[first], order[first]
 
-    hits: dict[int, list[bool]] = {}
-    for rec in records:
-        gt_by_class: dict[int, list[Box]] = {}
-        for c, box in rec.gt_boxes:
-            gt_by_class.setdefault(c, []).append(box)
-        for c in rec.labels.positives:
-            det = top.get((rec.id, c))
-            ok = det is not None and any(
-                iou(det.bbox, box) >= iou_threshold
-                for box in gt_by_class.get(c, [])
-            )
-            hits.setdefault(c, []).append(ok)
-    return {c: float(np.mean(flags)) for c, flags in sorted(hits.items())}
+    positive = [(i * width + c, c) for i, rec in enumerate(records) for c in rec.labels.positives]
+    pos_keys = np.array([k for k, _ in positive], dtype=np.int64)
+    pos_class = np.array([c for _, c in positive], dtype=np.int64)
+    at = np.searchsorted(top_keys, pos_keys)
+    found = at < top_keys.size
+    found[found] = top_keys[at[found]] == pos_keys[found]
+    found = np.flatnonzero(found)
+    row, _, iou = _gt_pairs(pos_keys[found], d.box[top_rows[at[found]]], gt_keys, gt_boxes)
+    hit = np.zeros(pos_keys.size, dtype=bool)
+    hit[found[row[iou >= iou_threshold]]] = True
+    return {c: float(np.mean(hit[pos_class == c])) for c in np.unique(pos_class).tolist()}
 
 
 def classification_ap(
@@ -239,16 +319,15 @@ def classification_ap(
     records: list[ImageRecord],
     eleven_point: bool = False,
 ) -> dict[int, float]:
-    """Per-class AP of ranking images by their class score tau_c."""
+    """Per-class AP of ranking images by their class score tau_c (ties by id)."""
     if not records:
         return {}
-    num_classes = records[0].labels.y.shape[0]
+    scores = np.stack([image_scores[r.id] for r in records]).astype(np.float64)
+    positive = np.stack([r.labels.y == 1 for r in records])
+    id_rank = _id_rank(records)
     result = {}
-    for c in range(num_classes):
-        ranked = sorted(
-            records, key=lambda r: (-float(image_scores[r.id][c]), r.id)
-        )
-        flags = np.array([r.labels.y[c] == 1 for r in ranked], dtype=bool)
+    for c in range(positive.shape[1]):
+        flags = positive[np.lexsort((id_rank, -scores[:, c])), c]
         n_pos = int(flags.sum())
         if n_pos == 0:
             log.info("class %d has no positive images; AP undefined", c)

@@ -1,5 +1,7 @@
 """Shared fixtures: hand-built records with known geometry and saliency."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from saldet.core import (
     SuperpixelGrid,
     proposal_from_superpixels,
 )
+from saldet.evaluate import DetectionTable
+
+# one detection as the oracles in ``oracles.py`` read it
+Row = namedtuple("Row", "image_id class_id bbox score proposal_index")
 
 
 def tiling_grid(side_px: int, sp_side: int) -> SuperpixelGrid:
@@ -36,6 +42,29 @@ def build_record(rec_id, grid, proposal_ids, features, y, saliency_values, gt_bo
         saliency=saliency,
         gt_boxes=gt_boxes,
     )
+
+
+def detection_table(rows, image_ids):
+    """DetectionTable of Rows; an image id's index is its position in ``image_ids``."""
+    index = {image_id: i for i, image_id in enumerate(image_ids)}
+    return DetectionTable(
+        image=[index[r.image_id] for r in rows],
+        class_id=[r.class_id for r in rows],
+        proposal=[r.proposal_index for r in rows],
+        score=[r.score for r in rows],
+        box=np.array([r.bbox.as_tuple() for r in rows], dtype=np.int64).reshape(-1, 4),
+    )
+
+
+def table_rows(table, image_ids):
+    """The Rows of a DetectionTable, in table order."""
+    return [
+        Row(image_ids[i], c, Box(*b), s, p)
+        for i, c, b, s, p in zip(
+            table.image.tolist(), table.class_id.tolist(), table.box.tolist(),
+            table.score.tolist(), table.proposal.tolist(),
+        )
+    ]
 
 
 @pytest.fixture

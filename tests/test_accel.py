@@ -166,6 +166,11 @@ class TestEdgeCases:
         keep = _accel.nms_keep(np.array([[0, 0, 4, 4]], dtype=np.int64), 0.5)
         np.testing.assert_array_equal(keep, [True])
 
+    def test_touching_boxes_never_suppress(self):
+        # they share no pixel, so not even a zero threshold lets one drop the other
+        boxes = np.array([[0, 0, 4, 4], [4, 0, 8, 4], [0, 4, 4, 8]], dtype=np.int64)
+        np.testing.assert_array_equal(_accel.nms_keep(boxes, 0.0), [True, True, True])
+
     def test_zero_area_boxes_kept_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import Row, build_record, detection_table, table_rows, tiling_grid
 from oracles import (
     naive_corloc,
     naive_detection_ap,
@@ -26,7 +27,6 @@ from saldet.benchmark import run_benchmark
 from saldet.core import Box, iou
 from saldet.dataio import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from saldet.evaluate import (
-    Detection,
     classification_ap,
     corloc,
     detection_ap,
@@ -46,11 +46,7 @@ from saldet.seeds import select_negatives, select_seeds, threshold_baseline
 from saldet.trainer import TrainConfig, train
 
 
-def _det(image_id, class_id, box, score, index):
-    return Detection(
-        image_id=image_id, class_id=class_id, bbox=box, score=score,
-        proposal_index=index,
-    )
+_det = Row
 
 
 def test_criterion_1_gradients_match_finite_differences():
@@ -142,14 +138,12 @@ def test_criterion_5_metrics_match_hand_values_and_oracles():
     assert abs(iou(Box(0, 0, 2, 2), Box(1, 0, 3, 2)) - 2 / 6) < tol
 
     box_a, box_c = Box(0, 0, 4, 4), Box(10, 10, 14, 14)
-    kept = nms([
+    kept = table_rows(nms(detection_table([
         _det("a", 0, box_a, 0.9, 0),
         _det("a", 0, box_a, 0.8, 1),
         _det("a", 0, box_c, 0.5, 2),
-    ])
+    ], ["a"])), ["a"])
     assert [(d.score, d.proposal_index) for d in kept] == [(0.9, 0), (0.5, 2)]
-
-    from conftest import build_record, tiling_grid
 
     def record(rec_id, y, gt):
         positives = [c for c, v in enumerate(y) if v == 1]
@@ -169,14 +163,16 @@ def test_criterion_5_metrics_match_hand_values_and_oracles():
         _det("c", 0, far, 0.6, 1),
         _det("c", 0, Box(0, 0, 6, 6), 0.5, 0),
     ]
-    assert abs(detection_ap(hand_dets, hand_records)[0] - 34 / 45) < tol
+    hand_ids = [r.id for r in hand_records]
+    assert abs(detection_ap(detection_table(hand_dets, hand_ids), hand_records)[0]
+               - 34 / 45) < tol
 
     top_miss = [
         _det("a", 0, Box(0, 0, 6, 6), 0.9, 0),
         _det("b", 0, far, 0.9, 0),
         _det("c", 0, Box(0, 0, 6, 6), 0.8, 0),
     ]
-    assert abs(corloc(top_miss, hand_records)[0] - 2 / 3) < tol
+    assert abs(corloc(detection_table(top_miss, hand_ids), hand_records)[0] - 2 / 3) < tol
 
     rank_records = [
         record("a", [1, -1], [(0, Box(0, 0, 6, 6))]),
@@ -206,12 +202,13 @@ def test_criterion_5_metrics_match_hand_values_and_oracles():
             items.append((box, score, i))
             dets.append(_det("a", 0, box, score, i))
         threshold = float(rng.uniform(0.2, 0.8))
-        kept = nms(dets, iou_threshold=threshold)
+        kept = table_rows(nms(detection_table(dets, ["a"]), iou_threshold=threshold), ["a"])
         assert [(d.bbox, d.score, d.proposal_index) for d in kept] == (
             quadratic_nms(items, threshold)
         )
 
     corpus, _ = generate_synthetic(SynthConfig(images=8, seed=9))
+    corpus_ids = [r.id for r in corpus]
     for trial in range(100):
         dets = []
         for rec in corpus:
@@ -219,12 +216,12 @@ def test_criterion_5_metrics_match_hand_values_and_oracles():
                 for c in range(4):
                     if rng.random() < 0.3:
                         dets.append(_det(rec.id, c, prop.bbox, float(rng.random()), i))
-        got_ap = detection_ap(dets, corpus)
+        got_ap = detection_ap(detection_table(dets, corpus_ids), corpus)
         want_ap = naive_detection_ap(dets, corpus)
         assert set(got_ap) == set(want_ap)
         for c in got_ap:
             assert abs(got_ap[c] - want_ap[c]) < tol
-        got_loc = corloc(dets, corpus)
+        got_loc = corloc(detection_table(dets, corpus_ids), corpus)
         want_loc = naive_corloc(dets, corpus)
         assert set(got_loc) == set(want_loc)
         for c in got_loc:

@@ -96,6 +96,39 @@ class TestSeeds:
         assert "error:" in capsys.readouterr().err
 
 
+def _break_width(ds):
+    path = sorted((ds / "records").glob("*.json"))[0]
+    doc = json.loads(path.read_text())
+    doc["width"] = str(doc["width"])
+    path.write_text(json.dumps(doc))
+
+
+def _drop_gt_box(ds):
+    path = sorted((ds / "records").glob("*.json"))[0]
+    doc = json.loads(path.read_text())
+    del doc["gt_boxes"][0]["box"]
+    path.write_text(json.dumps(doc))
+
+
+def _escape_records(ds):
+    path = ds / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["images"][0] = "../../" + doc["images"][0]
+    path.write_text(json.dumps(doc))
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize("corrupt", [_break_width, _drop_gt_box, _escape_records])
+    def test_one_error_line_exit_1(self, tmp_path, capsys, corrupt):
+        ds = tmp_path / "ds"
+        assert main(["synth", "--out", str(ds), "--images", "2"]) == 0
+        capsys.readouterr()
+        corrupt(ds)
+        assert main(["seeds", "--data", str(ds)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestTrain:
     def test_json_epoch_stream(self, dataset, tmp_path, capsys):
         path = tmp_path / "m.ckpt"
@@ -174,6 +207,24 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {cut}: truncated checkpoint"]
+
+    @pytest.mark.parametrize("value", ["0", "-0.2", "1.5", "nan"])
+    def test_bad_iou_is_one_error_line(self, dataset, checkpoint, capsys, value):
+        code = main(["eval", "--data", str(dataset), "--checkpoint", str(checkpoint),
+                     "--iou", value])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: IoU matching threshold must be in (0, 1]")
+
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "nan"])
+    def test_bad_nms_error_names_the_nms_threshold(self, dataset, checkpoint, capsys, value):
+        code = main(["eval", "--data", str(dataset), "--checkpoint", str(checkpoint),
+                     "--nms", value])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: NMS threshold must be in (0, 1)")
 
     def test_csv_table(self, dataset, checkpoint, tmp_path, capsys):
         table = tmp_path / "report.csv"

@@ -190,3 +190,51 @@ class TestLoadErrors:
         bin_path.write_bytes(bytes(data))
         with pytest.raises(DatasetError):
             load_dataset(saved / "manifest.json")
+
+    @staticmethod
+    def _edit_record(saved, edit):
+        path = sorted((saved / "records").glob("*.json"))[0]
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_string_width_is_dataset_error(self, saved):
+        self._edit_record(saved, lambda doc: doc.update(width="32"))
+        with pytest.raises(DatasetError, match="field 'width' must be an integer"):
+            load_dataset(saved)
+
+    def test_gt_box_without_box_is_dataset_error(self, saved):
+        self._edit_record(saved, lambda doc: doc["gt_boxes"][0].pop("box"))
+        with pytest.raises(DatasetError, match=r"gt_boxes\[0\]: missing field 'box'"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("field", [
+        "version", "id", "width", "height", "num_superpixels", "num_proposals",
+        "labels", "proposals", "saliency_classes", "gt_boxes",
+    ])
+    def test_every_header_field_type_checked(self, saved, field):
+        def swap(doc):
+            doc[field] = 7 if isinstance(doc[field], str) else "7"
+        self._edit_record(saved, swap)
+        with pytest.raises(DatasetError, match=f"field '{field}' must be"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("stem", ["../outside", "sub/img", "..", "a\\b"])
+    def test_stem_must_be_a_plain_name(self, saved, stem):
+        # a loadable record outside records/, reachable through the stem
+        src = sorted((saved / "records").glob("*.json"))[0]
+        target = saved / "records" / f"{stem}.json"
+        if ".." in stem or "/" in stem:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            doc = json.loads(src.read_text())
+            doc["id"] = stem
+            target.write_text(json.dumps(doc))
+            target.with_suffix(".bin").write_bytes(src.with_suffix(".bin").read_bytes())
+        path = saved / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["images"][0] = stem
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="not a plain file name"):
+            load_dataset(path)
+

@@ -1,16 +1,24 @@
 """NMS, detection AP, CorLoc, classification AP, and the full report."""
 
+import importlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import build_record, tiling_grid
-from oracles import match_detections, prefix_ap, quadratic_nms
-from saldet.core import Box
+from conftest import Row, build_record, detection_table, table_rows, tiling_grid
+from oracles import (
+    match_detections,
+    naive_corloc,
+    naive_detection_ap,
+    prefix_ap,
+    quadratic_nms,
+)
+from saldet.core import Box, ImageRecord, proposal_from_superpixels
 from saldet.dataio import SynthConfig, generate_synthetic
 from saldet.evaluate import (
-    Detection,
+    DetectionTable,
     classification_ap,
     corloc,
     detection_ap,
@@ -18,14 +26,33 @@ from saldet.evaluate import (
     nms,
     score_dataset,
 )
-from saldet.model import ModelConfig, init_params
+from saldet.model import ModelConfig, forward, init_params
+
+# the module, which the package's ``evaluate`` function shadows as an attribute
+evaluate_module = importlib.import_module("saldet.evaluate")
+det = Row
+IDS = ("a", "b", "c", "d")
 
 
-def det(image_id, class_id, box, score, index):
-    return Detection(
-        image_id=image_id, class_id=class_id, bbox=box, score=score,
-        proposal_index=index,
-    )
+def table(rows, ids=IDS):
+    return detection_table(rows, ids)
+
+
+def kept_rows(rows, **kw):
+    """Rows kept by ``nms``, in its output order."""
+    return table_rows(nms(table(rows), **kw), IDS)
+
+
+def ids_of(records):
+    return [r.id for r in records]
+
+
+def ap(rows, records, **kw):
+    return detection_ap(table(rows, ids_of(records)), records, **kw)
+
+
+def loc(rows, records, **kw):
+    return corloc(table(rows, ids_of(records)), records, **kw)
 
 
 def metric_record(rec_id, y, gt_boxes):
@@ -42,32 +69,51 @@ class TestDetection:
     def test_rejects_bad_scores(self):
         for score in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="score"):
-                det("a", 0, Box(0, 0, 2, 2), score, 0)
+                table([det("a", 0, Box(0, 0, 2, 2), 0.5, 0),
+                       det("a", 0, Box(0, 0, 2, 2), score, 1)])
+
+    def test_score_dataset_checks_every_score(self, monkeypatch):
+        records, _ = generate_synthetic(SynthConfig(images=3, seed=1))
+        config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,),
+                             saliency_hidden=4)
+        params = init_params(config, 0)
+        for bad in (float("nan"), -0.25, 1.25):
+            def fake_forward(params, features, config, bad=bad):
+                scores = np.full((features.shape[0], config.num_classes), 0.5)
+                scores[-1, -1] = bad
+                return SimpleNamespace(scores=scores, image_scores=np.zeros(4))
+            monkeypatch.setattr(evaluate_module, "forward", fake_forward)
+            with pytest.raises(ValueError, match="score"):
+                score_dataset(params, records, config)
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="columns"):
+            DetectionTable(image=[0, 0], class_id=[0], proposal=[0, 1],
+                           score=[0.5, 0.5], box=np.zeros((2, 4)))
 
 
 class TestNms:
     def test_rejects_bad_threshold(self):
-        for t in (0.0, 1.0):
-            with pytest.raises(ValueError, match="threshold"):
-                nms([], iou_threshold=t)
+        for t in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="NMS threshold"):
+                nms(table([]), iou_threshold=t)
 
     def test_identical_boxes_keep_best(self):
         box = Box(0, 0, 4, 4)
-        dets = [det("a", 0, box, 0.3, 0), det("a", 0, box, 0.9, 1)]
-        kept = nms(dets)
+        kept = kept_rows([det("a", 0, box, 0.3, 0), det("a", 0, box, 0.9, 1)])
         assert [(d.score, d.proposal_index) for d in kept] == [(0.9, 1)]
 
     def test_score_tie_keeps_lower_index(self):
         box = Box(0, 0, 4, 4)
-        dets = [det("a", 0, box, 0.5, 1), det("a", 0, box, 0.5, 0)]
-        assert [d.proposal_index for d in nms(dets)] == [0]
+        kept = kept_rows([det("a", 0, box, 0.5, 1), det("a", 0, box, 0.5, 0)])
+        assert [d.proposal_index for d in kept] == [0]
 
     def test_disjoint_boxes_survive(self):
         dets = [
             det("a", 0, Box(0, 0, 4, 4), 0.9, 0),
             det("a", 0, Box(10, 10, 14, 14), 0.2, 1),
         ]
-        assert len(nms(dets)) == 2
+        assert len(nms(table(dets))) == 2
 
     def test_groups_do_not_interact(self):
         box = Box(0, 0, 4, 4)
@@ -76,7 +122,7 @@ class TestNms:
             det("a", 1, box, 0.8, 0),
             det("b", 0, box, 0.7, 0),
         ]
-        assert len(nms(dets)) == 3
+        assert len(nms(table(dets))) == 3
 
     def test_matches_quadratic_oracle(self):
         rng = np.random.default_rng(13)
@@ -91,9 +137,52 @@ class TestNms:
                 dets.append(det("a", 0, box, score, i))
                 items.append((box, score, i))
             threshold = float(rng.uniform(0.2, 0.8))
-            kept = nms(dets, iou_threshold=threshold)
+            kept = kept_rows(dets, iou_threshold=threshold)
             expected = quadratic_nms(items, threshold)
             assert [(d.bbox, d.score, d.proposal_index) for d in kept] == expected
+
+    def test_batched_groups_match_quadratic_oracle(self):
+        # many images and classes at once; coarse scores tie, copied boxes
+        # are identical and abutting boxes touch without sharing a pixel
+        rng = np.random.default_rng(29)
+        for trial in range(40):
+            n_images, n_classes = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            threshold = (1e-9, 0.99, float(rng.uniform(0.1, 0.9)))[trial % 3]
+            image_ids = [f"img{k}" for k in range(n_images)]
+            rows = []
+            for image_id in image_ids:
+                boxes = []
+                for _ in range(int(rng.integers(1, 40))):
+                    kind = rng.random()
+                    if boxes and kind < 0.2:
+                        boxes.append(boxes[int(rng.integers(len(boxes)))])
+                    elif boxes and kind < 0.4:
+                        b = boxes[int(rng.integers(len(boxes)))]
+                        boxes.append(Box(b.x1, b.y0, b.x1 + int(rng.integers(1, 6)), b.y1))
+                    else:
+                        x0, y0 = int(rng.integers(0, 12)), int(rng.integers(0, 12))
+                        boxes.append(Box(x0, y0, x0 + int(rng.integers(1, 7)),
+                                         y0 + int(rng.integers(1, 7))))
+                for c in range(n_classes):
+                    coarse = rng.random() < 0.5
+                    for i, box in enumerate(boxes):
+                        if rng.random() < 0.8:
+                            score = rng.integers(0, 4) / 3 if coarse else rng.random()
+                            rows.append(det(image_id, c, box, float(score), i))
+            order = rng.permutation(len(rows))
+            got = table_rows(
+                nms(detection_table([rows[k] for k in order], image_ids),
+                    iou_threshold=threshold),
+                image_ids,
+            )
+            expected = []
+            for image_id in image_ids:
+                for c in range(n_classes):
+                    items = [(r.bbox, r.score, r.proposal_index) for r in rows
+                             if r.image_id == image_id and r.class_id == c]
+                    expected += [Row(image_id, c, *item)
+                                 for item in quadratic_nms(items, threshold)]
+            assert got == expected
 
     def test_input_order_irrelevant(self):
         rng = np.random.default_rng(5)
@@ -101,10 +190,17 @@ class TestNms:
             det("a", 0, Box(i % 7, 0, i % 7 + 3, 5), float(rng.random()), i)
             for i in range(12)
         ]
-        kept = nms(dets)
+        kept = kept_rows(dets)
         shuffled = list(dets)
         rng.shuffle(shuffled)
-        assert nms(shuffled) == kept
+        assert kept_rows(shuffled) == kept
+
+    def test_rejects_inconsistent_rows(self):
+        box = Box(0, 0, 4, 4)
+        with pytest.raises(ValueError, match="more than once"):
+            nms(table([det("a", 0, box, 0.5, 0), det("a", 0, box, 0.7, 0)]))
+        with pytest.raises(ValueError, match="disagree"):
+            nms(table([det("a", 0, box, 0.5, 0), det("a", 1, Box(0, 0, 5, 5), 0.7, 0)]))
 
 
 class TestDetectionAp:
@@ -117,21 +213,21 @@ class TestDetectionAp:
             det("a", 0, Box(0, 0, 6, 6), 1.0, 0),
             det("b", 1, Box(6, 6, 12, 12), 1.0, 0),
         ]
-        assert detection_ap(dets, records) == {0: 1.0, 1: 1.0}
+        assert ap(dets, records) == {0: 1.0, 1: 1.0}
 
     def test_all_misses(self):
         records = [metric_record("a", [1], [(0, Box(0, 0, 6, 6))])]
         dets = [det("a", 0, Box(12, 12, 20, 20), 0.9, 0)]
-        assert detection_ap(dets, records) == {0: 0.0}
+        assert ap(dets, records) == {0: 0.0}
 
     def test_no_detections_for_class(self):
         records = [metric_record("a", [1], [(0, Box(0, 0, 6, 6))])]
-        assert detection_ap([], records) == {0: 0.0}
+        assert ap([], records) == {0: 0.0}
 
     def test_class_without_gt_is_skipped(self):
         records = [metric_record("a", [1, -1], [(0, Box(0, 0, 6, 6))])]
         dets = [det("a", 1, Box(0, 0, 6, 6), 0.9, 0)]
-        assert 1 not in detection_ap(dets, records)
+        assert 1 not in ap(dets, records)
 
     def test_hand_curve(self):
         records = [
@@ -146,8 +242,8 @@ class TestDetectionAp:
             det("c", 0, Box(0, 0, 6, 6), 0.5, 0),
         ]
         # flags T F T F T over 3 positives
-        assert detection_ap(dets, records)[0] == pytest.approx(34 / 45, abs=1e-12)
-        assert detection_ap(dets, records, eleven_point=True)[0] == pytest.approx(
+        assert ap(dets, records)[0] == pytest.approx(34 / 45, abs=1e-12)
+        assert ap(dets, records, eleven_point=True)[0] == pytest.approx(
             8.4 / 11, abs=1e-12
         )
         assert prefix_ap([True, False, True, False, True], 3) == pytest.approx(
@@ -163,7 +259,32 @@ class TestDetectionAp:
         ]
         # flags F T F: AP = recall gain 1.0 at best later precision 2/3... no:
         # precisions 0, 1/2, 1/3; envelope after first TP = 1/2
-        assert detection_ap(dets, records)[0] == pytest.approx(0.5, abs=1e-12)
+        assert ap(dets, records)[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_each_detection_takes_its_best_free_gt(self):
+        records = [
+            metric_record(
+                "a", [1], [(0, Box(0, 0, 10, 10)), (0, Box(0, 2, 10, 12))]
+            )
+        ]
+        dets = [
+            det("a", 0, Box(0, 2, 10, 12), 0.9, 0),  # IoU .667 / 1 -> second GT
+            det("a", 0, Box(0, 0, 10, 10), 0.8, 1),  # first GT still free
+        ]
+        assert ap(dets, records)[0] == 1.0
+
+    def test_score_tie_breaks_by_image_id(self):
+        # records out of id order: equal scores rank image "a" first
+        records = [
+            metric_record("b", [1], [(0, Box(0, 0, 6, 6))]),
+            metric_record("a", [1], [(0, Box(0, 0, 6, 6))]),
+        ]
+        dets = [
+            det("b", 0, Box(0, 0, 6, 6), 0.5, 0),      # hit
+            det("a", 0, Box(12, 12, 18, 18), 0.5, 0),  # miss
+        ]
+        # flags F T over 2 positives
+        assert ap(dets, records)[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_highest_iou_unmatched_gt(self):
         records = [
@@ -175,7 +296,7 @@ class TestDetectionAp:
             det("a", 0, Box(0, 3, 10, 13), 0.9, 0),  # IoU .538 / .818 -> second GT
             det("a", 0, Box(0, 4, 10, 14), 0.8, 1),  # exact, but GT taken; other .429
         ]
-        assert detection_ap(dets, records)[0] == pytest.approx(0.5, abs=1e-12)
+        assert ap(dets, records)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_greedy_oracle_on_random_inputs(self):
         rng = np.random.default_rng(41)
@@ -189,8 +310,8 @@ class TestDetectionAp:
                             dets.append(
                                 det(rec.id, c, prop.bbox, float(rng.random()), i)
                             )
-            got = detection_ap(dets, records)
-            for c, ap in got.items():
+            got = ap(dets, records)
+            for c, value in got.items():
                 by_img = {}
                 ordered = sorted(
                     (d for d in dets if d.class_id == c),
@@ -214,7 +335,7 @@ class TestDetectionAp:
                 n_gt = sum(
                     1 for r in records for cc, _ in r.gt_boxes if cc == c
                 )
-                assert ap == pytest.approx(prefix_ap(flags, n_gt), abs=1e-12)
+                assert value == pytest.approx(prefix_ap(flags, n_gt), abs=1e-12)
 
 
 class TestCorloc:
@@ -237,20 +358,23 @@ class TestCorloc:
             det("c", 0, Box(0, 0, 6, 6), 0.8, 0),   # hit
             det("d", 1, Box(6, 6, 12, 12), 0.4, 0), # hit
         ]
-        assert corloc(dets, records) == {0: pytest.approx(2 / 3), 1: 1.0}
+        assert loc(dets, records) == {0: pytest.approx(2 / 3), 1: 1.0}
 
     def test_score_tie_resolved_by_lower_index(self):
         records = self._records()[:1]
         good, far = Box(0, 0, 6, 6), Box(12, 12, 18, 18)
         miss = [det("a", 0, far, 0.5, 0), det("a", 0, good, 0.5, 1)]
         hit = [det("a", 0, good, 0.5, 0), det("a", 0, far, 0.5, 1)]
-        assert corloc(miss, records) == {0: 0.0}
-        assert corloc(hit, records) == {0: 1.0}
+        # the proposal index decides, not the row order
+        for rows in (miss, miss[::-1]):
+            assert loc(rows, records) == {0: 0.0}
+        for rows in (hit, hit[::-1]):
+            assert loc(rows, records) == {0: 1.0}
 
     def test_image_without_detections_counts_as_miss(self):
         records = self._records()[:2]
         dets = [det("a", 0, Box(0, 0, 6, 6), 0.9, 0)]  # nothing for image b
-        assert corloc(dets, records) == {0: 0.5}
+        assert loc(dets, records) == {0: 0.5}
 
     def test_negative_class_detections_ignored(self):
         records = [metric_record("a", [1, -1], [(0, Box(0, 0, 6, 6))])]
@@ -258,7 +382,7 @@ class TestCorloc:
             det("a", 0, Box(0, 0, 6, 6), 0.9, 0),
             det("a", 1, Box(12, 12, 18, 18), 0.99, 1),
         ]
-        assert corloc(dets, records) == {0: 1.0}
+        assert loc(dets, records) == {0: 1.0}
 
     def test_unaffected_by_nms(self):
         rng = np.random.default_rng(23)
@@ -268,7 +392,7 @@ class TestCorloc:
             for i, prop in enumerate(rec.proposals):
                 for c in range(4):
                     dets.append(det(rec.id, c, prop.bbox, float(rng.random()), i))
-        assert corloc(nms(dets), records) == corloc(dets, records)
+        assert corloc(nms(table(dets, ids_of(records))), records) == loc(dets, records)
 
 
 class TestClassificationAp:
@@ -306,6 +430,15 @@ class TestClassificationAp:
         squared = {k: v**2 for k, v in scores.items()}
         assert classification_ap(scores, records) == classification_ap(squared, records)
 
+    def test_score_tie_breaks_by_image_id(self):
+        records = [
+            metric_record("b", [1, -1], [(0, Box(0, 0, 6, 6))]),
+            metric_record("a", [-1, 1], [(1, Box(0, 0, 6, 6))]),
+        ]
+        scores = {"b": np.array([0.5, 0.5]), "a": np.array([0.5, 0.5])}
+        # "a" ranks first: class 0 flags F T, class 1 flags T F
+        assert classification_ap(scores, records) == {0: 0.5, 1: 1.0}
+
     def test_class_without_positives_skipped(self):
         records = [metric_record("a", [1, -1], [(0, Box(0, 0, 6, 6))])]
         result = classification_ap({"a": np.array([0.5, 0.5])}, records)
@@ -322,6 +455,26 @@ class TestClassificationAp:
             assert ap == pytest.approx(prefix_ap(flags, sum(flags)), abs=1e-12)
 
 
+def dense_records(seed, images=4, extra=(100, 140)):
+    """Synthetic records plus 100+ random superpixel-rectangle proposals each."""
+    rng = np.random.default_rng(seed)
+    records, _ = generate_synthetic(SynthConfig(images=images, seed=seed))
+    out = []
+    for rec in records:
+        proposals = list(rec.proposals)
+        for _ in range(int(rng.integers(*extra))):
+            h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            r0, c0 = int(rng.integers(0, 9 - h)), int(rng.integers(0, 9 - w))
+            ids = [r * 8 + c for r in range(r0, r0 + h) for c in range(c0, c0 + w)]
+            proposals.append(proposal_from_superpixels(rec.grid, ids))
+        out.append(ImageRecord(
+            id=rec.id, grid=rec.grid, proposals=proposals,
+            features=rng.normal(size=(len(proposals), 16)), labels=rec.labels,
+            saliency=rec.saliency, gt_boxes=rec.gt_boxes,
+        ))
+    return out
+
+
 class TestEvaluatePipeline:
     def test_oracle_detections_score_one(self):
         # exact planted-box detections at score 1 drive every metric to 1
@@ -331,9 +484,9 @@ class TestEvaluatePipeline:
             for k, (c, box) in enumerate(rec.gt_boxes):
                 dets.append(det(rec.id, c, box, 1.0, k))
             scores[rec.id] = (rec.labels.y == 1).astype(np.float64)
-        det_ap = detection_ap(nms(dets), records)
+        det_ap = detection_ap(nms(table(dets, ids_of(records))), records)
         assert set(det_ap.values()) == {1.0}
-        assert set(corloc(dets, records).values()) == {1.0}
+        assert set(loc(dets, records).values()) == {1.0}
         assert set(classification_ap(scores, records).values()) == {1.0}
 
     def test_report_structure(self):
@@ -360,10 +513,55 @@ class TestEvaluatePipeline:
         records, _ = generate_synthetic(SynthConfig(images=3, seed=1))
         config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,),
                              saliency_hidden=4)
-        dets, scores = score_dataset(init_params(config, 0), records, config)
+        params = init_params(config, 0)
+        dets, scores = score_dataset(params, records, config)
         assert len(dets) == sum(r.num_proposals * 4 for r in records)
         for rec in records:
             assert scores[rec.id].shape == (4,)
             assert 0.0 <= scores[rec.id].min() and scores[rec.id].max() <= 1.0
-        by_key = {(d.image_id, d.proposal_index, d.class_id) for d in dets}
-        assert len(by_key) == len(dets)
+        keys = set(zip(dets.image.tolist(), dets.proposal.tolist(), dets.class_id.tolist()))
+        assert len(keys) == len(dets)
+        phi = [forward(params, rec.features, config).scores for rec in records]
+        for i, p, c, score, box in zip(dets.image, dets.proposal, dets.class_id,
+                                       dets.score, dets.box.tolist()):
+            assert score == phi[i][p, c]
+            assert tuple(box) == records[i].proposals[p].bbox.as_tuple()
+
+    def test_matches_oracle_composition(self):
+        # per-group quadratic NMS, greedy pixel-IoU matching with per-prefix
+        # AP, and a plain top-box scan, on records with 100+ proposals
+        config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,),
+                             saliency_hidden=4)
+        for seed in (2, 3):
+            records = dense_records(seed)
+            assert min(r.num_proposals for r in records) >= 100
+            params = init_params(config, seed)
+            rows, kept, taus = [], [], {}
+            for rec in records:
+                trace = forward(params, rec.features, config)
+                taus[rec.id] = trace.image_scores
+                for c in range(4):
+                    items = [(p.bbox, float(trace.scores[i, c]), i)
+                             for i, p in enumerate(rec.proposals)]
+                    rows += [Row(rec.id, c, *item) for item in items]
+                    kept += [Row(rec.id, c, *item) for item in quadratic_nms(items, 0.4)]
+            report = evaluate(params, records, config)
+            want_ap = naive_detection_ap(kept, records)
+            assert report.detection_ap.keys() == want_ap.keys()
+            for c, v in want_ap.items():
+                assert report.detection_ap[c] == pytest.approx(v, abs=1e-12)
+            assert report.corloc == naive_corloc(rows, records)
+            for c, v in report.classification_ap.items():
+                ranked = sorted(records, key=lambda r: (-float(taus[r.id][c]), r.id))
+                flags = [bool(r.labels.y[c] == 1) for r in ranked]
+                assert v == pytest.approx(prefix_ap(flags, sum(flags)), abs=1e-12)
+
+    def test_rejects_bad_iou_threshold(self):
+        records, _ = generate_synthetic(SynthConfig(images=3, seed=1))
+        config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,),
+                             saliency_hidden=4)
+        params = init_params(config, 0)
+        for t in (0.0, -0.5, 1.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="IoU matching threshold"):
+                evaluate(params, records, config, iou_threshold=t)
+        assert evaluate(params, records, config, iou_threshold=1.0).num_images == 3

@@ -1,0 +1,52 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) wraps saldet functions by name.
+
+An API change that renames or removes a traced function, or stops calling
+it through its module, breaks ``perfbench/run.py --trace 1``; these tests
+load the tracer read-only and catch that here.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from saldet.dataio import SynthConfig, generate_synthetic
+from saldet.model import ModelConfig, init_params
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists():
+    targets = load_tracing().TARGETS
+    missing = [
+        f"saldet.{module}.{function}"
+        for module, functions in targets.items()
+        for function in functions
+        if not callable(getattr(importlib.import_module(f"saldet.{module}"), function, None))
+    ]
+    assert missing == []
+
+
+def test_evaluate_calls_each_traced_stage():
+    tracing = load_tracing()
+    for module in tracing.TARGETS:  # the tracer wraps every target module
+        importlib.import_module(f"saldet.{module}")
+    evaluate = importlib.import_module("saldet.evaluate")
+    records, _ = generate_synthetic(SynthConfig(images=3, seed=1))
+    config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,), saliency_hidden=4)
+    params = init_params(config, 0)
+    tracer = tracing.Tracer()
+    with tracer:
+        evaluate.evaluate(params, records, config)
+    called = {tracer.names[span[0]] for span in tracer.spans}
+    assert {f"evaluate.{f}" for f in tracing.TARGETS["evaluate"]} <= called
+    assert "accel.nms_keep" in called
+    counters = tracer.counters[False]
+    assert counters["evaluate.nms.in"] == sum(r.num_proposals * 4 for r in records)
+    assert 0 < counters["evaluate.nms.kept"] <= counters["evaluate.nms.in"]
