@@ -40,6 +40,29 @@ def superpixel_counts(labels, n_sp):
     return np.bincount(labels.ravel(), minlength=n_sp).astype(np.int64)
 
 
+def label_boxes(labels, n):
+    """Half-open box (x0, y0, x1, y1) of each label 0..n-1, as (n, 4) int64.
+
+    Every label in [0, n) must occur in the 2-d grid ``labels``; negative
+    labels are ignored. A stable sort of the flat labels keeps each
+    label's pixels in scan order, so its first and last pixels give its
+    rows; its columns are segment minima and maxima.
+    """
+    flat = labels.ravel()
+    order = np.argsort(flat, kind="stable")
+    # label k occupies ordered positions [bounds[k], bounds[k + 1])
+    bounds = np.searchsorted(flat[order], np.arange(n + 1))
+    w = labels.shape[1]
+    xs = order[bounds[0]:bounds[n]] % w
+    starts = bounds[:-1] - bounds[0]
+    return np.stack([
+        np.minimum.reduceat(xs, starts),
+        order[bounds[:-1]] // w,
+        np.maximum.reduceat(xs, starts) + 1,
+        order[bounds[1:] - 1] // w + 1,
+    ], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # 4-connected components of a binary mask
 

@@ -17,7 +17,6 @@ fine-tuning regime where features come from a pretrained backbone.
 """
 
 import logging
-import time
 from dataclasses import dataclass, field, replace
 
 from .dataio import SynthConfig, generate_synthetic
@@ -77,7 +76,6 @@ class BenchmarkRun:
 @dataclass
 class BenchmarkResult:
     runs: list[BenchmarkRun] = field(default_factory=list)
-    elapsed_s: float = 0.0
 
     def mean_corloc(self, variant: str) -> float:
         vals = [r.train_report.mean_corloc for r in self.runs if r.variant == variant]
@@ -88,30 +86,6 @@ class BenchmarkResult:
             r.test_report.mean_detection_ap for r in self.runs if r.variant == variant
         ]
         return sum(vals) / len(vals)
-
-    def as_json_dict(self) -> dict:
-        variants = sorted({r.variant for r in self.runs})
-        return {
-            "elapsed_s": self.elapsed_s,
-            "summary": {
-                v: {
-                    "mean_corloc": self.mean_corloc(v),
-                    "mean_test_map": self.mean_test_map(v),
-                }
-                for v in variants
-            },
-            "runs": [
-                {
-                    "variant": r.variant,
-                    "seed": r.seed,
-                    "train_corloc": r.train_report.mean_corloc,
-                    "train_map": r.train_report.mean_detection_ap,
-                    "test_map": r.test_report.mean_detection_ap,
-                    "test_classification_ap": r.test_report.mean_classification_ap,
-                }
-                for r in self.runs
-            ],
-        }
 
 
 def benchmark_datasets(seed: int):
@@ -163,8 +137,10 @@ def run_benchmark(
 
     ``records`` and ``model_config`` pass through to :func:`run_variant`.
     """
+    variants, seeds = list(variants), list(seeds)
+    if not variants or not seeds:
+        raise ValueError("the ablation needs at least one variant and one seed")
     result = BenchmarkResult()
-    tic = time.perf_counter()
     for variant in variants:
         for seed in seeds:
             run = run_variant(variant, seed, records, model_config)
@@ -175,5 +151,4 @@ def run_benchmark(
                 run.train_report.mean_corloc,
                 run.test_report.mean_detection_ap,
             )
-    result.elapsed_s = time.perf_counter() - tic
     return result

@@ -3,11 +3,14 @@
 Boxes use half-open integer pixel intervals [x0, x1) x [y0, y1), so the
 area is exactly (x1 - x0) * (y1 - y0) and IoU arithmetic is exact.
 Superpixel adjacency is 4-connected: two superpixels are neighbors iff
-some pixel pair of theirs shares a horizontal or vertical edge. All
+some pixel pair of theirs shares a horizontal or vertical edge. A grid
+computes each superpixel's pixel count and box once, and a proposal's
+box and area are reduced from those tables, never from its pixels. All
 types are immutable after construction (arrays are marked read-only).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +50,14 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def check_finite_floats(config) -> None:
+    """Raise ValueError for the first ``float`` field of a dataclass that is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type is float and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -58,11 +69,16 @@ class SuperpixelGrid:
     """Row-major grid of superpixel ids covering every pixel.
 
     Every id in [0, n_superpixels) must occur at least once.
+    ``pixel_counts`` (n_superpixels,) int64 holds each superpixel's pixel
+    count and ``boxes`` (n_superpixels, 4) int64 its half-open box
+    (x0, y0, x1, y1); both are computed once, here.
     """
 
     width: int
     height: int
     labels: np.ndarray  # (height, width) int32
+    pixel_counts: np.ndarray = field(init=False, repr=False)
+    boxes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int32)
@@ -76,13 +92,19 @@ class SuperpixelGrid:
         if labels.min() < 0:
             raise ValueError("labels: negative superpixel id")
         n = int(labels.max()) + 1
-        if np.any(np.bincount(labels.ravel(), minlength=n) == 0):
+        # checked before sizing the count array by the largest id
+        if n > labels.size:
+            raise ValueError(f"labels: id {n - 1} exceeds the pixel count {labels.size}")
+        counts = _accel.superpixel_counts(labels, n)
+        if not counts.all():
             raise ValueError("labels: every id in [0, n_superpixels) must occur")
         object.__setattr__(self, "labels", _freeze(labels))
+        object.__setattr__(self, "pixel_counts", _freeze(counts))
+        object.__setattr__(self, "boxes", _freeze(_accel.label_boxes(labels, n)))
 
     @property
     def n_superpixels(self) -> int:
-        return int(self.labels.max()) + 1
+        return int(self.pixel_counts.size)
 
 
 def adjacency(grid: SuperpixelGrid) -> np.ndarray:
@@ -118,18 +140,21 @@ class Proposal:
 
 
 def proposal_from_superpixels(grid: SuperpixelGrid, ids) -> Proposal:
-    """Build a proposal from superpixel ids, deriving bbox and pixel area."""
+    """Build a proposal from superpixel ids, deriving bbox and pixel area.
+
+    The box encloses the member superpixels' boxes and the area sums their
+    pixel counts, both read from the grid's tables.
+    """
     ids = tuple(sorted(int(i) for i in ids))
     if not ids:
         raise ValueError("proposal must contain at least one superpixel")
     if ids[0] < 0 or ids[-1] >= grid.n_superpixels:
         raise ValueError(f"superpixel id out of range [0, {grid.n_superpixels})")
-    member = np.isin(grid.labels, ids)
-    ys, xs = np.nonzero(member)
-    if ys.size == 0:
-        raise ValueError("proposal covers no pixels")
-    bbox = Box(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
-    return Proposal(superpixel_ids=ids, bbox=bbox, area_px=int(ys.size))
+    rows = grid.boxes[list(ids)]
+    x0, y0 = rows[:, :2].min(axis=0).tolist()
+    x1, y1 = rows[:, 2:].max(axis=0).tolist()
+    area = int(grid.pixel_counts[list(ids)].sum())
+    return Proposal(superpixel_ids=ids, bbox=Box(x0, y0, x1, y1), area_px=area)
 
 
 @dataclass(frozen=True, eq=False)

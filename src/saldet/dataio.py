@@ -33,6 +33,7 @@ from .core import (
     LabelVector,
     SaliencyMap,
     SuperpixelGrid,
+    check_finite_floats,
     proposal_from_superpixels,
 )
 
@@ -89,6 +90,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_floats(self)
         for name in ("grid_side", "superpixels", "images", "classes", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")

@@ -350,6 +350,12 @@ def evaluate(
     eleven_point: bool = False,
 ) -> EvalReport:
     """Full pipeline: score, NMS, and all three metrics in one report."""
+    for rec in records:
+        if rec.labels.num_classes != config.num_classes:
+            raise ValueError(
+                f"record {rec.id}: {rec.labels.num_classes} classes, "
+                f"model has {config.num_classes}"
+            )
     detections, image_scores = score_dataset(params, records, config)
     det_ap = detection_ap(
         nms(detections, nms_threshold), records, iou_threshold, eleven_point

@@ -24,6 +24,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .core import check_finite_floats
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -40,6 +42,7 @@ class ModelConfig:
     saliency_enabled: bool = True
 
     def __post_init__(self):
+        check_finite_floats(self)
         if self.feature_dim < 1 or self.num_classes < 1:
             raise ValueError("feature_dim and num_classes must be >= 1")
         if not self.trunk_widths or any(w < 1 for w in self.trunk_widths):
@@ -535,14 +538,17 @@ def load_checkpoint(path):
     shapes = _tensor_shapes(config)
     if len(shapes) != n_tensors:
         raise ValueError(f"{path}: shape table length mismatch")
-    stored = []
-    for _ in range(n_tensors):
+    for name, shape in shapes:
         (ndim,) = unpack("<I")
-        stored.append(unpack(f"<{ndim}I"))
-    params = ModelParams(param_layout(config))
-    for (name, shape), dims in zip(shapes, stored):
+        dims = unpack(f"<{ndim}I")
         if shape != dims:
             raise ValueError(f"{path}: tensor {name} shape {dims} != expected {shape}")
+    # the header alone must not size the buffers: a forged width would
+    # otherwise allocate before the missing data is noticed
+    if 4 * sum(math.prod(shape) for _, shape in shapes) > len(blob) - off:
+        raise ValueError(f"{path}: truncated checkpoint")
+    params = ModelParams(param_layout(config))
+    for name, shape in shapes:
         count = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=take(4 * count))
         params.values[name][...] = arr.reshape(shape)
@@ -580,6 +586,10 @@ def run_gradient_check(seed: int = 7, instances: int = 20, step: float = 1e-5):
     """
     from .seeds import SeedAssignment  # local import to avoid a cycle
 
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     rng = np.random.default_rng(seed)
     grid = [
         (c, n, d) for c in (2, 5) for n in (1, 3, 8) for d in (4, 16)

@@ -67,10 +67,6 @@ class SeedAssignment:
             raise ValueError("more negatives than seeds")
 
     @property
-    def seed_for(self) -> dict[int, int]:
-        return dict(self.seeds)
-
-    @property
     def sample_indices(self) -> tuple[int, ...]:
         return tuple(i for _, i in self.seeds) + self.negatives
 
@@ -117,7 +113,7 @@ def proposal_scores(record: ImageRecord, sigma: float) -> dict[int, tuple]:
     used = member.any(axis=0)
     touched = member[:, used] @ adjacency(grid)[used]
     near = ((touched > 0) & (member == 0)).astype(np.float64)
-    near_px = near @ _accel.superpixel_counts(grid.labels, grid.n_superpixels)
+    near_px = near @ grid.pixel_counts
     ns = np.divide(sums @ near.T, near_px, out=np.zeros_like(rs), where=near_px > 0)
     contrast = saliency_contrast(rs, ns, area, sigma)
     return {
@@ -128,8 +124,8 @@ def proposal_scores(record: ImageRecord, sigma: float) -> dict[int, tuple]:
 
 def saliency_contrast(rs, ns, area_px, sigma: float):
     """Area-weighted contrast exp(area/sigma^2) * (rs - ns), elementwise."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     arg = np.asarray(area_px, dtype=np.float64) / (sigma * sigma)
     if np.any(arg > _EXP_ARG_CAP):
         log.warning(
@@ -202,15 +198,5 @@ def threshold_baseline(smap, theta: float = 0.5) -> list[Box]:
     peak = values.max()
     if peak <= 0.0:
         return []
-    mask = values >= theta * peak
-    comp, count = _accel.connected_components(mask)
-    ys, xs = np.nonzero(mask)
-    label = comp[ys, xs]
-    h, w = mask.shape
-    x0, y0 = np.full(count, w), np.full(count, h)
-    x1, y1 = np.zeros(count, np.int64), np.zeros(count, np.int64)
-    np.minimum.at(x0, label, xs)
-    np.minimum.at(y0, label, ys)
-    np.maximum.at(x1, label, xs + 1)
-    np.maximum.at(y1, label, ys + 1)
-    return [Box(*map(int, row)) for row in zip(x0, y0, x1, y1)]
+    comp, count = _accel.connected_components(values >= theta * peak)
+    return [Box(*row) for row in _accel.label_boxes(comp, count).tolist()]

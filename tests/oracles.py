@@ -24,6 +24,21 @@ def pixel_adjacency(labels, n_sp):
     return adj
 
 
+def pixel_mask_box(mask):
+    """Half-open box (x0, y0, x1, y1) and pixel count of a boolean mask,
+    by visiting every pixel; ((0, 0, 0, 0), 0) when the mask is empty."""
+    h, w = mask.shape
+    xs, ys = [], []
+    for y in range(h):
+        for x in range(w):
+            if mask[y, x]:
+                xs.append(x)
+                ys.append(y)
+    if not xs:
+        return (0, 0, 0, 0), 0
+    return (min(xs), min(ys), max(xs) + 1, max(ys) + 1), len(xs)
+
+
 def bfs_components(mask):
     """4-connected components by breadth-first search, scan-order ids."""
     h, w = mask.shape

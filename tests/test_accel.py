@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import bfs_components, pixel_adjacency, quadratic_nms
+from oracles import bfs_components, pixel_adjacency, pixel_mask_box, quadratic_nms
 from saldet import _accel
 from saldet.core import Box
 
@@ -66,6 +66,22 @@ class TestPathParity:
                 _accel.superpixel_sums(labels, values, n_sp), sums, rtol=1e-12
             )
             np.testing.assert_array_equal(_accel.superpixel_counts(labels, n_sp), counts)
+
+    def test_label_boxes(self):
+        """Negative labels are ignored; labels may be disconnected."""
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            h, w = int(rng.integers(1, 24)), int(rng.integers(1, 24))
+            n = int(rng.integers(0, min(h * w, 10) + 1))
+            labels = rng.integers(-2, max(n, 1), size=(h, w)).astype(np.int32)
+            # every label in [0, n) occurs
+            labels.ravel()[rng.permutation(h * w)[:n]] = np.arange(n)
+            want = np.array(
+                [pixel_mask_box(labels == k)[0] for k in range(n)], dtype=np.int64
+            ).reshape(n, 4)
+            got = _accel.label_boxes(labels, n)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
     def test_connected_components(self):
         rng = np.random.default_rng(3)

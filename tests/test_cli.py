@@ -62,6 +62,43 @@ class TestSynth:
         assert "error:" in capsys.readouterr().err
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+class TestNonFiniteSettings:
+    """Every float setting of the commands that take one must be finite."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command,flag,field", [
+        ("seeds", "--sigma", "sigma"),
+        ("synth", "--snr", "feature_snr"),
+        ("synth", "--noise-amplitude", "noise_amplitude"),
+        ("train", "--sigma", "sigma"),
+        ("train", "--feature-jitter", "feature_jitter"),
+        ("train", "--lr-phase1", "lr_phase1"),
+        ("train", "--lr-phase2", "lr_phase2"),
+        ("train", "--momentum", "momentum"),
+        ("train", "--lambda-seed-cls", "lambda_seed_cls"),
+        ("train", "--lambda-seed-sal", "lambda_seed_sal"),
+        ("train", "--lambda-l2", "lambda_l2"),
+    ])
+    def test_one_error_line_exit_1(
+        self, dataset, tmp_path, capsys, command, flag, field, value
+    ):
+        argv = {
+            "seeds": ["seeds", "--data", str(dataset)],
+            "synth": ["synth", "--out", str(tmp_path / "ds"), "--images", "2"],
+            "train": ["train", "--data", str(dataset), "--out", str(tmp_path / "m.ckpt"),
+                      "--epochs", "1", "--trunk-widths", "8", "--saliency-hidden", "4"],
+        }[command]
+        assert main(argv + [flag, value]) == 1
+        message = _one_error_line(capsys)
+        assert f"{field} must be" in message and "finite" in message
+
+
 class TestSeeds:
     def test_schema(self, dataset, capsys):
         assert main(["--json", "seeds", "--data", str(dataset)]) == 0
@@ -245,6 +282,19 @@ class TestEval:
         assert code == 1
         assert "feature dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("classes", ["3", "6"])
+    def test_class_count_mismatch_is_one_error_line(
+        self, checkpoint, tmp_path, capsys, classes
+    ):
+        # the checkpoint was trained on 4 classes
+        other = tmp_path / "other"
+        assert main(["synth", "--out", str(other), "--images", "3",
+                     "--classes", classes]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--data", str(other), "--checkpoint", str(checkpoint)])
+        assert code == 1
+        assert "model has 4" in _one_error_line(capsys)
+
     def test_corrupt_checkpoint_exits_1(self, dataset, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage")
@@ -259,6 +309,14 @@ class TestGradcheck:
         assert doc["passed"] is True
         assert doc["instances"] == 2
         assert doc["max_rel_error"] < 1e-5
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--instances", "0"), ("--instances", "-3"),
+        ("--step", "0"), ("--step", "-0.001"), ("--step", "nan"), ("--step", "inf"),
+    ])
+    def test_bad_count_or_step_is_one_error_line(self, capsys, flag, value):
+        assert main(["gradcheck", "--instances", "1", flag, value]) == 1
+        _one_error_line(capsys)
 
     def test_failing_run_exits_2(self, capsys, monkeypatch):
         @dataclass
@@ -283,6 +341,12 @@ class TestAblate:
         for row in doc["rows"]:
             assert 0.0 <= row["mean_corloc"] <= 1.0
             assert 0.0 <= row["mean_map"] <= 1.0
+
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_is_one_error_line(self, capsys, seeds):
+        assert main(["ablate", "--seeds", seeds]) == 1
+        assert "at least one" in _one_error_line(capsys)
 
 
 class TestParserContract:

@@ -15,7 +15,7 @@ from saldet.core import (
 )
 
 from conftest import tiling_grid
-from oracles import pixel_adjacency
+from oracles import pixel_adjacency, pixel_mask_box
 
 
 class TestBox:
@@ -69,6 +69,16 @@ class TestSuperpixelGrid:
         grid = tiling_grid(4, 2)
         with pytest.raises(ValueError):
             grid.labels[0, 0] = 3
+        with pytest.raises(ValueError):
+            grid.pixel_counts[0] = 3
+        with pytest.raises(ValueError):
+            grid.boxes[0, 0] = 3
+
+    def test_id_beyond_pixel_count_rejected_before_counting(self):
+        # sizing a count array by this id would ask for 16 GiB
+        labels = np.array([[0, 2**31 - 1]], dtype=np.int32)
+        with pytest.raises(ValueError, match="exceeds the pixel count"):
+            SuperpixelGrid(width=2, height=1, labels=labels)
 
 
 class TestAdjacency:
@@ -113,6 +123,30 @@ class TestProposal:
         prop = proposal_from_superpixels(grid, [0, 15])
         assert prop.bbox == Box(0, 0, 8, 8)
         assert prop.area_px == 8
+
+    def test_matches_pixel_oracle_on_irregular_grids(self):
+        """Random-noise grids (disconnected superpixels) and Voronoi grids."""
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            h, w = (int(v) for v in rng.integers(1, 20, 2))
+            n_sp = int(rng.integers(1, min(h * w, 12) + 1))
+            if trial % 2:
+                raw = rng.integers(0, n_sp, size=(h, w))
+            else:
+                sites = rng.integers(0, (h, w), size=(n_sp, 2))
+                yy, xx = np.mgrid[0:h, 0:w]
+                dist = (yy[..., None] - sites[:, 0]) ** 2 + (xx[..., None] - sites[:, 1]) ** 2
+                raw = dist.argmin(axis=-1)
+            labels = np.unique(raw, return_inverse=True)[1].reshape(h, w).astype(np.int32)
+            grid = SuperpixelGrid(width=w, height=h, labels=labels)
+            for _ in range(5):
+                k = int(rng.integers(1, grid.n_superpixels + 1))
+                ids = rng.choice(grid.n_superpixels, size=k, replace=False)
+                prop = proposal_from_superpixels(grid, ids)
+                box, area = pixel_mask_box(np.isin(labels, ids))
+                assert prop.bbox.as_tuple() == box
+                assert prop.area_px == area
+                assert prop.superpixel_ids == tuple(sorted(ids.tolist()))
 
     def test_unknown_id_rejected(self):
         grid = tiling_grid(8, 4)

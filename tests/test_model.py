@@ -1,6 +1,7 @@
 """Forward pass, loss terms, analytic gradients, and checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -400,6 +401,19 @@ class TestCheckpoint:
             msg = "truncated checkpoint" if cut >= 16 else "not a checkpoint"
             with pytest.raises(ValueError, match=msg):
                 load_checkpoint(path)
+
+    def test_forged_size_is_truncation_not_allocation(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(CFG, 0), CFG)
+        blob = bytearray(path.read_bytes())
+        huge = 2**31 - 1
+        # feature_dim follows magic, version and tensor count; trunk0.w's
+        # first dimension follows the widths and its own ndim
+        struct.pack_into("<I", blob, 16, huge)
+        struct.pack_into("<I", blob, 16 + 16 + 4 + 4 * len(CFG.trunk_widths) + 4, huge)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_checkpoint(path)
 
     def test_rejects_truncation_and_trailing(self, tmp_path):
         path = tmp_path / "m.ckpt"

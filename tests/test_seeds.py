@@ -191,7 +191,6 @@ class TestThresholdBaseline:
 class TestSeedAssignment:
     def test_properties(self):
         a = SeedAssignment(seeds=((0, 3), (2, 5)), negatives=(1, 7))
-        assert a.seed_for == {0: 3, 2: 5}
         assert a.sample_indices == (3, 5, 1, 7)
         np.testing.assert_array_equal(a.targets, [1.0, 1.0, 0.0, 0.0])
 
