@@ -20,7 +20,7 @@ from . import benchmark as bench
 from .dataio import DatasetError, SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .evaluate import evaluate
 from .model import ModelConfig, load_checkpoint, run_gradient_check
-from .seeds import select_seeds, select_negatives, threshold_baseline
+from .seeds import proposal_scores, select_negatives, select_seeds, threshold_baseline
 from .trainer import TrainConfig, TrainingDivergedError, train
 
 SCHEMA_VERSION = 1
@@ -83,8 +83,9 @@ def _cmd_seeds(args) -> int:
     records, _ = load_dataset(args.data)
     images = {}
     for rec in records:
-        scores = select_seeds(rec, sigma=args.sigma)
-        assignment = select_negatives(rec, scores)
+        terms = proposal_scores(rec, args.sigma)
+        scores = select_seeds(rec, args.sigma, terms)
+        assignment = select_negatives(rec, scores, terms)
         entry = {
             "classes": {
                 str(c): {

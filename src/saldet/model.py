@@ -12,6 +12,10 @@ gives the image-level class scores used by the binary log loss.
 Everything internal runs in float64; checkpoints are stored in float32.
 Gradients flow through the saliency weighting into both the branch and
 the trunk. Seed/negative indices are inputs here, never differentiated.
+
+One step kernel per parameter set holds the maths: ``forward``,
+``step_losses``, ``backward`` and ``loss_and_grads`` all run it, the
+last in one reused workspace, which is what a training step calls.
 """
 
 import functools
@@ -143,6 +147,10 @@ class ModelParams:
     order, to a reshaped view of its slice of ``flat_values`` /
     ``flat_velocity``. Their entries cannot be rebound; write in place
     (``params.values[name][...] = x``). A new instance is all zeros.
+
+    The first forward or training step builds a step kernel bound to
+    these buffers and keeps it with them, so one instance must not run
+    steps from two threads at once.
     """
 
     def __init__(self, layout: ParamLayout):
@@ -151,6 +159,7 @@ class ModelParams:
         self.flat_velocity = np.zeros(layout.size)
         self.values = layout.views(self.flat_values)
         self.velocity = layout.views(self.flat_velocity)
+        self._kernel = None
 
     def copy(self) -> "ModelParams":
         out = ModelParams(self.layout)
@@ -209,90 +218,6 @@ class ForwardTrace:
             raise FloatingPointError("detection softmax columns do not sum to 1")
 
 
-# Beyond |logit| ~36.7 a float64 sigmoid rounds to exactly 0 or 1; the cap
-# keeps P inside the open interval the trace validation asserts. Gradients
-# there are ~2e-16 either way, so the chain rule needs no special casing.
-_SAL_LOGIT_CAP = 36.0
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _check_finite(arr, layer: str):
-    if not np.isfinite(arr).all():
-        raise FloatingPointError(f"non-finite activation in {layer}")
-
-
-def forward(params: ModelParams, features: np.ndarray, config: ModelConfig) -> ForwardTrace:
-    """Run the network on one image's proposal features."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != config.feature_dim:
-        raise ValueError(f"features must be (N_R, {config.feature_dim}), got {x.shape}")
-    if x.shape[0] < 1:
-        raise ValueError("need at least one proposal")
-    _check_finite(x, "input features")
-    # overflow surfaces as a FloatingPointError from the finiteness checks
-    # below, so the numpy warning would only duplicate it
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_impl(params, x, config)
-
-
-def _forward_impl(params, x, config):
-    v = params.values
-
-    trunk_pre, trunk_act = [], [x]
-    h = x
-    for l in range(len(config.trunk_widths)):
-        z = h @ v[f"trunk{l}.w"] + v[f"trunk{l}.b"]
-        _check_finite(z, f"trunk layer {l}")
-        trunk_pre.append(z)
-        h = np.maximum(z, 0.0)
-        trunk_act.append(h)
-
-    if config.saliency_enabled:
-        sal_pre = h @ v["sal_hidden.w"] + v["sal_hidden.b"]
-        _check_finite(sal_pre, "saliency hidden layer")
-        sal_hidden = np.maximum(sal_pre, 0.0)
-        sal_logit = sal_hidden @ v["sal_out.w"] + v["sal_out.b"][0]
-        _check_finite(sal_logit, "saliency output layer")
-        sal_logit = np.clip(sal_logit, -_SAL_LOGIT_CAP, _SAL_LOGIT_CAP)
-        p = _sigmoid(sal_logit)
-    else:
-        sal_pre = sal_hidden = sal_logit = None
-        p = np.ones(x.shape[0])
-
-    g = p[:, None] * h
-
-    s_cls = g @ v["cls.w"] + v["cls.b"]
-    _check_finite(s_cls, "classification stream")
-    s_det = g @ v["det.w"] + v["det.b"]
-    _check_finite(s_det, "detection stream")
-
-    e_cls = np.exp(s_cls - s_cls.max(axis=1, keepdims=True))
-    a = e_cls / e_cls.sum(axis=1, keepdims=True)
-    e_det = np.exp(s_det - s_det.max(axis=0, keepdims=True))
-    b = e_det / e_det.sum(axis=0, keepdims=True)
-
-    phi = a * b
-    # the per-class sum is <= 1 exactly; min() only absorbs summation rounding
-    tau = np.minimum(phi.sum(axis=0), 1.0)
-
-    trace = ForwardTrace(
-        features=x, trunk_pre=trunk_pre, trunk_act=trunk_act,
-        sal_pre=sal_pre, sal_hidden=sal_hidden, sal_logit=sal_logit,
-        saliency=p, weighted=g, cls_softmax=a, det_softmax=b,
-        scores=phi, image_scores=tau, saliency_enabled=config.saliency_enabled,
-    )
-    trace.validate()
-    return trace
-
-
 # ---------------------------------------------------------------------------
 # losses; each returns (value, gradient w.r.t. its own input)
 
@@ -302,16 +227,24 @@ def seed_classification_loss(scores, seeds, epsilon):
     ``seeds`` is an iterable of (class_id, proposal_index) pairs. Scores
     at or below ``epsilon`` are clamped and contribute zero gradient.
     """
+    total, terms = _seed_classification_terms(scores, seeds, epsilon)
     grad = np.zeros_like(scores)
-    total = 0.0
+    for i, c, d in terms:
+        grad[i, c] += d
+    return total, grad
+
+
+def _seed_classification_terms(scores, seeds, epsilon):
+    """The loss and its nonzero gradient entries as (proposal, class, value)."""
+    total, terms = 0.0, []
     for c, i in seeds:
         s = scores[i, c]
         if s > epsilon:
             total -= math.log(s)
-            grad[i, c] -= 1.0 / s
+            terms.append((i, c, -(1.0 / s)))
         else:
             total -= math.log(epsilon)
-    return total, grad
+    return total, terms
 
 
 def seed_saliency_loss(saliency, sample_indices, targets):
@@ -354,6 +287,390 @@ def l2_penalty(params: ModelParams, config: ModelConfig) -> float:
     return float(w @ w)
 
 
+# ---------------------------------------------------------------------------
+# forward, losses and backward of one image, run by one step kernel
+
+# Beyond |logit| ~36.7 a float64 sigmoid rounds to exactly 0 or 1; the cap
+# keeps P inside the open interval the trace validation asserts. Gradients
+# there are ~2e-16 either way, so the chain rule needs no special casing.
+_SAL_LOGIT_CAP = 36.0
+
+# how many proposal counts a step kernel keeps workspace views for: the
+# views of one count take ~10 kB and rebuilding them ~40 us, and a dense
+# dataset of 100-200 proposals per image has ~90 distinct counts
+_KEPT_COUNTS = 128
+
+
+def _check_finite(arr, layer: str):
+    if not np.isfinite(arr).all():
+        raise FloatingPointError(f"non-finite activation in {layer}")
+
+
+def _check_features(features, config: ModelConfig) -> np.ndarray:
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != config.feature_dim:
+        raise ValueError(f"features must be (N_R, {config.feature_dim}), got {x.shape}")
+    if x.shape[0] < 1:
+        raise ValueError("need at least one proposal")
+    return x
+
+
+# a plan takes ~3.5 kB and ~20 us to build; ``forward`` needs one per
+# evaluated image, and dense datasets have ~100 proposal counts
+@functools.lru_cache(maxsize=256)
+def _workspace_plan(config: ModelConfig, n: int, backward: bool = True):
+    """Buffer size, and name -> (start, stop, shape) of every array of a step.
+
+    Arrays are in buffer order: the input copy and the pre-activations
+    first, in layer order, then the score matrix and the image scores,
+    then the softmax sums, the rest of the forward arrays and, with
+    ``backward``, the backward pass's scratch.
+    """
+    c, k, hid = config.num_classes, config.trunk_out, config.saliency_hidden
+    widths, sal = config.trunk_widths, config.saliency_enabled
+    shapes = {"features": (n, config.feature_dim)}
+    shapes.update({f"pre{l}": (n, w) for l, w in enumerate(widths)})
+    if sal:
+        shapes.update(sal_pre=(n, hid), sal_raw=(n,))
+    shapes.update(s_cls=(n, c), s_det=(n, c), scores=(n, c), image_scores=(c,), sums=(n + c,))
+    shapes.update({f"act{l}": (n, w) for l, w in enumerate(widths)})
+    if sal:
+        shapes.update(sal_hidden=(n, hid), sal_logit=(n,), denominator=(n,))
+    shapes.update(saliency=(n,), weighted=(n, k), cls_softmax=(n, c), det_softmax=(n, c))
+    if backward:
+        shapes.update(d_scores=(n, c), d_sal=(n,), d_cls=(n, c), d_det=(n, c), tmp=(n, c))
+        shapes.update(d_g=(n, k), tmp_g=(n, k), d_h=(n, k))
+        if sal:
+            shapes.update(d_p=(n,), d_logit=(n,), one_minus_p=(n,), d_u=(n, hid), d_z_sal=(n, hid))
+        shapes.update({f"d_z{l}": (n, w) for l, w in enumerate(widths)})
+        shapes.update({f"d_in{l}": (n, widths[l - 1]) for l in range(1, len(widths))})
+    plan, off = {}, 0
+    for name, shape in shapes.items():
+        plan[name] = (off, off + math.prod(shape), shape)
+        off += math.prod(shape)
+    return off, plan
+
+
+class _Workspace:
+    """Every array of one step over ``n`` proposals, carved from one float64 buffer.
+
+    Attributes are named as in :func:`_workspace_plan`; ``trace`` is a
+    :class:`ForwardTrace` over the forward arrays. Three runs of the
+    buffer are checked with one reduction each: ``pre`` (the input copy
+    and every pre-activation), ``unit`` (score matrix and image scores)
+    and ``sums`` (the softmax sums). Without ``buf`` a new buffer holds
+    just the forward arrays.
+    """
+
+    def __init__(self, config: ModelConfig, n: int, buf: np.ndarray | None = None):
+        backward = buf is not None
+        size, plan = _workspace_plan(config, n, backward)
+        if buf is None:
+            buf = np.empty(size)
+        vars(self).update(
+            (name, buf[lo:hi].reshape(shape)) for name, (lo, hi, shape) in plan.items()
+        )
+        self.pre = buf[: plan["scores"][0]]
+        self.unit = buf[plan["scores"][0] : plan["sums"][0]]
+        self.row_sums, self.col_sums = self.sums[:n], self.sums[n:]
+        # the softmax max and sum temporaries share the sums' slots
+        self.col, self.row = self.row_sums.reshape(n, 1), self.col_sums.reshape(1, -1)
+
+        depth = len(config.trunk_widths)
+        pre = [getattr(self, f"pre{l}") for l in range(depth)]
+        act = [getattr(self, f"act{l}") for l in range(depth)]
+        sal = config.saliency_enabled
+        # pre-activations in layer order, under the names their errors give
+        self.layers = [("input features", self.features)]
+        self.layers += [(f"trunk layer {l}", z) for l, z in enumerate(pre)]
+        if sal:
+            self.layers += [
+                ("saliency hidden layer", self.sal_pre),
+                ("saliency output layer", self.sal_raw),
+            ]
+        self.layers += [("classification stream", self.s_cls), ("detection stream", self.s_det)]
+        self.trace = ForwardTrace(
+            features=self.features, trunk_pre=pre, trunk_act=[self.features] + act,
+            sal_pre=self.sal_pre if sal else None,
+            sal_hidden=self.sal_hidden if sal else None,
+            sal_logit=self.sal_logit if sal else None,
+            saliency=self.saliency, weighted=self.weighted,
+            cls_softmax=self.cls_softmax, det_softmax=self.det_softmax,
+            scores=self.scores, image_scores=self.image_scores, saliency_enabled=sal,
+        )
+        if backward:
+            self.d_z = [getattr(self, f"d_z{l}") for l in range(depth)]
+            self.d_in = [None] + [getattr(self, f"d_in{l}") for l in range(1, depth)]
+
+    def check_finite(self):
+        """One check over every pre-activation; on failure name the first bad layer.
+
+        Their sum is finite unless one of them is not, or the sum
+        overflows; then the walk finds no bad layer and nothing is raised.
+        """
+        if not math.isfinite(np.add.reduce(self.pre)):
+            for layer, arr in self.layers:
+                _check_finite(arr, layer)
+
+    def check_ranges(self):
+        """Raise what ``trace.validate()`` raises, deciding with fewer reductions."""
+        t = self.trace
+        np.add.reduce(t.cls_softmax, axis=1, out=self.row_sums)
+        np.add.reduce(t.det_softmax, axis=0, out=self.col_sums)
+        self.sums -= 1.0
+        np.abs(self.sums, out=self.sums)
+        p = t.saliency
+        if (
+            (t.saliency_enabled and (np.minimum.reduce(p) <= 0.0 or np.maximum.reduce(p) >= 1.0))
+            or np.minimum.reduce(self.unit) < 0.0
+            or np.maximum.reduce(self.unit) > 1.0
+            or np.maximum.reduce(self.sums) > 1e-6
+        ):
+            t.validate()
+
+
+class _StepKernel:
+    """Forward, losses, backward and L2 term of one image for one ModelParams.
+
+    The parameter and gradient views are bound once. Training steps run
+    in one workspace buffer sized to the largest proposal count seen so
+    far, and the views of the last few counts are kept. ``grad`` is
+    overwritten by every backward pass, so callers hand out copies. The
+    order of every float operation is that of the per-layer formulation
+    (``tests/oracles.py`` keeps it as a reference), so results match it
+    bit for bit.
+    """
+
+    def __init__(self, params: ModelParams, config: ModelConfig):
+        layout = param_layout(config)
+        if params.layout is not layout and params.layout.tensors != layout.tensors:
+            raise ValueError("gradient shape mismatch: parameters do not fit the config")
+        self.config = config
+        self.grad = np.zeros(layout.size)
+        v, gv = params.values, layout.views(self.grad)
+        trunk = [f"trunk{l}" for l in range(len(config.trunk_widths))]
+        self.trunk = [(v[f"{m}.w"], v[f"{m}.b"]) for m in trunk]
+        self.trunk_grad = [(gv[f"{m}.w"], gv[f"{m}.b"]) for m in trunk]
+        sal = ("sal_hidden.w", "sal_hidden.b", "sal_out.w", "sal_out.b")
+        self.sal = [v[name] for name in sal]
+        self.sal_grad = [gv[name] for name in sal]
+        head = ("cls.w", "cls.b", "det.w", "det.b")
+        self.head = [v[name] for name in head]
+        self.head_grad = [gv[name] for name in head]
+        self.l2_values = params.flat_values[: layout.l2_end]
+        self.l2_grad = self.grad[: layout.l2_end]
+        self.l2_tmp = np.empty(layout.l2_end)
+        self.buffer = np.empty(0)
+        self._workspaces = {}
+
+    def workspace(self, n: int) -> _Workspace:
+        """Views of the shared buffer for ``n`` proposals; the buffer only grows."""
+        ws = self._workspaces.get(n)
+        if ws is None:
+            size, _ = _workspace_plan(self.config, n)
+            if size > self.buffer.size:
+                self.buffer = np.empty(size)
+                self._workspaces.clear()
+            elif len(self._workspaces) >= _KEPT_COUNTS:
+                self._workspaces.clear()
+            ws = self._workspaces[n] = _Workspace(self.config, n, self.buffer)
+        return ws
+
+    def forward(self, ws: _Workspace, x: np.ndarray) -> None:
+        """Fill ``ws.trace`` from checked features ``x``, then validate it."""
+        np.copyto(ws.features, x)
+        # overflow surfaces as a FloatingPointError from the finiteness
+        # check, so the numpy warning would only duplicate it
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._forward(ws)
+
+    def _forward(self, ws):
+        t = ws.trace
+        h = ws.features
+        for (w, b), z, out in zip(self.trunk, t.trunk_pre, t.trunk_act[1:]):
+            np.dot(h, w, out=z)
+            z += b
+            h = np.maximum(z, 0.0, out=out)
+
+        p = t.saliency
+        if t.saliency_enabled:
+            w, b, w_out, b_out = self.sal
+            np.dot(h, w, out=t.sal_pre)
+            t.sal_pre += b
+            np.maximum(t.sal_pre, 0.0, out=t.sal_hidden)
+            np.dot(t.sal_hidden, w_out, out=ws.sal_raw)
+            ws.sal_raw += b_out
+            logit = t.sal_logit
+            np.maximum(ws.sal_raw, -_SAL_LOGIT_CAP, out=logit)
+            np.minimum(logit, _SAL_LOGIT_CAP, out=logit)
+            # sigmoid: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))
+            # below; the numerator is exp(min(x, 0)), the denominator
+            # 1 + exp(-|x|)
+            den = ws.denominator
+            np.minimum(logit, 0.0, out=p)
+            np.exp(p, out=p)
+            np.abs(logit, out=den)
+            np.negative(den, out=den)
+            np.exp(den, out=den)
+            den += 1.0
+            p /= den
+        else:
+            p.fill(1.0)
+
+        g = t.weighted
+        np.multiply(h, p[:, None], out=g)
+        w_cls, b_cls, w_det, b_det = self.head
+        np.dot(g, w_cls, out=ws.s_cls)
+        ws.s_cls += b_cls
+        np.dot(g, w_det, out=ws.s_det)
+        ws.s_det += b_det
+        ws.check_finite()
+
+        a, col = t.cls_softmax, ws.col
+        np.maximum.reduce(ws.s_cls, axis=1, keepdims=True, out=col)
+        np.subtract(ws.s_cls, col, out=a)
+        np.exp(a, out=a)
+        np.add.reduce(a, axis=1, keepdims=True, out=col)
+        a /= col
+        b, row = t.det_softmax, ws.row
+        np.maximum.reduce(ws.s_det, axis=0, keepdims=True, out=row)
+        np.subtract(ws.s_det, row, out=b)
+        np.exp(b, out=b)
+        np.add.reduce(b, axis=0, keepdims=True, out=row)
+        b /= row
+
+        np.multiply(a, b, out=t.scores)
+        # the per-class sum is <= 1 exactly; min() only absorbs summation rounding
+        np.add.reduce(t.scores, axis=0, out=t.image_scores)
+        np.minimum(t.image_scores, 1.0, out=t.image_scores)
+        ws.check_ranges()
+
+    def losses(self, trace, labels_y, assignment, d_scores, d_sal) -> LossBreakdown:
+        """Every loss term; writes the weighted total's gradients w.r.t. scores and P."""
+        config = self.config
+        l_ic, d_tau = image_classification_loss(trace.image_scores, labels_y, config.epsilon)
+        d_scores[...] = d_tau
+
+        l_sc = 0.0
+        if assignment is not None and config.lambda_seed_cls > 0:
+            l_sc, terms = _seed_classification_terms(
+                trace.scores, assignment.seeds, config.epsilon
+            )
+            # seed classes are distinct, so each entry gets one term
+            for i, c, d in terms:
+                d_scores[i, c] += config.lambda_seed_cls * d
+
+        l_ss = 0.0
+        if (
+            assignment is not None
+            and config.saliency_enabled
+            and config.lambda_seed_sal > 0
+            and len(assignment.sample_indices) > 0
+        ):
+            l_ss, d_p = seed_saliency_loss(
+                trace.saliency, assignment.sample_indices, assignment.targets
+            )
+            np.multiply(d_p, config.lambda_seed_sal / 2.0, out=d_sal)
+        else:
+            d_sal.fill(0.0)
+
+        l_reg = float(self.l2_values @ self.l2_values)
+        total = (
+            l_ic
+            + config.lambda_seed_cls * l_sc
+            + (config.lambda_seed_sal / 2.0) * l_ss
+            + (config.lambda_l2 / 2.0) * l_reg
+        )
+        return LossBreakdown(
+            image_cls=l_ic, seed_cls=l_sc, seed_sal=l_ss, l2=l_reg, total=total
+        )
+
+    def backward(self, trace, d_scores, d_sal, ws: _Workspace) -> None:
+        """Write the gradient of the weighted total into ``grad``, using ``ws`` as scratch."""
+        a, b = trace.cls_softmax, trace.det_softmax
+        d_cls, d_det, tmp = ws.d_cls, ws.d_det, ws.tmp
+        np.multiply(d_scores, b, out=d_cls)
+        np.multiply(d_scores, a, out=d_det)
+        # softmax backward: d_s = a * (d_a - sum(d_a * a)) per row, per column for b
+        np.multiply(d_cls, a, out=tmp)
+        np.add.reduce(tmp, axis=1, keepdims=True, out=ws.col)
+        d_cls -= ws.col
+        d_cls *= a
+        np.multiply(d_det, b, out=tmp)
+        np.add.reduce(tmp, axis=0, keepdims=True, out=ws.row)
+        d_det -= ws.row
+        d_det *= b
+
+        g = trace.weighted
+        w_cls, _, w_det, _ = self.head
+        gw_cls, gb_cls, gw_det, gb_det = self.head_grad
+        np.dot(g.T, d_cls, out=gw_cls)
+        np.add.reduce(d_cls, axis=0, out=gb_cls)
+        np.dot(g.T, d_det, out=gw_det)
+        np.add.reduce(d_det, axis=0, out=gb_det)
+        d_g = ws.d_g
+        np.dot(d_cls, w_cls.T, out=d_g)
+        np.dot(d_det, w_det.T, out=ws.tmp_g)
+        d_g += ws.tmp_g
+
+        h = trace.trunk_act[-1]
+        p = trace.saliency
+        d_h = np.multiply(d_g, p[:, None], out=ws.d_h)
+
+        if self.config.saliency_enabled:
+            w, _, w_out, _ = self.sal
+            gw, gb, gw_out, gb_out = self.sal_grad
+            d_p, d_logit = ws.d_p, ws.d_logit
+            np.multiply(d_g, h, out=ws.tmp_g)
+            np.add.reduce(ws.tmp_g, axis=1, out=d_p)
+            d_p += d_sal
+            np.multiply(d_p, p, out=d_logit)
+            np.subtract(1.0, p, out=ws.one_minus_p)
+            d_logit *= ws.one_minus_p
+            np.dot(trace.sal_hidden.T, d_logit, out=gw_out)
+            gb_out[0] = d_logit.sum()
+            d_z = ws.d_z_sal
+            np.multiply(d_logit[:, None], w_out, out=ws.d_u)
+            np.greater(trace.sal_pre, 0.0, out=d_z)
+            d_z *= ws.d_u
+            np.dot(h.T, d_z, out=gw)
+            np.add.reduce(d_z, axis=0, out=gb)
+            np.dot(d_z, w.T, out=ws.tmp_g)
+            d_h += ws.tmp_g
+
+        for l in reversed(range(len(self.trunk))):
+            d_z = ws.d_z[l]
+            np.greater(trace.trunk_pre[l], 0.0, out=d_z)
+            d_z *= d_h
+            gw, gb = self.trunk_grad[l]
+            np.dot(trace.trunk_act[l].T, d_z, out=gw)
+            np.add.reduce(d_z, axis=0, out=gb)
+            if l:  # the gradient w.r.t. the input features is not needed
+                d_h = np.dot(d_z, self.trunk[l][0].T, out=ws.d_in[l])
+
+        np.multiply(self.l2_values, self.config.lambda_l2, out=self.l2_tmp)
+        self.l2_grad += self.l2_tmp
+
+
+def _step_kernel(params: ModelParams, config: ModelConfig) -> _StepKernel:
+    """The kernel kept with ``params``, rebuilt when the config changes."""
+    kernel = params._kernel
+    if kernel is None or (kernel.config is not config and kernel.config != config):
+        kernel = params._kernel = _StepKernel(params, config)
+    return kernel
+
+
+def forward(params: ModelParams, features: np.ndarray, config: ModelConfig) -> ForwardTrace:
+    """Run the network on one image's proposal features.
+
+    The trace's arrays are new on every call.
+    """
+    x = _check_features(features, config)
+    ws = _Workspace(config, x.shape[0])
+    _step_kernel(params, config).forward(ws, x)
+    return ws.trace
+
+
 def step_losses(params, trace, labels_y, assignment, config):
     """All loss terms for one image plus gradients w.r.t. scores and P.
 
@@ -361,41 +678,10 @@ def step_losses(params, trace, labels_y, assignment, config):
     of the weighted total. ``assignment`` may be None (no seed terms,
     e.g. at test time or with seed supervision disabled).
     """
-    l_ic, d_tau = image_classification_loss(
-        trace.image_scores, labels_y, config.epsilon
-    )
-    d_scores = np.broadcast_to(d_tau, trace.scores.shape).copy()
-
-    l_sc = 0.0
-    if assignment is not None and config.lambda_seed_cls > 0:
-        l_sc, d_phi = seed_classification_loss(
-            trace.scores, assignment.seeds, config.epsilon
-        )
-        d_scores += config.lambda_seed_cls * d_phi
-
-    l_ss = 0.0
-    d_sal = np.zeros_like(trace.saliency)
-    if (
-        assignment is not None
-        and config.saliency_enabled
-        and config.lambda_seed_sal > 0
-        and len(assignment.sample_indices) > 0
-    ):
-        l_ss, d_p = seed_saliency_loss(
-            trace.saliency, assignment.sample_indices, assignment.targets
-        )
-        d_sal = (config.lambda_seed_sal / 2.0) * d_p
-
-    l_reg = l2_penalty(params, config)
-    total = (
-        l_ic
-        + config.lambda_seed_cls * l_sc
-        + (config.lambda_seed_sal / 2.0) * l_ss
-        + (config.lambda_l2 / 2.0) * l_reg
-    )
-    breakdown = LossBreakdown(
-        image_cls=l_ic, seed_cls=l_sc, seed_sal=l_ss, l2=l_reg, total=total
-    )
+    d_scores = np.empty(trace.scores.shape)
+    d_sal = np.empty(trace.saliency.shape)
+    kernel = _step_kernel(params, config)
+    breakdown = kernel.losses(trace, labels_y, assignment, d_scores, d_sal)
     return breakdown, d_scores, d_sal
 
 
@@ -405,63 +691,30 @@ def backward(params, trace, d_scores, d_saliency, config):
     ``d_scores`` and ``d_saliency`` are the gradients of the objective
     w.r.t. the score matrix and P (both already lambda-weighted); the L2
     term is added here. Disabled-branch tensors get zero gradients.
-    Returns one flat vector laid out like ``params.flat_values``;
+    Returns a new flat vector laid out like ``params.flat_values``;
     ``params.layout.views(grad)`` names its tensors.
     """
-    v = params.values
-    a, b = trace.cls_softmax, trace.det_softmax
     if d_scores.shape != trace.scores.shape:
         raise ValueError("d_scores shape mismatch")
-    layout = param_layout(config)
-    if params.layout is not layout and params.layout.tensors != layout.tensors:
-        raise ValueError("gradient shape mismatch: parameters do not fit the config")
-    grad = np.zeros(layout.size)
-    gv = layout.views(grad)
-
-    d_a = d_scores * b
-    d_b = d_scores * a
-    d_s_cls = a * (d_a - (d_a * a).sum(axis=1, keepdims=True))
-    d_s_det = b * (d_b - (d_b * b).sum(axis=0, keepdims=True))
-
-    g = trace.weighted
-    np.matmul(g.T, d_s_cls, out=gv["cls.w"])
-    d_s_cls.sum(axis=0, out=gv["cls.b"])
-    np.matmul(g.T, d_s_det, out=gv["det.w"])
-    d_s_det.sum(axis=0, out=gv["det.b"])
-    d_g = d_s_cls @ v["cls.w"].T + d_s_det @ v["det.w"].T
-
-    h = trace.trunk_act[-1]
-    p = trace.saliency
-    d_h = d_g * p[:, None]
-
-    if config.saliency_enabled:
-        d_p = (d_g * h).sum(axis=1) + d_saliency
-        d_logit = d_p * p * (1.0 - p)
-        np.matmul(trace.sal_hidden.T, d_logit, out=gv["sal_out.w"])
-        gv["sal_out.b"][0] = d_logit.sum()
-        d_u = np.outer(d_logit, v["sal_out.w"])
-        d_z = d_u * (trace.sal_pre > 0)
-        np.matmul(h.T, d_z, out=gv["sal_hidden.w"])
-        d_z.sum(axis=0, out=gv["sal_hidden.b"])
-        d_h = d_h + d_z @ v["sal_hidden.w"].T
-
-    for l in reversed(range(len(config.trunk_widths))):
-        d_z = d_h * (trace.trunk_pre[l] > 0)
-        np.matmul(trace.trunk_act[l].T, d_z, out=gv[f"trunk{l}.w"])
-        d_z.sum(axis=0, out=gv[f"trunk{l}.b"])
-        d_h = d_z @ v[f"trunk{l}.w"].T
-
-    n = layout.l2_end
-    grad[:n] += config.lambda_l2 * params.flat_values[:n]
-    return grad
+    kernel = _step_kernel(params, config)
+    kernel.backward(trace, d_scores, d_saliency, kernel.workspace(d_scores.shape[0]))
+    return kernel.grad.copy()
 
 
 def loss_and_grads(params, features, labels_y, assignment, config):
-    """Forward, losses, and backward in one call; returns (breakdown, flat grad)."""
-    trace = forward(params, features, config)
-    breakdown, d_scores, d_sal = step_losses(params, trace, labels_y, assignment, config)
-    grad = backward(params, trace, d_scores, d_sal, config)
-    return breakdown, grad
+    """Forward, losses, backward and L2 term in one call; returns (breakdown, flat grad).
+
+    The same maths as ``forward``, ``step_losses`` and ``backward`` in
+    turn, run in the kernel kept with ``params``. The gradient is a new
+    array on every call.
+    """
+    x = _check_features(features, config)
+    kernel = _step_kernel(params, config)
+    ws = kernel.workspace(x.shape[0])
+    kernel.forward(ws, x)
+    breakdown = kernel.losses(ws.trace, labels_y, assignment, ws.d_scores, ws.d_sal)
+    kernel.backward(ws.trace, ws.d_scores, ws.d_sal, ws)
+    return breakdown, kernel.grad.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +874,7 @@ def run_gradient_check(seed: int = 7, instances: int = 20, step: float = 1e-5):
         assignment = SeedAssignment(seeds=seeds_pairs, negatives=negatives)
 
         def total_loss():
-            trace = forward(params, features, config)
-            breakdown, _, _ = step_losses(params, trace, y, assignment, config)
-            return breakdown.total
+            return loss_and_grads(params, features, y, assignment, config)[0].total
 
         breakdown, grad = loss_and_grads(params, features, y, assignment, config)
         noise_floor = 64.0 * abs(breakdown.total) * np.finfo(np.float64).eps / (2.0 * step)

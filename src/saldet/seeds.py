@@ -12,6 +12,7 @@ exactly the failure mode seed selection avoids.
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,15 +67,18 @@ class SeedAssignment:
         if len(self.negatives) > len(self.seeds):
             raise ValueError("more negatives than seeds")
 
-    @property
+    @cached_property
     def sample_indices(self) -> tuple[int, ...]:
         return tuple(i for _, i in self.seeds) + self.negatives
 
-    @property
+    @cached_property
     def targets(self) -> np.ndarray:
-        return np.array(
+        """Built once per assignment and read-only, since it is shared."""
+        targets = np.array(
             [1.0] * len(self.seeds) + [0.0] * len(self.negatives), dtype=np.float64
         )
+        targets.flags.writeable = False
+        return targets
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +139,16 @@ def saliency_contrast(rs, ns, area_px, sigma: float):
     return _exp(arg) * (rs - ns)
 
 
-def select_seeds(record: ImageRecord, sigma: float) -> dict[int, SeedScore]:
+def select_seeds(record: ImageRecord, sigma: float, scores=None) -> dict[int, SeedScore]:
     """Pick the highest-contrast proposal per positive class.
 
-    Ties break toward the lowest proposal index.
+    Ties break toward the lowest proposal index. ``scores`` is
+    ``proposal_scores(record, sigma)`` when the caller already has it.
     """
+    if scores is None:
+        scores = proposal_scores(record, sigma)
     chosen = {}
-    for c, (rs, ns, sc) in proposal_scores(record, sigma).items():
+    for c, (rs, ns, sc) in scores.items():
         i = int(np.argmax(sc))  # argmax returns the first (lowest) index on ties
         chosen[c] = SeedScore(
             proposal_index=i, class_id=c, rs=float(rs[i]), ns=float(ns[i]),
@@ -150,16 +157,22 @@ def select_seeds(record: ImageRecord, sigma: float) -> dict[int, SeedScore]:
     return chosen
 
 
-def select_negatives(record: ImageRecord, seeds: dict[int, SeedScore]) -> SeedAssignment:
+def select_negatives(
+    record: ImageRecord, seeds: dict[int, SeedScore], scores=None
+) -> SeedAssignment:
     """Mine one lowest-region-saliency negative per positive class.
 
     Classes are processed in ascending order; every pick excludes all
     seeds and previously mined negatives, so negatives stay disjoint.
     When the image has too few proposals the negative list is truncated
-    with a warning.
+    with a warning. ``scores`` is ``proposal_scores`` of the record when
+    the caller already has it; only its ``rs`` rows are read.
     """
-    *_, rs = _region_terms(record)
-    row = {c: k for k, c in enumerate(record.labels.positives)}
+    if scores is None:
+        *_, rs = _region_terms(record)
+        region = dict(zip(record.labels.positives, rs))
+    else:
+        region = {c: rs for c, (rs, _, _) in scores.items()}
     used = {score.proposal_index for score in seeds.values()}
     negatives = []
     n_props = record.num_proposals
@@ -171,7 +184,7 @@ def select_negatives(record: ImageRecord, seeds: dict[int, SeedScore]) -> SeedAs
                 record.id, n_props, 2 * len(seeds),
             )
             break
-        masked = rs[row[c]].copy()
+        masked = region[c].copy()
         masked[list(blocked)] = np.inf
         negatives.append(int(np.argmin(masked)))
     seed_items = tuple((c, seeds[c].proposal_index) for c in sorted(seeds))
@@ -179,8 +192,12 @@ def select_negatives(record: ImageRecord, seeds: dict[int, SeedScore]) -> SeedAs
 
 
 def make_assignment(record: ImageRecord, sigma: float) -> SeedAssignment:
-    """Seed selection followed by negative mining, as one call."""
-    return select_negatives(record, select_seeds(record, sigma))
+    """Seed selection followed by negative mining, as one call.
+
+    Both read one ``proposal_scores`` of the record.
+    """
+    scores = proposal_scores(record, sigma)
+    return select_negatives(record, select_seeds(record, sigma, scores), scores)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,16 @@ def train(
         else {}
     )
 
+    # per record, once: float64 features and labels, and its assignment
+    # (whose seed arrays are built on first use and then kept)
+    prepared = [
+        (
+            np.asarray(rec.features, dtype=np.float64),
+            np.asarray(rec.labels.y, dtype=np.float64),
+            assignments.get(rec.id),
+        )
+        for rec in records
+    ]
     params = init_params(config, rng_seed=train_config.init_seed)
     rng = np.random.default_rng(train_config.shuffle_seed)
     last_good = params.copy()
@@ -199,15 +209,14 @@ def train(
         sums = np.zeros(5)
         tic = time.perf_counter()
         for idx in order:
-            rec = records[idx]
-            features = rec.features
+            features, labels_y, assignment = prepared[idx]
             if train_config.feature_jitter > 0:
                 features = features + rng.normal(
                     0.0, train_config.feature_jitter, size=features.shape
                 )
             try:
                 breakdown, grad = loss_and_grads(
-                    params, features, rec.labels.y, assignments.get(rec.id), config
+                    params, features, labels_y, assignment, config
                 )
                 if not np.isfinite(breakdown.total):
                     raise FloatingPointError("non-finite total loss")
@@ -215,7 +224,7 @@ def train(
             except FloatingPointError as exc:
                 checkpoint(last_good)
                 raise TrainingDivergedError(
-                    f"epoch {epoch}, image {rec.id}: {exc}", last_good, train_log
+                    f"epoch {epoch}, image {records[idx].id}: {exc}", last_good, train_log
                 ) from exc
             sums += (
                 breakdown.image_cls,

@@ -18,6 +18,18 @@ from saldet.evaluate import DetectionTable
 # one detection as the oracles in ``oracles.py`` read it
 Row = namedtuple("Row", "image_id class_id bbox score proposal_index")
 
+# the seven layers a forward pass checks for finiteness, in order, and for
+# a network with two trunk layers the bias that feeds each one after the input
+LAYER_BIAS = {
+    "trunk layer 0": "trunk0.b",
+    "trunk layer 1": "trunk1.b",
+    "saliency hidden layer": "sal_hidden.b",
+    "saliency output layer": "sal_out.b",
+    "classification stream": "cls.b",
+    "detection stream": "det.b",
+}
+LAYERS = ("input features", *LAYER_BIAS)
+
 
 def tiling_grid(side_px: int, sp_side: int) -> SuperpixelGrid:
     """Regular sp_side x sp_side tiling of a square image."""

@@ -5,6 +5,8 @@ masks, and per-prefix recomputation. None of it shares code with the
 package internals it verifies.
 """
 
+import math
+
 import numpy as np
 
 from saldet.core import iou
@@ -249,3 +251,167 @@ def match_detections(dets, gt_boxes, iou_threshold):
         else:
             flags.append(False)
     return flags
+
+
+# ---------------------------------------------------------------------------
+# the training step as separate per-layer passes: forward, each loss term,
+# backward, in the float-operation order the package's step kernel keeps
+
+_SAL_LOGIT_CAP = 36.0
+
+
+def _finite(arr, layer):
+    if not np.isfinite(arr).all():
+        raise FloatingPointError(f"non-finite activation in {layer}")
+
+
+def _sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_forward(params, features, config):
+    """Activations of one forward pass as a dict, layer by layer.
+
+    Raises ``FloatingPointError("non-finite activation in <layer>")`` at
+    the first non-finite layer, and the range errors of the trace checks.
+    """
+    v = params.values
+    x = np.asarray(features, dtype=np.float64)
+    _finite(x, "input features")
+    with np.errstate(over="ignore", invalid="ignore"):
+        trunk_pre, trunk_act = [], [x]
+        h = x
+        for l in range(len(config.trunk_widths)):
+            z = h @ v[f"trunk{l}.w"] + v[f"trunk{l}.b"]
+            _finite(z, f"trunk layer {l}")
+            trunk_pre.append(z)
+            h = np.maximum(z, 0.0)
+            trunk_act.append(h)
+        sal_pre = sal_hidden = sal_logit = None
+        if config.saliency_enabled:
+            sal_pre = h @ v["sal_hidden.w"] + v["sal_hidden.b"]
+            _finite(sal_pre, "saliency hidden layer")
+            sal_hidden = np.maximum(sal_pre, 0.0)
+            sal_logit = sal_hidden @ v["sal_out.w"] + v["sal_out.b"][0]
+            _finite(sal_logit, "saliency output layer")
+            sal_logit = np.clip(sal_logit, -_SAL_LOGIT_CAP, _SAL_LOGIT_CAP)
+            p = _sigmoid(sal_logit)
+        else:
+            p = np.ones(x.shape[0])
+        g = p[:, None] * h
+        s_cls = g @ v["cls.w"] + v["cls.b"]
+        _finite(s_cls, "classification stream")
+        s_det = g @ v["det.w"] + v["det.b"]
+        _finite(s_det, "detection stream")
+        e_cls = np.exp(s_cls - s_cls.max(axis=1, keepdims=True))
+        a = e_cls / e_cls.sum(axis=1, keepdims=True)
+        e_det = np.exp(s_det - s_det.max(axis=0, keepdims=True))
+        b = e_det / e_det.sum(axis=0, keepdims=True)
+        phi = a * b
+        tau = np.minimum(phi.sum(axis=0), 1.0)
+    if config.saliency_enabled and (p.min() <= 0.0 or p.max() >= 1.0):
+        raise FloatingPointError("saliency prediction left the open interval (0, 1)")
+    if phi.min() < 0.0 or phi.max() > 1.0:
+        raise FloatingPointError("score matrix left [0, 1]")
+    if tau.min() < 0.0 or tau.max() > 1.0:
+        raise FloatingPointError("image scores left [0, 1]")
+    if np.abs(a.sum(axis=1) - 1.0).max() > 1e-6:
+        raise FloatingPointError("classification softmax rows do not sum to 1")
+    if np.abs(b.sum(axis=0) - 1.0).max() > 1e-6:
+        raise FloatingPointError("detection softmax columns do not sum to 1")
+    return dict(
+        features=x, trunk_pre=trunk_pre, trunk_act=trunk_act, sal_pre=sal_pre,
+        sal_hidden=sal_hidden, sal_logit=sal_logit, saliency=p, weighted=g,
+        cls_softmax=a, det_softmax=b, scores=phi, image_scores=tau,
+    )
+
+
+def reference_step(params, features, labels_y, assignment, config):
+    """(image_cls, seed_cls, seed_sal, l2, total) and the flat gradient of one step."""
+    t = reference_forward(params, features, config)
+    eps = config.epsilon
+    # image classification loss
+    y = np.asarray(labels_y, dtype=np.float64)
+    arg = y * (t["image_scores"] - 0.5) + 0.5
+    clamped = np.maximum(arg, eps)
+    l_ic = float(-np.log(clamped).sum())
+    d_tau = np.where(arg > eps, -y / clamped, 0.0)
+    d_scores = np.broadcast_to(d_tau, t["scores"].shape).copy()
+    # seed classification loss
+    l_sc = 0.0
+    if assignment is not None and config.lambda_seed_cls > 0:
+        d_phi = np.zeros_like(t["scores"])
+        for c, i in assignment.seeds:
+            s = t["scores"][i, c]
+            if s > eps:
+                l_sc -= math.log(s)
+                d_phi[i, c] -= 1.0 / s
+            else:
+                l_sc -= math.log(eps)
+        d_scores += config.lambda_seed_cls * d_phi
+    # seed saliency loss
+    l_ss = 0.0
+    d_sal = np.zeros_like(t["saliency"])
+    sample = [i for _, i in assignment.seeds] + list(assignment.negatives) if assignment else []
+    if config.saliency_enabled and config.lambda_seed_sal > 0 and sample:
+        idx = np.asarray(sample, dtype=np.int64)
+        targets = np.array([1.0] * len(assignment.seeds) + [0.0] * len(assignment.negatives))
+        residual = t["saliency"][idx] - targets
+        d_p = np.zeros_like(t["saliency"])
+        np.add.at(d_p, idx, 2.0 * residual)
+        l_ss = float(residual @ residual)
+        d_sal = (config.lambda_seed_sal / 2.0) * d_p
+    # L2 over the weights (the saliency branch's only when it is enabled)
+    penalised = [
+        name for name in params.values
+        if name.endswith(".w") and (config.saliency_enabled or not name.startswith("sal_"))
+    ]
+    l2_end = sum(params.values[name].size for name in penalised)
+    w = params.flat_values[:l2_end]
+    l_reg = float(w @ w)
+    total = (
+        l_ic
+        + config.lambda_seed_cls * l_sc
+        + (config.lambda_seed_sal / 2.0) * l_ss
+        + (config.lambda_l2 / 2.0) * l_reg
+    )
+
+    v = params.values
+    grad = np.zeros(params.flat_values.size)
+    gv = params.layout.views(grad)
+    a, b = t["cls_softmax"], t["det_softmax"]
+    d_a = d_scores * b
+    d_b = d_scores * a
+    d_s_cls = a * (d_a - (d_a * a).sum(axis=1, keepdims=True))
+    d_s_det = b * (d_b - (d_b * b).sum(axis=0, keepdims=True))
+    g = t["weighted"]
+    np.matmul(g.T, d_s_cls, out=gv["cls.w"])
+    d_s_cls.sum(axis=0, out=gv["cls.b"])
+    np.matmul(g.T, d_s_det, out=gv["det.w"])
+    d_s_det.sum(axis=0, out=gv["det.b"])
+    d_g = d_s_cls @ v["cls.w"].T + d_s_det @ v["det.w"].T
+    h = t["trunk_act"][-1]
+    p = t["saliency"]
+    d_h = d_g * p[:, None]
+    if config.saliency_enabled:
+        d_p = (d_g * h).sum(axis=1) + d_sal
+        d_logit = d_p * p * (1.0 - p)
+        np.matmul(t["sal_hidden"].T, d_logit, out=gv["sal_out.w"])
+        gv["sal_out.b"][0] = d_logit.sum()
+        d_u = np.outer(d_logit, v["sal_out.w"])
+        d_z = d_u * (t["sal_pre"] > 0)
+        np.matmul(h.T, d_z, out=gv["sal_hidden.w"])
+        d_z.sum(axis=0, out=gv["sal_hidden.b"])
+        d_h = d_h + d_z @ v["sal_hidden.w"].T
+    for l in reversed(range(len(config.trunk_widths))):
+        d_z = d_h * (t["trunk_pre"][l] > 0)
+        np.matmul(t["trunk_act"][l].T, d_z, out=gv[f"trunk{l}.w"])
+        d_z.sum(axis=0, out=gv[f"trunk{l}.b"])
+        d_h = d_z @ v[f"trunk{l}.w"].T
+    grad[:l2_end] += config.lambda_l2 * w
+    return (l_ic, l_sc, l_ss, l_reg, total), grad

@@ -6,8 +6,11 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import LAYER_BIAS, LAYERS
+from oracles import reference_forward, reference_step
 from saldet.model import (
     ModelConfig,
+    backward,
     forward,
     image_classification_loss,
     init_params,
@@ -425,3 +428,182 @@ class TestCheckpoint:
         path.write_bytes(blob + b"\x00\x00\x00\x00")
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# the step kernel against the per-layer reference, its errors and its memory
+
+CFG2 = ModelConfig(feature_dim=4, num_classes=4, trunk_widths=(8, 6), saliency_hidden=4)
+
+
+def random_params(config, seed):
+    """Random weights and biases, so every ReLU mask has both signs."""
+    params = init_params(config, rng_seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, arr in params.values.items():
+        if name.endswith(".b"):
+            arr[...] = rng.uniform(-0.3, 0.3, arr.shape)
+    return params
+
+
+def assert_same_step(params, features, y, assignment, config):
+    breakdown, grad = loss_and_grads(params, features, y, assignment, config)
+    want_losses, want_grad = reference_step(params, features, y, assignment, config)
+    got = (breakdown.image_cls, breakdown.seed_cls, breakdown.seed_sal, breakdown.l2,
+           breakdown.total)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want_losses]
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+class TestStepAgainstReference:
+    Y = np.array([1, 1, -1, 1])
+
+    @pytest.mark.parametrize("case", [
+        "one_proposal", "shared_seed", "saliency_off", "no_assignment",
+        "zero_lambdas", "clamped_seed_score",
+    ])
+    def test_bit_for_bit(self, case):
+        config, n = CFG2, 7
+        assignment = SeedAssignment(seeds=((0, 1), (1, 4), (3, 2)), negatives=(0, 5, 6))
+        if case == "one_proposal":
+            n, assignment = 1, SeedAssignment(seeds=((0, 0), (1, 0), (3, 0)), negatives=())
+        elif case == "shared_seed":
+            assignment = SeedAssignment(seeds=((0, 2), (1, 2), (3, 5)), negatives=(0, 6))
+        elif case == "saliency_off":
+            config = ModelConfig(feature_dim=4, num_classes=4, trunk_widths=(8, 6),
+                                 saliency_hidden=4, saliency_enabled=False)
+        elif case == "no_assignment":
+            assignment = None
+        elif case == "zero_lambdas":
+            config = ModelConfig(feature_dim=4, num_classes=4, trunk_widths=(8, 6),
+                                 saliency_hidden=4, lambda_seed_cls=0.0,
+                                 lambda_seed_sal=0.0, lambda_l2=0.0)
+        rng = np.random.default_rng(5)
+        for seed in range(4):
+            params = random_params(config, seed)
+            if case == "clamped_seed_score":
+                params.values["cls.b"][0] = -60.0  # class 0 scores fall below epsilon
+            assert_same_step(params, rng.normal(size=(n, 4)), self.Y, assignment, config)
+
+    def test_proposal_counts_in_a_row(self):
+        # one kernel serves every count, growing and reusing its workspace
+        params = random_params(CFG2, 11)
+        rng = np.random.default_rng(2)
+        for n in (3, 9, 1, 17, 9, 3, 40, 2, 17, 5, 6, 7, 8, 11, 12, 40, 1):
+            negatives = tuple(range(1, n - 1))[:2]
+            assignment = SeedAssignment(seeds=((0, 0), (1, n - 1)), negatives=negatives)
+            features = rng.normal(size=(n, 4))
+            assert_same_step(params, features, self.Y, assignment, CFG2)
+            trace = forward(params, features, CFG2)
+            for name, want in reference_forward(params, features, CFG2).items():
+                got = getattr(trace, name)
+                if isinstance(want, list):
+                    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+                else:
+                    assert got.tobytes() == want.tobytes()
+
+    def test_step_losses_and_backward_match_loss_and_grads(self):
+        params = random_params(CFG2, 3)
+        features = np.random.default_rng(4).normal(size=(6, 4))
+        assignment = SeedAssignment(seeds=((0, 1), (3, 2)), negatives=(0, 5))
+        trace = forward(params, features, CFG2)
+        breakdown, d_scores, d_sal = step_losses(params, trace, self.Y, assignment, CFG2)
+        grad = backward(params, trace, d_scores, d_sal, CFG2)
+        fused, fused_grad = loss_and_grads(params, features, self.Y, assignment, CFG2)
+        assert breakdown == fused
+        assert grad.tobytes() == fused_grad.tobytes()
+
+
+class TestNonFiniteLayers:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_first_bad_layer_is_named(self, layer, bad):
+        params = random_params(CFG2, 1)
+        features = np.random.default_rng(0).normal(size=(5, 4))
+        if layer == "input features":
+            features[2, 1] = bad
+        else:
+            params.values[LAYER_BIAS[layer]][0] = bad
+        message = f"non-finite activation in {layer}$"
+        with pytest.raises(FloatingPointError, match=message):
+            reference_forward(params, features, CFG2)
+        with pytest.raises(FloatingPointError, match=message):
+            forward(params, features, CFG2)
+        with pytest.raises(FloatingPointError, match=message):
+            loss_and_grads(params, features, [1, -1, -1, 1], None, CFG2)
+
+
+class TestTraceChecks:
+    def test_saliency_at_one_or_zero_is_rejected(self, monkeypatch):
+        from saldet import model as m
+
+        monkeypatch.setattr(m, "_SAL_LOGIT_CAP", 1000.0)
+        params = zero_params(CFG)
+        for bias in (800.0, -800.0):  # P rounds to exactly 1, then to 0
+            params.values["sal_out.b"][...] = bias
+            with pytest.raises(FloatingPointError, match="open interval"):
+                forward(params, np.zeros((3, 4)), CFG)
+
+    @pytest.mark.parametrize("array, index, value, message", [
+        ("saliency", 0, 1.0, "saliency prediction left the open interval"),
+        ("saliency", 1, 0.0, "saliency prediction left the open interval"),
+        ("scores", (1, 2), 1.5, "score matrix left"),
+        ("scores", (0, 0), -0.25, "score matrix left"),
+        ("image_scores", 3, 1.0 + 1e-9, "image scores left"),
+        ("image_scores", 0, -1e-9, "image scores left"),
+        ("cls_softmax", (2, 1), 0.5, "classification softmax rows"),
+        ("det_softmax", (0, 3), 0.5, "detection softmax columns"),
+    ])
+    def test_each_range_check_raises_its_message(self, array, index, value, message):
+        from saldet import model as m
+
+        params = random_params(CFG2, 6)
+        features = np.random.default_rng(1).normal(size=(5, 4))
+        loss_and_grads(params, features, [1, 1, -1, -1], None, CFG2)
+        ws = m._step_kernel(params, CFG2).workspace(5)
+        ws.check_ranges()  # an untouched trace passes
+        getattr(ws.trace, array)[index] = value
+        with pytest.raises(FloatingPointError, match=message):
+            ws.trace.validate()
+        with pytest.raises(FloatingPointError, match=message):
+            ws.check_ranges()
+
+
+class TestStepMemory:
+    def test_earlier_results_survive_later_calls(self):
+        def trace_bytes(t):
+            arrays = (*t.trunk_pre, *t.trunk_act, t.sal_pre, t.sal_hidden, t.sal_logit,
+                      t.saliency, t.weighted, t.cls_softmax, t.det_softmax, t.scores,
+                      t.image_scores)
+            return [a.tobytes() for a in arrays]
+
+        params = random_params(CFG2, 2)
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(6, 4))
+        y = [1, -1, 1, -1]
+        trace = forward(params, features, CFG2)
+        _, grad = loss_and_grads(params, features, y, None, CFG2)
+        trace_before, grad_before = trace_bytes(trace), grad.tobytes()
+        for n in (6, 9, 1, 30, 6):
+            forward(params, rng.normal(size=(n, 4)), CFG2)
+            loss_and_grads(params, rng.normal(size=(n, 4)), y, None, CFG2)
+        assert trace_bytes(trace) == trace_before
+        assert grad.tobytes() == grad_before
+
+    def test_workspace_is_one_buffer_sized_to_the_largest_count(self):
+        from saldet import model as m
+
+        rng = np.random.default_rng(0)
+        y = [1, -1, 1, -1]
+        many, largest = random_params(CFG2, 0), random_params(CFG2, 0)
+        # growing and shrinking, then every count again at the full size
+        for n in [*rng.permutation(np.arange(1, 201)), *range(1, 201)]:
+            loss_and_grads(many, rng.normal(size=(n, 4)), y, None, CFG2)
+        loss_and_grads(largest, rng.normal(size=(200, 4)), y, None, CFG2)
+        kernel = m._step_kernel(many, CFG2)
+        assert kernel.buffer.nbytes <= m._step_kernel(largest, CFG2).buffer.nbytes
+        # the kept views are few, and all of them view that one buffer
+        assert 0 < len(kernel._workspaces) <= m._KEPT_COUNTS
+        for ws in kernel._workspaces.values():
+            assert np.shares_memory(ws.pre, kernel.buffer)
+            assert np.shares_memory(ws.d_h, kernel.buffer)

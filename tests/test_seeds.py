@@ -9,6 +9,7 @@ import pytest
 import scipy.ndimage
 
 from oracles import pixel_seed_scores, pixel_select_negatives, pixel_select_seeds
+from saldet import _accel
 from saldet.core import Box, SaliencyMap
 from saldet.dataio import SynthConfig, generate_synthetic
 from saldet.seeds import (
@@ -132,6 +133,22 @@ class TestAgainstPixelOracle:
                 rec, {c: s.proposal_index for c, s in seeds.items()}, SIGMA
             )
 
+    def test_make_assignment_sums_each_class_once(self, corpus, monkeypatch):
+        real = _accel.superpixel_sums
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(_accel, "superpixel_sums", counting)
+        for rec in corpus:
+            calls.clear()
+            assignment = make_assignment(rec, SIGMA)
+            assert len(calls) == len(rec.labels.positives)
+            # the same result as the two steps computing their own terms
+            assert assignment == select_negatives(rec, select_seeds(rec, SIGMA))
+
     @pytest.mark.parametrize("a,b", [(0.1, 0.0), (3.0, 5.0), (100.0, 5.0)])
     def test_selection_invariant_to_affine_rescale(self, corpus, a, b):
         for rec in corpus:
@@ -193,6 +210,8 @@ class TestSeedAssignment:
         a = SeedAssignment(seeds=((0, 3), (2, 5)), negatives=(1, 7))
         assert a.sample_indices == (3, 5, 1, 7)
         np.testing.assert_array_equal(a.targets, [1.0, 1.0, 0.0, 0.0])
+        # built once and shared, so it cannot be written
+        assert a.targets is a.targets and not a.targets.flags.writeable
 
     def test_shared_seed_proposal_allowed(self):
         SeedAssignment(seeds=((0, 3), (1, 3)), negatives=(2,))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from saldet.dataio import SynthConfig, generate_synthetic
 from saldet.model import ModelConfig, init_params
+from saldet.trainer import TrainConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,10 +34,15 @@ def test_every_traced_function_exists():
     assert missing == []
 
 
-def test_evaluate_calls_each_traced_stage():
+def load_traced_tracing():
     tracing = load_tracing()
     for module in tracing.TARGETS:  # the tracer wraps every target module
         importlib.import_module(f"saldet.{module}")
+    return tracing
+
+
+def test_evaluate_calls_each_traced_stage():
+    tracing = load_traced_tracing()
     evaluate = importlib.import_module("saldet.evaluate")
     records, _ = generate_synthetic(SynthConfig(images=3, seed=1))
     config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,), saliency_hidden=4)
@@ -50,3 +56,19 @@ def test_evaluate_calls_each_traced_stage():
     counters = tracer.counters[False]
     assert counters["evaluate.nms.in"] == sum(r.num_proposals * 4 for r in records)
     assert 0 < counters["evaluate.nms.kept"] <= counters["evaluate.nms.in"]
+
+
+def test_train_records_one_step_span_pair_per_image():
+    # perfbench's step_us_p50/p99 pair each loss_and_grads span with the
+    # sgd_step after it, so a step must go through both module-level names
+    tracing = load_traced_tracing()
+    trainer = importlib.import_module("saldet.trainer")
+    records, _ = generate_synthetic(SynthConfig(images=4, seed=1))
+    config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,), saliency_hidden=4)
+    tracer = tracing.Tracer()
+    with tracer:
+        trainer.train(records, config, TrainConfig(epochs=3))
+    step = {"model.loss_and_grads", "trainer.sgd_step"}
+    names = [tracer.names[span[0]] for span in tracer.spans]
+    assert [n for n in names if n in step] == ["model.loss_and_grads", "trainer.sgd_step"] * 12
+    assert len(tracer.step_times_us()) == 12

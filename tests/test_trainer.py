@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from conftest import LAYER_BIAS, LAYERS
+from oracles import reference_step
 from saldet import trainer
 from saldet.dataio import SynthConfig, generate_synthetic
 from saldet.model import (
@@ -25,6 +27,7 @@ from saldet.trainer import (
 )
 
 MODEL = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(16,), saliency_hidden=8)
+MODEL2 = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(16, 8), saliency_hidden=8)
 
 
 def small_dataset(images=6, seed=2):
@@ -284,6 +287,40 @@ class TestTrain:
                 loaded.values[name], arr.astype(np.float32).astype(np.float64)
             )
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_non_finite_layer_raises_diverged_with_rescue_checkpoint(
+        self, tmp_path, monkeypatch, layer, bad
+    ):
+        real = trainer.loss_and_grads
+        calls = []
+
+        def inject_on_eighth_step(params, features, *args):
+            calls.append(1)
+            if len(calls) == 8:  # epoch 2 of 6 images
+                if layer == "input features":
+                    features = features.copy()
+                    features[0, 0] = bad
+                else:
+                    params.values[LAYER_BIAS[layer]][0] = bad
+            return real(params, features, *args)
+
+        monkeypatch.setattr(trainer, "loss_and_grads", inject_on_eighth_step)
+        path = tmp_path / "rescue.ckpt"
+        cfg = TrainConfig(epochs=3, lr_phase1=1e-3, lr_phase2=1e-3)
+        with pytest.raises(
+            TrainingDivergedError, match=f"non-finite activation in {layer}$"
+        ) as info:
+            train(small_dataset(), MODEL2, cfg, checkpoint_path=path)
+        err = info.value
+        assert len(err.partial_log.epochs) == 1
+        assert np.isfinite(err.last_good_params.flat_values).all()
+        loaded, _ = load_checkpoint(path)
+        for name, arr in err.last_good_params.values.items():
+            np.testing.assert_array_equal(
+                loaded.values[name], arr.astype(np.float32).astype(np.float64)
+            )
+
     def test_log_serializes_to_json(self):
         records = small_dataset()
         _, train_log = train(
@@ -298,6 +335,50 @@ class TestTrain:
         assert set(doc["epochs"][0]["loss"]) == {
             "image_cls", "seed_cls", "seed_sal", "l2", "total",
         }
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("kw", [
+        {}, {"disable_saliency_subnet": True}, {"disable_seed_losses": True},
+        {"feature_jitter": 0.05},
+    ])
+    def test_params_velocity_and_losses_bit_for_bit(self, kw):
+        records = small_dataset()
+        cfg = TrainConfig(epochs=3, lr_phase1=1e-2, lr_phase2=1e-3, phase_boundary=2, **kw)
+        params, log = train(records, MODEL2, cfg)
+
+        # the loop train() documents, stepping with the per-layer reference
+        config = cfg.effective_model_config(MODEL2)
+        ref = init_params(config, rng_seed=cfg.init_seed)
+        w, v = ref.flat_values, ref.flat_velocity
+        assignments = {rec.id: make_assignment(rec, cfg.sigma) for rec in records}
+        rng = np.random.default_rng(cfg.shuffle_seed)
+        order = np.arange(len(records))
+        for epoch, logged in zip(range(1, cfg.epochs + 1), log.epochs, strict=True):
+            lr = cfg.learning_rate(epoch)
+            rng.shuffle(order)
+            sums = np.zeros(5)
+            for idx in order:
+                rec = records[idx]
+                features = rec.features
+                if cfg.feature_jitter > 0:
+                    features = features + rng.normal(
+                        0.0, cfg.feature_jitter, size=features.shape
+                    )
+                losses, grad = reference_step(
+                    ref, features, rec.labels.y, assignments[rec.id], config
+                )
+                v *= cfg.momentum
+                v += grad
+                w -= lr * v
+                sums += losses
+            got = logged.mean_loss
+            assert [float(x).hex() for x in sums / len(records)] == [
+                float(x).hex()
+                for x in (got.image_cls, got.seed_cls, got.seed_sal, got.l2, got.total)
+            ]
+        assert params.flat_values.tobytes() == w.tobytes()
+        assert params.flat_velocity.tobytes() == v.tobytes()
 
 
 class TestPrecomputeAssignments:
