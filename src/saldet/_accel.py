@@ -44,21 +44,23 @@ def label_boxes(labels, n):
     """Half-open box (x0, y0, x1, y1) of each label 0..n-1, as (n, 4) int64.
 
     Every label in [0, n) must occur in the 2-d grid ``labels``; negative
-    labels are ignored. A stable sort of the flat labels keeps each
-    label's pixels in scan order, so its first and last pixels give its
-    rows; its columns are segment minima and maxima.
+    labels are ignored. They are dropped before the sort, so a component
+    grid that is mostly background sorts only its foreground. A stable
+    sort of the remaining flat labels keeps each label's pixels in scan
+    order, so its first and last pixels give its rows; its columns are
+    segment minima and maxima.
     """
     flat = labels.ravel()
-    order = np.argsort(flat, kind="stable")
+    pixels = np.flatnonzero(flat >= 0)
+    order = pixels[np.argsort(flat[pixels], kind="stable")]
     # label k occupies ordered positions [bounds[k], bounds[k + 1])
     bounds = np.searchsorted(flat[order], np.arange(n + 1))
     w = labels.shape[1]
-    xs = order[bounds[0]:bounds[n]] % w
-    starts = bounds[:-1] - bounds[0]
+    xs = order[:bounds[n]] % w
     return np.stack([
-        np.minimum.reduceat(xs, starts),
+        np.minimum.reduceat(xs, bounds[:-1]),
         order[bounds[:-1]] // w,
-        np.maximum.reduceat(xs, starts) + 1,
+        np.maximum.reduceat(xs, bounds[:-1]) + 1,
         order[bounds[1:] - 1] // w + 1,
     ], axis=1)
 
@@ -72,20 +74,26 @@ def connected_components(mask):
     Returns ``(labels, count)`` with component ids 0..count-1 assigned in
     scan order of each component's first pixel.
 
-    Every pixel starts as its own tree, rooted at its flat index. Each
+    Only foreground pixels take part: they are numbered 0..n-1 in scan
+    order, and each starts as its own tree, rooted at its number. Each
     round hooks the larger root of every edge whose ends sit in different
     trees under the smallest root it meets, then jumps pointers until
     each pixel points at its root. At the end a component's root is its
-    smallest flat index, i.e. its first pixel in scan order.
+    smallest number, i.e. its first pixel in scan order, and the ranks of
+    the roots are scattered back onto the grid.
     """
     h, w = mask.shape
-    flat_mask = mask.ravel()
-    idx = np.arange(h * w, dtype=np.int32).reshape(h, w)
+    fg = np.flatnonzero(mask)
+    n = fg.size
+    node = np.arange(n, dtype=np.int32)
+    ids = np.full(h * w, -1, dtype=np.int32)
+    ids[fg] = node
+    ids = ids.reshape(h, w)
     horiz = mask[:, :-1] & mask[:, 1:]
     vert = mask[:-1, :] & mask[1:, :]
-    u = np.concatenate([idx[:, :-1][horiz], idx[:-1, :][vert]])
-    v = np.concatenate([idx[:, 1:][horiz], idx[1:, :][vert]])
-    parent = idx.ravel().copy()
+    u = np.concatenate([ids[:, :-1][horiz], ids[:-1, :][vert]])
+    v = np.concatenate([ids[:, 1:][horiz], ids[1:, :][vert]])
+    parent = node.copy()
     while True:
         ru, rv = parent[u], parent[v]
         split = ru != rv
@@ -98,11 +106,12 @@ def connected_components(mask):
             if np.array_equal(grand, parent):
                 break
             parent = grand
-    roots = np.flatnonzero(flat_mask & (parent == idx.ravel()))
-    # background pixels are never hooked, so they map to their own -1
-    rank = np.full(h * w, -1, dtype=np.int32)
+    roots = np.flatnonzero(parent == node)
+    rank = np.empty(n, dtype=np.int32)
     rank[roots] = np.arange(roots.size, dtype=np.int32)
-    return rank[parent].reshape(h, w), int(roots.size)
+    labels = np.full(h * w, -1, dtype=np.int32)
+    labels[fg] = rank[parent]
+    return labels.reshape(h, w), int(roots.size)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 Boxes use half-open integer pixel intervals [x0, x1) x [y0, y1), so the
 area is exactly (x1 - x0) * (y1 - y0) and IoU arithmetic is exact.
 Superpixel adjacency is 4-connected: two superpixels are neighbors iff
-some pixel pair of theirs shares a horizontal or vertical edge. A grid
-computes each superpixel's pixel count and box once, and a proposal's
-box and area are reduced from those tables, never from its pixels. All
-types are immutable after construction (arrays are marked read-only).
+some pixel pair of theirs shares a horizontal or vertical edge. Each
+grid computes each superpixel's pixel count and box once, and a
+proposal's box and area are reduced from those tables, never from its
+pixels. Records may share one grid: the generator gives all its records
+one, and loading gives consecutive records with identical label grids
+one. All types are immutable after construction (arrays are marked
+read-only), which is what makes that sharing safe.
 """
 
 import math

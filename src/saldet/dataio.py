@@ -12,9 +12,12 @@ On-disk layout (all integers and floats little-endian):
 
 Proposals are stored as superpixel-id lists only; bounding boxes and
 pixel areas are re-derived at load so they can never disagree with the
-grid. Saliency values are stored unnormalized: seed selection is
-invariant to positive affine rescaling of the maps, so no normalization
-pass is applied anywhere.
+grid. Each file stores its own label grid, but a record whose grid
+equals the previous record's (same width, height and ids) is given that
+record's ``SuperpixelGrid`` at load, so a run of records on one tiling
+builds and validates its grid tables once. Saliency values are stored
+unnormalized: seed selection is invariant to positive affine rescaling
+of the maps, so no normalization pass is applied anywhere.
 """
 
 import json
@@ -199,7 +202,10 @@ def load_dataset(manifest_path):
         raise DatasetError(f"{manifest_path}: {exc}") from exc
 
     rec_dir = manifest_path.parent / "records"
-    records = [_load_record(rec_dir, stem, manifest) for stem in manifest.images]
+    records = []
+    for stem in manifest.images:
+        prev_grid = records[-1].grid if records else None
+        records.append(_load_record(rec_dir, stem, manifest, prev_grid))
     return records, manifest
 
 
@@ -263,11 +269,14 @@ def _check_fields(doc, where, fields) -> None:
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DatasetError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _load_record(rec_dir: Path, stem: str, manifest: DatasetManifest) -> ImageRecord:
+def _load_record(
+    rec_dir: Path, stem: str, manifest: DatasetManifest, prev_grid: SuperpixelGrid | None
+) -> ImageRecord:
+    """Load one record; it takes ``prev_grid`` when its label grid equals that one."""
     json_path = rec_dir / f"{stem}.json"
     bin_path = rec_dir / f"{stem}.bin"
     for p in (json_path, bin_path):
@@ -306,6 +315,9 @@ def _load_record(rec_dir: Path, stem: str, manifest: DatasetManifest) -> ImageRe
             f"{bin_path}: blob is {len(blob)} bytes, expected {expected} "
             f"(grid {width}x{height}, {n_maps} maps, {n_props}x{manifest.feature_dim} features)"
         )
+    # negative sides can still give the blob's size (-32 x -32, -5 x 0)
+    if width < 0 or height < 0:
+        raise DatasetError(f"{json_path}: grid {width}x{height} has a negative side")
     off = 16
     labels_grid = np.frombuffer(blob, dtype="<u4", count=n_px, offset=off)
     labels_grid = labels_grid.reshape(height, width).astype(np.int32)
@@ -322,7 +334,11 @@ def _load_record(rec_dir: Path, stem: str, manifest: DatasetManifest) -> ImageRe
     features = features.reshape(n_props, manifest.feature_dim)
 
     try:
-        grid = SuperpixelGrid(width=width, height=height, labels=labels_grid)
+        if prev_grid is not None and np.array_equal(prev_grid.labels, labels_grid):
+            # equal shape and ids: the grid the previous record validated
+            grid = prev_grid
+        else:
+            grid = SuperpixelGrid(width=width, height=height, labels=labels_grid)
         if grid.n_superpixels != n_sp:
             raise ValueError(
                 f"grid holds {grid.n_superpixels} superpixels, header says {n_sp}"

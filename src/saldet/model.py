@@ -807,6 +807,10 @@ def load_checkpoint(path):
         params.values[name][...] = arr.reshape(shape)
     if off != len(blob):
         raise ValueError(f"{path}: trailing bytes after tensor data")
+    # saving clips to the finite float32 range, so only damage yields these
+    for name, arr in params.values.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: tensor {name} holds non-finite values")
     return params, config
 
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.ndimage
 
 from oracles import bfs_components, pixel_adjacency, pixel_mask_box, quadratic_nms
 from saldet import _accel
@@ -19,6 +20,23 @@ def oracle_keep(boxes, threshold):
     items = [(Box(*map(int, b)), -float(i), i) for i, b in enumerate(boxes)]
     kept = {idx for _, _, idx in quadratic_nms(items, threshold)}
     return np.array([i in kept for i in range(len(boxes))])
+
+
+def scipy_components(mask):
+    """4-connected components from scipy, background -1 and ids from 0."""
+    four = scipy.ndimage.generate_binary_structure(2, 1)
+    labeled, count = scipy.ndimage.label(mask, structure=four)
+    return labeled.astype(np.int64) - 1, count
+
+
+def assert_components_match_oracles(mask):
+    """Labels and count of the kernel equal both the BFS and the scipy oracle's."""
+    got_l, got_n = _accel.connected_components(mask)
+    assert got_l.shape == mask.shape
+    for want_l, want_n in (bfs_components(mask), scipy_components(mask)):
+        assert got_n == want_n
+        np.testing.assert_array_equal(got_l, want_l)
+    return got_n
 
 
 def spiral_mask(side):
@@ -165,6 +183,84 @@ class TestAgainstOracles:
         np.testing.assert_allclose(
             _accel.superpixel_sums(labels, values, 5), want, rtol=1e-12
         )
+
+
+class TestSparseMasks:
+    """Masks that are mostly background, as thresholded saliency maps are."""
+
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.05])
+    def test_random_masks(self, density):
+        rng = np.random.default_rng(8)
+        for shape in [(1, 1), (2, 3), (7, 19), (24, 24), (64, 40), (256, 256)]:
+            mask = rng.random(shape) < density
+            assert assert_components_match_oracles(mask) <= mask.sum()
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 8), (9, 4)])
+    def test_single_pixel_corners(self, shape):
+        h, w = shape
+        mask = np.zeros(shape, dtype=bool)
+        mask[[0, 0, h - 1, h - 1], [0, w - 1, 0, w - 1]] = True
+        count = assert_components_match_oracles(mask)
+        assert count == (1 if shape == (2, 2) else 4)
+        if count == 4:
+            # ids follow scan order of the corners
+            labels, _ = _accel.connected_components(mask)
+            np.testing.assert_array_equal(
+                labels[[0, 0, h - 1, h - 1], [0, w - 1, 0, w - 1]], [0, 1, 2, 3]
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_one_row_and_one_column(self, n):
+        rng = np.random.default_rng(n)
+        for line in (
+            np.ones(n, dtype=bool),
+            np.arange(n) % 2 == 0,
+            rng.random(n) < 0.05,
+            rng.random(n) < 0.5,
+        ):
+            assert_components_match_oracles(line[None, :])
+            assert_components_match_oracles(line[:, None])
+
+    def test_planted_rectangles_at_256(self):
+        mask = np.zeros((256, 256), dtype=bool)
+        # edge contacts join rectangles; a corner contact alone does not
+        mask[10:30, 10:40] = True     # A
+        mask[30:50, 20:35] = True     # B: shares A's bottom edge
+        mask[50:60, 35:45] = True     # C: touches B only at a corner
+        mask[0:5, 40:60] = True       # D: touches A only at a corner
+        mask[100:120, 100:101] = True  # E: one-pixel column
+        mask[120:121, 101:130] = True  # F: touches E only at a corner
+        mask[255:256, 0:256] = True   # G: the whole last row
+        mask[200:255, 255:256] = True  # H: shares G's edge at the right border
+        assert assert_components_match_oracles(mask) == 6
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            y, x = rng.integers(0, 250, size=2)
+            hh, ww = rng.integers(1, 12, size=2)
+            mask[y:y + hh, x:x + ww] = True
+        assert mask.mean() < 0.2
+        assert_components_match_oracles(mask)
+
+    def test_label_boxes_mostly_background(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 3, 7):
+            labels = np.full((64, 48), -1, dtype=np.int32)
+            pixels = rng.permutation(labels.size)[:20 * n]
+            labels.ravel()[pixels] = np.arange(pixels.size) % n
+            assert (labels < 0).mean() > 0.95
+            want = np.array([pixel_mask_box(labels == k)[0] for k in range(n)])
+            np.testing.assert_array_equal(_accel.label_boxes(labels, n), want)
+
+    def test_label_boxes_one_label(self):
+        for labels in (
+            np.zeros((1, 1), dtype=np.int32),
+            np.zeros((3, 5), dtype=np.int32),
+            np.array([[-1, -1, -1], [-1, 0, -1], [0, -1, -1]], dtype=np.int32),
+        ):
+            want = np.array([pixel_mask_box(labels == 0)[0]])
+            got = _accel.label_boxes(labels, 1)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
 
 class TestEdgeCases:

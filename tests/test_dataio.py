@@ -7,9 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saldet.core import iou
+from conftest import build_record, tiling_grid
+from saldet import _accel
+from saldet.core import SuperpixelGrid, iou, proposal_from_superpixels
 from saldet.dataio import (
     DatasetError,
+    DatasetManifest,
     SynthConfig,
     generate_synthetic,
     load_dataset,
@@ -142,6 +145,108 @@ class TestRoundTrip:
         assert all(a[k] == b[k] for k in a)
 
 
+def _count_grid_kernels(monkeypatch):
+    """Count the calls of the two kernels every new grid runs once."""
+    calls = {"label_boxes": 0, "superpixel_counts": 0}
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(_accel, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(_accel, name, counted)
+    return calls
+
+
+def _small_record(rec_id, grid, seed):
+    """A two-class record on ``grid`` with two proposals and random payloads."""
+    rng = np.random.default_rng(seed)
+    shape = (grid.height, grid.width)
+    return build_record(
+        rec_id, grid, [[0], [1, 2]], rng.normal(size=(2, 4)), [1, -1],
+        {0: rng.random(shape)}, [],
+    )
+
+
+def _save_small(records, out_dir):
+    manifest = DatasetManifest(
+        num_classes=2, feature_dim=4, class_names=("a", "b"),
+        images=tuple(r.id for r in records),
+    )
+    save_dataset(records, manifest, out_dir)
+    return out_dir
+
+
+class TestGridSharing:
+    """Consecutive records with identical label grids share one grid object."""
+
+    def test_synthetic_dataset_builds_one_grid_per_load(self, tmp_path, monkeypatch):
+        records, manifest = generate_synthetic(TINY)
+        save_dataset(records, manifest, tmp_path / "ds")
+        calls = _count_grid_kernels(monkeypatch)
+        for load in (1, 2):
+            loaded, _ = load_dataset(tmp_path / "ds")
+            assert len({id(r.grid) for r in loaded}) == 1
+            assert calls == {"label_boxes": load, "superpixel_counts": load}
+        # the shared grid's tables are the ones a fresh grid computes
+        fresh = SuperpixelGrid(width=32, height=32, labels=records[0].grid.labels)
+        np.testing.assert_array_equal(loaded[0].grid.boxes, fresh.boxes)
+        np.testing.assert_array_equal(loaded[0].grid.pixel_counts, fresh.pixel_counts)
+
+    @pytest.mark.parametrize("pattern, builds", [
+        ("AABB", 2), ("ABAB", 4), ("ABBA", 3), ("AAAA", 1), ("B", 1),
+    ])
+    def test_only_runs_of_equal_grids_share(self, tmp_path, monkeypatch, pattern, builds):
+        grids = {"A": tiling_grid(16, 4)}
+        # B is A transposed: same shape and ids, other pixels
+        grids["B"] = SuperpixelGrid(width=16, height=16, labels=grids["A"].labels.T)
+        records = [
+            _small_record(f"r{k}", grids[g], k) for k, g in enumerate(pattern)
+        ]
+        _save_small(records, tmp_path / "ds")
+        calls = _count_grid_kernels(monkeypatch)
+        loaded, _ = load_dataset(tmp_path / "ds")
+        assert calls == {"label_boxes": builds, "superpixel_counts": builds}
+        for k, (rec, g) in enumerate(zip(loaded, pattern)):
+            np.testing.assert_array_equal(rec.grid.labels, grids[g].labels)
+            np.testing.assert_array_equal(rec.grid.boxes, grids[g].boxes)
+            assert [p.bbox for p in rec.proposals] == [p.bbox for p in records[k].proposals]
+            if k:
+                assert (rec.grid is loaded[k - 1].grid) == (g == pattern[k - 1])
+
+    def test_same_bytes_swapped_shape_not_shared(self, tmp_path):
+        flat = np.repeat(np.arange(64, dtype=np.int32), 32)
+        wide = SuperpixelGrid(width=64, height=32, labels=flat.reshape(32, 64))
+        tall = SuperpixelGrid(width=32, height=64, labels=flat.reshape(64, 32))
+        assert wide.labels.tobytes() == tall.labels.tobytes()
+        _save_small([_small_record("wide", wide, 0), _small_record("tall", tall, 1)],
+                    tmp_path / "ds")
+        loaded, _ = load_dataset(tmp_path / "ds")
+        assert loaded[0].grid is not loaded[1].grid
+        for rec, grid in zip(loaded, (wide, tall)):
+            assert (rec.grid.width, rec.grid.height) == (grid.width, grid.height)
+            np.testing.assert_array_equal(rec.grid.boxes, grid.boxes)
+            want = proposal_from_superpixels(grid, [1, 2]).bbox
+            assert rec.proposals[1].bbox == want
+
+    @pytest.mark.parametrize("new_id, message", [
+        (2**31, "labels: negative superpixel id"),
+        (5000, "labels: id 5000 exceeds the pixel count 1024"),
+        (64, "grid holds 65 superpixels, header says 64"),
+    ])
+    def test_one_corrupted_id_after_an_equal_grid(self, tmp_path, new_id, message):
+        records, manifest = generate_synthetic(TINY)
+        save_dataset(records, manifest, tmp_path / "ds")
+        # record 2 follows a record whose grid it equals but for one pixel
+        bin_path = tmp_path / "ds" / "records" / "img_0002.bin"
+        data = bytearray(bin_path.read_bytes())
+        off = 16 + 4 * 517
+        data[off:off + 4] = np.uint32(new_id).tobytes()
+        bin_path.write_bytes(bytes(data))
+        json_path = bin_path.with_suffix(".json")
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(tmp_path / "ds")
+        assert str(exc.value) == f"{json_path}: {message}"
+
+
 class TestLoadErrors:
     @pytest.fixture
     def saved(self, tmp_path):
@@ -218,6 +323,18 @@ class TestLoadErrors:
             doc[field] = 7 if isinstance(doc[field], str) else "7"
         self._edit_record(saved, swap)
         with pytest.raises(DatasetError, match=f"field '{field}' must be"):
+            load_dataset(saved)
+
+    def test_record_json_not_utf8_names_the_file(self, saved):
+        path = sorted((saved / "records").glob("*.json"))[0]
+        path.write_bytes(path.read_bytes().replace(b'"id"', b'"\xff"', 1))
+        with pytest.raises(DatasetError, match=f"{path.name}: invalid JSON"):
+            load_dataset(saved)
+
+    def test_two_negative_sides_name_the_file(self, saved):
+        # -32 x -32 has the pixel count of the saved 32 x 32 grid
+        path = self._edit_record(saved, lambda doc: doc.update(width=-32, height=-32))
+        with pytest.raises(DatasetError, match=f"{path.name}: grid -32x-32 has a negative side"):
             load_dataset(saved)
 
     @pytest.mark.parametrize("stem", ["../outside", "sub/img", "..", "a\\b"])

@@ -418,6 +418,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated checkpoint"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, tmp_path, value):
+        # saving clips to the finite float32 range; only damage writes these
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(CFG, 0), CFG)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.float32(value).tobytes()
+        path.write_bytes(bytes(blob))
+        last = list(init_params(CFG, 0).values)[-1]
+        with pytest.raises(ValueError, match=f"tensor {last} holds non-finite values"):
+            load_checkpoint(path)
+
     def test_rejects_truncation_and_trailing(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, init_params(CFG, 0), CFG)
