@@ -1,8 +1,10 @@
 """Grid and box kernels, one numpy implementation each.
 
-The kernels take under 4% of a standard run, so none has a compiled
-twin. ``USE_NUMBA`` is always ``False``; ``perfbench/envinfo.py`` still
-records it.
+Superpixel adjacency is computed as sparse neighbour lists (CSR offsets
+plus ids, ``adjacency_lists``); the dense boolean matrix is only an
+expansion of those lists. The kernels take under 4% of a standard run,
+so none has a compiled twin. ``USE_NUMBA`` is always ``False``;
+``perfbench/envinfo.py`` still records it.
 """
 
 import numpy as np
@@ -13,17 +15,35 @@ USE_NUMBA = False
 # ---------------------------------------------------------------------------
 # superpixel adjacency (4-connectivity)
 
+def adjacency_lists(labels, n):
+    """Neighbour lists of superpixel ids 0..n-1 from a label grid, as CSR.
+
+    Returns ``(offsets, ids)``, both int64: the neighbours of superpixel
+    k are ``ids[offsets[k]:offsets[k + 1]]``, ascending. Two ids are
+    neighbours iff some horizontally or vertically adjacent pixel pair
+    carries them; each such pair is scanned once, and each pair of ids is
+    kept once per direction.
+    """
+    across = labels[:, :-1] != labels[:, 1:]
+    down = labels[:-1, :] != labels[1:, :]
+    a = np.concatenate([labels[:, :-1][across], labels[:-1, :][down]]).astype(np.int64)
+    b = np.concatenate([labels[:, 1:][across], labels[1:, :][down]]).astype(np.int64)
+    # one key row * n + neighbour per direction; sorted, then deduplicated
+    keys = np.concatenate([a * n + b, b * n + a])
+    keys.sort()
+    first = np.empty(keys.size, dtype=np.bool_)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    rows = keys // n
+    return np.searchsorted(rows, np.arange(n + 1)), keys - rows * n
+
+
 def adjacency_matrix(labels, n_sp):
-    """Symmetric boolean adjacency of superpixel ids from a label grid."""
+    """Symmetric boolean adjacency of superpixel ids, expanded from ``adjacency_lists``."""
+    offsets, ids = adjacency_lists(labels, n_sp)
     adj = np.zeros((n_sp, n_sp), dtype=np.bool_)
-    # horizontal then vertical 4-connected pixel pairs
-    for a, b in (
-        (labels[:, :-1].ravel(), labels[:, 1:].ravel()),
-        (labels[:-1, :].ravel(), labels[1:, :].ravel()),
-    ):
-        diff = a != b
-        adj[a[diff], b[diff]] = True
-        adj[b[diff], a[diff]] = True
+    adj[np.repeat(np.arange(n_sp), np.diff(offsets)), ids] = True
     return adj
 
 

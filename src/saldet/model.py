@@ -548,6 +548,13 @@ class _StepKernel:
     def losses(self, trace, labels_y, assignment, d_scores, d_sal) -> LossBreakdown:
         """Every loss term; writes the weighted total's gradients w.r.t. scores and P."""
         config = self.config
+        if assignment is not None:
+            n = trace.scores.shape[0]
+            last = max(assignment.sample_indices, default=-1)
+            if last >= n:
+                raise ValueError(
+                    f"assignment proposal index {last} out of range for {n} proposals"
+                )
         l_ic, d_tau = image_classification_loss(trace.image_scores, labels_y, config.epsilon)
         d_scores[...] = d_tau
 
@@ -676,7 +683,8 @@ def step_losses(params, trace, labels_y, assignment, config):
 
     Returns ``(breakdown, d_scores, d_saliency)`` where the gradients are
     of the weighted total. ``assignment`` may be None (no seed terms,
-    e.g. at test time or with seed supervision disabled).
+    e.g. at test time or with seed supervision disabled); a seed or
+    negative index >= N_R is a ValueError.
     """
     d_scores = np.empty(trace.scores.shape)
     d_sal = np.empty(trace.saliency.shape)
@@ -705,7 +713,8 @@ def loss_and_grads(params, features, labels_y, assignment, config):
     """Forward, losses, backward and L2 term in one call; returns (breakdown, flat grad).
 
     The same maths as ``forward``, ``step_losses`` and ``backward`` in
-    turn, run in the kernel kept with ``params``. The gradient is a new
+    turn, run in the kernel kept with ``params``, with the same
+    ValueError for an assignment index >= N_R. The gradient is a new
     array on every call.
     """
     x = _check_features(features, config)

@@ -13,11 +13,12 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from . import _accel
-from .core import Box, ImageRecord, adjacency
+from .core import Box, ImageRecord
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +50,8 @@ class SeedAssignment:
     proposal index. ``sample_indices`` lists the seed indices followed by
     the negatives; ``targets`` aligns 1.0 / 0.0 with that order. Two
     classes may share a seed proposal, but negatives are always disjoint
-    from every seed and from each other.
+    from every seed and from each other. Indices are >= 0; the training
+    step checks them against the image's proposal count.
     """
 
     seeds: tuple[tuple[int, int], ...]  # (class_id, proposal_index)
@@ -66,6 +68,10 @@ class SeedAssignment:
             raise ValueError("negatives must be distinct")
         if len(self.negatives) > len(self.seeds):
             raise ValueError("more negatives than seeds")
+        # a negative index would reach a proposal from the end of the list
+        negative = [i for i in self.sample_indices if i < 0]
+        if negative:
+            raise ValueError(f"proposal index {negative[0]} is negative")
 
     @cached_property
     def sample_indices(self) -> tuple[int, ...]:
@@ -85,15 +91,23 @@ class SeedAssignment:
 # scoring
 
 def _region_terms(record: ImageRecord):
-    """Membership (P, n_sp), class sums (C, n_sp), areas and region saliency (C, P).
+    """Member pairs, membership, class sums, areas and region saliency.
 
-    Rows of the class sums and of ``rs`` follow ``record.labels.positives``.
+    ``rows`` and ``ids`` list every (proposal, member superpixel) pair,
+    proposal by proposal; the membership is (P, n_sp), the class sums
+    (C, n_sp) and ``rs`` (C, P). Rows of the class sums and of ``rs``
+    follow ``record.labels.positives``.
     """
     grid = record.grid
     n_sp = grid.n_superpixels
-    member = np.zeros((record.num_proposals, n_sp))
-    for k, prop in enumerate(record.proposals):
-        member[k, list(prop.superpixel_ids)] = 1.0
+    sizes = [len(p.superpixel_ids) for p in record.proposals]
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    ids = np.fromiter(
+        chain.from_iterable(p.superpixel_ids for p in record.proposals),
+        dtype=np.int64, count=rows.size,
+    )
+    member = np.zeros((len(sizes), n_sp))
+    member[rows, ids] = 1.0
     sums = np.stack([
         _accel.superpixel_sums(
             grid.labels, np.asarray(record.saliency[c].values, dtype=np.float64), n_sp
@@ -101,7 +115,7 @@ def _region_terms(record: ImageRecord):
         for c in record.labels.positives
     ])
     area = np.array([p.area_px for p in record.proposals], dtype=np.float64)
-    return member, sums, area, sums @ member.T / area
+    return rows, ids, member, sums, area, sums @ member.T / area
 
 
 def proposal_scores(record: ImageRecord, sigma: float) -> dict[int, tuple]:
@@ -110,13 +124,20 @@ def proposal_scores(record: ImageRecord, sigma: float) -> dict[int, tuple]:
     ``rs`` is the mean saliency inside each proposal; ``ns`` the mean
     saliency of its neighborhood, the superpixels adjacent to a member
     but not members themselves, or 0 when that neighborhood is empty.
+    Neighbours come from the grid's neighbour lists.
     """
-    member, sums, area, rs = _region_terms(record)
+    rows, ids, member, sums, area, rs = _region_terms(record)
     grid = record.grid
-    # only superpixels some proposal uses can put a neighbor into a row
-    used = member.any(axis=0)
-    touched = member[:, used] @ adjacency(grid)[used]
-    near = ((touched > 0) & (member == 0)).astype(np.float64)
+    offsets, neighbor_ids = grid.neighbors
+    # one gather over the neighbour lists of every (proposal, member)
+    # pair: entry j of a list sits at its start plus j
+    start = offsets[ids]
+    count = offsets[ids + 1] - start
+    at = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+    near = np.zeros(member.shape, dtype=np.bool_)
+    near[np.repeat(rows, count), neighbor_ids[at]] = True
+    near[rows, ids] = False  # members are not their own neighbourhood
+    near = near.astype(np.float64)
     near_px = near @ grid.pixel_counts
     ns = np.divide(sums @ near.T, near_px, out=np.zeros_like(rs), where=near_px > 0)
     contrast = saliency_contrast(rs, ns, area, sigma)

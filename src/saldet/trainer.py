@@ -158,6 +158,9 @@ def train(
 ):
     """Optimize over the dataset; returns (final params, TrainLog).
 
+    The returned parameters keep no step kernel: the training workspace
+    is freed on return, and their first forward binds a new kernel.
+
     Raises TrainingDivergedError when any step's total loss or gradient is
     non-finite; the exception carries the parameters from the last
     completed epoch (already written to ``checkpoint_path`` when one was
@@ -249,5 +252,7 @@ def train(
         )
         last_good = params.copy()
 
-    checkpoint(params)
-    return params, train_log
+    # the copy taken after the last epoch is the final state without the
+    # step kernel, so the kernel's workspace is freed with ``params``
+    checkpoint(last_good)
+    return last_good, train_log

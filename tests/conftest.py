@@ -39,6 +39,36 @@ def tiling_grid(side_px: int, sp_side: int) -> SuperpixelGrid:
     return SuperpixelGrid(width=side_px, height=side_px, labels=labels)
 
 
+# label grids the synthetic generator never makes, for oracle tests
+IRREGULAR_LABELS = {
+    # 0 is an L wrapped round the square 1; 2 is a strip
+    "l_shape": [[0, 0, 0, 2],
+                [0, 1, 1, 2],
+                [0, 1, 1, 2]],
+    # 1 lies inside 0 and touches nothing else; 2 borders 0 only
+    "enclosed": [[0, 0, 0, 0, 2],
+                 [0, 1, 1, 0, 2],
+                 [0, 0, 0, 0, 2]],
+    # 1 and 2 share exactly one pixel edge, at the bottom of the middle column
+    "one_edge": [[1, 1, 0, 2, 2],
+                 [1, 1, 0, 2, 2],
+                 [1, 1, 1, 2, 2]],
+    # 0 and 3 meet only at a corner; 1 is in two pieces
+    "corner_and_split": [[0, 0, 1, 2],
+                         [0, 0, 2, 3],
+                         [1, 2, 3, 3]],
+    "row": [[0, 0, 1, 2, 2, 2, 3, 1]],
+    "column": [[0], [1], [1], [2], [0]],
+    "one_superpixel": [[0, 0, 0], [0, 0, 0]],
+    "one_pixel": [[0]],
+}
+
+
+def irregular_grid(name: str) -> SuperpixelGrid:
+    labels = np.array(IRREGULAR_LABELS[name], dtype=np.int32)
+    return SuperpixelGrid(width=labels.shape[1], height=labels.shape[0], labels=labels)
+
+
 def build_record(rec_id, grid, proposal_ids, features, y, saliency_values, gt_boxes):
     """Assemble an ImageRecord from plain arrays."""
     proposals = [proposal_from_superpixels(grid, ids) for ids in proposal_ids]

@@ -14,7 +14,7 @@ from saldet.core import (
     proposal_from_superpixels,
 )
 
-from conftest import tiling_grid
+from conftest import IRREGULAR_LABELS, irregular_grid, tiling_grid
 from oracles import pixel_adjacency, pixel_mask_box
 
 
@@ -81,6 +81,15 @@ class TestSuperpixelGrid:
             SuperpixelGrid(width=2, height=1, labels=labels)
 
 
+def assert_neighbor_rows(grid, expected):
+    """``grid.neighbors`` as CSR holds exactly the True columns of each oracle row."""
+    offsets, ids = grid.neighbors
+    assert offsets.dtype == ids.dtype == np.int64
+    assert offsets.shape == (grid.n_superpixels + 1,) and offsets[-1] == ids.size
+    for k, row in enumerate(expected):
+        assert ids[offsets[k]:offsets[k + 1]].tolist() == np.flatnonzero(row).tolist()
+
+
 class TestAdjacency:
     def test_two_superpixels(self):
         labels = np.array([[0, 1], [0, 1]], dtype=np.int32)
@@ -107,7 +116,24 @@ class TestAdjacency:
                 if len(np.unique(labels)) == n_sp:
                     break
             grid = SuperpixelGrid(width=int(w), height=int(h), labels=labels)
-            np.testing.assert_array_equal(adjacency(grid), pixel_adjacency(labels, n_sp))
+            expected = pixel_adjacency(labels, n_sp)
+            np.testing.assert_array_equal(adjacency(grid), expected)
+            assert_neighbor_rows(grid, expected)
+
+    @pytest.mark.parametrize("name", sorted(IRREGULAR_LABELS))
+    def test_neighbor_lists_match_pixel_oracle_on_irregular_grids(self, name):
+        grid = irregular_grid(name)
+        expected = pixel_adjacency(grid.labels, grid.n_superpixels)
+        assert_neighbor_rows(grid, expected)
+        np.testing.assert_array_equal(adjacency(grid), expected)
+
+    def test_neighbor_lists_built_once_and_frozen(self):
+        grid = tiling_grid(8, 4)
+        offsets, ids = grid.neighbors
+        assert grid.neighbors[0] is offsets and grid.neighbors[1] is ids
+        for arr in (offsets, ids):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestProposal:

@@ -186,6 +186,9 @@ class TestGridSharing:
             loaded, _ = load_dataset(tmp_path / "ds")
             assert len({id(r.grid) for r in loaded}) == 1
             assert calls == {"label_boxes": load, "superpixel_counts": load}
+            # so seed selection reads one set of neighbour lists per load
+            neighbors = loaded[0].grid.neighbors
+            assert all(r.grid.neighbors is neighbors for r in loaded)
         # the shared grid's tables are the ones a fresh grid computes
         fresh = SuperpixelGrid(width=32, height=32, labels=records[0].grid.labels)
         np.testing.assert_array_equal(loaded[0].grid.boxes, fresh.boxes)

@@ -209,6 +209,18 @@ class TestForward:
             forward(params, np.zeros((0, 4)), CFG)
         with pytest.raises(FloatingPointError, match="input features"):
             forward(params, np.full((2, 4), np.nan), CFG)
+        # on 2 proposals, seed 2 and negative 3 name no proposal
+        y = [1, 1, -1, -1]
+        for assignment, index in (
+            (SeedAssignment(seeds=((0, 2), (1, 0)), negatives=(1,)), 2),
+            (SeedAssignment(seeds=((0, 0), (1, 1)), negatives=(3,)), 3),
+        ):
+            match = f"index {index} out of range for 2 proposals"
+            with pytest.raises(ValueError, match=match):
+                loss_and_grads(params, np.zeros((2, 4)), y, assignment, CFG)
+            trace = forward(params, np.zeros((2, 4)), CFG)
+            with pytest.raises(ValueError, match=match):
+                step_losses(params, trace, y, assignment, CFG)
 
 
 class TestLossTerms:

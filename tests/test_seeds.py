@@ -3,11 +3,13 @@
 import logging
 import math
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.ndimage
 
+from conftest import IRREGULAR_LABELS, build_record, irregular_grid
 from oracles import pixel_seed_scores, pixel_select_negatives, pixel_select_seeds
 from saldet import _accel
 from saldet.core import Box, SaliencyMap
@@ -163,6 +165,45 @@ class TestAgainstPixelOracle:
             assert make_assignment(scaled, SIGMA) == base
 
 
+class TestIrregularGrids:
+    @pytest.mark.parametrize("name", sorted(IRREGULAR_LABELS))
+    def test_scores_match_pixel_oracle(self, name):
+        grid = irregular_grid(name)
+        n_sp = grid.n_superpixels
+        # every superpixel, every pair of them, and the whole grid
+        proposal_ids = [
+            [k] for k in range(n_sp)
+        ] + [list(pair) for pair in combinations(range(n_sp), 2)] + [list(range(n_sp))]
+        rng = np.random.default_rng(len(name))
+        shape = (grid.height, grid.width)
+        rec = build_record(
+            name, grid, proposal_ids, rng.normal(size=(len(proposal_ids), 4)),
+            [1, -1, 1], {0: rng.random(shape), 2: rng.random(shape)}, [],
+        )
+        expected = pixel_seed_scores(rec, SIGMA)
+        scores = proposal_scores(rec, SIGMA)
+        assert sorted(scores) == sorted(expected) == [0, 2]
+        for c, per_class in expected.items():
+            np.testing.assert_allclose(np.transpose(scores[c]), per_class, rtol=1e-9)
+            # the whole grid has no neighbourhood
+            assert scores[c][1][-1] == 0.0
+
+    def test_seed_selection_builds_no_dense_adjacency(self, monkeypatch):
+        records, _ = generate_synthetic(
+            SynthConfig(grid_side=256, superpixels=1024, images=1, seed=3)
+        )
+        rec = records[0]
+
+        def refuse(*args):
+            raise AssertionError("seed selection built an n_sp x n_sp adjacency")
+
+        monkeypatch.setattr(_accel, "adjacency_matrix", refuse)
+        assignment = make_assignment(rec, SIGMA)
+        assert [c for c, _ in assignment.seeds] == list(rec.labels.positives)
+        # a regular grid gives each superpixel at most 4 neighbours
+        assert rec.grid.neighbors[1].size <= 4 * 1024
+
+
 class TestThresholdBaseline:
     def _boxes_via_scipy(self, values, theta):
         mask = values >= theta * values.max()
@@ -224,6 +265,7 @@ class TestSeedAssignment:
             (((0, 3),), (3,), "disjoint"),
             (((0, 3), (1, 4)), (5, 5), "distinct"),
             (((0, 3),), (1, 2), "more negatives"),
+            (((0, -1),), (2,), "index -1 is negative"),
         ],
     )
     def test_rejects(self, seeds, negatives, msg):

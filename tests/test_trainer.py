@@ -14,6 +14,7 @@ from saldet.model import (
     ModelConfig,
     ModelParams,
     ParamLayout,
+    forward,
     init_params,
     load_checkpoint,
 )
@@ -241,6 +242,15 @@ class TestTrain:
             np.testing.assert_array_equal(
                 loaded.values[name], arr.astype(np.float32).astype(np.float64)
             )
+
+    def test_returned_params_keep_no_training_workspace(self):
+        records = small_dataset()
+        cfg = TrainConfig(epochs=1)
+        params, _ = train(records, MODEL, cfg)
+        assert params._kernel is None
+        # evaluation binds the parameter views again, but no workspace
+        forward(params, records[0].features, cfg.effective_model_config(MODEL))
+        assert params._kernel.buffer.size == 0
 
     def test_divergence_keeps_last_good_state(self, tmp_path):
         records = small_dataset()
