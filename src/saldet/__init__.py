@@ -14,7 +14,6 @@ from .core import (
     Proposal,
     SaliencyMap,
     SuperpixelGrid,
-    adjacency,
     iou,
     proposal_from_superpixels,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "TrainConfig",
     "TrainLog",
     "TrainingDivergedError",
-    "adjacency",
     "backward",
     "classification_ap",
     "corloc",

@@ -1,10 +1,11 @@
 """Grid and box kernels, one numpy implementation each.
 
 Superpixel adjacency is computed as sparse neighbour lists (CSR offsets
-plus ids, ``adjacency_lists``); the dense boolean matrix is only an
-expansion of those lists. The kernels take under 4% of a standard run,
-so none has a compiled twin. ``USE_NUMBA`` is always ``False``;
-``perfbench/envinfo.py`` still records it.
+plus ids, ``adjacency_lists``); the dense matrix, ``adjacency_matrix``,
+expands those lists and is never built by the package itself. The
+kernels take under 4% of a standard run, so none has a compiled twin.
+``USE_NUMBA`` is always ``False``; ``perfbench/envinfo.py`` still
+records it.
 """
 
 import numpy as np

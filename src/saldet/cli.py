@@ -127,9 +127,6 @@ def _train_config(args) -> TrainConfig:
         lr_phase2=args.lr_phase2,
         phase_boundary=args.phase_boundary,
         momentum=args.momentum,
-        lambda_seed_cls=args.lambda_seed_cls,
-        lambda_seed_sal=args.lambda_seed_sal,
-        lambda_l2=args.lambda_l2,
         sigma=args.sigma,
         shuffle_seed=args.seed,
         init_seed=args.seed,
@@ -146,6 +143,9 @@ def _cmd_train(args) -> int:
         num_classes=manifest.num_classes,
         trunk_widths=tuple(args.trunk_widths),
         saliency_hidden=args.saliency_hidden,
+        lambda_seed_cls=args.lambda_seed_cls,
+        lambda_seed_sal=args.lambda_seed_sal,
+        lambda_l2=args.lambda_l2,
     )
     train_config = _train_config(args)
     params, train_log = train(
@@ -276,25 +276,25 @@ def _cmd_ablate(args) -> int:
 # parser construction
 
 def _add_train_flags(p):
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr-phase1", type=float, default=1e-5,
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr-phase1", type=float, default=TrainConfig.lr_phase1,
                    help="learning rate for epochs up to the boundary")
-    p.add_argument("--lr-phase2", type=float, default=1e-6,
+    p.add_argument("--lr-phase2", type=float, default=TrainConfig.lr_phase2,
                    help="learning rate after the boundary")
-    p.add_argument("--phase-boundary", type=int, default=10)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--lambda-seed-cls", type=float, default=0.1,
+    p.add_argument("--phase-boundary", type=int, default=TrainConfig.phase_boundary)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p.add_argument("--lambda-seed-cls", type=float, default=ModelConfig.lambda_seed_cls,
                    help="weight of the seed classification loss")
-    p.add_argument("--lambda-seed-sal", type=float, default=1.0,
+    p.add_argument("--lambda-seed-sal", type=float, default=ModelConfig.lambda_seed_sal,
                    help="weight of the seed saliency loss")
-    p.add_argument("--lambda-l2", type=float, default=5e-4,
+    p.add_argument("--lambda-l2", type=float, default=ModelConfig.lambda_l2,
                    help="weight of the squared-weight penalty")
-    p.add_argument("--sigma", type=float, default=1e3,
+    p.add_argument("--sigma", type=float, default=TrainConfig.sigma,
                    help="area scale of the saliency contrast")
-    p.add_argument("--feature-jitter", type=float, default=0.0,
+    p.add_argument("--feature-jitter", type=float, default=TrainConfig.feature_jitter,
                    help="stddev of Gaussian feature augmentation (0 = off)")
-    p.add_argument("--trunk-widths", type=int, nargs="+", default=[128, 128])
-    p.add_argument("--saliency-hidden", type=int, default=32)
+    p.add_argument("--trunk-widths", type=int, nargs="+", default=list(ModelConfig.trunk_widths))
+    p.add_argument("--saliency-hidden", type=int, default=ModelConfig.saliency_hidden)
     p.add_argument("--disable-seed-losses", action="store_true")
     p.add_argument("--disable-saliency-subnet", action="store_true")
 
@@ -307,21 +307,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[], help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--images", type=int, default=20)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--grid-side", type=int, default=32)
-    p.add_argument("--superpixels", type=int, default=64)
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--min-objects", type=int, default=1)
-    p.add_argument("--max-objects", type=int, default=2)
-    p.add_argument("--noise-amplitude", type=float, default=0.2)
-    p.add_argument("--snr", type=float, default=4.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--images", type=int, default=SynthConfig.images)
+    p.add_argument("--classes", type=int, default=SynthConfig.classes)
+    p.add_argument("--grid-side", type=int, default=SynthConfig.grid_side)
+    p.add_argument("--superpixels", type=int, default=SynthConfig.superpixels)
+    p.add_argument("--feature-dim", type=int, default=SynthConfig.feature_dim)
+    p.add_argument("--min-objects", type=int, default=SynthConfig.objects_per_image[0])
+    p.add_argument("--max-objects", type=int, default=SynthConfig.objects_per_image[1])
+    p.add_argument("--noise-amplitude", type=float, default=SynthConfig.noise_amplitude)
+    p.add_argument("--snr", type=float, default=SynthConfig.feature_snr)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("seeds", help="select per-class seeds and negatives")
     p.add_argument("--data", required=True, help="path to manifest.json")
-    p.add_argument("--sigma", type=float, default=1e3)
+    p.add_argument("--sigma", type=float, default=TrainConfig.sigma)
     p.add_argument("--theta", type=float, default=None,
                    help="also emit threshold-baseline boxes at this fraction")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a dataset")
     p.add_argument("--data", required=True, help="path to manifest.json")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=TrainConfig.init_seed,
                    help="seed for init and shuffling")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_train)
@@ -362,14 +362,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("SALDET_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    name = os.environ.get("SALDET_LOG") or "WARNING"
+    level = logging.getLevelName(name.upper())  # a name's number, else a string
+    if not isinstance(level, int):
+        print(f"error: SALDET_LOG={name!r} is not a logging level name", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ValueError, FileNotFoundError, NotADirectoryError) as exc:
+    except (DatasetError, ValueError, FileNotFoundError, NotADirectoryError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:

@@ -125,17 +125,6 @@ class SuperpixelGrid:
         return _freeze(offsets), _freeze(ids)
 
 
-def adjacency(grid: SuperpixelGrid) -> np.ndarray:
-    """Symmetric, irreflexive boolean adjacency matrix of the superpixels.
-
-    ``adj[i, j]`` is True iff superpixels i and j share a 4-connected
-    pixel edge; row i is the neighbor indicator of superpixel i. It is a
-    new (n_sp, n_sp) expansion of the neighbour lists on every call and
-    is not kept; ``grid.neighbors`` is the cached form.
-    """
-    return _accel.adjacency_matrix(grid.labels, grid.n_superpixels)
-
-
 @dataclass(frozen=True, eq=False)
 class Proposal:
     """A region proposal: a nonempty union of superpixels.

@@ -186,10 +186,14 @@ def load_dataset(manifest_path):
         raise DatasetError(f"{manifest_path}: field 'seed' must be an integer or null")
     if doc["version"] != FORMAT_VERSION:
         raise DatasetError(f"{manifest_path}: unsupported version {doc['version']}")
+    seen = set()
     for stem in doc["images"]:
         # a stem names files inside records/, so it must be one plain name
         if stem in ("", ".", "..") or any(ch in stem for ch in "/\\\0"):
             raise DatasetError(f"{manifest_path}: image stem {stem!r} is not a plain file name")
+        if stem in seen:
+            raise DatasetError(f"{manifest_path}: image stem {stem!r} is listed twice")
+        seen.add(stem)
     try:
         manifest = DatasetManifest(
             num_classes=doc["num_classes"],

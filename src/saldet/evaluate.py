@@ -350,6 +350,8 @@ def evaluate(
     eleven_point: bool = False,
 ) -> EvalReport:
     """Full pipeline: score, NMS, and all three metrics in one report."""
+    if not records:
+        raise ValueError("cannot evaluate an empty dataset")
     for rec in records:
         if rec.labels.num_classes != config.num_classes:
             raise ValueError(

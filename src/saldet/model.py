@@ -30,16 +30,17 @@ import numpy as np
 
 from .core import check_finite_floats
 
+_EPSILON = 1e-8  # clamp for the log arguments of the image and seed classification losses
+
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture widths and loss weighting factors."""
+    """Architecture widths, loss weights and the saliency branch switch."""
 
     feature_dim: int
     num_classes: int
     trunk_widths: tuple[int, ...] = (128, 128)
     saliency_hidden: int = 32
-    epsilon: float = 1e-8          # clamp for log arguments
     lambda_seed_cls: float = 0.1   # weight of the seed classification loss
     lambda_seed_sal: float = 1.0   # weight of the seed saliency loss
     lambda_l2: float = 5e-4        # weight of the L2 term (weights only)
@@ -53,8 +54,6 @@ class ModelConfig:
             raise ValueError("trunk widths must all be >= 1")
         if self.saliency_hidden < 1:
             raise ValueError("saliency_hidden must be >= 1")
-        if not (0.0 < self.epsilon < 1e-3):
-            raise ValueError("epsilon must be in (0, 1e-3)")
         if min(self.lambda_seed_cls, self.lambda_seed_sal, self.lambda_l2) < 0:
             raise ValueError("loss weights must be >= 0")
         object.__setattr__(self, "trunk_widths", tuple(self.trunk_widths))
@@ -445,6 +444,10 @@ class _StepKernel:
         layout = param_layout(config)
         if params.layout is not layout and params.layout.tensors != layout.tensors:
             raise ValueError("gradient shape mismatch: parameters do not fit the config")
+        if params.layout.l2_end != layout.l2_end:  # same tensors: the other saliency switch
+            raise ValueError(
+                f"saliency mismatch: parameters fit saliency_enabled={not config.saliency_enabled}"
+            )
         self.config = config
         self.grad = np.zeros(layout.size)
         v, gv = params.values, layout.views(self.grad)
@@ -555,13 +558,13 @@ class _StepKernel:
                 raise ValueError(
                     f"assignment proposal index {last} out of range for {n} proposals"
                 )
-        l_ic, d_tau = image_classification_loss(trace.image_scores, labels_y, config.epsilon)
+        l_ic, d_tau = image_classification_loss(trace.image_scores, labels_y, _EPSILON)
         d_scores[...] = d_tau
 
         l_sc = 0.0
         if assignment is not None and config.lambda_seed_cls > 0:
             l_sc, terms = _seed_classification_terms(
-                trace.scores, assignment.seeds, config.epsilon
+                trace.scores, assignment.seeds, _EPSILON
             )
             # seed classes are distinct, so each entry gets one term
             for i, c, d in terms:

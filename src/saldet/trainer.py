@@ -29,16 +29,13 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization schedule, loss weights, and ablation switches."""
+    """Schedule, seed scale, RNG seeds and ablation switches; loss weights are on ModelConfig."""
 
     epochs: int = 20
     lr_phase1: float = 1e-5
     lr_phase2: float = 1e-6
     phase_boundary: int = 10     # last epoch (1-based) of phase 1
     momentum: float = 0.9
-    lambda_seed_cls: float = 0.1
-    lambda_seed_sal: float = 1.0
-    lambda_l2: float = 5e-4
     sigma: float = 1e3
     shuffle_seed: int = 0
     init_seed: int = 0
@@ -54,8 +51,6 @@ class TrainConfig:
             raise ValueError("learning rates must be >= 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
-        if min(self.lambda_seed_cls, self.lambda_seed_sal, self.lambda_l2) < 0:
-            raise ValueError("loss weights must be >= 0")
         if self.phase_boundary < 0:
             raise ValueError("phase_boundary must be >= 0")
         if self.feature_jitter < 0:
@@ -66,16 +61,14 @@ class TrainConfig:
         return self.lr_phase1 if epoch <= self.phase_boundary else self.lr_phase2
 
     def effective_model_config(self, base: ModelConfig) -> ModelConfig:
-        """Apply loss weights and ablation flags to an architecture config."""
-        lam_cls = 0.0 if self.disable_seed_losses else self.lambda_seed_cls
-        lam_sal = 0.0 if self.disable_saliency_subnet else self.lambda_seed_sal
+        """``base`` with the ablation switches applied; train and evaluate with it.
+
+        The saliency switch drops the seed saliency loss with the branch.
+        """
         return replace(
             base,
-            lambda_seed_cls=lam_cls,
-            lambda_seed_sal=lam_sal,
-            lambda_l2=self.lambda_l2,
-            saliency_enabled=base.saliency_enabled
-            and not self.disable_saliency_subnet,
+            lambda_seed_cls=0.0 if self.disable_seed_losses else base.lambda_seed_cls,
+            saliency_enabled=base.saliency_enabled and not self.disable_saliency_subnet,
         )
 
 
@@ -125,7 +118,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 def precompute_assignments(
-    records: list[ImageRecord], sigma: float = 1e3
+    records: list[ImageRecord], sigma: float = TrainConfig.sigma
 ) -> dict[str, SeedAssignment]:
     """Seed/negative assignment per image; pure function of the dataset."""
     return {rec.id: make_assignment(rec, sigma=sigma) for rec in records}

@@ -334,7 +334,7 @@ def reference_forward(params, features, config):
 def reference_step(params, features, labels_y, assignment, config):
     """(image_cls, seed_cls, seed_sal, l2, total) and the flat gradient of one step."""
     t = reference_forward(params, features, config)
-    eps = config.epsilon
+    eps = 1e-8  # the model's clamp for log arguments
     # image classification loss
     y = np.asarray(labels_y, dtype=np.float64)
     arg = y * (t["image_scores"] - 0.5) + 0.5

@@ -12,6 +12,9 @@ import pytest
 
 import saldet.cli as cli
 from saldet.cli import main
+from saldet.dataio import SynthConfig
+from saldet.model import ModelConfig
+from saldet.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +169,21 @@ class TestMalformedDataset:
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+class TestOutputPathIsADirectory:
+    @pytest.mark.parametrize("command", ["eval", "seeds", "train"])
+    def test_one_error_line_exit_1(self, dataset, checkpoint, tmp_path, capsys, command):
+        out = str(tmp_path)
+        argv = {
+            "eval": ["eval", "--data", str(dataset), "--checkpoint", str(checkpoint),
+                     "--csv", out],
+            "seeds": ["seeds", "--data", str(dataset), "--out", out],
+            "train": ["train", "--data", str(dataset), "--out", out, "--epochs", "1",
+                      "--trunk-widths", "8", "--saliency-hidden", "4"],
+        }[command]
+        assert main(argv) == 1
+        assert "Is a directory" in _one_error_line(capsys)
+
+
 class TestTrain:
     def test_json_epoch_stream(self, dataset, tmp_path, capsys):
         path = tmp_path / "m.ckpt"
@@ -295,6 +313,15 @@ class TestEval:
         assert code == 1
         assert "model has 4" in _one_error_line(capsys)
 
+    def test_empty_dataset_is_one_error_line(self, dataset, checkpoint, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        doc = json.loads((dataset / "manifest.json").read_text())
+        doc["images"] = []
+        (empty / "manifest.json").write_text(json.dumps(doc))
+        assert main(["eval", "--data", str(empty), "--checkpoint", str(checkpoint)]) == 1
+        assert "empty dataset" in _one_error_line(capsys)
+
     def test_corrupt_checkpoint_exits_1(self, dataset, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage")
@@ -349,6 +376,19 @@ class TestAblate:
         assert "at least one" in _one_error_line(capsys)
 
 
+class TestLogLevelEnv:
+    @pytest.mark.parametrize("value", ["basic_format", "inf0", "10", "Level 5"])
+    def test_unknown_name_is_one_error_line(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("SALDET_LOG", value)
+        assert main(["gradcheck", "--instances", "1"]) == 1
+        assert "SALDET_LOG" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("value", ["debug", "Info", "WARN", ""])
+    def test_level_names_in_any_case(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("SALDET_LOG", value)
+        assert main(["gradcheck", "--instances", "1"]) == 0
+
+
 class TestParserContract:
     def test_unknown_command_exits_1(self):
         with pytest.raises(SystemExit) as info:
@@ -364,6 +404,25 @@ class TestParserContract:
         with pytest.raises(SystemExit) as info:
             main(["train"])
         assert info.value.code == 1
+
+    def test_config_flags_default_to_the_config_defaults(self):
+        parser = cli.build_parser()
+        synth = parser.parse_args(["synth", "--out", "x"])
+        seeds = parser.parse_args(["seeds", "--data", "x"])
+        train = parser.parse_args(["train", "--data", "x", "--out", "x"])
+        assert SynthConfig(
+            grid_side=synth.grid_side, superpixels=synth.superpixels,
+            objects_per_image=(synth.min_objects, synth.max_objects), images=synth.images,
+            classes=synth.classes, feature_dim=synth.feature_dim,
+            noise_amplitude=synth.noise_amplitude, feature_snr=synth.snr, seed=synth.seed,
+        ) == SynthConfig()
+        assert seeds.sigma == TrainConfig.sigma
+        assert cli._train_config(train) == TrainConfig()
+        assert ModelConfig(
+            feature_dim=1, num_classes=1, trunk_widths=tuple(train.trunk_widths),
+            saliency_hidden=train.saliency_hidden, lambda_seed_cls=train.lambda_seed_cls,
+            lambda_seed_sal=train.lambda_seed_sal, lambda_l2=train.lambda_l2,
+        ) == ModelConfig(feature_dim=1, num_classes=1)
 
 
 class TestSubprocessEntry:

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from saldet import _accel
 from saldet.core import (
     Box,
     ImageRecord,
     LabelVector,
     SaliencyMap,
     SuperpixelGrid,
-    adjacency,
     iou,
     proposal_from_superpixels,
 )
@@ -90,21 +90,28 @@ def assert_neighbor_rows(grid, expected):
         assert ids[offsets[k]:offsets[k + 1]].tolist() == np.flatnonzero(row).tolist()
 
 
+def dense_adjacency(grid):
+    """The (n_sp, n_sp) boolean expansion of the grid's neighbour lists."""
+    return _accel.adjacency_matrix(grid.labels, grid.n_superpixels)
+
+
 class TestAdjacency:
     def test_two_superpixels(self):
         labels = np.array([[0, 1], [0, 1]], dtype=np.int32)
         grid = SuperpixelGrid(width=2, height=2, labels=labels)
-        adj = adjacency(grid)
+        adj = dense_adjacency(grid)
         assert adj[0, 1] and adj[1, 0]
         assert not adj[0, 0] and not adj[1, 1]
+        assert_neighbor_rows(grid, adj)
 
     def test_diagonal_not_adjacent(self):
         # checkerboard corners only touch diagonally between 0 and 3
         labels = np.array([[0, 1], [2, 3]], dtype=np.int32)
         grid = SuperpixelGrid(width=2, height=2, labels=labels)
-        adj = adjacency(grid)
+        adj = dense_adjacency(grid)
         assert not adj[0, 3] and not adj[3, 0]
         assert adj[0, 1] and adj[0, 2] and adj[1, 3] and adj[2, 3]
+        assert_neighbor_rows(grid, adj)
 
     def test_matches_pixel_oracle_on_random_grids(self):
         rng = np.random.default_rng(1)
@@ -117,7 +124,7 @@ class TestAdjacency:
                     break
             grid = SuperpixelGrid(width=int(w), height=int(h), labels=labels)
             expected = pixel_adjacency(labels, n_sp)
-            np.testing.assert_array_equal(adjacency(grid), expected)
+            np.testing.assert_array_equal(dense_adjacency(grid), expected)
             assert_neighbor_rows(grid, expected)
 
     @pytest.mark.parametrize("name", sorted(IRREGULAR_LABELS))
@@ -125,7 +132,7 @@ class TestAdjacency:
         grid = irregular_grid(name)
         expected = pixel_adjacency(grid.labels, grid.n_superpixels)
         assert_neighbor_rows(grid, expected)
-        np.testing.assert_array_equal(adjacency(grid), expected)
+        np.testing.assert_array_equal(dense_adjacency(grid), expected)
 
     def test_neighbor_lists_built_once_and_frozen(self):
         grid = tiling_grid(8, 4)

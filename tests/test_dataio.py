@@ -340,6 +340,14 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match=f"{path.name}: grid -32x-32 has a negative side"):
             load_dataset(saved)
 
+    def test_stem_listed_twice_is_dataset_error(self, saved):
+        path = saved / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["images"].append(doc["images"][1])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=f"{doc['images'][1]}' is listed twice"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("stem", ["../outside", "sub/img", "..", "a\\b"])
     def test_stem_must_be_a_plain_name(self, saved, stem):
         # a loadable record outside records/, reachable through the stem

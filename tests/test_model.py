@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,8 +46,6 @@ class TestModelConfig:
             {"trunk_widths": ()},
             {"trunk_widths": (8, 0)},
             {"saliency_hidden": 0},
-            {"epsilon": 0.0},
-            {"epsilon": 0.1},
             {"lambda_seed_cls": -1.0},
         ],
     )
@@ -221,6 +220,14 @@ class TestForward:
             trace = forward(params, np.zeros((2, 4)), CFG)
             with pytest.raises(ValueError, match=match):
                 step_losses(params, trace, y, assignment, CFG)
+
+
+    def test_params_of_the_other_saliency_setting_are_rejected(self):
+        off = replace(CFG, saliency_enabled=False)
+        x = np.zeros((3, 4))
+        for params, config in ((init_params(CFG, 0), off), (init_params(off, 0), CFG)):
+            with pytest.raises(ValueError, match="saliency mismatch"):
+                forward(params, x, config)
 
 
 class TestLossTerms:

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import LAYER_BIAS, LAYERS
 from oracles import reference_step
 from saldet import trainer
 from saldet.dataio import SynthConfig, generate_synthetic
+from saldet.evaluate import evaluate
 from saldet.model import (
     ModelConfig,
     ModelParams,
@@ -45,7 +47,6 @@ class TestTrainConfig:
             {"lr_phase2": -1e-3},
             {"momentum": 1.0},
             {"momentum": -0.1},
-            {"lambda_l2": -1.0},
             {"phase_boundary": -1},
             {"feature_jitter": -0.5},
         ],
@@ -63,19 +64,19 @@ class TestTrainConfig:
         assert always2.learning_rate(1) == 0.01
 
     def test_effective_config_applies_ablations(self):
-        base = MODEL
-        cfg = TrainConfig(lambda_seed_cls=0.3, lambda_seed_sal=0.7, lambda_l2=0.01)
-        eff = cfg.effective_model_config(base)
-        assert (eff.lambda_seed_cls, eff.lambda_seed_sal, eff.lambda_l2) == (0.3, 0.7, 0.01)
-        assert eff.saliency_enabled
+        base = replace(MODEL, lambda_seed_cls=0.3, lambda_seed_sal=0.7, lambda_l2=0.01)
+        assert TrainConfig().effective_model_config(base) == base
 
         no_seed = TrainConfig(disable_seed_losses=True).effective_model_config(base)
-        assert no_seed.lambda_seed_cls == 0.0
-        assert no_seed.saliency_enabled
+        assert no_seed == replace(base, lambda_seed_cls=0.0)
 
         no_sal = TrainConfig(disable_saliency_subnet=True).effective_model_config(base)
-        assert no_sal.lambda_seed_sal == 0.0
-        assert not no_sal.saliency_enabled
+        assert no_sal == replace(base, saliency_enabled=False)
+
+    def test_has_no_loss_weights(self):
+        # the weights have one home, ModelConfig; train() reads them there
+        names = {f.name for f in fields(TrainConfig)}
+        assert not names & {"lambda_seed_cls", "lambda_seed_sal", "lambda_l2"}
 
 
 class TestSgdStep:
@@ -183,6 +184,23 @@ class TestTrain:
         fresh = init_params(cfg.effective_model_config(MODEL), rng_seed=9)
         for name in fresh.values:
             np.testing.assert_array_equal(params.values[name], fresh.values[name])
+
+    @pytest.mark.parametrize("weight", ["lambda_seed_cls", "lambda_seed_sal", "lambda_l2"])
+    def test_honours_model_loss_weights(self, weight):
+        records = small_dataset()
+        cfg = TrainConfig(epochs=1, lr_phase1=1e-2)
+        default, _ = train(records, MODEL, cfg)
+        params, _ = train(records, replace(MODEL, **{weight: 0.5}), cfg)
+        assert params.flat_values.tobytes() != default.flat_values.tobytes()
+
+    def test_disabled_saliency_model_needs_its_effective_config(self):
+        records = small_dataset()
+        cfg = TrainConfig(epochs=1, lr_phase1=1e-2, disable_saliency_subnet=True)
+        params, _ = train(records, MODEL, cfg)
+        with pytest.raises(ValueError, match="saliency mismatch"):
+            evaluate(params, records, MODEL)
+        report = evaluate(params, records, cfg.effective_model_config(MODEL))
+        assert report.num_images == len(records)
 
     def test_bitwise_deterministic(self):
         records = small_dataset()
@@ -353,12 +371,21 @@ class TestAgainstReferenceLoop:
         {"feature_jitter": 0.05},
     ])
     def test_params_velocity_and_losses_bit_for_bit(self, kw):
-        records = small_dataset()
         cfg = TrainConfig(epochs=3, lr_phase1=1e-2, lr_phase2=1e-3, phase_boundary=2, **kw)
-        params, log = train(records, MODEL2, cfg)
+        self.check(cfg, MODEL2)
+
+    def test_loss_weights_of_the_model_config(self):
+        cfg = TrainConfig(epochs=3, lr_phase1=1e-2, lr_phase2=1e-3, phase_boundary=2)
+        self.check(cfg, replace(MODEL2, lambda_seed_cls=0.3, lambda_seed_sal=0.7,
+                                lambda_l2=0.05))
+
+    @staticmethod
+    def check(cfg, model):
+        records = small_dataset()
+        params, log = train(records, model, cfg)
 
         # the loop train() documents, stepping with the per-layer reference
-        config = cfg.effective_model_config(MODEL2)
+        config = cfg.effective_model_config(model)
         ref = init_params(config, rng_seed=cfg.init_seed)
         w, v = ref.flat_values, ref.flat_velocity
         assignments = {rec.id: make_assignment(rec, cfg.sigma) for rec in records}
