@@ -9,6 +9,7 @@ level; it is the only environment the CLI reads.
 
 import argparse
 import csv
+import errno
 import json
 import logging
 import os
@@ -49,6 +50,17 @@ def _box_list(box):
     return list(box.as_tuple())
 
 
+def _check_output_path(path) -> None:
+    """Raise before any work if ``path`` cannot be written as a file."""
+    if path is None:
+        return
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"{out}: parent directory {out.parent} does not exist")
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -80,6 +92,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_seeds(args) -> int:
+    _check_output_path(args.out)
     records, _ = load_dataset(args.data)
     images = {}
     for rec in records:
@@ -137,6 +150,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
+    _check_output_path(args.out)
     records, manifest = load_dataset(args.data)
     model_config = ModelConfig(
         feature_dim=manifest.feature_dim,
@@ -176,6 +190,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_output_path(args.csv)
     records, manifest = load_dataset(args.data)
     params, config = load_checkpoint(args.checkpoint)
     if config.feature_dim != manifest.feature_dim:
@@ -373,7 +388,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DatasetError, ValueError, FileNotFoundError, NotADirectoryError,
-            IsADirectoryError) as exc:
+            IsADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:

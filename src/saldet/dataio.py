@@ -328,6 +328,8 @@ def _load_record(
     off += 4 * n_px
     maps = {}
     for c in doc["saliency_classes"]:
+        if int(c) in maps:
+            raise DatasetError(f"{json_path}: field 'saliency_classes' lists class {c} twice")
         values = np.frombuffer(blob, dtype="<f4", count=n_px, offset=off)
         off += 4 * n_px
         try:

@@ -16,6 +16,10 @@ the trunk. Seed/negative indices are inputs here, never differentiated.
 One step kernel per parameter set holds the maths: ``forward``,
 ``step_losses``, ``backward`` and ``loss_and_grads`` all run it, the
 last in one reused workspace, which is what a training step calls.
+Every array of a pass lives in one :class:`ForwardTrace`: ``forward``
+returns a new one, and the kernel's workspace is one over its shared
+buffer. ``ForwardTrace.check_ranges`` is the one check of the ranges a
+pass must stay in.
 """
 
 import functools
@@ -179,44 +183,6 @@ def init_params(config: ModelConfig, rng_seed: int) -> ModelParams:
     return params
 
 
-@dataclass
-class ForwardTrace:
-    """Cached activations of one forward pass.
-
-    ``cls_softmax`` rows (one per proposal) sum to 1 over classes;
-    ``det_softmax`` columns (one per class) sum to 1 over proposals.
-    ``scores`` is their elementwise product, shape (N_R, C), and
-    ``image_scores`` its per-class sum over proposals.
-    """
-
-    features: np.ndarray          # (N_R, D)
-    trunk_pre: list[np.ndarray]   # pre-activations per trunk layer
-    trunk_act: list[np.ndarray]   # [features, h_1, ..., h_L]
-    sal_pre: np.ndarray | None
-    sal_hidden: np.ndarray | None
-    sal_logit: np.ndarray | None
-    saliency: np.ndarray          # P, (N_R,); all-ones when branch disabled
-    weighted: np.ndarray          # P[:, None] * trunk output
-    cls_softmax: np.ndarray       # (N_R, C)
-    det_softmax: np.ndarray       # (N_R, C)
-    scores: np.ndarray            # (N_R, C)
-    image_scores: np.ndarray      # (C,)
-    saliency_enabled: bool
-
-    def validate(self):
-        p = self.saliency
-        if self.saliency_enabled and (p.min() <= 0.0 or p.max() >= 1.0):
-            raise FloatingPointError("saliency prediction left the open interval (0, 1)")
-        if self.scores.min() < 0.0 or self.scores.max() > 1.0:
-            raise FloatingPointError("score matrix left [0, 1]")
-        if self.image_scores.min() < 0.0 or self.image_scores.max() > 1.0:
-            raise FloatingPointError("image scores left [0, 1]")
-        if np.abs(self.cls_softmax.sum(axis=1) - 1.0).max() > 1e-6:
-            raise FloatingPointError("classification softmax rows do not sum to 1")
-        if np.abs(self.det_softmax.sum(axis=0) - 1.0).max() > 1e-6:
-            raise FloatingPointError("detection softmax columns do not sum to 1")
-
-
 # ---------------------------------------------------------------------------
 # losses; each returns (value, gradient w.r.t. its own input)
 
@@ -280,17 +246,11 @@ class LossBreakdown:
     total: float
 
 
-def l2_penalty(params: ModelParams, config: ModelConfig) -> float:
-    """Sum of squared weights (biases excluded; saliency branch only if active)."""
-    w = params.flat_values[: param_layout(config).l2_end]
-    return float(w @ w)
-
-
 # ---------------------------------------------------------------------------
 # forward, losses and backward of one image, run by one step kernel
 
 # Beyond |logit| ~36.7 a float64 sigmoid rounds to exactly 0 or 1; the cap
-# keeps P inside the open interval the trace validation asserts. Gradients
+# keeps P inside the open interval ``check_ranges`` asserts. Gradients
 # there are ~2e-16 either way, so the chain rule needs no special casing.
 _SAL_LOGIT_CAP = 36.0
 
@@ -350,15 +310,25 @@ def _workspace_plan(config: ModelConfig, n: int, backward: bool = True):
     return off, plan
 
 
-class _Workspace:
-    """Every array of one step over ``n`` proposals, carved from one float64 buffer.
+class ForwardTrace:
+    """All arrays of one forward pass over ``n`` proposals, carved from one float64 buffer.
 
-    Attributes are named as in :func:`_workspace_plan`; ``trace`` is a
-    :class:`ForwardTrace` over the forward arrays. Three runs of the
-    buffer are checked with one reduction each: ``pre`` (the input copy
-    and every pre-activation), ``unit`` (score matrix and image scores)
-    and ``sums`` (the softmax sums). Without ``buf`` a new buffer holds
-    just the forward arrays.
+    ``features`` (N_R, D) is the input copy; ``trunk_pre`` lists each trunk
+    layer's pre-activations and ``trunk_act`` is [features, h_1, ..., h_L].
+    ``sal_pre``, ``sal_hidden`` and ``sal_logit`` are the saliency branch's
+    (None without it), ``saliency`` is P, (N_R,), all ones without the
+    branch, and ``weighted`` is P[:, None] * trunk output. ``cls_softmax``
+    rows (one per proposal) sum to 1 over classes; ``det_softmax`` columns
+    (one per class) sum to 1 over proposals. ``scores`` is their
+    elementwise product, (N_R, C), and ``image_scores`` its per-class sum
+    over proposals. The other attributes are named as in
+    :func:`_workspace_plan`.
+
+    Three runs of the buffer are checked with one reduction each: ``pre``
+    (the input copy and every pre-activation), ``unit`` (score matrix and
+    image scores) and ``sums`` (the softmax sums). Without ``buf`` a new
+    buffer holds just the forward arrays; a step kernel passes its shared
+    buffer, which also holds the backward pass's scratch.
     """
 
     def __init__(self, config: ModelConfig, n: int, buf: np.ndarray | None = None):
@@ -376,27 +346,20 @@ class _Workspace:
         self.col, self.row = self.row_sums.reshape(n, 1), self.col_sums.reshape(1, -1)
 
         depth = len(config.trunk_widths)
-        pre = [getattr(self, f"pre{l}") for l in range(depth)]
-        act = [getattr(self, f"act{l}") for l in range(depth)]
-        sal = config.saliency_enabled
+        self.trunk_pre = [getattr(self, f"pre{l}") for l in range(depth)]
+        self.trunk_act = [self.features] + [getattr(self, f"act{l}") for l in range(depth)]
+        self.saliency_enabled = sal = config.saliency_enabled
+        if not sal:
+            self.sal_pre = self.sal_hidden = self.sal_logit = None
         # pre-activations in layer order, under the names their errors give
         self.layers = [("input features", self.features)]
-        self.layers += [(f"trunk layer {l}", z) for l, z in enumerate(pre)]
+        self.layers += [(f"trunk layer {l}", z) for l, z in enumerate(self.trunk_pre)]
         if sal:
             self.layers += [
                 ("saliency hidden layer", self.sal_pre),
                 ("saliency output layer", self.sal_raw),
             ]
         self.layers += [("classification stream", self.s_cls), ("detection stream", self.s_det)]
-        self.trace = ForwardTrace(
-            features=self.features, trunk_pre=pre, trunk_act=[self.features] + act,
-            sal_pre=self.sal_pre if sal else None,
-            sal_hidden=self.sal_hidden if sal else None,
-            sal_logit=self.sal_logit if sal else None,
-            saliency=self.saliency, weighted=self.weighted,
-            cls_softmax=self.cls_softmax, det_softmax=self.det_softmax,
-            scores=self.scores, image_scores=self.image_scores, saliency_enabled=sal,
-        )
         if backward:
             self.d_z = [getattr(self, f"d_z{l}") for l in range(depth)]
             self.d_in = [None] + [getattr(self, f"d_in{l}") for l in range(1, depth)]
@@ -412,20 +375,31 @@ class _Workspace:
                 _check_finite(arr, layer)
 
     def check_ranges(self):
-        """Raise what ``trace.validate()`` raises, deciding with fewer reductions."""
-        t = self.trace
-        np.add.reduce(t.cls_softmax, axis=1, out=self.row_sums)
-        np.add.reduce(t.det_softmax, axis=0, out=self.col_sums)
+        """Raise a FloatingPointError naming the first range the pass left.
+
+        The checks run in this order: P in the open interval (0, 1), the
+        score matrix and then the image scores in [0, 1], the softmax rows
+        and then columns summing to 1 within 1e-6. The passing path
+        reduces P, ``unit`` and ``sums`` whole; only a failed run is split
+        to name its part.
+        """
+        p = self.saliency
+        if self.saliency_enabled and (
+            np.minimum.reduce(p) <= 0.0 or np.maximum.reduce(p) >= 1.0
+        ):
+            raise FloatingPointError("saliency prediction left the open interval (0, 1)")
+        if np.minimum.reduce(self.unit) < 0.0 or np.maximum.reduce(self.unit) > 1.0:
+            if self.scores.min() < 0.0 or self.scores.max() > 1.0:
+                raise FloatingPointError("score matrix left [0, 1]")
+            raise FloatingPointError("image scores left [0, 1]")
+        np.add.reduce(self.cls_softmax, axis=1, out=self.row_sums)
+        np.add.reduce(self.det_softmax, axis=0, out=self.col_sums)
         self.sums -= 1.0
         np.abs(self.sums, out=self.sums)
-        p = t.saliency
-        if (
-            (t.saliency_enabled and (np.minimum.reduce(p) <= 0.0 or np.maximum.reduce(p) >= 1.0))
-            or np.minimum.reduce(self.unit) < 0.0
-            or np.maximum.reduce(self.unit) > 1.0
-            or np.maximum.reduce(self.sums) > 1e-6
-        ):
-            t.validate()
+        if np.maximum.reduce(self.sums) > 1e-6:
+            if self.row_sums.max() > 1e-6:
+                raise FloatingPointError("classification softmax rows do not sum to 1")
+            raise FloatingPointError("detection softmax columns do not sum to 1")
 
 
 class _StepKernel:
@@ -466,7 +440,7 @@ class _StepKernel:
         self.buffer = np.empty(0)
         self._workspaces = {}
 
-    def workspace(self, n: int) -> _Workspace:
+    def workspace(self, n: int) -> ForwardTrace:
         """Views of the shared buffer for ``n`` proposals; the buffer only grows."""
         ws = self._workspaces.get(n)
         if ws is None:
@@ -476,11 +450,11 @@ class _StepKernel:
                 self._workspaces.clear()
             elif len(self._workspaces) >= _KEPT_COUNTS:
                 self._workspaces.clear()
-            ws = self._workspaces[n] = _Workspace(self.config, n, self.buffer)
+            ws = self._workspaces[n] = ForwardTrace(self.config, n, self.buffer)
         return ws
 
-    def forward(self, ws: _Workspace, x: np.ndarray) -> None:
-        """Fill ``ws.trace`` from checked features ``x``, then validate it."""
+    def forward(self, ws: ForwardTrace, x: np.ndarray) -> None:
+        """Fill ``ws`` from checked features ``x``, then check its ranges."""
         np.copyto(ws.features, x)
         # overflow surfaces as a FloatingPointError from the finiteness
         # check, so the numpy warning would only duplicate it
@@ -488,22 +462,21 @@ class _StepKernel:
             self._forward(ws)
 
     def _forward(self, ws):
-        t = ws.trace
         h = ws.features
-        for (w, b), z, out in zip(self.trunk, t.trunk_pre, t.trunk_act[1:]):
+        for (w, b), z, out in zip(self.trunk, ws.trunk_pre, ws.trunk_act[1:]):
             np.dot(h, w, out=z)
             z += b
             h = np.maximum(z, 0.0, out=out)
 
-        p = t.saliency
-        if t.saliency_enabled:
+        p = ws.saliency
+        if ws.saliency_enabled:
             w, b, w_out, b_out = self.sal
-            np.dot(h, w, out=t.sal_pre)
-            t.sal_pre += b
-            np.maximum(t.sal_pre, 0.0, out=t.sal_hidden)
-            np.dot(t.sal_hidden, w_out, out=ws.sal_raw)
+            np.dot(h, w, out=ws.sal_pre)
+            ws.sal_pre += b
+            np.maximum(ws.sal_pre, 0.0, out=ws.sal_hidden)
+            np.dot(ws.sal_hidden, w_out, out=ws.sal_raw)
             ws.sal_raw += b_out
-            logit = t.sal_logit
+            logit = ws.sal_logit
             np.maximum(ws.sal_raw, -_SAL_LOGIT_CAP, out=logit)
             np.minimum(logit, _SAL_LOGIT_CAP, out=logit)
             # sigmoid: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))
@@ -520,7 +493,7 @@ class _StepKernel:
         else:
             p.fill(1.0)
 
-        g = t.weighted
+        g = ws.weighted
         np.multiply(h, p[:, None], out=g)
         w_cls, b_cls, w_det, b_det = self.head
         np.dot(g, w_cls, out=ws.s_cls)
@@ -529,23 +502,23 @@ class _StepKernel:
         ws.s_det += b_det
         ws.check_finite()
 
-        a, col = t.cls_softmax, ws.col
+        a, col = ws.cls_softmax, ws.col
         np.maximum.reduce(ws.s_cls, axis=1, keepdims=True, out=col)
         np.subtract(ws.s_cls, col, out=a)
         np.exp(a, out=a)
         np.add.reduce(a, axis=1, keepdims=True, out=col)
         a /= col
-        b, row = t.det_softmax, ws.row
+        b, row = ws.det_softmax, ws.row
         np.maximum.reduce(ws.s_det, axis=0, keepdims=True, out=row)
         np.subtract(ws.s_det, row, out=b)
         np.exp(b, out=b)
         np.add.reduce(b, axis=0, keepdims=True, out=row)
         b /= row
 
-        np.multiply(a, b, out=t.scores)
+        np.multiply(a, b, out=ws.scores)
         # the per-class sum is <= 1 exactly; min() only absorbs summation rounding
-        np.add.reduce(t.scores, axis=0, out=t.image_scores)
-        np.minimum(t.image_scores, 1.0, out=t.image_scores)
+        np.add.reduce(ws.scores, axis=0, out=ws.image_scores)
+        np.minimum(ws.image_scores, 1.0, out=ws.image_scores)
         ws.check_ranges()
 
     def losses(self, trace, labels_y, assignment, d_scores, d_sal) -> LossBreakdown:
@@ -595,7 +568,7 @@ class _StepKernel:
             image_cls=l_ic, seed_cls=l_sc, seed_sal=l_ss, l2=l_reg, total=total
         )
 
-    def backward(self, trace, d_scores, d_sal, ws: _Workspace) -> None:
+    def backward(self, trace, d_scores, d_sal, ws: ForwardTrace) -> None:
         """Write the gradient of the weighted total into ``grad``, using ``ws`` as scratch."""
         a, b = trace.cls_softmax, trace.det_softmax
         d_cls, d_det, tmp = ws.d_cls, ws.d_det, ws.tmp
@@ -676,9 +649,9 @@ def forward(params: ModelParams, features: np.ndarray, config: ModelConfig) -> F
     The trace's arrays are new on every call.
     """
     x = _check_features(features, config)
-    ws = _Workspace(config, x.shape[0])
-    _step_kernel(params, config).forward(ws, x)
-    return ws.trace
+    trace = ForwardTrace(config, x.shape[0])
+    _step_kernel(params, config).forward(trace, x)
+    return trace
 
 
 def step_losses(params, trace, labels_y, assignment, config):
@@ -724,8 +697,8 @@ def loss_and_grads(params, features, labels_y, assignment, config):
     kernel = _step_kernel(params, config)
     ws = kernel.workspace(x.shape[0])
     kernel.forward(ws, x)
-    breakdown = kernel.losses(ws.trace, labels_y, assignment, ws.d_scores, ws.d_sal)
-    kernel.backward(ws.trace, ws.d_scores, ws.d_sal, ws)
+    breakdown = kernel.losses(ws, labels_y, assignment, ws.d_scores, ws.d_sal)
+    kernel.backward(ws, ws.d_scores, ws.d_sal, ws)
     return breakdown, kernel.grad.copy()
 
 

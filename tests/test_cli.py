@@ -64,6 +64,13 @@ class TestSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_records_path_taken_by_a_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        out.mkdir()
+        (out / "records").write_text("")
+        assert main(["synth", "--out", str(out), "--images", "2"]) == 1
+        assert "File exists" in _one_error_line(capsys)
+
 
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err.splitlines()
@@ -171,8 +178,20 @@ class TestMalformedDataset:
 
 class TestOutputPathIsADirectory:
     @pytest.mark.parametrize("command", ["eval", "seeds", "train"])
-    def test_one_error_line_exit_1(self, dataset, checkpoint, tmp_path, capsys, command):
-        out = str(tmp_path)
+    @pytest.mark.parametrize("where, message", [
+        ("dir", "Is a directory"),
+        ("missing/out", "does not exist"),
+    ])
+    def test_one_error_line_exit_1(
+        self, dataset, checkpoint, tmp_path, capsys, monkeypatch, command, where, message
+    ):
+        def never_called(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        monkeypatch.setattr(cli, "load_dataset", never_called)
+        monkeypatch.setattr(cli, "train", never_called)
+        (tmp_path / "dir").mkdir()
+        out = str(tmp_path / where)
         argv = {
             "eval": ["eval", "--data", str(dataset), "--checkpoint", str(checkpoint),
                      "--csv", out],
@@ -181,7 +200,7 @@ class TestOutputPathIsADirectory:
                       "--trunk-widths", "8", "--saliency-hidden", "4"],
         }[command]
         assert main(argv) == 1
-        assert "Is a directory" in _one_error_line(capsys)
+        assert message in _one_error_line(capsys)
 
 
 class TestTrain:

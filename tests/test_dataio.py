@@ -348,6 +348,26 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match=f"{doc['images'][1]}' is listed twice"):
             load_dataset(path)
 
+    def test_saliency_class_listed_twice_is_dataset_error(self, saved):
+        # a second copy of the first map, so the blob size still fits the header
+        path = self._edit_record(
+            saved,
+            lambda doc: doc.update(saliency_classes=doc["saliency_classes"][:1]
+                                   + doc["saliency_classes"]),
+        )
+        doc = json.loads(path.read_text())
+        bin_path = path.with_suffix(".bin")
+        data = bin_path.read_bytes()
+        first_map = 16 + 4 * doc["width"] * doc["height"]
+        end = first_map + 4 * doc["width"] * doc["height"]
+        bin_path.write_bytes(data[:end] + data[first_map:end] + data[end:])
+        with pytest.raises(
+            DatasetError,
+            match=f"{path.name}: field 'saliency_classes' lists class "
+                  f"{doc['saliency_classes'][0]} twice",
+        ):
+            load_dataset(saved)
+
     @pytest.mark.parametrize("stem", ["../outside", "sub/img", "..", "a\\b"])
     def test_stem_must_be_a_plain_name(self, saved, stem):
         # a loadable record outside records/, reachable through the stem

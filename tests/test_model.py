@@ -15,7 +15,6 @@ from saldet.model import (
     forward,
     image_classification_loss,
     init_params,
-    l2_penalty,
     load_checkpoint,
     loss_and_grads,
     param_layout,
@@ -131,13 +130,18 @@ class TestFlatBuffers:
                 np.arange(param_layout(config).l2_end),
             )
 
-    def test_l2_penalty_matches_per_tensor_sum(self):
+    def test_l2_term_matches_per_tensor_sum(self):
         params = init_params(CFG, rng_seed=4)
         want = sum(
             float((arr * arr).sum()) for name, arr in params.values.items()
             if name.endswith(".w")
         )
-        assert l2_penalty(params, CFG) == pytest.approx(want, rel=1e-12)
+        feats, y = np.random.default_rng(0).normal(size=(3, 4)), [1, -1, -1, 1]
+        trace = forward(params, feats, CFG)
+        assert step_losses(params, trace, y, None, CFG)[0].l2 == pytest.approx(want, rel=1e-12)
+        assert loss_and_grads(params, feats, y, None, CFG)[0].l2 == pytest.approx(
+            want, rel=1e-12
+        )
 
 
 class TestForward:
@@ -327,13 +331,24 @@ class TestStepLosses:
             feature_dim=4, num_classes=4, trunk_widths=(8,), saliency_hidden=4,
             saliency_enabled=False,
         )
+        # the same seed gives the same tensors; only the L2 set differs
+        params_off = init_params(off, rng_seed=8)
+        np.testing.assert_array_equal(params_off.flat_values, params.flat_values)
         sal_sq = sum(
             float((params.values[n] ** 2).sum())
             for n in ("sal_hidden.w", "sal_out.w")
         )
-        assert l2_penalty(params, CFG) - l2_penalty(params, off) == pytest.approx(
-            sal_sq, rel=1e-12
-        )
+        feats, y = np.random.default_rng(1).normal(size=(3, 4)), [1, -1, -1, 1]
+
+        def l2_terms(p, config):
+            trace = forward(p, feats, config)
+            return (
+                step_losses(p, trace, y, None, config)[0].l2,
+                loss_and_grads(p, feats, y, None, config)[0].l2,
+            )
+
+        for on_l2, off_l2 in zip(l2_terms(params, CFG), l2_terms(params_off, off)):
+            assert on_l2 - off_l2 == pytest.approx(sal_sq, rel=1e-12)
 
     def test_disabled_branch_gets_zero_grads(self):
         config = ModelConfig(
@@ -575,17 +590,19 @@ class TestTraceChecks:
             with pytest.raises(FloatingPointError, match="open interval"):
                 forward(params, np.zeros((3, 4)), CFG)
 
-    @pytest.mark.parametrize("array, index, value, message", [
-        ("saliency", 0, 1.0, "saliency prediction left the open interval"),
-        ("saliency", 1, 0.0, "saliency prediction left the open interval"),
-        ("scores", (1, 2), 1.5, "score matrix left"),
-        ("scores", (0, 0), -0.25, "score matrix left"),
-        ("image_scores", 3, 1.0 + 1e-9, "image scores left"),
-        ("image_scores", 0, -1e-9, "image scores left"),
-        ("cls_softmax", (2, 1), 0.5, "classification softmax rows"),
-        ("det_softmax", (0, 3), 0.5, "detection softmax columns"),
+    @pytest.mark.parametrize("pokes, message", [
+        ([("saliency", 0, 1.0)], "saliency prediction left the open interval"),
+        ([("saliency", 1, 0.0)], "saliency prediction left the open interval"),
+        ([("scores", (1, 2), 1.5)], "score matrix left"),
+        ([("scores", (0, 0), -0.25)], "score matrix left"),
+        ([("image_scores", 3, 1.0 + 1e-9)], "image scores left"),
+        ([("image_scores", 0, -1e-9)], "image scores left"),
+        ([("cls_softmax", (2, 1), 0.5)], "classification softmax rows"),
+        ([("det_softmax", (0, 3), 0.5)], "detection softmax columns"),
+        # two failures: the earlier check in the order names the error
+        ([("cls_softmax", (2, 1), 0.5), ("scores", (1, 2), 1.5)], "score matrix left"),
     ])
-    def test_each_range_check_raises_its_message(self, array, index, value, message):
+    def test_each_range_check_raises_its_message(self, pokes, message):
         from saldet import model as m
 
         params = random_params(CFG2, 6)
@@ -593,11 +610,40 @@ class TestTraceChecks:
         loss_and_grads(params, features, [1, 1, -1, -1], None, CFG2)
         ws = m._step_kernel(params, CFG2).workspace(5)
         ws.check_ranges()  # an untouched trace passes
-        getattr(ws.trace, array)[index] = value
-        with pytest.raises(FloatingPointError, match=message):
-            ws.trace.validate()
+        for array, index, value in pokes:
+            getattr(ws, array)[index] = value
         with pytest.raises(FloatingPointError, match=message):
             ws.check_ranges()
+
+
+class TestForwardTrace:
+    NAMES = (
+        "features", "trunk_pre", "trunk_act", "sal_pre", "sal_hidden", "sal_logit",
+        "saliency", "weighted", "cls_softmax", "det_softmax", "scores", "image_scores",
+        "saliency_enabled",
+    )
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_forward_and_the_step_workspace_are_one_class(self, enabled):
+        from saldet import ForwardTrace
+        from saldet import model as m
+
+        config = replace(CFG2, saliency_enabled=enabled)
+        params = random_params(config, 4)
+        features = np.random.default_rng(2).normal(size=(5, 4))
+        trace = forward(params, features, config)
+        loss_and_grads(params, features, [1, 1, -1, -1], None, config)
+        ws = m._step_kernel(params, config).workspace(5)
+        assert type(trace) is type(ws) is ForwardTrace
+        for t in (trace, ws):
+            assert t.saliency_enabled is enabled
+            for name in self.NAMES:
+                value = getattr(t, name)  # every name resolves
+                if name.startswith("sal_"):
+                    assert (value is None) is not enabled
+        # the step ran the same forward pass in the kernel's buffer
+        for name in ("saliency", "weighted", "scores", "image_scores"):
+            np.testing.assert_array_equal(getattr(ws, name), getattr(trace, name))
 
 
 class TestStepMemory:
