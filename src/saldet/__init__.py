@@ -56,7 +56,6 @@ from .model import (
 )
 from .seeds import (
     SeedAssignment,
-    SeedScore,
     make_assignment,
     proposal_scores,
     saliency_contrast,
@@ -92,7 +91,6 @@ __all__ = [
     "Proposal",
     "SaliencyMap",
     "SeedAssignment",
-    "SeedScore",
     "SuperpixelGrid",
     "SynthConfig",
     "TrainConfig",

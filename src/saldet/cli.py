@@ -96,19 +96,19 @@ def _cmd_seeds(args) -> int:
     records, _ = load_dataset(args.data)
     images = {}
     for rec in records:
-        terms = proposal_scores(rec, args.sigma)
-        scores = select_seeds(rec, args.sigma, terms)
-        assignment = select_negatives(rec, scores, terms)
+        scores = proposal_scores(rec, args.sigma)
+        seeds = select_seeds(scores)
+        assignment = select_negatives(rec, seeds, scores)
         entry = {
             "classes": {
                 str(c): {
-                    "seed_index": s.proposal_index,
-                    "seed_bbox": _box_list(rec.proposals[s.proposal_index].bbox),
-                    "region_saliency": s.rs,
-                    "neighborhood_saliency": s.ns,
-                    "contrast": s.contrast,
+                    "seed_index": i,
+                    "seed_bbox": _box_list(rec.proposals[i].bbox),
+                    "region_saliency": float(scores[c][0][i]),
+                    "neighborhood_saliency": float(scores[c][1][i]),
+                    "contrast": float(scores[c][2][i]),
                 }
-                for c, s in sorted(scores.items())
+                for c, i in sorted(seeds.items())
             },
             "negatives": list(assignment.negatives),
         }
@@ -151,6 +151,7 @@ def _train_config(args) -> TrainConfig:
 
 def _cmd_train(args) -> int:
     _check_output_path(args.out)
+    train_config = _train_config(args)
     records, manifest = load_dataset(args.data)
     model_config = ModelConfig(
         feature_dim=manifest.feature_dim,
@@ -161,7 +162,6 @@ def _cmd_train(args) -> int:
         lambda_seed_sal=args.lambda_seed_sal,
         lambda_l2=args.lambda_l2,
     )
-    train_config = _train_config(args)
     params, train_log = train(
         records, model_config, train_config, checkpoint_path=args.out
     )
@@ -191,8 +191,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     _check_output_path(args.csv)
-    records, manifest = load_dataset(args.data)
     params, config = load_checkpoint(args.checkpoint)
+    records, manifest = load_dataset(args.data)
     if config.feature_dim != manifest.feature_dim:
         raise DatasetError(
             f"checkpoint feature dim {config.feature_dim} does not match "

@@ -764,6 +764,8 @@ def load_checkpoint(path):
         return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt)))
 
     feature_dim, num_classes, sal_hidden, sal_enabled = unpack("<IIII")
+    if sal_enabled not in (0, 1):
+        raise ValueError(f"{path}: saliency flag {sal_enabled} is neither 0 nor 1")
     (n_trunk,) = unpack("<I")
     widths = unpack(f"<{n_trunk}I")
     config = ModelConfig(

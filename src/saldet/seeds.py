@@ -4,9 +4,10 @@ For every labeled class the proposal with the highest area-weighted
 saliency contrast (mean in-region saliency minus mean saliency of the
 adjacent superpixels) becomes the class seed; an equal number of
 negatives is mined from the proposals with the lowest in-region
-saliency. The simpler map-thresholding baseline is provided for
-comparison: it merges touching salient objects into one box, which is
-exactly the failure mode seed selection avoids.
+saliency. Both picks read one scoring pass, ``proposal_scores``, and
+``make_assignment`` runs the three steps. The simpler map-thresholding
+baseline is provided for comparison: it merges touching salient objects
+into one box, which is exactly the failure mode seed selection avoids.
 """
 
 import logging
@@ -29,17 +30,6 @@ _EXP_ARG_CAP = 64.0
 # libm's exp elementwise: numpy's vectorized exp can differ from it in the
 # last bit, which would change reported contrasts from earlier releases
 _exp = np.vectorize(math.exp, otypes=[np.float64])
-
-
-@dataclass(frozen=True)
-class SeedScore:
-    """Contrast score of one proposal for one class."""
-
-    proposal_index: int
-    class_id: int
-    rs: float        # mean saliency inside the proposal
-    ns: float        # mean saliency of the adjacent superpixels
-    contrast: float  # exp(area/sigma^2) * (rs - ns)
 
 
 @dataclass(frozen=True)
@@ -90,16 +80,19 @@ class SeedAssignment:
 # ---------------------------------------------------------------------------
 # scoring
 
-def _region_terms(record: ImageRecord):
-    """Member pairs, membership, class sums, areas and region saliency.
+def proposal_scores(record: ImageRecord, sigma: float) -> dict[int, tuple]:
+    """``(rs, ns, contrast)`` rows over all proposals, per positive class.
 
-    ``rows`` and ``ids`` list every (proposal, member superpixel) pair,
-    proposal by proposal; the membership is (P, n_sp), the class sums
-    (C, n_sp) and ``rs`` (C, P). Rows of the class sums and of ``rs``
-    follow ``record.labels.positives``.
+    The one scoring pass of seed selection: ``select_seeds`` and
+    ``select_negatives`` both read its result. ``rs`` is the mean
+    saliency inside each proposal; ``ns`` the mean saliency of its
+    neighborhood, the superpixels adjacent to a member but not members
+    themselves, or 0 when that neighborhood is empty. Neighbours come
+    from the grid's neighbour lists.
     """
     grid = record.grid
     n_sp = grid.n_superpixels
+    # every (proposal, member superpixel) pair, proposal by proposal
     sizes = [len(p.superpixel_ids) for p in record.proposals]
     rows = np.repeat(np.arange(len(sizes)), sizes)
     ids = np.fromiter(
@@ -108,6 +101,7 @@ def _region_terms(record: ImageRecord):
     )
     member = np.zeros((len(sizes), n_sp))
     member[rows, ids] = 1.0
+    # class sums (C, n_sp), rows following record.labels.positives
     sums = np.stack([
         _accel.superpixel_sums(
             grid.labels, np.asarray(record.saliency[c].values, dtype=np.float64), n_sp
@@ -115,19 +109,7 @@ def _region_terms(record: ImageRecord):
         for c in record.labels.positives
     ])
     area = np.array([p.area_px for p in record.proposals], dtype=np.float64)
-    return rows, ids, member, sums, area, sums @ member.T / area
-
-
-def proposal_scores(record: ImageRecord, sigma: float) -> dict[int, tuple]:
-    """``(rs, ns, contrast)`` rows over all proposals, per positive class.
-
-    ``rs`` is the mean saliency inside each proposal; ``ns`` the mean
-    saliency of its neighborhood, the superpixels adjacent to a member
-    but not members themselves, or 0 when that neighborhood is empty.
-    Neighbours come from the grid's neighbour lists.
-    """
-    rows, ids, member, sums, area, rs = _region_terms(record)
-    grid = record.grid
+    rs = sums @ member.T / area
     offsets, neighbor_ids = grid.neighbors
     # one gather over the neighbour lists of every (proposal, member)
     # pair: entry j of a list sits at its start plus j
@@ -160,41 +142,29 @@ def saliency_contrast(rs, ns, area_px, sigma: float):
     return _exp(arg) * (rs - ns)
 
 
-def select_seeds(record: ImageRecord, sigma: float, scores=None) -> dict[int, SeedScore]:
+def select_seeds(scores: dict[int, tuple]) -> dict[int, int]:
     """Pick the highest-contrast proposal per positive class.
 
-    Ties break toward the lowest proposal index. ``scores`` is
-    ``proposal_scores(record, sigma)`` when the caller already has it.
+    ``scores`` is ``proposal_scores`` of the record; the result maps each
+    class to its seed proposal index. Ties break toward the lowest index.
     """
-    if scores is None:
-        scores = proposal_scores(record, sigma)
-    chosen = {}
-    for c, (rs, ns, sc) in scores.items():
-        i = int(np.argmax(sc))  # argmax returns the first (lowest) index on ties
-        chosen[c] = SeedScore(
-            proposal_index=i, class_id=c, rs=float(rs[i]), ns=float(ns[i]),
-            contrast=float(sc[i]),
-        )
-    return chosen
+    # argmax returns the first (lowest) index on ties
+    return {c: int(np.argmax(contrast)) for c, (_, _, contrast) in scores.items()}
 
 
 def select_negatives(
-    record: ImageRecord, seeds: dict[int, SeedScore], scores=None
+    record: ImageRecord, seeds: dict[int, int], scores: dict[int, tuple]
 ) -> SeedAssignment:
     """Mine one lowest-region-saliency negative per positive class.
 
+    ``seeds`` is ``select_seeds(scores)`` and ``scores`` the same
+    ``proposal_scores`` of the record; only its ``rs`` rows are read.
     Classes are processed in ascending order; every pick excludes all
     seeds and previously mined negatives, so negatives stay disjoint.
     When the image has too few proposals the negative list is truncated
-    with a warning. ``scores`` is ``proposal_scores`` of the record when
-    the caller already has it; only its ``rs`` rows are read.
+    with a warning.
     """
-    if scores is None:
-        *_, rs = _region_terms(record)
-        region = dict(zip(record.labels.positives, rs))
-    else:
-        region = {c: rs for c, (rs, _, _) in scores.items()}
-    used = {score.proposal_index for score in seeds.values()}
+    used = set(seeds.values())
     negatives = []
     n_props = record.num_proposals
     for c in sorted(seeds):
@@ -205,10 +175,10 @@ def select_negatives(
                 record.id, n_props, 2 * len(seeds),
             )
             break
-        masked = region[c].copy()
+        masked = scores[c][0].copy()
         masked[list(blocked)] = np.inf
         negatives.append(int(np.argmin(masked)))
-    seed_items = tuple((c, seeds[c].proposal_index) for c in sorted(seeds))
+    seed_items = tuple((c, seeds[c]) for c in sorted(seeds))
     return SeedAssignment(seeds=seed_items, negatives=tuple(negatives))
 
 
@@ -218,7 +188,7 @@ def make_assignment(record: ImageRecord, sigma: float) -> SeedAssignment:
     Both read one ``proposal_scores`` of the record.
     """
     scores = proposal_scores(record, sigma)
-    return select_negatives(record, select_seeds(record, sigma, scores), scores)
+    return select_negatives(record, select_seeds(scores), scores)
 
 
 # ---------------------------------------------------------------------------

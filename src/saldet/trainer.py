@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("phase_boundary must be >= 0")
         if self.feature_jitter < 0:
             raise ValueError("feature_jitter must be >= 0")
+        if self.sigma <= 0:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     def learning_rate(self, epoch: int) -> float:
         """lr for a 1-based epoch index."""

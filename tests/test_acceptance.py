@@ -42,7 +42,12 @@ from saldet.model import (
     seed_classification_loss,
     seed_saliency_loss,
 )
-from saldet.seeds import select_negatives, select_seeds, threshold_baseline
+from saldet.seeds import (
+    proposal_scores,
+    select_negatives,
+    select_seeds,
+    threshold_baseline,
+)
 from saldet.trainer import TrainConfig, train
 
 
@@ -91,10 +96,11 @@ def test_criterion_3_seed_selection_matches_pixel_oracle():
         SynthConfig(images=200, objects_per_image=(1, 3), seed=321)
     )
     for rec in records:
-        seeds = select_seeds(rec, sigma)
-        got = {c: s.proposal_index for c, s in seeds.items()}
+        # the calls make_assignment makes, on one scoring pass
+        scores = proposal_scores(rec, sigma)
+        got = select_seeds(scores)
         assert got == pixel_select_seeds(rec, sigma)
-        assert list(select_negatives(rec, seeds).negatives) == (
+        assert list(select_negatives(rec, got, scores).negatives) == (
             pixel_select_negatives(rec, got, sigma)
         )
         from saldet.core import SaliencyMap
@@ -107,8 +113,7 @@ def test_criterion_3_seed_selection_matches_pixel_oracle():
                     for c, m in rec.saliency.items()
                 },
             )
-            rescored = select_seeds(scaled, sigma)
-            assert {c: s.proposal_index for c, s in rescored.items()} == got
+            assert select_seeds(proposal_scores(scaled, sigma)) == got
     print(
         "CRITERION 3 PASS: 200 images match the pixel oracle index-for-index; "
         "seeds invariant under 6 affine rescalings"
@@ -117,8 +122,7 @@ def test_criterion_3_seed_selection_matches_pixel_oracle():
 
 def test_criterion_4_touching_objects_separate(touching_objects_record):
     rec = touching_objects_record
-    seeds = select_seeds(rec, sigma=1e3)
-    picks = {c: s.proposal_index for c, s in seeds.items()}
+    picks = select_seeds(proposal_scores(rec, sigma=1e3))
     assert picks == {0: 0, 1: 1}
     assert len(set(picks.values())) == 2
     merged = {c: threshold_baseline(rec.saliency[c], theta=0.5) for c in (0, 1)}

@@ -12,9 +12,10 @@ import pytest
 
 import saldet.cli as cli
 from saldet.cli import main
-from saldet.dataio import SynthConfig
+from saldet.dataio import SynthConfig, load_dataset
 from saldet.model import ModelConfig
-from saldet.trainer import TrainConfig
+from saldet.seeds import proposal_scores
+from saldet.trainer import TrainConfig, precompute_assignments
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,24 @@ class TestSeeds:
         assert main(["seeds", "--data", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_agrees_with_training(self, dataset, capsys):
+        assert main(["--json", "seeds", "--data", str(dataset)]) == 0
+        images = json.loads(capsys.readouterr().out.strip())["images"]
+        records, _ = load_dataset(dataset)
+        assignments = precompute_assignments(records)
+        assert sorted(images) == sorted(assignments)
+        for rec in records:
+            entry, assignment = images[rec.id], assignments[rec.id]
+            seeds = {int(c): e["seed_index"] for c, e in entry["classes"].items()}
+            assert tuple(sorted(seeds.items())) == assignment.seeds
+            assert tuple(entry["negatives"]) == assignment.negatives
+            scores = proposal_scores(rec, TrainConfig.sigma)
+            for c, i in seeds.items():
+                rs, ns, contrast = (float(row[i]) for row in scores[c])
+                e = entry["classes"][str(c)]
+                assert (e["region_saliency"], e["neighborhood_saliency"],
+                        e["contrast"]) == (rs, ns, contrast)
+
 
 def _break_width(ds):
     path = sorted((ds / "records").glob("*.json"))[0]
@@ -254,6 +273,21 @@ class TestTrain:
         assert code == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_bad_sigma_is_rejected_before_the_load(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "load_dataset", _refuse_load)
+        code = main([
+            "train", "--data", str(dataset), "--out", str(tmp_path / "m.ckpt"),
+            "--sigma", "-1", "--disable-seed-losses", "--disable-saliency-subnet",
+        ])
+        assert code == 1
+        assert _one_error_line(capsys) == "error: sigma must be positive and finite, got -1.0"
+
+
+def _refuse_load(*args):
+    raise AssertionError("the dataset was loaded")
+
 
 class TestEval:
     def test_json_report(self, dataset, checkpoint, capsys):
@@ -340,6 +374,14 @@ class TestEval:
         (empty / "manifest.json").write_text(json.dumps(doc))
         assert main(["eval", "--data", str(empty), "--checkpoint", str(checkpoint)]) == 1
         assert "empty dataset" in _one_error_line(capsys)
+
+    def test_missing_checkpoint_is_read_before_the_dataset(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "load_dataset", _refuse_load)
+        missing = tmp_path / "missing.ckpt"
+        assert main(["eval", "--data", str(dataset), "--checkpoint", str(missing)]) == 1
+        assert str(missing) in _one_error_line(capsys)
 
     def test_corrupt_checkpoint_exits_1(self, dataset, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

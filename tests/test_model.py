@@ -429,6 +429,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    def test_rejects_saliency_flag_other_than_0_or_1(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(CFG, 0), CFG)
+        blob = bytearray(path.read_bytes())
+        # the flag follows magic, version, tensor count and three dims
+        struct.pack_into("<I", blob, 16 + 12, 7)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=f"{path}: saliency flag 7"):
+            load_checkpoint(path)
+
     def test_every_truncation_is_a_value_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, init_params(CFG, 0), CFG)

@@ -60,31 +60,31 @@ class TestHandValues:
         assert any("capping" in m for m in caplog.messages)
 
     def test_seed_prefers_high_contrast(self, two_superpixel_record):
-        seeds = select_seeds(two_superpixel_record, SIGMA)
-        assert list(seeds) == [0]
-        score = seeds[0]
-        assert score.proposal_index == 0
-        assert score.rs == float(np.float32(0.8))
-        assert score.ns == float(np.float32(0.2))
-        assert score.contrast == pytest.approx(
-            math.exp(4 / SIGMA**2) * (score.rs - score.ns), rel=1e-15
-        )
+        scores = proposal_scores(two_superpixel_record, SIGMA)
+        assert select_seeds(scores) == {0: 0}
+        rs, ns, contrast = (float(row[0]) for row in scores[0])
+        assert rs == float(np.float32(0.8))
+        assert ns == float(np.float32(0.2))
+        assert contrast == pytest.approx(math.exp(4 / SIGMA**2) * (rs - ns), rel=1e-15)
 
     def test_small_sigma_favors_area(self, two_superpixel_record):
         # exp(8)*0.5 dwarfs exp(4)*0.6: the area weight flips the argmax
-        seeds = select_seeds(two_superpixel_record, sigma=1.0)
-        assert seeds[0].proposal_index == 2
+        assert select_seeds(proposal_scores(two_superpixel_record, sigma=1.0)) == {0: 2}
+
+    def test_ties_break_toward_lowest_index(self):
+        row = np.array([0.0])
+        contrast = np.array([0.5, 0.9, 0.9, 0.1])
+        assert select_seeds({3: (row, row, contrast)}) == {3: 1}
 
 
 class TestTouchingObjects:
     def test_seeds_are_distinct_objects(self, touching_objects_record):
         rec = touching_objects_record
-        seeds = select_seeds(rec, SIGMA)
-        assert seeds[0].proposal_index == 0
-        assert seeds[1].proposal_index == 1
+        scores = proposal_scores(rec, SIGMA)
+        assert select_seeds(scores) == {0: 0, 1: 1}
         assert rec.proposals[0].bbox == rec.gt_boxes[0][1]
         assert rec.proposals[1].bbox == rec.gt_boxes[1][1]
-        assert seeds[0].contrast == pytest.approx(
+        assert scores[0][2][0] == pytest.approx(
             math.exp(64 / SIGMA**2) * (1 - 1.1 / 6), rel=1e-6
         )
 
@@ -126,14 +126,11 @@ class TestAgainstPixelOracle:
 
     def test_selection_matches(self, corpus):
         for rec in corpus:
-            seeds = select_seeds(rec, SIGMA)
-            assert {c: s.proposal_index for c, s in seeds.items()} == pixel_select_seeds(
-                rec, SIGMA
-            )
-            assignment = select_negatives(rec, seeds)
-            assert list(assignment.negatives) == pixel_select_negatives(
-                rec, {c: s.proposal_index for c, s in seeds.items()}, SIGMA
-            )
+            scores = proposal_scores(rec, SIGMA)
+            seeds = select_seeds(scores)
+            assert seeds == pixel_select_seeds(rec, SIGMA)
+            assignment = select_negatives(rec, seeds, scores)
+            assert list(assignment.negatives) == pixel_select_negatives(rec, seeds, SIGMA)
 
     def test_make_assignment_sums_each_class_once(self, corpus, monkeypatch):
         real = _accel.superpixel_sums
@@ -146,10 +143,8 @@ class TestAgainstPixelOracle:
         monkeypatch.setattr(_accel, "superpixel_sums", counting)
         for rec in corpus:
             calls.clear()
-            assignment = make_assignment(rec, SIGMA)
+            make_assignment(rec, SIGMA)
             assert len(calls) == len(rec.labels.positives)
-            # the same result as the two steps computing their own terms
-            assert assignment == select_negatives(rec, select_seeds(rec, SIGMA))
 
     @pytest.mark.parametrize("a,b", [(0.1, 0.0), (3.0, 5.0), (100.0, 5.0)])
     def test_selection_invariant_to_affine_rescale(self, corpus, a, b):

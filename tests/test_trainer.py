@@ -49,6 +49,8 @@ class TestTrainConfig:
             {"momentum": -0.1},
             {"phase_boundary": -1},
             {"feature_jitter": -0.5},
+            {"sigma": 0.0},
+            {"sigma": -1.0},
         ],
     )
     def test_rejects(self, kw):
