@@ -129,6 +129,14 @@ def run_variant(
     return BenchmarkRun(variant, seed, train_report, test_report)
 
 
+def check_ablation(variants, seeds) -> tuple[list, list]:
+    """``variants`` and ``seeds`` as lists; ValueError if either is empty."""
+    variants, seeds = list(variants), list(seeds)
+    if not variants or not seeds:
+        raise ValueError("the ablation needs at least one variant and one seed")
+    return variants, seeds
+
+
 def run_benchmark(
     variants=VARIANTS, seeds=range(5), records=None,
     model_config: ModelConfig = STANDARD_MODEL,
@@ -137,9 +145,7 @@ def run_benchmark(
 
     ``records`` and ``model_config`` pass through to :func:`run_variant`.
     """
-    variants, seeds = list(variants), list(seeds)
-    if not variants or not seeds:
-        raise ValueError("the ablation needs at least one variant and one seed")
+    variants, seeds = check_ablation(variants, seeds)
     result = BenchmarkResult()
     for variant in variants:
         for seed in seeds:

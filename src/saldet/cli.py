@@ -19,9 +19,10 @@ from pathlib import Path
 
 from . import benchmark as bench
 from .dataio import DatasetError, SynthConfig, generate_synthetic, load_dataset, save_dataset
-from .evaluate import evaluate
+from .evaluate import check_thresholds, evaluate
 from .model import ModelConfig, load_checkpoint, run_gradient_check
-from .seeds import proposal_scores, select_negatives, select_seeds, threshold_baseline
+from .seeds import (check_sigma, check_theta, proposal_scores, select_negatives,
+                    select_seeds, threshold_baseline)
 from .trainer import TrainConfig, TrainingDivergedError, train
 
 SCHEMA_VERSION = 1
@@ -93,6 +94,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_seeds(args) -> int:
     _check_output_path(args.out)
+    check_sigma(args.sigma)
+    if args.theta is not None:
+        check_theta(args.theta)
     records, _ = load_dataset(args.data)
     images = {}
     for rec in records:
@@ -152,15 +156,19 @@ def _train_config(args) -> TrainConfig:
 def _cmd_train(args) -> int:
     _check_output_path(args.out)
     train_config = _train_config(args)
-    records, manifest = load_dataset(args.data)
+    # checks the flags now; the dataset's widths replace the placeholder 1s
     model_config = ModelConfig(
-        feature_dim=manifest.feature_dim,
-        num_classes=manifest.num_classes,
+        feature_dim=1,
+        num_classes=1,
         trunk_widths=tuple(args.trunk_widths),
         saliency_hidden=args.saliency_hidden,
         lambda_seed_cls=args.lambda_seed_cls,
         lambda_seed_sal=args.lambda_seed_sal,
         lambda_l2=args.lambda_l2,
+    )
+    records, manifest = load_dataset(args.data)
+    model_config = replace(
+        model_config, feature_dim=manifest.feature_dim, num_classes=manifest.num_classes
     )
     params, train_log = train(
         records, model_config, train_config, checkpoint_path=args.out
@@ -191,6 +199,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     _check_output_path(args.csv)
+    check_thresholds(args.nms, args.iou)
     params, config = load_checkpoint(args.checkpoint)
     records, manifest = load_dataset(args.data)
     if config.feature_dim != manifest.feature_dim:
@@ -259,6 +268,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    variants, seeds = bench.check_ablation(bench.VARIANTS, range(args.seeds))
     dataset = {}
     if args.data:
         records, manifest = load_dataset(args.data)
@@ -270,7 +280,7 @@ def _cmd_ablate(args) -> int:
                 num_classes=manifest.num_classes,
             ),
         }
-    result = bench.run_benchmark(seeds=range(args.seeds), **dataset)
+    result = bench.run_benchmark(variants, seeds, **dataset)
     rows = [
         (v, result.mean_corloc(v), result.mean_test_map(v)) for v in bench.VARIANTS
     ]

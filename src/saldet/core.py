@@ -5,13 +5,14 @@ area is exactly (x1 - x0) * (y1 - y0) and IoU arithmetic is exact.
 Superpixel adjacency is 4-connected: two superpixels are neighbors iff
 some pixel pair of theirs shares a horizontal or vertical edge. Each
 grid holds each superpixel's pixel count and box, computed once, and
-its neighbour lists, built on first use. A proposal's box and area are
-reduced from those tables, never from its pixels, and seed selection
-reads the lists, never an n_sp x n_sp matrix. Records may share one
-grid: the generator gives all its records one, and loading gives
-consecutive records with identical label grids one. All types are
-immutable after construction (arrays are marked read-only), which is
-what makes that sharing safe.
+its neighbour lists, built on first use. A proposal holds its grid; its
+box and area are derived from the grid's tables, never passed in, and a
+record takes only proposals on its own grid. Seed selection reads the
+lists, never an n_sp x n_sp matrix. A record keys its saliency maps by
+class. Records may share one grid: the generator gives all its records
+one, and loading gives consecutive records with identical label grids
+one. All types are immutable after construction (arrays are marked
+read-only), which is what makes that sharing safe.
 """
 
 import math
@@ -127,50 +128,42 @@ class SuperpixelGrid:
 
 @dataclass(frozen=True, eq=False)
 class Proposal:
-    """A region proposal: a nonempty union of superpixels.
+    """A region proposal: a nonempty union of superpixels of ``grid``.
 
-    ``bbox`` and ``area_px`` are derived from the member pixels; build
-    proposals with :func:`proposal_from_superpixels` rather than by hand.
+    ``bbox`` encloses the member superpixels' boxes and ``area_px`` sums
+    their pixel counts, both read from the grid's tables.
     """
 
+    grid: SuperpixelGrid = field(repr=False)
     superpixel_ids: tuple[int, ...]
-    bbox: Box
-    area_px: int
+    bbox: Box = field(init=False)
+    area_px: int = field(init=False)
 
     def __post_init__(self):
-        if not self.superpixel_ids:
+        ids = sorted(int(i) for i in self.superpixel_ids)
+        n_sp = self.grid.n_superpixels
+        if not ids:
             raise ValueError("proposal must contain at least one superpixel")
-        ids = tuple(sorted(self.superpixel_ids))
+        if ids[0] < 0 or ids[-1] >= n_sp:
+            raise ValueError(f"superpixel id out of range [0, {n_sp})")
         if len(set(ids)) != len(ids):
             raise ValueError("proposal superpixel ids must be unique")
-        object.__setattr__(self, "superpixel_ids", ids)
-        if self.area_px <= 0:
-            raise ValueError("proposal must cover at least one pixel")
+        rows = self.grid.boxes[ids]
+        lo, hi = rows[:, :2].min(axis=0), rows[:, 2:].max(axis=0)
+        object.__setattr__(self, "superpixel_ids", tuple(ids))
+        object.__setattr__(self, "bbox", Box(*lo.tolist(), *hi.tolist()))
+        object.__setattr__(self, "area_px", int(self.grid.pixel_counts[ids].sum()))
 
 
 def proposal_from_superpixels(grid: SuperpixelGrid, ids) -> Proposal:
-    """Build a proposal from superpixel ids, deriving bbox and pixel area.
-
-    The box encloses the member superpixels' boxes and the area sums their
-    pixel counts, both read from the grid's tables.
-    """
-    ids = tuple(sorted(int(i) for i in ids))
-    if not ids:
-        raise ValueError("proposal must contain at least one superpixel")
-    if ids[0] < 0 or ids[-1] >= grid.n_superpixels:
-        raise ValueError(f"superpixel id out of range [0, {grid.n_superpixels})")
-    rows = grid.boxes[list(ids)]
-    x0, y0 = rows[:, :2].min(axis=0).tolist()
-    x1, y1 = rows[:, 2:].max(axis=0).tolist()
-    area = int(grid.pixel_counts[list(ids)].sum())
-    return Proposal(superpixel_ids=ids, bbox=Box(x0, y0, x1, y1), area_px=area)
+    """The proposal of superpixel ``ids`` on ``grid``; same as ``Proposal(grid, ids)``."""
+    return Proposal(grid, ids)
 
 
 @dataclass(frozen=True, eq=False)
 class SaliencyMap:
-    """Per-pixel non-negative evidence for one class."""
+    """Per-pixel non-negative evidence for the class that keys it in a record."""
 
-    class_id: int
     values: np.ndarray  # (height, width) float32
 
     def __post_init__(self):
@@ -178,9 +171,9 @@ class SaliencyMap:
         if values.ndim != 2:
             raise ValueError("saliency values must be a 2-d grid")
         if not np.all(np.isfinite(values)):
-            raise ValueError(f"saliency map for class {self.class_id}: non-finite values")
+            raise ValueError("saliency values must be finite")
         if values.min() < 0:
-            raise ValueError(f"saliency map for class {self.class_id}: negative values")
+            raise ValueError("saliency values must be >= 0")
         object.__setattr__(self, "values", _freeze(values))
 
 
@@ -191,11 +184,12 @@ class LabelVector:
     y: np.ndarray  # (C,) int8
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.int8)
+        y = np.asarray(self.y)
         if y.ndim != 1 or y.size == 0:
             raise ValueError("labels must be a nonempty 1-d vector")
-        if not np.all(np.abs(y) == 1):
+        if not np.isin(y, (1, -1)).all():  # as given: the int8 cast would wrap 255 to -1
             raise ValueError("labels: entries must be +1 or -1")
+        y = y.astype(np.int8)
         if not np.any(y == 1):
             raise ValueError("labels: at least one positive class required")
         object.__setattr__(self, "y", _freeze(y))
@@ -213,6 +207,7 @@ class LabelVector:
 class ImageRecord:
     """One example: superpixel grid, proposals, features, labels, saliency.
 
+    Every proposal must be on ``grid`` itself, not on an equal copy.
     ``saliency`` maps each positive class id to its class-specific map;
     maps must exist exactly for the positive classes. ``gt_boxes`` is the
     optional list of (class_id, Box) ground truth used only by evaluation.
@@ -247,17 +242,14 @@ class ImageRecord:
                 f"positive classes {sorted(self.labels.positives)}"
             )
         for c, m in self.saliency.items():
-            if m.class_id != c:
-                raise ValueError(f"record {self.id}: saliency key {c} holds map for {m.class_id}")
             if m.values.shape != shape:
                 raise ValueError(
                     f"record {self.id}: saliency map {c} shape {m.values.shape} "
                     f"does not match grid {shape}"
                 )
-        n_sp = self.grid.n_superpixels
         for k, p in enumerate(self.proposals):
-            if p.superpixel_ids[-1] >= n_sp:
-                raise ValueError(f"record {self.id}: proposal {k} references unknown superpixel")
+            if p.grid is not self.grid:
+                raise ValueError(f"record {self.id}: proposal {k} is on another grid")
         for c, box in self.gt_boxes:
             if not (0 <= c < self.labels.num_classes):
                 raise ValueError(f"record {self.id}: gt box class {c} out of range")

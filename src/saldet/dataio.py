@@ -10,14 +10,15 @@ On-disk layout (all integers and floats little-endian):
                                  (float32, ascending class order), and the
                                  feature matrix (float32), all row-major
 
-Proposals are stored as superpixel-id lists only; bounding boxes and
-pixel areas are re-derived at load so they can never disagree with the
-grid. Each file stores its own label grid, but a record whose grid
-equals the previous record's (same width, height and ids) is given that
-record's ``SuperpixelGrid`` at load, so a run of records on one tiling
-builds and validates its grid tables once. Saliency values are stored
-unnormalized: seed selection is invariant to positive affine rescaling
-of the maps, so no normalization pass is applied anywhere.
+Proposals are stored as superpixel-id lists only; each is rebuilt on its
+record's grid at load, which derives its box and pixel area, so neither
+can disagree with the grid. Each file stores its own label grid, but a
+record whose grid equals the previous record's (same width, height and
+ids) is given that record's ``SuperpixelGrid`` at load, so a run of
+records on one tiling builds and validates its grid tables once. Maps
+are keyed by their ``saliency_classes`` entry and stored unnormalized:
+seed selection is invariant to positive affine rescaling of the maps, so
+no normalization pass is applied anywhere.
 """
 
 import json
@@ -36,8 +37,8 @@ from .core import (
     LabelVector,
     SaliencyMap,
     SuperpixelGrid,
+    Proposal,
     check_finite_floats,
-    proposal_from_superpixels,
 )
 
 log = logging.getLogger(__name__)
@@ -106,6 +107,8 @@ class SynthConfig:
             raise ValueError("noise_amplitude must be in [0, 1)")
         if self.feature_snr <= 0:
             raise ValueError("feature_snr must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.feature_dim < self.classes:
             raise ValueError("feature_dim must be >= classes (one-hot class templates)")
         side = math.isqrt(self.superpixels)
@@ -324,7 +327,6 @@ def _load_record(
         raise DatasetError(f"{json_path}: grid {width}x{height} has a negative side")
     off = 16
     labels_grid = np.frombuffer(blob, dtype="<u4", count=n_px, offset=off)
-    labels_grid = labels_grid.reshape(height, width).astype(np.int32)
     off += 4 * n_px
     maps = {}
     for c in doc["saliency_classes"]:
@@ -333,13 +335,15 @@ def _load_record(
         values = np.frombuffer(blob, dtype="<f4", count=n_px, offset=off)
         off += 4 * n_px
         try:
-            maps[int(c)] = SaliencyMap(class_id=int(c), values=values.reshape(height, width))
+            maps[int(c)] = SaliencyMap(values.reshape(height, width))
         except ValueError as exc:
             raise DatasetError(f"{bin_path}: saliency map {c}: {exc}") from exc
     features = np.frombuffer(blob, dtype="<f4", count=n_props * manifest.feature_dim, offset=off)
-    features = features.reshape(n_props, manifest.feature_dim)
 
     try:
+        # a zero side lets the other be too large for an array
+        labels_grid = labels_grid.reshape(height, width).astype(np.int32)
+        features = features.reshape(n_props, manifest.feature_dim)
         if prev_grid is not None and np.array_equal(prev_grid.labels, labels_grid):
             # equal shape and ids: the grid the previous record validated
             grid = prev_grid
@@ -349,14 +353,14 @@ def _load_record(
             raise ValueError(
                 f"grid holds {grid.n_superpixels} superpixels, header says {n_sp}"
             )
-        proposals = [proposal_from_superpixels(grid, ids) for ids in doc["proposals"]]
+        proposals = [Proposal(grid, ids) for ids in doc["proposals"]]
         gt_boxes = [(g["class_id"], Box(*g["box"])) for g in doc["gt_boxes"]]
         record = ImageRecord(
             id=doc["id"],
             grid=grid,
             proposals=proposals,
             features=features,
-            labels=LabelVector(y=np.asarray(doc["labels"], dtype=np.int8)),
+            labels=LabelVector(y=doc["labels"]),
             saliency=maps,
             gt_boxes=gt_boxes,
         )
@@ -435,7 +439,7 @@ def _generate_image(cfg, rng, grid, sp_side, block, idx) -> ImageRecord:
         proposals_ids.append(
             [r * sp_side + c for r in range(r0, r0 + h) for c in range(c0, c0 + w)]
         )
-    proposals = [proposal_from_superpixels(grid, ids) for ids in proposals_ids]
+    proposals = [Proposal(grid, ids) for ids in proposals_ids]
 
     saliency = {}
     for ids, cls in zip(obj_ids, classes):
@@ -445,7 +449,7 @@ def _generate_image(cfg, rng, grid, sp_side, block, idx) -> ImageRecord:
             values += rng.uniform(
                 -cfg.noise_amplitude, cfg.noise_amplitude, size=values.shape
             )
-        saliency[cls] = SaliencyMap(class_id=cls, values=np.maximum(values, 0.0))
+        saliency[cls] = SaliencyMap(np.maximum(values, 0.0))
 
     features = np.zeros((len(proposals), cfg.feature_dim), dtype=np.float64)
     obj_sets = [set(ids) for ids in obj_ids]

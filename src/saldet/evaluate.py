@@ -138,8 +138,7 @@ def nms(detections: DetectionTable, iou_threshold: float = 0.4) -> DetectionTabl
     ordered by (image, class, descending score, proposal), so it is
     independent of input order.
     """
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError(f"NMS threshold must be in (0, 1), got {iou_threshold}")
+    check_thresholds(nms_threshold=iou_threshold)
     d = detections
     if not len(d):
         return d
@@ -184,8 +183,11 @@ def _ap_from_pr(recall: np.ndarray, precision: np.ndarray, eleven_point: bool) -
     return float(((r[steps + 1] - r[steps]) * p[steps + 1]).sum())
 
 
-def _check_matching_threshold(iou_threshold: float):
-    if not (0.0 < iou_threshold <= 1.0):  # NaN fails too
+def check_thresholds(nms_threshold: float = 0.4, iou_threshold: float = 0.5) -> None:
+    """Raise ValueError unless the NMS threshold is in (0, 1) and the matching one in (0, 1]."""
+    if not (0.0 < nms_threshold < 1.0):  # NaN fails too
+        raise ValueError(f"NMS threshold must be in (0, 1), got {nms_threshold}")
+    if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"IoU matching threshold must be in (0, 1], got {iou_threshold}")
 
 
@@ -242,7 +244,7 @@ def detection_ap(
     (duplicates included). Classes with no ground truth are skipped with
     a log note.
     """
-    _check_matching_threshold(iou_threshold)
+    check_thresholds(iou_threshold=iou_threshold)
     d = detections
     gt_keys, gt_boxes, gt_cls, width = _ground_truth(records, d)
     order = np.lexsort((d.proposal, _id_rank(records)[d.image], -d.score, d.class_id))
@@ -292,7 +294,7 @@ def corloc(
     against the class's ground truth at the IoU threshold. Classes with
     no positive images are skipped.
     """
-    _check_matching_threshold(iou_threshold)
+    check_thresholds(iou_threshold=iou_threshold)
     d = detections
     gt_keys, gt_boxes, _, width = _ground_truth(records, d)
     order = np.lexsort((d.proposal, -d.score, d.class_id, d.image))
@@ -350,6 +352,7 @@ def evaluate(
     eleven_point: bool = False,
 ) -> EvalReport:
     """Full pipeline: score, NMS, and all three metrics in one report."""
+    check_thresholds(nms_threshold, iou_threshold)
     if not records:
         raise ValueError("cannot evaluate an empty dataset")
     for rec in records:

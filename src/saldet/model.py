@@ -830,6 +830,8 @@ def run_gradient_check(seed: int = 7, instances: int = 20, step: float = 1e-5):
     """
     from .seeds import SeedAssignment  # local import to avoid a cycle
 
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
     if not (math.isfinite(step) and step > 0):

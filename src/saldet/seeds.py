@@ -129,10 +129,15 @@ def proposal_scores(record: ImageRecord, sigma: float) -> dict[int, tuple]:
     }
 
 
-def saliency_contrast(rs, ns, area_px, sigma: float):
-    """Area-weighted contrast exp(area/sigma^2) * (rs - ns), elementwise."""
+def check_sigma(sigma: float) -> None:
+    """Raise ValueError unless the contrast's area scale is positive and finite."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
+def saliency_contrast(rs, ns, area_px, sigma: float):
+    """Area-weighted contrast exp(area/sigma^2) * (rs - ns), elementwise."""
+    check_sigma(sigma)
     arg = np.asarray(area_px, dtype=np.float64) / (sigma * sigma)
     if np.any(arg > _EXP_ARG_CAP):
         log.warning(
@@ -194,14 +199,19 @@ def make_assignment(record: ImageRecord, sigma: float) -> SeedAssignment:
 # ---------------------------------------------------------------------------
 # thresholding baseline
 
+def check_theta(theta: float) -> None:
+    """Raise ValueError unless the baseline's peak fraction is in (0, 1)."""
+    if not (0.0 < theta < 1.0):
+        raise ValueError("theta must be in (0, 1)")
+
+
 def threshold_baseline(smap, theta: float = 0.5) -> list[Box]:
     """Boxes of the 4-connected components above ``theta * max(map)``.
 
     The comparator for seed selection: each component's minimum
     enclosing rectangle, in scan order. An all-zero map yields no boxes.
     """
-    if not (0.0 < theta < 1.0):
-        raise ValueError("theta must be in (0, 1)")
+    check_theta(theta)
     values = np.asarray(smap.values, dtype=np.float64)
     peak = values.max()
     if peak <= 0.0:

@@ -22,7 +22,7 @@ from .model import (
     loss_and_grads,
     save_checkpoint,
 )
-from .seeds import SeedAssignment, make_assignment
+from .seeds import SeedAssignment, check_sigma, make_assignment
 
 log = logging.getLogger(__name__)
 
@@ -55,8 +55,10 @@ class TrainConfig:
             raise ValueError("phase_boundary must be >= 0")
         if self.feature_jitter < 0:
             raise ValueError("feature_jitter must be >= 0")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        check_sigma(self.sigma)
+        for name in ("shuffle_seed", "init_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def learning_rate(self, epoch: int) -> float:
         """lr for a 1-based epoch index."""

@@ -73,7 +73,7 @@ def build_record(rec_id, grid, proposal_ids, features, y, saliency_values, gt_bo
     """Assemble an ImageRecord from plain arrays."""
     proposals = [proposal_from_superpixels(grid, ids) for ids in proposal_ids]
     saliency = {
-        c: SaliencyMap(class_id=c, values=v) for c, v in saliency_values.items()
+        c: SaliencyMap(values=v) for c, v in saliency_values.items()
     }
     return ImageRecord(
         id=rec_id,

@@ -109,7 +109,7 @@ def test_criterion_3_seed_selection_matches_pixel_oracle():
             scaled = replace(
                 rec,
                 saliency={
-                    c: SaliencyMap(class_id=c, values=a * m.values + b)
+                    c: SaliencyMap(values=a * m.values + b)
                     for c, m in rec.saliency.items()
                 },
             )

@@ -65,6 +65,11 @@ class TestSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_names_the_field(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "x"), "--seed", "-1"]) == 1
+        assert _one_error_line(capsys) == "error: seed must be >= 0, got -1"
+        assert not (tmp_path / "x").exists()
+
     def test_records_path_taken_by_a_file_exits_1(self, tmp_path, capsys):
         out = tmp_path / "ds"
         out.mkdir()
@@ -289,6 +294,29 @@ def _refuse_load(*args):
     raise AssertionError("the dataset was loaded")
 
 
+class TestFlagValuesCheckedBeforeTheLoad:
+    @pytest.mark.parametrize("argv,message", [
+        (["seeds", "--sigma", "-1"], "sigma must be positive and finite, got -1.0"),
+        (["seeds", "--theta", "1.5"], "theta must be in (0, 1)"),
+        (["eval", "--nms", "0"], "NMS threshold must be in (0, 1), got 0.0"),
+        (["eval", "--iou", "2"], "IoU matching threshold must be in (0, 1], got 2.0"),
+        (["train", "--lambda-l2", "-1"], "loss weights must be >= 0"),
+        (["train", "--trunk-widths", "0"], "trunk widths must all be >= 1"),
+        (["train", "--seed", "-1"], "shuffle_seed must be >= 0, got -1"),
+        (["ablate", "--seeds", "0"], "the ablation needs at least one variant and one seed"),
+    ])
+    def test_one_error_line(
+        self, dataset, checkpoint, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        required = {
+            "eval": ["--checkpoint", str(checkpoint)],
+            "train": ["--out", str(tmp_path / "m.ckpt")],
+        }
+        monkeypatch.setattr(cli, "load_dataset", _refuse_load)
+        assert main([*argv, "--data", str(dataset), *required.get(argv[0], [])]) == 1
+        assert _one_error_line(capsys) == f"error: {message}"
+
+
 class TestEval:
     def test_json_report(self, dataset, checkpoint, capsys):
         code = main(["--json", "eval", "--data", str(dataset),
@@ -405,6 +433,10 @@ class TestGradcheck:
     def test_bad_count_or_step_is_one_error_line(self, capsys, flag, value):
         assert main(["gradcheck", "--instances", "1", flag, value]) == 1
         _one_error_line(capsys)
+
+    def test_negative_seed_names_the_field(self, capsys):
+        assert main(["gradcheck", "--instances", "1", "--seed", "-1"]) == 1
+        assert _one_error_line(capsys) == "error: seed must be >= 0, got -1"
 
     def test_failing_run_exits_2(self, capsys, monkeypatch):
         @dataclass

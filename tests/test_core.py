@@ -1,5 +1,7 @@
 """Geometry primitives: boxes, IoU, grids, adjacency, proposals, records."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from saldet.core import (
     Box,
     ImageRecord,
     LabelVector,
+    Proposal,
     SaliencyMap,
     SuperpixelGrid,
     iou,
     proposal_from_superpixels,
 )
 
-from conftest import IRREGULAR_LABELS, irregular_grid, tiling_grid
+from conftest import IRREGULAR_LABELS, build_record, irregular_grid, tiling_grid
 from oracles import pixel_adjacency, pixel_mask_box
 
 
@@ -191,6 +194,27 @@ class TestProposal:
         with pytest.raises(ValueError):
             proposal_from_superpixels(grid, [])
 
+    def test_duplicate_id_rejected(self):
+        grid = tiling_grid(8, 4)
+        with pytest.raises(ValueError, match="unique"):
+            Proposal(grid, (3, 3))
+
+    @pytest.mark.parametrize("given", [{"bbox": Box(0, 0, 500, 500)}, {"area_px": 7}])
+    def test_geometry_is_not_an_argument(self, given):
+        with pytest.raises(TypeError):
+            Proposal(tiling_grid(32, 8), (0,), **given)
+
+    def test_from_superpixels_equals_constructor(self):
+        grid = tiling_grid(8, 4)
+        made, built = proposal_from_superpixels(grid, [4, 0, 1]), Proposal(grid, (0, 1, 4))
+        for f in fields(Proposal):
+            assert getattr(made, f.name) == getattr(built, f.name), f.name
+        assert made.grid is grid
+
+    def test_repr_omits_grid(self):
+        text = repr(Proposal(tiling_grid(8, 4), (0,)))
+        assert "grid" not in text and "superpixel_ids=(0,)" in text
+
 
 class TestLabelVector:
     def test_requires_positive(self):
@@ -201,6 +225,12 @@ class TestLabelVector:
         with pytest.raises(ValueError):
             LabelVector(y=np.array([1, 0], dtype=np.int8))
 
+    @pytest.mark.parametrize("value", [255, 257, 300, -129, 2**31, 2**63, 2**70, 1.5, "1"])
+    def test_checked_before_the_int8_cast(self, value):
+        # 255 and 257 would wrap to -1 and +1
+        with pytest.raises(ValueError, match=r"entries must be \+1 or -1"):
+            LabelVector(y=[1, value])
+
     def test_positives(self):
         lv = LabelVector(y=np.array([1, -1, 1], dtype=np.int8))
         assert lv.positives == (0, 2)
@@ -209,11 +239,15 @@ class TestLabelVector:
 class TestSaliencyMap:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            SaliencyMap(class_id=0, values=np.array([[-0.1]]))
+            SaliencyMap(values=np.array([[-0.1]]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            SaliencyMap(class_id=0, values=np.array([[np.inf]]))
+            SaliencyMap(values=np.array([[np.inf]]))
+
+    def test_class_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            SaliencyMap(class_id=0, values=np.zeros((2, 2)))
 
 
 class TestImageRecord:
@@ -252,4 +286,21 @@ class TestImageRecord:
                 features=rec.features, labels=rec.labels,
                 saliency=dict(rec.saliency),
                 gt_boxes=[(0, Box(0, 0, 17, 4))],
+            )
+
+    @pytest.mark.parametrize("other", ["coarser tiling", "equal copy"])
+    def test_proposal_must_be_on_the_record_grid(self, other):
+        grid = tiling_grid(32, 8)  # 4x4-pixel superpixels
+        foreign = tiling_grid(32, 4) if other == "coarser tiling" else tiling_grid(32, 8)
+        own, moved = Proposal(grid, (15,)), Proposal(foreign, (15,))
+        assert (own.bbox, own.area_px) == (Box(28, 4, 32, 8), 16)
+        if other == "coarser tiling":  # 8x8-pixel superpixels
+            assert (moved.bbox, moved.area_px) == (Box(24, 24, 32, 32), 64)
+        rec = build_record("r", grid, [[15]], np.ones((1, 2)), [1, -1],
+                           {0: np.ones((32, 32))}, [])
+        with pytest.raises(ValueError, match="proposal 1 is on another grid"):
+            ImageRecord(
+                id=rec.id, grid=grid, proposals=[own, moved],
+                features=np.ones((2, 2)), labels=rec.labels,
+                saliency=dict(rec.saliency),
             )

@@ -45,6 +45,7 @@ class TestSynthConfig:
             {"noise_amplitude": 1.0},
             {"feature_snr": 0.0},
             {"images": 0},
+            {"seed": -1},
         ],
     )
     def test_rejects(self, kw):
@@ -328,6 +329,12 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match=f"field '{field}' must be"):
             load_dataset(saved)
 
+    @pytest.mark.parametrize("value", [300, 255, -129, 2**31])
+    def test_label_outside_int8_is_dataset_error(self, saved, value):
+        path = self._edit_record(saved, lambda doc: doc["labels"].__setitem__(0, value))
+        with pytest.raises(DatasetError, match=f"{path.name}: labels: entries must be"):
+            load_dataset(saved)
+
     def test_record_json_not_utf8_names_the_file(self, saved):
         path = sorted((saved / "records").glob("*.json"))[0]
         path.write_bytes(path.read_bytes().replace(b'"id"', b'"\xff"', 1))
@@ -338,6 +345,22 @@ class TestLoadErrors:
         # -32 x -32 has the pixel count of the saved 32 x 32 grid
         path = self._edit_record(saved, lambda doc: doc.update(width=-32, height=-32))
         with pytest.raises(DatasetError, match=f"{path.name}: grid -32x-32 has a negative side"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("maps", ["kept", "dropped"])
+    def test_zero_height_with_a_huge_width_names_the_file(self, saved, maps):
+        path = sorted((saved / "records").glob("*.json"))[0]
+        doc = json.loads(path.read_text())
+        pixel_bytes = 4 * doc["width"] * doc["height"] * (1 + len(doc["saliency_classes"]))
+        # no pixels: the header and the features alone fit the size check
+        bin_path = path.with_suffix(".bin")
+        data = bin_path.read_bytes()
+        bin_path.write_bytes(data[:16] + data[16 + pixel_bytes:])
+        classes = doc["saliency_classes"] if maps == "kept" else []
+        self._edit_record(
+            saved, lambda doc: doc.update(width=2**62, height=0, saliency_classes=classes)
+        )
+        with pytest.raises(DatasetError, match=path.stem):
             load_dataset(saved)
 
     def test_stem_listed_twice_is_dataset_error(self, saved):

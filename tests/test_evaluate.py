@@ -565,3 +565,19 @@ class TestEvaluatePipeline:
             with pytest.raises(ValueError, match="IoU matching threshold"):
                 evaluate(params, records, config, iou_threshold=t)
         assert evaluate(params, records, config, iou_threshold=1.0).num_images == 3
+
+    @pytest.mark.parametrize("thresholds,message", [
+        ({"nms_threshold": 0.0}, "NMS threshold"),
+        ({"iou_threshold": 2.0}, "IoU matching threshold"),
+    ])
+    def test_thresholds_checked_before_scoring(self, monkeypatch, thresholds, message):
+        records, _ = generate_synthetic(SynthConfig(images=2, seed=1))
+        config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,),
+                             saliency_hidden=4)
+
+        def refuse(*args):
+            raise AssertionError("the records were scored")
+
+        monkeypatch.setattr(evaluate_module, "score_dataset", refuse)
+        with pytest.raises(ValueError, match=message):
+            evaluate(init_params(config, 0), records, config, **thresholds)

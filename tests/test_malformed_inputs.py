@@ -1,8 +1,9 @@
 """Randomly damaged datasets and checkpoints, as a property test.
 
 Truncation, byte flips, deleted JSON fields, JSON values of the wrong
-type, a label grid equal to the previous record's but for one byte, and
-a checkpoint tensor entry set to NaN or an infinity.
+type, JSON integers replaced by other integers (the int8, int32 and
+int64 edges among them), a label grid equal to the previous record's but
+for one byte, and a checkpoint tensor entry set to NaN or an infinity.
 Whatever the damage, the loader raises nothing but ``DatasetError``, the
 checkpoint reader nothing but ``ValueError``, and ``saldet seeds`` /
 ``saldet eval`` either succeed or print exactly one ``error:`` line and
@@ -48,6 +49,9 @@ JSON_VALUES = {
     dict: st.dictionaries(st.sampled_from(["class_id", "box", "x"]), st.integers(0, 9),
                           max_size=2),
 }
+# the edges of the integer types a loader might cast JSON integers to
+INT_EDGES = [v for bits in (8, 32, 64) for edge in (-2 ** (bits - 1), 2 ** (bits - 1))
+             for v in (edge - 1, edge)] + [2**32 - 1, 2**32, -1, 0, 1, 2, 255, 256]
 
 
 @pytest.fixture(scope="module")
@@ -95,17 +99,37 @@ def json_slot(data, doc):
         holder = value
 
 
-def damage_dataset(data, root: Path) -> None:
+def holds_int(value) -> bool:
+    """Whether a JSON value is an integer or contains one."""
+    if isinstance(value, (dict, list)):
+        return any(map(holds_int, value.values() if isinstance(value, dict) else value))
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def int_slot(data, doc):
+    """A (container, key) pair holding an integer, drawn level by level as in ``json_slot``."""
+    holder = doc
+    while True:
+        keys = list(holder) if isinstance(holder, dict) else list(range(len(holder)))
+        key = data.draw(st.sampled_from([k for k in keys if holds_int(holder[k])]), label="key")
+        if not isinstance(holder[key], (dict, list)):
+            return holder, key
+        holder = holder[key]
+
+
+def damage_dataset(data, root: Path, renumber_only: bool = False) -> None:
     files = sorted(p for p in root.rglob("*") if p.is_file())
+    if renumber_only:
+        files = [p for p in files if p.suffix == ".json"]
     blobs = sorted(root.glob("records/*.bin"))
     path = data.draw(st.sampled_from(files), label="file")
     raw = path.read_bytes()
     kinds = ["bytes"]
     if path.suffix == ".json":
-        kinds += ["delete", "retype"]
+        kinds += ["delete", "retype", "renumber"]
     elif path in blobs[1:]:
         kinds.append("near-copy")
-    kind = data.draw(st.sampled_from(kinds), label="kind")
+    kind = "renumber" if renumber_only else data.draw(st.sampled_from(kinds), label="kind")
     if kind == "bytes":
         raw = damaged(data, raw)
     elif kind == "near-copy":
@@ -120,12 +144,20 @@ def damage_dataset(data, root: Path) -> None:
         raw = bytes(out)
     else:
         doc = json.loads(raw)
-        holder, key = json_slot(data, doc)
-        if kind == "delete":
-            del holder[key]
+        if kind == "renumber":
+            holder, key = int_slot(data, doc)
+            holder[key] = data.draw(
+                st.one_of(st.sampled_from(INT_EDGES), st.integers(-2**40, 2**40))
+                .filter(lambda v: v != holder[key]),
+                label="value",
+            )
         else:
-            other = [v for t, v in JSON_VALUES.items() if t is not type(holder[key])]
-            holder[key] = data.draw(st.one_of(other), label="value")
+            holder, key = json_slot(data, doc)
+            if kind == "delete":
+                del holder[key]
+            else:
+                other = [v for t, v in JSON_VALUES.items() if t is not type(holder[key])]
+                holder[key] = data.draw(st.one_of(other), label="value")
         raw = json.dumps(doc).encode()
     path.write_bytes(raw)
 
@@ -139,13 +171,11 @@ def expect_cli(argv, loaded: bool) -> None:
         assert len(errors) == 1
 
 
-@EXAMPLES
-@given(data=st.data())
-def test_damaged_dataset(source, data):
+def check_damaged_dataset(source, data, **damage) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "ds"
         shutil.copytree(source / "ds", root)
-        damage_dataset(data, root)
+        damage_dataset(data, root, **damage)
         try:
             load_dataset(root)
             loaded = True
@@ -154,6 +184,19 @@ def test_damaged_dataset(source, data):
         expect_cli(["seeds", "--data", str(root), "--theta", "0.5"], loaded)
         expect_cli(["eval", "--data", str(root), "--checkpoint", str(source / "model.ckpt")],
                    loaded)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_damaged_dataset(source, data):
+    check_damaged_dataset(source, data)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_renumbered_dataset(source, data):
+    """Integer-for-integer damage alone, which no field type check can see."""
+    check_damaged_dataset(source, data, renumber_only=True)
 
 
 @EXAMPLES

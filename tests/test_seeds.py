@@ -152,7 +152,7 @@ class TestAgainstPixelOracle:
             scaled = replace(
                 rec,
                 saliency={
-                    c: SaliencyMap(class_id=c, values=a * m.values + b)
+                    c: SaliencyMap(values=a * m.values + b)
                     for c, m in rec.saliency.items()
                 },
             )
@@ -216,13 +216,13 @@ class TestThresholdBaseline:
                 threshold_baseline(two_superpixel_record.saliency[0], theta=theta)
 
     def test_zero_map_yields_nothing(self):
-        smap = SaliencyMap(class_id=0, values=np.zeros((8, 8)))
+        smap = SaliencyMap(values=np.zeros((8, 8)))
         assert threshold_baseline(smap) == []
 
     def test_diagonal_pixels_stay_separate(self):
         values = np.zeros((4, 4))
         values[0, 0] = values[1, 1] = 1.0
-        boxes = threshold_baseline(SaliencyMap(class_id=0, values=values), theta=0.5)
+        boxes = threshold_baseline(SaliencyMap(values=values), theta=0.5)
         assert boxes == [Box(0, 0, 1, 1), Box(1, 1, 2, 2)]  # scan order
 
     def test_matches_scipy_components(self):
@@ -231,7 +231,7 @@ class TestThresholdBaseline:
             side = int(rng.integers(5, 17))
             values = rng.random((side, side))
             values[values < 0.3] = 0.0
-            smap = SaliencyMap(class_id=0, values=values)
+            smap = SaliencyMap(values=values)
             theta = float(rng.uniform(0.3, 0.9))
             got = threshold_baseline(smap, theta=theta)
             want = self._boxes_via_scipy(smap.values.astype(np.float64), theta)

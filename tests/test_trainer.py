@@ -51,6 +51,8 @@ class TestTrainConfig:
             {"feature_jitter": -0.5},
             {"sigma": 0.0},
             {"sigma": -1.0},
+            {"shuffle_seed": -1},
+            {"init_seed": -1},
         ],
     )
     def test_rejects(self, kw):
