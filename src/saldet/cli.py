@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import benchmark as bench
 from .dataio import DatasetError, SynthConfig, generate_synthetic, load_dataset, save_dataset
-from .evaluate import check_thresholds, evaluate
+from .evaluate import MATCH_IOU, NMS_IOU, check_thresholds, evaluate
 from .model import ModelConfig, load_checkpoint, run_gradient_check
 from .seeds import (check_sigma, check_theta, proposal_scores, select_negatives,
                     select_seeds, threshold_baseline)
@@ -363,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--data", required=True, help="path to manifest.json")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--nms", type=float, default=0.4, help="NMS IoU threshold, in (0, 1)")
-    p.add_argument("--iou", type=float, default=0.5,
+    p.add_argument("--nms", type=float, default=NMS_IOU, help="NMS IoU threshold, in (0, 1)")
+    p.add_argument("--iou", type=float, default=MATCH_IOU,
                    help="matching IoU threshold, in (0, 1]")
     p.add_argument("--ap11", action="store_true",
                    help="11-point interpolated AP instead of continuous")

@@ -7,12 +7,12 @@ some pixel pair of theirs shares a horizontal or vertical edge. Each
 grid holds each superpixel's pixel count and box, computed once, and
 its neighbour lists, built on first use. A proposal holds its grid; its
 box and area are derived from the grid's tables, never passed in, and a
-record takes only proposals on its own grid. Seed selection reads the
-lists, never an n_sp x n_sp matrix. A record keys its saliency maps by
-class. Records may share one grid: the generator gives all its records
-one, and loading gives consecutive records with identical label grids
-one. All types are immutable after construction (arrays are marked
-read-only), which is what makes that sharing safe.
+record takes only proposals on its own grid and keeps their boxes. Seed
+selection reads the lists, never an n_sp x n_sp matrix. A record keys
+its saliency maps by class. Records may share one grid: the generator
+gives all its records one, and loading gives consecutive records with
+identical label grids one. All types are immutable after construction
+(arrays are marked read-only), which is what makes that sharing safe.
 """
 
 import math
@@ -221,6 +221,7 @@ class ImageRecord:
     labels: LabelVector
     saliency: dict[int, SaliencyMap]
     gt_boxes: list[tuple[int, Box]] = field(default_factory=list)
+    proposal_boxes: np.ndarray = field(init=False, repr=False)  # (N_R, 4) int64 proposal bboxes
 
     def __post_init__(self):
         if not self.proposals:
@@ -250,6 +251,8 @@ class ImageRecord:
         for k, p in enumerate(self.proposals):
             if p.grid is not self.grid:
                 raise ValueError(f"record {self.id}: proposal {k} is on another grid")
+        boxes = np.array([p.bbox.as_tuple() for p in self.proposals], dtype=np.int64)
+        object.__setattr__(self, "proposal_boxes", _freeze(boxes))
         for c, box in self.gt_boxes:
             if not (0 <= c < self.labels.num_classes):
                 raise ValueError(f"record {self.id}: gt box class {c} out of range")

@@ -8,11 +8,11 @@ available for comparability with older conventions.
 
 Everything after scoring works on one :class:`DetectionTable` per split,
 a row per scored (image, class, proposal), with no per-detection Python
-objects: NMS computes each image's proposal IoUs once and suppresses in
-every (image, class) group at once; AP orders a class's detections with
-one lexsort and runs its greedy ground-truth matching only over the
-detections that reach the IoU threshold against some ground-truth box;
-CorLoc takes the top row of every (image, class) group in one pass.
+objects and no boxes: NMS, AP and CorLoc read a row's box from its
+record's ``proposal_boxes``. NMS computes each image's proposal IoUs
+once and suppresses in every (image, class) group at once; AP matches
+ground truth only for the rows that reach the IoU threshold against some
+ground-truth box; CorLoc takes the top row of every group in one pass.
 """
 
 import logging
@@ -25,31 +25,36 @@ from .core import ImageRecord
 from .model import ModelConfig, ModelParams, forward
 
 log = logging.getLogger(__name__)
+NMS_IOU = 0.4    # default IoU at which NMS suppresses a lower-scored box
+MATCH_IOU = 0.5  # default IoU at which a detection matches a ground-truth box
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionTable:
-    """Columnar scored boxes: one row per (image, class, proposal).
+    """Columnar scores: one row per (image, class, proposal).
 
-    ``image`` indexes the evaluated records, ``proposal`` the image's
-    proposals, and ``box`` holds the proposal's half-open
-    (x0, y0, x1, y1). Every score must be finite and in [0, 1].
+    ``image`` indexes the evaluated records and ``proposal`` the image's
+    proposals. The index columns must be given as integers, and every
+    score must be finite and in [0, 1].
     """
 
     image: np.ndarray     # (K,) int64
     class_id: np.ndarray  # (K,) int64
     proposal: np.ndarray  # (K,) int64
     score: np.ndarray     # (K,) float64
-    box: np.ndarray       # (K, 4) int64
 
     def __post_init__(self):
-        for name in ("image", "class_id", "proposal", "score", "box"):
-            dtype = np.float64 if name == "score" else np.int64
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        for name in ("image", "class_id", "proposal"):
+            column = np.asarray(getattr(self, name))
+            # as given: the int64 cast would truncate 2.7 to a real proposal
+            if column.size and column.dtype.kind not in "iu":
+                raise ValueError(f"detection {name} must be integers, got {column.dtype}")
+            object.__setattr__(self, name, np.asarray(column, dtype=np.int64))
+        object.__setattr__(self, "score", np.asarray(self.score, dtype=np.float64))
         k = self.score.shape[0]
         columns = (self.image, self.class_id, self.proposal, self.score)
-        if any(col.shape != (k,) for col in columns) or self.box.shape != (k, 4):
-            raise ValueError("detection columns must be K rows long, boxes (K, 4)")
+        if any(col.shape != (k,) for col in columns):
+            raise ValueError("detection columns must be K rows long")
         if k and min(self.image.min(), self.class_id.min(), self.proposal.min()) < 0:
             raise ValueError("detection image, class and proposal indices must be >= 0")
         bad = ~((self.score >= 0.0) & (self.score <= 1.0))  # NaN fails both
@@ -62,8 +67,7 @@ class DetectionTable:
     def take(self, rows) -> "DetectionTable":
         """The table of the given rows, in that order."""
         return DetectionTable(
-            self.image[rows], self.class_id[rows], self.proposal[rows],
-            self.score[rows], self.box[rows],
+            self.image[rows], self.class_id[rows], self.proposal[rows], self.score[rows]
         )
 
 
@@ -111,30 +115,40 @@ def score_dataset(params: ModelParams, records: list[ImageRecord], config: Model
     ends = np.cumsum(counts)
     starts = ends - counts
     scores = np.empty((int(counts.sum()), num_classes))
-    boxes = []
     image_scores = {}
     for rec, lo, hi in zip(records, starts.tolist(), ends.tolist()):
         trace = forward(params, rec.features, config)
         image_scores[rec.id] = trace.image_scores.copy()
         scores[lo:hi] = trace.scores
-        boxes += [p.bbox.as_tuple() for p in rec.proposals]
     table = DetectionTable(
         image=np.repeat(np.arange(len(records)), counts * num_classes),
-        class_id=np.tile(np.arange(num_classes), len(boxes)),
-        proposal=np.repeat(np.arange(len(boxes)) - np.repeat(starts, counts), num_classes),
+        class_id=np.tile(np.arange(num_classes), len(scores)),
+        proposal=np.repeat(np.arange(len(scores)) - np.repeat(starts, counts), num_classes),
         score=scores.ravel(),
-        box=np.repeat(np.array(boxes, dtype=np.int64).reshape(-1, 4), num_classes, axis=0),
     )
     return table, image_scores
 
 
-def nms(detections: DetectionTable, iou_threshold: float = 0.4) -> DetectionTable:
+def _proposal_boxes(d: DetectionTable, records: list[ImageRecord]):
+    """The records' proposal boxes, concatenated, and each row's index into them."""
+    if len(d) and d.image.max() >= len(records):
+        raise ValueError("detection image index outside the evaluated records")
+    counts = np.array([rec.num_proposals for rec in records], dtype=np.int64)
+    if (d.proposal >= counts[d.image]).any():
+        raise ValueError("detection proposal index outside its image's proposals")
+    boxes = [np.empty((0, 4), dtype=np.int64)] + [rec.proposal_boxes for rec in records]
+    return np.concatenate(boxes), (np.cumsum(counts) - counts)[d.image] + d.proposal
+
+
+def nms(
+    detections: DetectionTable, records: list[ImageRecord], iou_threshold: float = NMS_IOU
+) -> DetectionTable:
     """Greedy non-maximum suppression within each (image, class) group.
 
     Candidates are visited by descending score (ties by lower proposal
     index); a candidate is dropped when its IoU with an already kept box
-    is >= the threshold. Rows sharing an (image, proposal) must share a
-    box, and an (image, class, proposal) may occur once. The result is
+    is >= the threshold. A row's box is its proposal's in ``records``,
+    and an (image, class, proposal) may occur once. The result is
     ordered by (image, class, descending score, proposal), so it is
     independent of input order.
     """
@@ -142,21 +156,16 @@ def nms(detections: DetectionTable, iou_threshold: float = 0.4) -> DetectionTabl
     d = detections
     if not len(d):
         return d
+    boxes, box_of = _proposal_boxes(d, records)
     order = np.lexsort((d.proposal, -d.score, d.class_id, d.image))
-    # one box per (image, proposal), numbered image-major
-    _, first, box_of = np.unique(
-        d.image * (int(d.proposal.max()) + 1) + d.proposal,
-        return_index=True, return_inverse=True,
-    )
-    if not np.array_equal(d.box[first][box_of], d.box):
-        raise ValueError("detections of one (image, proposal) disagree on its box")
     classes, group_of = np.unique(d.class_id, return_inverse=True)
     # a row's rank is its position in ``order``: its priority in its group
-    rank = np.full((classes.size, first.size), -1, dtype=np.int64)
+    rank = np.full((classes.size, len(boxes)), -1, dtype=np.int64)
     rank[group_of[order], box_of[order]] = np.arange(len(d))
     if np.count_nonzero(rank >= 0) != len(d):
         raise ValueError("an (image, class, proposal) occurs more than once")
-    keep = _accel.nms_keep(d.box[first], iou_threshold, d.image[first], rank)
+    image = np.repeat(np.arange(len(records)), [rec.num_proposals for rec in records])
+    keep = _accel.nms_keep(boxes, iou_threshold, image, rank)
     return d.take(order[np.sort(rank[keep])])
 
 
@@ -183,7 +192,7 @@ def _ap_from_pr(recall: np.ndarray, precision: np.ndarray, eleven_point: bool) -
     return float(((r[steps + 1] - r[steps]) * p[steps + 1]).sum())
 
 
-def check_thresholds(nms_threshold: float = 0.4, iou_threshold: float = 0.5) -> None:
+def check_thresholds(nms_threshold: float = NMS_IOU, iou_threshold: float = MATCH_IOU) -> None:
     """Raise ValueError unless the NMS threshold is in (0, 1) and the matching one in (0, 1]."""
     if not (0.0 < nms_threshold < 1.0):  # NaN fails too
         raise ValueError(f"NMS threshold must be in (0, 1), got {nms_threshold}")
@@ -206,8 +215,6 @@ def _ground_truth(records: list[ImageRecord], detections: DetectionTable):
     which breaks matching ties. Returns (keys, boxes, classes, width).
     """
     d = detections
-    if len(d) and d.image.max() >= len(records):
-        raise ValueError("detection image index outside the evaluated records")
     width = max(
         [rec.labels.num_classes for rec in records]
         + [int(d.class_id.max()) + 1 if len(d) else 0]
@@ -232,7 +239,7 @@ def _gt_pairs(row_keys, row_boxes, gt_keys, gt_boxes):
 def detection_ap(
     detections: DetectionTable,
     records: list[ImageRecord],
-    iou_threshold: float = 0.5,
+    iou_threshold: float = MATCH_IOU,
     eleven_point: bool = False,
 ) -> dict[int, float]:
     """Per-class average precision of (ideally post-NMS) detections.
@@ -246,10 +253,11 @@ def detection_ap(
     """
     check_thresholds(iou_threshold=iou_threshold)
     d = detections
+    boxes, box_of = _proposal_boxes(d, records)
     gt_keys, gt_boxes, gt_cls, width = _ground_truth(records, d)
     order = np.lexsort((d.proposal, _id_rank(records)[d.image], -d.score, d.class_id))
     row, gt, iou = _gt_pairs(
-        d.image[order] * width + d.class_id[order], d.box[order], gt_keys, gt_boxes
+        d.image[order] * width + d.class_id[order], boxes[box_of[order]], gt_keys, gt_boxes
     )
     # only rows reaching the threshold against some GT box can be true
     # positives; their matching depends on earlier matches, so it is sequential
@@ -285,7 +293,7 @@ def detection_ap(
 def corloc(
     detections: DetectionTable,
     records: list[ImageRecord],
-    iou_threshold: float = 0.5,
+    iou_threshold: float = MATCH_IOU,
 ) -> dict[int, float]:
     """Fraction of positive images whose top-scoring box hits a GT box.
 
@@ -296,12 +304,13 @@ def corloc(
     """
     check_thresholds(iou_threshold=iou_threshold)
     d = detections
+    boxes, box_of = _proposal_boxes(d, records)
     gt_keys, gt_boxes, _, width = _ground_truth(records, d)
     order = np.lexsort((d.proposal, -d.score, d.class_id, d.image))
     keys = d.image[order] * width + d.class_id[order]
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    top_keys, top_rows = keys[first], order[first]
+    top_keys, top_boxes = keys[first], boxes[box_of[order[first]]]
 
     positive = [(i * width + c, c) for i, rec in enumerate(records) for c in rec.labels.positives]
     pos_keys = np.array([k for k, _ in positive], dtype=np.int64)
@@ -310,7 +319,7 @@ def corloc(
     found = at < top_keys.size
     found[found] = top_keys[at[found]] == pos_keys[found]
     found = np.flatnonzero(found)
-    row, _, iou = _gt_pairs(pos_keys[found], d.box[top_rows[at[found]]], gt_keys, gt_boxes)
+    row, _, iou = _gt_pairs(pos_keys[found], top_boxes[at[found]], gt_keys, gt_boxes)
     hit = np.zeros(pos_keys.size, dtype=bool)
     hit[found[row[iou >= iou_threshold]]] = True
     return {c: float(np.mean(hit[pos_class == c])) for c in np.unique(pos_class).tolist()}
@@ -347,8 +356,8 @@ def evaluate(
     params: ModelParams,
     records: list[ImageRecord],
     config: ModelConfig,
-    nms_threshold: float = 0.4,
-    iou_threshold: float = 0.5,
+    nms_threshold: float = NMS_IOU,
+    iou_threshold: float = MATCH_IOU,
     eleven_point: bool = False,
 ) -> EvalReport:
     """Full pipeline: score, NMS, and all three metrics in one report."""
@@ -363,7 +372,7 @@ def evaluate(
             )
     detections, image_scores = score_dataset(params, records, config)
     det_ap = detection_ap(
-        nms(detections, nms_threshold), records, iou_threshold, eleven_point
+        nms(detections, records, nms_threshold), records, iou_threshold, eleven_point
     )
     loc = corloc(detections, records, iou_threshold)
     cls_ap = classification_ap(image_scores, records, eleven_point)

@@ -9,7 +9,7 @@ bit for bit from (dataset bytes, config, seeds).
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -99,13 +99,7 @@ class TrainLog:
                     "epoch": e.epoch,
                     "lr": e.lr,
                     "wall_time_s": e.wall_time_s,
-                    "loss": {
-                        "image_cls": e.mean_loss.image_cls,
-                        "seed_cls": e.mean_loss.seed_cls,
-                        "seed_sal": e.mean_loss.seed_sal,
-                        "l2": e.mean_loss.l2,
-                        "total": e.mean_loss.total,
-                    },
+                    "loss": asdict(e.mean_loss),
                 }
                 for e in self.epochs
             ],

@@ -9,6 +9,7 @@ from saldet.core import (
     Box,
     ImageRecord,
     LabelVector,
+    Proposal,
     SaliencyMap,
     SuperpixelGrid,
     proposal_from_superpixels,
@@ -94,16 +95,46 @@ def detection_table(rows, image_ids):
         class_id=[r.class_id for r in rows],
         proposal=[r.proposal_index for r in rows],
         score=[r.score for r in rows],
-        box=np.array([r.bbox.as_tuple() for r in rows], dtype=np.int64).reshape(-1, 4),
     )
 
 
-def table_rows(table, image_ids):
-    """The Rows of a DetectionTable, in table order."""
+def row_records(rows, records):
+    """Copies of ``records`` whose proposal k has the box of the Rows naming k.
+
+    Each copy keeps the id, labels and gt boxes of its record; a proposal
+    no row names is the first pixel. One superpixel per pixel makes any
+    box a proposal. All copies share one grid, sized to every row and gt
+    box.
+    """
+    boxes = [r.bbox for r in rows] + [b for rec in records for _, b in rec.gt_boxes]
+    width, height = max([b.x1 for b in boxes], default=1), max([b.y1 for b in boxes], default=1)
+    grid = SuperpixelGrid(width=width, height=height,
+                          labels=np.arange(width * height).reshape(height, width))
+    copies = []
+    for rec in records:
+        named = {}
+        for r in rows:
+            if r.image_id == rec.id:
+                assert named.setdefault(r.proposal_index, r.bbox) == r.bbox, "rows disagree"
+        proposals = [
+            Proposal(grid, grid.labels[b.y0:b.y1, b.x0:b.x1].ravel())
+            for b in (named.get(k, Box(0, 0, 1, 1)) for k in range(max(named, default=0) + 1))
+        ]
+        copies.append(ImageRecord(
+            id=rec.id, grid=grid, proposals=proposals,
+            features=np.zeros((len(proposals), 1)), labels=rec.labels,
+            saliency={c: SaliencyMap(np.zeros((height, width))) for c in rec.labels.positives},
+            gt_boxes=rec.gt_boxes,
+        ))
+    return copies
+
+
+def table_rows(table, records):
+    """The Rows of a DetectionTable, in table order, with the records' proposal boxes."""
     return [
-        Row(image_ids[i], c, Box(*b), s, p)
-        for i, c, b, s, p in zip(
-            table.image.tolist(), table.class_id.tolist(), table.box.tolist(),
+        Row(records[i].id, c, Box(*records[i].proposal_boxes[p].tolist()), s, p)
+        for i, c, s, p in zip(
+            table.image.tolist(), table.class_id.tolist(),
             table.score.tolist(), table.proposal.tolist(),
         )
     ]

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import Row, build_record, detection_table, table_rows, tiling_grid
+from conftest import Row, build_record, detection_table, row_records, table_rows, tiling_grid
 from oracles import (
     naive_corloc,
     naive_detection_ap,
@@ -141,20 +141,24 @@ def test_criterion_5_metrics_match_hand_values_and_oracles():
     # --- hand fixtures -----------------------------------------------------
     assert abs(iou(Box(0, 0, 2, 2), Box(1, 0, 3, 2)) - 2 / 6) < tol
 
-    box_a, box_c = Box(0, 0, 4, 4), Box(10, 10, 14, 14)
-    kept = table_rows(nms(detection_table([
-        _det("a", 0, box_a, 0.9, 0),
-        _det("a", 0, box_a, 0.8, 1),
-        _det("a", 0, box_c, 0.5, 2),
-    ], ["a"])), ["a"])
-    assert [(d.score, d.proposal_index) for d in kept] == [(0.9, 0), (0.5, 2)]
-
     def record(rec_id, y, gt):
         positives = [c for c, v in enumerate(y) if v == 1]
         return build_record(
             rec_id, tiling_grid(32, 4), [[0]], np.zeros((1, 4)), y,
             {c: np.full((32, 32), 0.5) for c in positives}, gt,
         )
+
+    def kept_rows(rows, threshold=0.4):
+        records = row_records(rows, [record("a", [1], [])])
+        return table_rows(nms(detection_table(rows, ["a"]), records, threshold), records)
+
+    box_a, box_c = Box(0, 0, 4, 4), Box(10, 10, 14, 14)
+    kept = kept_rows([
+        _det("a", 0, box_a, 0.9, 0),
+        _det("a", 0, box_a, 0.8, 1),
+        _det("a", 0, box_c, 0.5, 2),
+    ])
+    assert [(d.score, d.proposal_index) for d in kept] == [(0.9, 0), (0.5, 2)]
 
     hand_records = [
         record(i, [1], [(0, Box(0, 0, 6, 6))]) for i in ("a", "b", "c")
@@ -168,15 +172,16 @@ def test_criterion_5_metrics_match_hand_values_and_oracles():
         _det("c", 0, Box(0, 0, 6, 6), 0.5, 0),
     ]
     hand_ids = [r.id for r in hand_records]
-    assert abs(detection_ap(detection_table(hand_dets, hand_ids), hand_records)[0]
-               - 34 / 45) < tol
+    assert abs(detection_ap(detection_table(hand_dets, hand_ids),
+                            row_records(hand_dets, hand_records))[0] - 34 / 45) < tol
 
     top_miss = [
         _det("a", 0, Box(0, 0, 6, 6), 0.9, 0),
         _det("b", 0, far, 0.9, 0),
         _det("c", 0, Box(0, 0, 6, 6), 0.8, 0),
     ]
-    assert abs(corloc(detection_table(top_miss, hand_ids), hand_records)[0] - 2 / 3) < tol
+    assert abs(corloc(detection_table(top_miss, hand_ids),
+                      row_records(top_miss, hand_records))[0] - 2 / 3) < tol
 
     rank_records = [
         record("a", [1, -1], [(0, Box(0, 0, 6, 6))]),
@@ -206,7 +211,7 @@ def test_criterion_5_metrics_match_hand_values_and_oracles():
             items.append((box, score, i))
             dets.append(_det("a", 0, box, score, i))
         threshold = float(rng.uniform(0.2, 0.8))
-        kept = table_rows(nms(detection_table(dets, ["a"]), iou_threshold=threshold), ["a"])
+        kept = kept_rows(dets, threshold)
         assert [(d.bbox, d.score, d.proposal_index) for d in kept] == (
             quadratic_nms(items, threshold)
         )

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output schemas and exit codes."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import saldet.cli as cli
 from saldet.cli import main
 from saldet.dataio import SynthConfig, load_dataset
+from saldet.evaluate import evaluate
 from saldet.model import ModelConfig
 from saldet.seeds import proposal_scores
 from saldet.trainer import TrainConfig, precompute_assignments
@@ -516,6 +518,11 @@ class TestParserContract:
             saliency_hidden=train.saliency_hidden, lambda_seed_cls=train.lambda_seed_cls,
             lambda_seed_sal=train.lambda_seed_sal, lambda_l2=train.lambda_l2,
         ) == ModelConfig(feature_dim=1, num_classes=1)
+        evaluated = parser.parse_args(["eval", "--data", "x", "--checkpoint", "x"])
+        defaults = inspect.signature(evaluate).parameters
+        assert (evaluated.nms, evaluated.iou) == (
+            defaults["nms_threshold"].default, defaults["iou_threshold"].default
+        ) == (0.4, 0.5)
 
 
 class TestSubprocessEntry:

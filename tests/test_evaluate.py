@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import Row, build_record, detection_table, table_rows, tiling_grid
+from conftest import Row, build_record, detection_table, row_records, table_rows, tiling_grid
 from oracles import (
     match_detections,
     naive_corloc,
@@ -38,9 +38,15 @@ def table(rows, ids=IDS):
     return detection_table(rows, ids)
 
 
+def id_records(ids=IDS):
+    """Records of the given ids whose proposals are never scored."""
+    return [metric_record(i, [1], []) for i in ids]
+
+
 def kept_rows(rows, **kw):
     """Rows kept by ``nms``, in its output order."""
-    return table_rows(nms(table(rows), **kw), IDS)
+    records = row_records(rows, id_records())
+    return table_rows(nms(table(rows), records, **kw), records)
 
 
 def ids_of(records):
@@ -48,11 +54,11 @@ def ids_of(records):
 
 
 def ap(rows, records, **kw):
-    return detection_ap(table(rows, ids_of(records)), records, **kw)
+    return detection_ap(table(rows, ids_of(records)), row_records(rows, records), **kw)
 
 
 def loc(rows, records, **kw):
-    return corloc(table(rows, ids_of(records)), records, **kw)
+    return corloc(table(rows, ids_of(records)), row_records(rows, records), **kw)
 
 
 def metric_record(rec_id, y, gt_boxes):
@@ -88,15 +94,58 @@ class TestDetection:
 
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValueError, match="columns"):
-            DetectionTable(image=[0, 0], class_id=[0], proposal=[0, 1],
-                           score=[0.5, 0.5], box=np.zeros((2, 4)))
+            DetectionTable(image=[0, 0], class_id=[0], proposal=[0, 1], score=[0.5, 0.5])
+
+    @pytest.mark.parametrize("name", ["image", "class_id", "proposal"])
+    @pytest.mark.parametrize("value", [[0.9], [2.0], [True]])
+    def test_rejects_index_columns_not_given_as_integers(self, name, value):
+        # a truncated proposal index would select a real proposal's box
+        columns = {"image": [0], "class_id": [1], "proposal": [2], name: value}
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            DetectionTable(**columns, score=[0.5])
+
+    def test_accepts_any_integer_dtype(self):
+        table = DetectionTable(image=np.array([0], dtype=np.uint8), class_id=[1],
+                               proposal=np.array([2], dtype=np.int32), score=[0.5])
+        assert (table.image.dtype, table.proposal.tolist()) == (np.int64, [2])
+
+    @pytest.mark.parametrize("metric", ["nms", "detection_ap", "corloc"])
+    @pytest.mark.parametrize("image,proposal,message", [
+        (0, 1, "proposal index outside its image's proposals"),
+        (1, 3, "proposal index outside its image's proposals"),
+        (2, 0, "image index outside the evaluated records"),
+    ])
+    def test_rejects_index_naming_no_proposal(self, metric, image, proposal, message):
+        # record "a" has one proposal, "b" three: index 1 of "a" is in
+        # range of the concatenated boxes, but not of its own image
+        records = row_records(
+            [det("b", 0, Box(0, 0, 2, 2), 0.5, 2)], id_records(("a", "b"))
+        )
+        rows = DetectionTable(image=[0, image], class_id=[0, 0], proposal=[0, proposal],
+                              score=[0.9, 0.5])
+        with pytest.raises(ValueError, match=message):
+            getattr(evaluate_module, metric)(rows, records)
+
+    @pytest.mark.parametrize("stage", ["score_dataset", "nms", "detection_ap", "corloc"])
+    def test_empty_input_gives_empty_result(self, stage):
+        empty = DetectionTable(image=[], class_id=[], proposal=[], score=[])
+        if stage == "score_dataset":
+            config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,),
+                                 saliency_hidden=4)
+            dets, scores = score_dataset(init_params(config, 0), [], config)
+            assert (len(dets), scores) == (0, {})
+        elif stage == "nms":
+            assert nms(empty, []) is empty
+            assert nms(empty, id_records()) is empty
+        else:
+            assert getattr(evaluate_module, stage)(empty, []) == {}
 
 
 class TestNms:
     def test_rejects_bad_threshold(self):
         for t in (0.0, 1.0, float("nan")):
             with pytest.raises(ValueError, match="NMS threshold"):
-                nms(table([]), iou_threshold=t)
+                nms(table([]), [], iou_threshold=t)
 
     def test_identical_boxes_keep_best(self):
         box = Box(0, 0, 4, 4)
@@ -113,7 +162,7 @@ class TestNms:
             det("a", 0, Box(0, 0, 4, 4), 0.9, 0),
             det("a", 0, Box(10, 10, 14, 14), 0.2, 1),
         ]
-        assert len(nms(table(dets))) == 2
+        assert len(kept_rows(dets)) == 2
 
     def test_groups_do_not_interact(self):
         box = Box(0, 0, 4, 4)
@@ -122,7 +171,7 @@ class TestNms:
             det("a", 1, box, 0.8, 0),
             det("b", 0, box, 0.7, 0),
         ]
-        assert len(nms(table(dets))) == 3
+        assert len(kept_rows(dets)) == 3
 
     def test_matches_quadratic_oracle(self):
         rng = np.random.default_rng(13)
@@ -170,10 +219,11 @@ class TestNms:
                             score = rng.integers(0, 4) / 3 if coarse else rng.random()
                             rows.append(det(image_id, c, box, float(score), i))
             order = rng.permutation(len(rows))
+            records = row_records(rows, id_records(image_ids))
             got = table_rows(
-                nms(detection_table([rows[k] for k in order], image_ids),
+                nms(detection_table([rows[k] for k in order], image_ids), records,
                     iou_threshold=threshold),
-                image_ids,
+                records,
             )
             expected = []
             for image_id in image_ids:
@@ -196,11 +246,9 @@ class TestNms:
         assert kept_rows(shuffled) == kept
 
     def test_rejects_inconsistent_rows(self):
-        box = Box(0, 0, 4, 4)
+        rows = [det("a", 0, Box(0, 0, 4, 4), 0.5, 0), det("a", 0, Box(0, 0, 4, 4), 0.7, 0)]
         with pytest.raises(ValueError, match="more than once"):
-            nms(table([det("a", 0, box, 0.5, 0), det("a", 0, box, 0.7, 0)]))
-        with pytest.raises(ValueError, match="disagree"):
-            nms(table([det("a", 0, box, 0.5, 0), det("a", 1, Box(0, 0, 5, 5), 0.7, 0)]))
+            nms(table(rows), row_records(rows, id_records()))
 
 
 class TestDetectionAp:
@@ -392,7 +440,7 @@ class TestCorloc:
             for i, prop in enumerate(rec.proposals):
                 for c in range(4):
                     dets.append(det(rec.id, c, prop.bbox, float(rng.random()), i))
-        assert corloc(nms(table(dets, ids_of(records))), records) == loc(dets, records)
+        assert corloc(nms(table(dets, ids_of(records)), records), records) == loc(dets, records)
 
 
 class TestClassificationAp:
@@ -484,7 +532,8 @@ class TestEvaluatePipeline:
             for k, (c, box) in enumerate(rec.gt_boxes):
                 dets.append(det(rec.id, c, box, 1.0, k))
             scores[rec.id] = (rec.labels.y == 1).astype(np.float64)
-        det_ap = detection_ap(nms(table(dets, ids_of(records))), records)
+        records = row_records(dets, records)
+        det_ap = detection_ap(nms(table(dets, ids_of(records)), records), records)
         assert set(det_ap.values()) == {1.0}
         assert set(loc(dets, records).values()) == {1.0}
         assert set(classification_ap(scores, records).values()) == {1.0}
@@ -519,13 +568,16 @@ class TestEvaluatePipeline:
         for rec in records:
             assert scores[rec.id].shape == (4,)
             assert 0.0 <= scores[rec.id].min() and scores[rec.id].max() <= 1.0
+            # the boxes NMS, AP and CorLoc read for the rows
+            assert rec.proposal_boxes.dtype == np.int64
+            assert rec.proposal_boxes.tolist() == [list(p.bbox.as_tuple()) for p in rec.proposals]
+            with pytest.raises(ValueError, match="read-only"):
+                rec.proposal_boxes[0, 0] = 1
         keys = set(zip(dets.image.tolist(), dets.proposal.tolist(), dets.class_id.tolist()))
         assert len(keys) == len(dets)
         phi = [forward(params, rec.features, config).scores for rec in records]
-        for i, p, c, score, box in zip(dets.image, dets.proposal, dets.class_id,
-                                       dets.score, dets.box.tolist()):
+        for i, p, c, score in zip(dets.image, dets.proposal, dets.class_id, dets.score):
             assert score == phi[i][p, c]
-            assert tuple(box) == records[i].proposals[p].bbox.as_tuple()
 
     def test_matches_oracle_composition(self):
         # per-group quadratic NMS, greedy pixel-IoU matching with per-prefix
