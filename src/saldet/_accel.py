@@ -157,6 +157,12 @@ def box_iou(a, b):
     return inter / np.maximum(union, 1, out=union)
 
 
+# IoU entries one batch of equal-count images may take: without a cap 50
+# images of 200 boxes would make 2M-entry temporaries; a larger image is
+# a batch alone
+_IOU_BATCH = 2**16
+
+
 def nms_keep(boxes, threshold, image=None, rank=None):
     """Greedy suppression of half-open boxes, for many groups at once.
 
@@ -170,31 +176,40 @@ def nms_keep(boxes, threshold, image=None, rank=None):
     box k's priority in group g (lower first, distinct within a group),
     negative where box k is not in group g; the result is a (G, M) mask,
     False outside each group. ``image`` (M,) labels each box with its
-    image; boxes of one image must be contiguous. Boxes of different
-    images never suppress each other, and the IoU is computed once per
-    image, whatever the number of groups.
+    image; boxes of one image must be contiguous, else it is a
+    ValueError. Boxes of different images never suppress each other. The
+    IoUs are computed once, whatever the number of groups, for batches of
+    images with the same box count at a time.
     """
     m = boxes.shape[0]
     single = rank is None
-    if single:
-        rank = np.arange(m)[None, :]
+    rank = np.arange(m)[None, :] if single else np.asarray(rank)
     # int32 halves the memory traffic; below 2**15 two areas still sum in range
     if m and 0 <= boxes.min() and boxes.max() < 2**15:
         boxes = boxes.astype(np.int32)
-    cuts = [0, m]
-    if image is not None:
-        cuts[1:1] = (np.flatnonzero(image[1:] != image[:-1]) + 1).tolist()
+    starts = np.zeros(min(m, 1), dtype=np.int64)
+    if image is not None and m:
+        image = np.asarray(image)
+        starts = np.flatnonzero(np.concatenate(([True], image[1:] != image[:-1])))
+        if np.unique(image[starts]).size != starts.size:
+            raise ValueError("boxes of one image must be contiguous")
+    counts = np.diff(np.append(starts, m))
     # a positive IoU is at least 2**-63, so touching boxes never reach this
     reach = max(threshold, np.finfo(np.float64).tiny)
     # node ids g * m + k index every (group, box); int32 halves the edge lists
     node = np.int32 if rank.size < 2**31 else np.int64
     pair_a, pair_b = [np.zeros(0, dtype=node)], [np.zeros(0, dtype=node)]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        b = boxes[lo:hi]
-        a_idx, b_idx = np.nonzero(box_iou(b[:, None, :], b[None, :, :]) >= reach)
-        upper = a_idx < b_idx
-        pair_a.append((a_idx[upper] + lo).astype(node))
-        pair_b.append((b_idx[upper] + lo).astype(node))
+    for count in np.unique(counts[counts > 1]).tolist():
+        same = starts[counts == count]
+        per_batch = max(1, _IOU_BATCH // (count * count))
+        for lo in range(0, same.size, per_batch):
+            first = same[lo : lo + per_batch]
+            b = boxes[first[:, None] + np.arange(count)]
+            g, a_idx, b_idx = np.nonzero(box_iou(b[:, :, None, :], b[:, None, :, :]) >= reach)
+            upper = a_idx < b_idx
+            at = first[g[upper]]
+            pair_a.append((at + a_idx[upper]).astype(node))
+            pair_b.append((at + b_idx[upper]).astype(node))
     pair_a = np.concatenate(pair_a)
     pair_b = np.concatenate(pair_b)
     # each group orients the pairs of its boxes by its ranks (one pass per

@@ -266,3 +266,12 @@ class ImageRecord:
     @property
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
+
+
+def check_feature_dims(records: list[ImageRecord], feature_dim: int) -> None:
+    """Raise ValueError naming the first record whose feature width is not ``feature_dim``."""
+    for rec in records:
+        if rec.feature_dim != feature_dim:
+            raise ValueError(
+                f"image {rec.id}: feature dim {rec.feature_dim} != model feature dim {feature_dim}"
+            )

@@ -14,12 +14,17 @@ Gradients flow through the saliency weighting into both the branch and
 the trunk. Seed/negative indices are inputs here, never differentiated.
 
 One step kernel per parameter set holds the maths: ``forward``,
-``step_losses``, ``backward`` and ``loss_and_grads`` all run it, the
-last in one reused workspace, which is what a training step calls.
-Every array of a pass lives in one :class:`ForwardTrace`: ``forward``
-returns a new one, and the kernel's workspace is one over its shared
-buffer. ``ForwardTrace.check_ranges`` is the one check of the ranges a
-pass must stay in.
+``forward_images``, ``step_losses``, ``backward`` and ``loss_and_grads``
+all run it, the last in one reused workspace, which is what a training
+step calls. Every array of a pass lives in one :class:`ForwardTrace`,
+over a run of whole images: ``forward`` returns a new one over one
+image, ``forward_images`` one over many (evaluation scores a split in
+chunks this way), and the kernel's workspace is one over its shared
+buffer for one image. A run of images gives every image the bits it gets
+alone: the matrix products and the per-image column reductions run per
+image, everything elementwise once over all rows.
+``ForwardTrace.check_ranges`` is the one check of the ranges a pass must
+stay in.
 """
 
 import functools
@@ -265,6 +270,22 @@ def _check_finite(arr, layer: str):
         raise FloatingPointError(f"non-finite activation in {layer}")
 
 
+def _dot_rows(pairs, w):
+    """``out = x @ w`` for every (x, out) pair: one product per image.
+
+    Stacking the images into one product changes bits: a 1-row product
+    is a gemv, and the BLAS kernel also changes with the row count.
+    """
+    for x, out in pairs:
+        np.dot(x, w, out=out)
+
+
+def _reduce_columns(ufunc, pairs):
+    """``out = ufunc.reduce(x, axis=0)`` for every (x, out) pair: one per image."""
+    for x, out in pairs:
+        ufunc.reduce(x, axis=0, out=out)
+
+
 def _check_features(features, config: ModelConfig) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.feature_dim:
@@ -274,16 +295,17 @@ def _check_features(features, config: ModelConfig) -> np.ndarray:
     return x
 
 
-# a plan takes ~3.5 kB and ~20 us to build; ``forward`` needs one per
-# evaluated image, and dense datasets have ~100 proposal counts
+# a plan takes ~3.5 kB and ~20 us to build; a kernel's workspaces need
+# one per proposal count (dense datasets have ~100) and evaluation one
+# per chunk shape
 @functools.lru_cache(maxsize=256)
-def _workspace_plan(config: ModelConfig, n: int, backward: bool = True):
-    """Buffer size, and name -> (start, stop, shape) of every array of a step.
+def _workspace_plan(config: ModelConfig, n: int, images: int, backward: bool):
+    """Buffer size, and name -> (start, stop, shape) of every array of a pass.
 
-    Arrays are in buffer order: the input copy and the pre-activations
-    first, in layer order, then the score matrix and the image scores,
-    then the softmax sums, the rest of the forward arrays and, with
-    ``backward``, the backward pass's scratch.
+    ``n`` rows of ``images`` whole images. Arrays are in buffer order: the
+    input copy and the pre-activations first, in layer order, then the
+    score matrix and the image scores, then the softmax sums, the rest of
+    the forward arrays and, with ``backward``, the backward pass's scratch.
     """
     c, k, hid = config.num_classes, config.trunk_out, config.saliency_hidden
     widths, sal = config.trunk_widths, config.saliency_enabled
@@ -291,7 +313,9 @@ def _workspace_plan(config: ModelConfig, n: int, backward: bool = True):
     shapes.update({f"pre{l}": (n, w) for l, w in enumerate(widths)})
     if sal:
         shapes.update(sal_pre=(n, hid), sal_raw=(n,))
-    shapes.update(s_cls=(n, c), s_det=(n, c), scores=(n, c), image_scores=(c,), sums=(n + c,))
+    tau = (c,) if images == 1 else (images, c)
+    shapes.update(s_cls=(n, c), s_det=(n, c), scores=(n, c), image_scores=tau,
+                  sums=(n + images * c,))
     shapes.update({f"act{l}": (n, w) for l, w in enumerate(widths)})
     if sal:
         shapes.update(sal_hidden=(n, hid), sal_logit=(n,), denominator=(n,))
@@ -311,29 +335,42 @@ def _workspace_plan(config: ModelConfig, n: int, backward: bool = True):
 
 
 class ForwardTrace:
-    """All arrays of one forward pass over ``n`` proposals, carved from one float64 buffer.
+    """All arrays of one forward pass over a run of whole images, carved from one float64 buffer.
 
-    ``features`` (N_R, D) is the input copy; ``trunk_pre`` lists each trunk
-    layer's pre-activations and ``trunk_act`` is [features, h_1, ..., h_L].
-    ``sal_pre``, ``sal_hidden`` and ``sal_logit`` are the saliency branch's
-    (None without it), ``saliency`` is P, (N_R,), all ones without the
-    branch, and ``weighted`` is P[:, None] * trunk output. ``cls_softmax``
-    rows (one per proposal) sum to 1 over classes; ``det_softmax`` columns
-    (one per class) sum to 1 over proposals. ``scores`` is their
-    elementwise product, (N_R, C), and ``image_scores`` its per-class sum
-    over proposals. The other attributes are named as in
-    :func:`_workspace_plan`.
+    ``counts`` lists the images' proposal counts; their rows are stacked
+    in that order, N rows in all. A training step or a ``forward`` call
+    is a run of one image. ``features`` (N, D) is the input copy;
+    ``trunk_pre`` lists each trunk layer's pre-activations and
+    ``trunk_act`` is [features, h_1, ..., h_L]. ``sal_pre``,
+    ``sal_hidden`` and ``sal_logit`` are the saliency branch's (None
+    without it), ``saliency`` is P, (N,), all ones without the branch,
+    and ``weighted`` is P[:, None] * trunk output. ``cls_softmax`` rows
+    (one per proposal) sum to 1 over classes; ``det_softmax`` columns sum
+    to 1 over each image's proposals, per class. ``scores`` is their
+    elementwise product, (N, C), and ``image_scores`` its per-class sum
+    over each image's proposals: (C,) for one image, (images, C) for
+    more. The other attributes are named as in :func:`_workspace_plan`.
+
+    The work whose bits depend on an image's shape runs per image, on
+    views of that image's rows built here once, as lists of per-image
+    (input, output) pairs: the matrix products (``trunk_dots`` per layer,
+    ``sal_dots`` and ``head_dots``) and the column reductions
+    (``det_max`` and ``det_sum`` of the detection softmax, ``tau_sum`` of
+    the image scores). Everything else runs once over all rows.
 
     Three runs of the buffer are checked with one reduction each: ``pre``
     (the input copy and every pre-activation), ``unit`` (score matrix and
     image scores) and ``sums`` (the softmax sums). Without ``buf`` a new
-    buffer holds just the forward arrays; a step kernel passes its shared
-    buffer, which also holds the backward pass's scratch.
+    buffer holds the arrays; a step kernel passes its shared buffer and
+    ``backward``, so that the buffer also holds the backward pass's
+    scratch.
     """
 
-    def __init__(self, config: ModelConfig, n: int, buf: np.ndarray | None = None):
-        backward = buf is not None
-        size, plan = _workspace_plan(config, n, backward)
+    def __init__(self, config: ModelConfig, counts, buf: np.ndarray | None = None,
+                 backward: bool = False):
+        counts = tuple(counts)
+        n, images, c = sum(counts), len(counts), config.num_classes
+        size, plan = _workspace_plan(config, n, images, backward)
         if buf is None:
             buf = np.empty(size)
         vars(self).update(
@@ -342,8 +379,9 @@ class ForwardTrace:
         self.pre = buf[: plan["scores"][0]]
         self.unit = buf[plan["scores"][0] : plan["sums"][0]]
         self.row_sums, self.col_sums = self.sums[:n], self.sums[n:]
-        # the softmax max and sum temporaries share the sums' slots
-        self.col, self.row = self.row_sums.reshape(n, 1), self.col_sums.reshape(1, -1)
+        # the softmax max and sum temporaries share the sums' slots; ``row``
+        # holds one row of column values per image
+        self.col, self.row = self.row_sums.reshape(n, 1), self.col_sums.reshape(images, c)
 
         depth = len(config.trunk_widths)
         self.trunk_pre = [getattr(self, f"pre{l}") for l in range(depth)]
@@ -364,6 +402,42 @@ class ForwardTrace:
             self.d_z = [getattr(self, f"d_z{l}") for l in range(depth)]
             self.d_in = [None] + [getattr(self, f"d_in{l}") for l in range(1, depth)]
 
+        bounds = np.cumsum((0,) + counts).tolist()
+        rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+        def dots(x, out):  # each image's rows of both
+            return [(x[r], out[r]) for r in rows]
+
+        def columns(x, out):  # each image's rows of x, its row of out
+            return [(x[r], out[i]) for i, r in enumerate(rows)]
+
+        self.trunk_dots = [dots(x, z) for x, z in zip(self.trunk_act, self.trunk_pre)]
+        self.sal_dots = (
+            (dots(self.trunk_act[-1], self.sal_pre), dots(self.sal_hidden, self.sal_raw))
+            if sal else None
+        )
+        self.head_dots = (dots(self.weighted, self.s_cls), dots(self.weighted, self.s_det))
+        self.det_max = columns(self.s_det, self.row)
+        self.det_sum = columns(self.det_softmax, self.row)
+        self.tau_sum = columns(self.scores, self.image_scores.reshape(images, c))
+        # the image of every row, for ``spread_row``
+        self.row_image = np.repeat(np.arange(images), counts) if images > 1 else None
+
+    @staticmethod
+    def size(config: ModelConfig, counts) -> int:
+        """Floats of the buffer a forward trace over images of these counts takes."""
+        return _workspace_plan(config, sum(counts), len(counts), False)[0]
+
+    def spread_row(self) -> np.ndarray:
+        """Each image's row of ``row`` (images, C) repeated over the image's rows.
+
+        Several images fill ``scores``, which the pass writes last, with
+        the repeated rows; one image broadcasts its row.
+        """
+        if self.row_image is None:
+            return self.row
+        return np.take(self.row, self.row_image, axis=0, out=self.scores)
+
     def check_finite(self):
         """One check over every pre-activation; on failure name the first bad layer.
 
@@ -380,8 +454,8 @@ class ForwardTrace:
         The checks run in this order: P in the open interval (0, 1), the
         score matrix and then the image scores in [0, 1], the softmax rows
         and then columns summing to 1 within 1e-6. The passing path
-        reduces P, ``unit`` and ``sums`` whole; only a failed run is split
-        to name its part.
+        reduces P, ``unit`` and ``sums`` whole, after one column sum per
+        image; only a failed run is split to name its part.
         """
         p = self.saliency
         if self.saliency_enabled and (
@@ -393,7 +467,7 @@ class ForwardTrace:
                 raise FloatingPointError("score matrix left [0, 1]")
             raise FloatingPointError("image scores left [0, 1]")
         np.add.reduce(self.cls_softmax, axis=1, out=self.row_sums)
-        np.add.reduce(self.det_softmax, axis=0, out=self.col_sums)
+        _reduce_columns(np.add, self.det_sum)
         self.sums -= 1.0
         np.abs(self.sums, out=self.sums)
         if np.maximum.reduce(self.sums) > 1e-6:
@@ -441,40 +515,41 @@ class _StepKernel:
         self._workspaces = {}
 
     def workspace(self, n: int) -> ForwardTrace:
-        """Views of the shared buffer for ``n`` proposals; the buffer only grows."""
+        """Views of the shared buffer for one image of ``n`` proposals; the buffer only grows."""
         ws = self._workspaces.get(n)
         if ws is None:
-            size, _ = _workspace_plan(self.config, n)
+            size, _ = _workspace_plan(self.config, n, 1, True)
             if size > self.buffer.size:
                 self.buffer = np.empty(size)
                 self._workspaces.clear()
             elif len(self._workspaces) >= _KEPT_COUNTS:
                 self._workspaces.clear()
-            ws = self._workspaces[n] = ForwardTrace(self.config, n, self.buffer)
+            ws = ForwardTrace(self.config, (n,), self.buffer, backward=True)
+            self._workspaces[n] = ws
         return ws
 
-    def forward(self, ws: ForwardTrace, x: np.ndarray) -> None:
-        """Fill ``ws`` from checked features ``x``, then check its ranges."""
-        np.copyto(ws.features, x)
+    def forward(self, ws: ForwardTrace) -> None:
+        """Run the pass on the checked features in ``ws.features``, then check its ranges."""
         # overflow surfaces as a FloatingPointError from the finiteness
         # check, so the numpy warning would only duplicate it
         with np.errstate(over="ignore", invalid="ignore"):
             self._forward(ws)
 
     def _forward(self, ws):
-        h = ws.features
-        for (w, b), z, out in zip(self.trunk, ws.trunk_pre, ws.trunk_act[1:]):
-            np.dot(h, w, out=z)
+        """The forward maths; each matrix product runs per image, on the shapes of one image."""
+        for (w, b), dots, z, out in zip(self.trunk, ws.trunk_dots, ws.trunk_pre, ws.trunk_act[1:]):
+            _dot_rows(dots, w)
             z += b
             h = np.maximum(z, 0.0, out=out)
 
         p = ws.saliency
         if ws.saliency_enabled:
             w, b, w_out, b_out = self.sal
-            np.dot(h, w, out=ws.sal_pre)
+            dots_hidden, dots_out = ws.sal_dots
+            _dot_rows(dots_hidden, w)
             ws.sal_pre += b
             np.maximum(ws.sal_pre, 0.0, out=ws.sal_hidden)
-            np.dot(ws.sal_hidden, w_out, out=ws.sal_raw)
+            _dot_rows(dots_out, w_out)
             ws.sal_raw += b_out
             logit = ws.sal_logit
             np.maximum(ws.sal_raw, -_SAL_LOGIT_CAP, out=logit)
@@ -496,9 +571,10 @@ class _StepKernel:
         g = ws.weighted
         np.multiply(h, p[:, None], out=g)
         w_cls, b_cls, w_det, b_det = self.head
-        np.dot(g, w_cls, out=ws.s_cls)
+        dots_cls, dots_det = ws.head_dots
+        _dot_rows(dots_cls, w_cls)
         ws.s_cls += b_cls
-        np.dot(g, w_det, out=ws.s_det)
+        _dot_rows(dots_det, w_det)
         ws.s_det += b_det
         ws.check_finite()
 
@@ -508,16 +584,18 @@ class _StepKernel:
         np.exp(a, out=a)
         np.add.reduce(a, axis=1, keepdims=True, out=col)
         a /= col
-        b, row = ws.det_softmax, ws.row
-        np.maximum.reduce(ws.s_det, axis=0, keepdims=True, out=row)
-        np.subtract(ws.s_det, row, out=b)
+        # the detection softmax runs over each image's proposals: only its
+        # column max and sum are taken per image
+        b = ws.det_softmax
+        _reduce_columns(np.maximum, ws.det_max)
+        np.subtract(ws.s_det, ws.spread_row(), out=b)
         np.exp(b, out=b)
-        np.add.reduce(b, axis=0, keepdims=True, out=row)
-        b /= row
+        _reduce_columns(np.add, ws.det_sum)
+        b /= ws.spread_row()
 
         np.multiply(a, b, out=ws.scores)
         # the per-class sum is <= 1 exactly; min() only absorbs summation rounding
-        np.add.reduce(ws.scores, axis=0, out=ws.image_scores)
+        _reduce_columns(np.add, ws.tau_sum)
         np.minimum(ws.image_scores, 1.0, out=ws.image_scores)
         ws.check_ranges()
 
@@ -648,9 +726,23 @@ def forward(params: ModelParams, features: np.ndarray, config: ModelConfig) -> F
 
     The trace's arrays are new on every call.
     """
-    x = _check_features(features, config)
-    trace = ForwardTrace(config, x.shape[0])
-    _step_kernel(params, config).forward(trace, x)
+    return forward_images(params, [features], config)
+
+
+def forward_images(params: ModelParams, features, config: ModelConfig, buf=None) -> ForwardTrace:
+    """Run the network on a run of whole images, one (N_R, D) features array each.
+
+    The images' rows are stacked in order in one :class:`ForwardTrace`,
+    and every score is the one ``forward`` gives for its image alone.
+    Without ``buf`` the trace's arrays are new; with it they view
+    ``buf``, which must hold ``ForwardTrace.size(config, counts)`` floats.
+    """
+    xs = [_check_features(f, config) for f in features]
+    if not xs:
+        raise ValueError("need at least one image")
+    trace = ForwardTrace(config, [x.shape[0] for x in xs], buf)
+    np.concatenate(xs, out=trace.features)
+    _step_kernel(params, config).forward(trace)
     return trace
 
 
@@ -696,7 +788,8 @@ def loss_and_grads(params, features, labels_y, assignment, config):
     x = _check_features(features, config)
     kernel = _step_kernel(params, config)
     ws = kernel.workspace(x.shape[0])
-    kernel.forward(ws, x)
+    np.copyto(ws.features, x)
+    kernel.forward(ws)
     breakdown = kernel.losses(ws, labels_y, assignment, ws.d_scores, ws.d_sal)
     kernel.backward(ws, ws.d_scores, ws.d_sal, ws)
     return breakdown, kernel.grad.copy()

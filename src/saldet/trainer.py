@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import ImageRecord, check_finite_floats
+from .core import ImageRecord, check_feature_dims, check_finite_floats
 from .model import (
     LossBreakdown,
     ModelConfig,
@@ -159,12 +159,7 @@ def train(
     """
     if not records:
         raise ValueError("cannot train on an empty dataset")
-    for rec in records:
-        if rec.feature_dim != model_config.feature_dim:
-            raise ValueError(
-                f"image {rec.id}: feature dim {rec.feature_dim} != "
-                f"model feature dim {model_config.feature_dim}"
-            )
+    check_feature_dims(records, model_config.feature_dim)
 
     config = train_config.effective_model_config(model_config)
     need_assignments = config.lambda_seed_cls > 0 or (

@@ -1,5 +1,6 @@
 """NMS, detection AP, CorLoc, classification AP, and the full report."""
 
+import functools
 import importlib
 import json
 from types import SimpleNamespace
@@ -84,11 +85,12 @@ class TestDetection:
                              saliency_hidden=4)
         params = init_params(config, 0)
         for bad in (float("nan"), -0.25, 1.25):
-            def fake_forward(params, features, config, bad=bad):
-                scores = np.full((features.shape[0], config.num_classes), 0.5)
+            def fake_forward_images(params, features, config, buf, bad=bad):
+                rows = sum(len(f) for f in features)
+                scores = np.full((rows, config.num_classes), 0.5)
                 scores[-1, -1] = bad
-                return SimpleNamespace(scores=scores, image_scores=np.zeros(4))
-            monkeypatch.setattr(evaluate_module, "forward", fake_forward)
+                return SimpleNamespace(scores=scores, image_scores=np.zeros((len(features), 4)))
+            monkeypatch.setattr(evaluate_module, "forward_images", fake_forward_images)
             with pytest.raises(ValueError, match="score"):
                 score_dataset(params, records, config)
 
@@ -190,49 +192,64 @@ class TestNms:
             expected = quadratic_nms(items, threshold)
             assert [(d.bbox, d.score, d.proposal_index) for d in kept] == expected
 
-    def test_batched_groups_match_quadratic_oracle(self):
+    def test_batched_groups_match_quadratic_oracle(self, monkeypatch):
         # many images and classes at once; coarse scores tie, copied boxes
         # are identical and abutting boxes touch without sharing a pixel
         rng = np.random.default_rng(29)
         for trial in range(40):
-            n_images, n_classes = int(rng.integers(1, 9)), int(rng.integers(1, 6))
-            threshold = (1e-9, 0.99, float(rng.uniform(0.1, 0.9)))[trial % 3]
-            image_ids = [f"img{k}" for k in range(n_images)]
-            rows = []
-            for image_id in image_ids:
-                boxes = []
-                for _ in range(int(rng.integers(1, 40))):
-                    kind = rng.random()
-                    if boxes and kind < 0.2:
-                        boxes.append(boxes[int(rng.integers(len(boxes)))])
-                    elif boxes and kind < 0.4:
-                        b = boxes[int(rng.integers(len(boxes)))]
-                        boxes.append(Box(b.x1, b.y0, b.x1 + int(rng.integers(1, 6)), b.y1))
-                    else:
-                        x0, y0 = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-                        boxes.append(Box(x0, y0, x0 + int(rng.integers(1, 7)),
-                                         y0 + int(rng.integers(1, 7))))
-                for c in range(n_classes):
-                    coarse = rng.random() < 0.5
-                    for i, box in enumerate(boxes):
-                        if rng.random() < 0.8:
-                            score = rng.integers(0, 4) / 3 if coarse else rng.random()
-                            rows.append(det(image_id, c, box, float(score), i))
-            order = rng.permutation(len(rows))
-            records = row_records(rows, id_records(image_ids))
-            got = table_rows(
-                nms(detection_table([rows[k] for k in order], image_ids), records,
-                    iou_threshold=threshold),
-                records,
-            )
-            expected = []
-            for image_id in image_ids:
-                for c in range(n_classes):
-                    items = [(r.bbox, r.score, r.proposal_index) for r in rows
-                             if r.image_id == image_id and r.class_id == c]
-                    expected += [Row(image_id, c, *item)
-                                 for item in quadratic_nms(items, threshold)]
-            assert got == expected
+            counts = rng.integers(1, 40, size=int(rng.integers(1, 9)))
+            self.check_against_oracle(rng, counts, trial)
+        # equal-count images that fill more than one IoU batch, and an
+        # image past the cap, which is a batch alone
+        self.check_against_oracle(rng, [100] * 8 + [300] + [100] * 5, 2)
+        # the same at a small cap, where most images of a count share a
+        # batch with others and many are past it
+        monkeypatch.setattr(importlib.import_module("saldet._accel"), "_IOU_BATCH", 64)
+        for trial in range(20):
+            count = int(rng.integers(2, 12))
+            counts = [count] * int(rng.integers(2, 12)) + rng.integers(1, 12, size=3).tolist()
+            self.check_against_oracle(rng, rng.permutation(counts), trial)
+
+    @staticmethod
+    def check_against_oracle(rng, counts, trial):
+        n_classes = int(rng.integers(1, 6))
+        threshold = (1e-9, 0.99, float(rng.uniform(0.1, 0.9)))[trial % 3]
+        image_ids = [f"img{k}" for k in range(len(counts))]
+        rows = []
+        for image_id, count in zip(image_ids, counts):
+            boxes = []
+            for _ in range(int(count)):
+                kind = rng.random()
+                if boxes and kind < 0.2:
+                    boxes.append(boxes[int(rng.integers(len(boxes)))])
+                elif boxes and kind < 0.4:
+                    b = boxes[int(rng.integers(len(boxes)))]
+                    boxes.append(Box(b.x1, b.y0, b.x1 + int(rng.integers(1, 6)), b.y1))
+                else:
+                    x0, y0 = int(rng.integers(0, 12)), int(rng.integers(0, 12))
+                    boxes.append(Box(x0, y0, x0 + int(rng.integers(1, 7)),
+                                     y0 + int(rng.integers(1, 7))))
+            for c in range(n_classes):
+                coarse = rng.random() < 0.5
+                for i, box in enumerate(boxes):
+                    if rng.random() < 0.8:
+                        score = rng.integers(0, 4) / 3 if coarse else rng.random()
+                        rows.append(det(image_id, c, box, float(score), i))
+        order = rng.permutation(len(rows))
+        records = row_records(rows, id_records(image_ids))
+        got = table_rows(
+            nms(detection_table([rows[k] for k in order], image_ids), records,
+                iou_threshold=threshold),
+            records,
+        )
+        expected = []
+        for image_id in image_ids:
+            for c in range(n_classes):
+                items = [(r.bbox, r.score, r.proposal_index) for r in rows
+                         if r.image_id == image_id and r.class_id == c]
+                expected += [Row(image_id, c, *item)
+                             for item in quadratic_nms(items, threshold)]
+        assert got == expected
 
     def test_input_order_irrelevant(self):
         rng = np.random.default_rng(5)
@@ -523,6 +540,20 @@ def dense_records(seed, images=4, extra=(100, 140)):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def chunk_records(num_classes):
+    """Records of 1 to 600 proposals, 1,480 rows in all, with class 0 positive."""
+    counts = [1, 8, 2, 3, 7, 9, 150, 1, 9, 300, 2, 7, 600, 3, 1, 8, 250, 9, 100, 2, 1, 7]
+    grid = tiling_grid(16, 8)
+    rng = np.random.default_rng(num_classes)
+    y = [1] + [-1] * (num_classes - 1)
+    return [
+        build_record(f"r{k:02d}", grid, rng.integers(0, 64, size=(n, 1)).tolist(),
+                     rng.normal(size=(n, 16)), y, {0: np.full((16, 16), 0.5)}, [])
+        for k, n in enumerate(counts)
+    ]
+
+
 class TestEvaluatePipeline:
     def test_oracle_detections_score_one(self):
         # exact planted-box detections at score 1 drive every metric to 1
@@ -578,6 +609,48 @@ class TestEvaluatePipeline:
         phi = [forward(params, rec.features, config).scores for rec in records]
         for i, p, c, score in zip(dets.image, dets.proposal, dets.class_id, dets.score):
             assert score == phi[i][p, c]
+
+    @pytest.mark.parametrize("num_classes", [1, 2, 4, 20])
+    @pytest.mark.parametrize("saliency", [True, False])
+    @pytest.mark.parametrize("widths", [(8,), (64, 64)])
+    def test_chunked_scores_equal_forward(self, num_classes, saliency, widths):
+        # 1- to 3-proposal images among 7-9- and 100-300-proposal ones, more
+        # rows than one chunk takes, and one image longer than a chunk
+        records = chunk_records(num_classes)
+        counts = [rec.num_proposals for rec in records]
+        assert max(counts) > evaluate_module._CHUNK_ROWS and min(counts) == 1
+        config = ModelConfig(feature_dim=16, num_classes=num_classes, trunk_widths=widths,
+                             saliency_hidden=32, saliency_enabled=saliency)
+        params = init_params(config, num_classes)
+        rng = np.random.default_rng(len(widths))
+        for name, arr in params.values.items():
+            if name.endswith(".b"):  # every ReLU mask gets both signs
+                arr[...] = rng.uniform(-0.3, 0.3, arr.shape)
+        dets, taus = score_dataset(params, records, config)
+        for i, rec in enumerate(records):
+            trace = forward(params, rec.features, config)
+            assert dets.score[dets.image == i].tobytes() == trace.scores.tobytes()
+            assert taus[rec.id].tobytes() == trace.image_scores.tobytes()
+
+    def test_chunks_hold_whole_records_within_the_row_budget(self, monkeypatch):
+        monkeypatch.setattr(evaluate_module, "_CHUNK_ROWS", 10)
+        chunks = evaluate_module._chunks([1, 8, 1, 12, 3, 7, 10, 2])
+        assert chunks == [(0, 3), (3, 4), (4, 6), (6, 7), (7, 8)]
+        assert evaluate_module._chunks([]) == []
+
+    def test_names_the_record_whose_feature_width_does_not_fit(self):
+        records, _ = generate_synthetic(SynthConfig(images=3, seed=1))
+        narrow = records[1]
+        records[1] = ImageRecord(
+            id=narrow.id, grid=narrow.grid, proposals=narrow.proposals,
+            features=narrow.features[:, :8], labels=narrow.labels,
+            saliency=narrow.saliency, gt_boxes=narrow.gt_boxes,
+        )
+        config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,),
+                             saliency_hidden=4)
+        message = f"^image {narrow.id}: feature dim 8 != model feature dim 16$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(init_params(config, 0), records, config)
 
     def test_matches_oracle_composition(self):
         # per-group quadratic NMS, greedy pixel-IoU matching with per-prefix

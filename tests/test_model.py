@@ -13,6 +13,7 @@ from saldet.model import (
     ModelConfig,
     backward,
     forward,
+    forward_images,
     image_classification_loss,
     init_params,
     load_checkpoint,
@@ -654,6 +655,29 @@ class TestForwardTrace:
         # the step ran the same forward pass in the kernel's buffer
         for name in ("saliency", "weighted", "scores", "image_scores"):
             np.testing.assert_array_equal(getattr(ws, name), getattr(trace, name))
+
+
+    def test_a_run_of_images_gives_each_image_its_own_bits(self):
+        from saldet import ForwardTrace
+
+        params = random_params(CFG2, 5)
+        rng = np.random.default_rng(6)
+        features = [rng.normal(size=(n, 4)) for n in (1, 7, 2, 30, 1)]
+        buf = np.empty(ForwardTrace.size(CFG2, [len(x) for x in features]))
+        trace = forward_images(params, features, CFG2, buf)
+        assert np.shares_memory(trace.scores, buf) and trace.image_scores.shape == (5, 4)
+        lo = 0
+        for x, tau in zip(features, trace.image_scores):
+            alone = forward(params, x, CFG2)
+            for name in ("saliency", "weighted", "cls_softmax", "det_softmax", "scores"):
+                rows = getattr(trace, name)[lo : lo + len(x)]
+                assert rows.tobytes() == getattr(alone, name).tobytes()
+            assert tau.tobytes() == alone.image_scores.tobytes()
+            lo += len(x)
+        with pytest.raises(ValueError, match="at least one image"):
+            forward_images(params, [], CFG2)
+        with pytest.raises(ValueError, match=r"features must be \(N_R, 4\), got \(3, 5\)"):
+            forward_images(params, [features[0], np.zeros((3, 5))], CFG2)
 
 
 class TestStepMemory:
