@@ -268,7 +268,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    variants, seeds = bench.check_ablation(bench.VARIANTS, range(args.seeds))
+    seeds = bench.check_ablation(range(args.seeds))
     dataset = {}
     if args.data:
         records, manifest = load_dataset(args.data)
@@ -280,7 +280,7 @@ def _cmd_ablate(args) -> int:
                 num_classes=manifest.num_classes,
             ),
         }
-    result = bench.run_benchmark(variants, seeds, **dataset)
+    result = bench.run_benchmark(seeds, **dataset)
     rows = [
         (v, result.mean_corloc(v), result.mean_test_map(v)) for v in bench.VARIANTS
     ]

@@ -24,9 +24,19 @@ import numpy as np
 from . import _accel
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an int or numpy integer.
+
+    A bool is refused: it would pass as 0 or 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, order=True)
 class Box:
-    """Axis-aligned half-open pixel rectangle with positive area."""
+    """Axis-aligned half-open pixel rectangle with positive area and integer corners."""
 
     x0: int
     y0: int
@@ -34,6 +44,10 @@ class Box:
     y1: int
 
     def __post_init__(self):
+        # four ints, the usual input, need no further check
+        if not type(self.x0) is type(self.y0) is type(self.x1) is type(self.y1) is int:
+            for name, value in zip(("x0", "y0", "x1", "y1"), self.as_tuple()):
+                _as_int(value, f"box {name}")
         if min(self.x0, self.y0) < 0:
             raise ValueError(f"box origin must be >= 0, got {self}")
         if self.x1 <= self.x0 or self.y1 <= self.y0:
@@ -140,7 +154,10 @@ class Proposal:
     area_px: int = field(init=False)
 
     def __post_init__(self):
-        ids = sorted(int(i) for i in self.superpixel_ids)
+        ids = list(self.superpixel_ids)
+        if set(map(type, ids)) != {int}:  # a list of ints, the usual input, needs no check
+            ids = [_as_int(i, "proposal superpixel id") for i in ids]
+        ids.sort()
         n_sp = self.grid.n_superpixels
         if not ids:
             raise ValueError("proposal must contain at least one superpixel")
@@ -179,9 +196,13 @@ class SaliencyMap:
 
 @dataclass(frozen=True, eq=False)
 class LabelVector:
-    """Image-level presence/absence labels, entries in {+1, -1}."""
+    """Image-level presence/absence labels, entries in {+1, -1}.
+
+    ``positives`` lists the +1 classes in ascending order.
+    """
 
     y: np.ndarray  # (C,) int8
+    positives: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         y = np.asarray(self.y)
@@ -190,17 +211,15 @@ class LabelVector:
         if not np.isin(y, (1, -1)).all():  # as given: the int8 cast would wrap 255 to -1
             raise ValueError("labels: entries must be +1 or -1")
         y = y.astype(np.int8)
-        if not np.any(y == 1):
+        positives = tuple(np.flatnonzero(y == 1).tolist())
+        if not positives:
             raise ValueError("labels: at least one positive class required")
         object.__setattr__(self, "y", _freeze(y))
+        object.__setattr__(self, "positives", positives)
 
     @property
     def num_classes(self) -> int:
         return int(self.y.size)
-
-    @property
-    def positives(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.flatnonzero(self.y == 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +273,7 @@ class ImageRecord:
         boxes = np.array([p.bbox.as_tuple() for p in self.proposals], dtype=np.int64)
         object.__setattr__(self, "proposal_boxes", _freeze(boxes))
         for c, box in self.gt_boxes:
+            _as_int(c, f"record {self.id}: gt box class")
             if not (0 <= c < self.labels.num_classes):
                 raise ValueError(f"record {self.id}: gt box class {c} out of range")
             if box.x1 > self.grid.width or box.y1 > self.grid.height:

@@ -28,13 +28,13 @@ from . import _accel
 from .core import ImageRecord, check_feature_dims
 # scoring runs ``forward_images``; perfbench's tracer also wraps ``forward``
 # under this module's name, so the binding stays
-from .model import ForwardTrace, ModelConfig, ModelParams, forward, forward_images  # noqa: F401
+from .model import ModelConfig, ModelParams, forward, forward_images  # noqa: F401
 
 log = logging.getLogger(__name__)
 NMS_IOU = 0.4    # default IoU at which NMS suppresses a lower-scored box
 MATCH_IOU = 0.5  # default IoU at which a detection matches a ground-truth box
 # rows of whole records scored in one forward pass; a larger image is a
-# chunk alone. The pass's buffer takes ~3.4 kB per row at the standard
+# chunk alone. The pass's trace takes ~3.4 kB per row at the standard
 # widths. Scoring a 50-image split of 100-200 proposals took 18.9, 15.3,
 # 14.4 and 15.3 ms at 128, 512, 1024 and 2048 rows (one BLAS thread), so
 # larger chunks only cost memory
@@ -132,19 +132,17 @@ def score_dataset(params: ModelParams, records: list[ImageRecord], config: Model
     ``detections`` is a :class:`DetectionTable` with one row per
     (image, proposal, class), in that order; ``image_scores`` maps
     image_id to the per-class tau vector. The records are run in chunks
-    of whole records, each one forward pass in one buffer, and every
-    score is the one ``forward`` gives for its image alone.
+    of whole records, one forward pass each, and every score is the one
+    ``forward`` gives for its image alone.
     """
     check_feature_dims(records, config.feature_dim)
     num_classes = config.num_classes
     counts = [rec.num_proposals for rec in records]
     bounds = [0, *itertools.accumulate(counts)]
-    chunks = _chunks(counts)
-    buf = np.empty(max((ForwardTrace.size(config, counts[a:b]) for a, b in chunks), default=0))
     scores = np.empty((bounds[-1], num_classes))
     taus = np.empty((len(records), num_classes))
-    for a, b in chunks:
-        trace = forward_images(params, [rec.features for rec in records[a:b]], config, buf)
+    for a, b in _chunks(counts):
+        trace = forward_images(params, [rec.features for rec in records[a:b]], config)
         scores[bounds[a] : bounds[b]] = trace.scores
         taus[a:b] = trace.image_scores
     table = DetectionTable(

@@ -18,11 +18,11 @@ One step kernel per parameter set holds the maths: ``forward``,
 all run it, the last in one reused workspace, which is what a training
 step calls. Every array of a pass lives in one :class:`ForwardTrace`,
 over a run of whole images: ``forward`` returns a new one over one
-image, ``forward_images`` one over many (evaluation scores a split in
-chunks this way), and the kernel's workspace is one over its shared
-buffer for one image. A run of images gives every image the bits it gets
-alone: the matrix products and the per-image column reductions run per
-image, everything elementwise once over all rows.
+image and ``forward_images`` a new one over many (evaluation scores a
+split in chunks this way); only the kernel's workspace, for one image,
+views a buffer the kernel keeps. A run of images gives every image the
+bits it gets alone: the matrix products and the per-image column
+reductions run per image, everything elementwise once over all rows.
 ``ForwardTrace.check_ranges`` is the one check of the ranges a pass must
 stay in.
 """
@@ -360,10 +360,10 @@ class ForwardTrace:
 
     Three runs of the buffer are checked with one reduction each: ``pre``
     (the input copy and every pre-activation), ``unit`` (score matrix and
-    image scores) and ``sums`` (the softmax sums). Without ``buf`` a new
-    buffer holds the arrays; a step kernel passes its shared buffer and
-    ``backward``, so that the buffer also holds the backward pass's
-    scratch.
+    image scores) and ``sums`` (the softmax sums). The trace allocates
+    its buffer, except a step kernel's workspace, which passes the
+    kernel's shared ``buf`` and ``backward``, so that the buffer also
+    holds the backward pass's scratch.
     """
 
     def __init__(self, config: ModelConfig, counts, buf: np.ndarray | None = None,
@@ -422,11 +422,6 @@ class ForwardTrace:
         self.tau_sum = columns(self.scores, self.image_scores.reshape(images, c))
         # the image of every row, for ``spread_row``
         self.row_image = np.repeat(np.arange(images), counts) if images > 1 else None
-
-    @staticmethod
-    def size(config: ModelConfig, counts) -> int:
-        """Floats of the buffer a forward trace over images of these counts takes."""
-        return _workspace_plan(config, sum(counts), len(counts), False)[0]
 
     def spread_row(self) -> np.ndarray:
         """Each image's row of ``row`` (images, C) repeated over the image's rows.
@@ -528,15 +523,14 @@ class _StepKernel:
             self._workspaces[n] = ws
         return ws
 
+    # overflow surfaces as a FloatingPointError from the finiteness check,
+    # so the numpy warning would only duplicate it
+    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, ws: ForwardTrace) -> None:
-        """Run the pass on the checked features in ``ws.features``, then check its ranges."""
-        # overflow surfaces as a FloatingPointError from the finiteness
-        # check, so the numpy warning would only duplicate it
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._forward(ws)
+        """Run the pass on the checked features in ``ws.features``, then check its ranges.
 
-    def _forward(self, ws):
-        """The forward maths; each matrix product runs per image, on the shapes of one image."""
+        Each matrix product runs per image, on the shapes of one image.
+        """
         for (w, b), dots, z, out in zip(self.trunk, ws.trunk_dots, ws.trunk_pre, ws.trunk_act[1:]):
             _dot_rows(dots, w)
             z += b
@@ -729,18 +723,17 @@ def forward(params: ModelParams, features: np.ndarray, config: ModelConfig) -> F
     return forward_images(params, [features], config)
 
 
-def forward_images(params: ModelParams, features, config: ModelConfig, buf=None) -> ForwardTrace:
+def forward_images(params: ModelParams, features, config: ModelConfig) -> ForwardTrace:
     """Run the network on a run of whole images, one (N_R, D) features array each.
 
     The images' rows are stacked in order in one :class:`ForwardTrace`,
     and every score is the one ``forward`` gives for its image alone.
-    Without ``buf`` the trace's arrays are new; with it they view
-    ``buf``, which must hold ``ForwardTrace.size(config, counts)`` floats.
+    The trace's arrays are new on every call.
     """
     xs = [_check_features(f, config) for f in features]
     if not xs:
         raise ValueError("need at least one image")
-    trace = ForwardTrace(config, [x.shape[0] for x in xs], buf)
+    trace = ForwardTrace(config, [x.shape[0] for x in xs])
     np.concatenate(xs, out=trace.features)
     _step_kernel(params, config).forward(trace)
     return trace

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import Row, build_record, detection_table, row_records, table_rows, tiling_grid
+from golden import standard as golden
 from oracles import (
     naive_corloc,
     naive_detection_ap,
@@ -23,14 +24,12 @@ from oracles import (
     prefix_ap,
     quadratic_nms,
 )
-from saldet.benchmark import run_benchmark
 from saldet.core import Box, iou
-from saldet.dataio import SynthConfig, generate_synthetic, load_dataset, save_dataset
+from saldet.dataio import SynthConfig, generate_synthetic
 from saldet.evaluate import (
     classification_ap,
     corloc,
     detection_ap,
-    evaluate,
     nms,
 )
 from saldet.model import (
@@ -48,7 +47,6 @@ from saldet.seeds import (
     select_seeds,
     threshold_baseline,
 )
-from saldet.trainer import TrainConfig, train
 
 
 _det = Row
@@ -252,13 +250,14 @@ def test_criterion_5_metrics_match_hand_values_and_oracles():
 
 @pytest.fixture(scope="module")
 def benchmark_result():
+    """The standard grid over seeds 0-4, its wall time and each run's parameter digest."""
     tic = time.perf_counter()
-    result = run_benchmark(seeds=range(5))
-    return result, time.perf_counter() - tic
+    result, digests = golden.run_grid()
+    return result, time.perf_counter() - tic, digests
 
 
 def test_criterion_6_standard_benchmark_learns(benchmark_result):
-    result, wall = benchmark_result
+    result, wall, _ = benchmark_result
     full_corloc = result.mean_corloc("full")
     full_map = result.mean_test_map("full")
     assert full_corloc >= 0.80, f"mean CorLoc {full_corloc:.3f} < 0.80"
@@ -271,7 +270,7 @@ def test_criterion_6_standard_benchmark_learns(benchmark_result):
 
 
 def test_criterion_7_ablation_ordering(benchmark_result):
-    result, _ = benchmark_result
+    result, _, _ = benchmark_result
     full = result.mean_corloc("full")
     no_sal = result.mean_corloc("no_sal")
     baseline = result.mean_corloc("baseline")
@@ -288,33 +287,29 @@ def test_criterion_7_ablation_ordering(benchmark_result):
     )
 
 
-def test_criterion_8_pipeline_is_byte_deterministic(tmp_path):
-    def pipeline(root):
-        ds = root / "ds"
-        ckpt = root / "model.ckpt"
-        records, manifest = generate_synthetic(SynthConfig(images=10, seed=77))
-        save_dataset(records, manifest, ds)
-        dataset_bytes = {
-            str(p.relative_to(ds)): p.read_bytes()
-            for p in sorted(ds.rglob("*")) if p.is_file()
-        }
-        loaded, _ = load_dataset(ds / "manifest.json")
-        model_config = ModelConfig(
-            feature_dim=16, num_classes=4, trunk_widths=(16,), saliency_hidden=8
-        )
-        train_config = TrainConfig(
-            epochs=3, lr_phase1=5e-3, lr_phase2=5e-4, phase_boundary=2
-        )
-        params, _ = train(loaded, model_config, train_config, checkpoint_path=ckpt)
-        report = evaluate(
-            params, loaded, train_config.effective_model_config(model_config)
-        )
-        return dataset_bytes, ckpt.read_bytes(), json.dumps(
-            report.as_json_dict(), sort_keys=True
-        )
+def test_standard_results_match_the_recorded_contract(benchmark_result, tmp_path):
+    result, _, digests = benchmark_result
+    recorded = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
+    _, checkpoint, report = golden.pipeline(tmp_path)
+    diff = golden.changed(recorded, golden.record(result, digests, checkpoint, report))
+    assert golden.readme_table() == recorded["readme_table"], "README table != standard.json"
+    table = [key for key in diff if key.startswith("readme_table.")]
+    assert not table, f"README table fields differ from the run: {table}"
+    host = [key for key in diff if key.startswith("environment.")]
+    if host:
+        print(f"CONTRACT README TABLE PASS: digests not compared on another host ({host})")
+        return
+    assert not diff, f"fields differ from tests/golden/standard.json: {diff}"
+    print(
+        f"CONTRACT PASS: {len(recorded['params'])} parameter digests, "
+        f"{len(recorded['reports'])} report digests, the pipeline and the README table "
+        "match tests/golden/standard.json"
+    )
 
-    data_a, ckpt_a, report_a = pipeline(tmp_path / "run_a")
-    data_b, ckpt_b, report_b = pipeline(tmp_path / "run_b")
+
+def test_criterion_8_pipeline_is_byte_deterministic(tmp_path):
+    data_a, ckpt_a, report_a = golden.pipeline(tmp_path / "run_a")
+    data_b, ckpt_b, report_b = golden.pipeline(tmp_path / "run_b")
     assert data_a == data_b
     assert ckpt_a == ckpt_b
     assert report_a == report_b

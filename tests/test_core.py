@@ -25,10 +25,18 @@ class TestBox:
     def test_area_half_open(self):
         assert Box(0, 0, 4, 3).area == 12
         assert Box(2, 5, 3, 6).area == 1
+        assert Box(*np.array([0, 0, 4, 3], dtype=np.int32)).area == 12
 
-    @pytest.mark.parametrize("bad", [(0, 0, 0, 1), (0, 0, 1, 0), (3, 1, 2, 5)])
-    def test_rejects_empty(self, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("bad,message", [
+        ((0, 0, 0, 1), "positive extent"),
+        ((0, 0, 1, 0), "positive extent"),
+        ((3, 1, 2, 5), "positive extent"),
+        # a float corner gives a float area, and the ground truth truncates it
+        ((0.5, 0, 2.5, 2), "box x0 must be an integer, got 0.5"),
+        ((0, 0, 2, True), "box y1 must be an integer, got True"),
+    ], ids=["bad0", "bad1", "bad2", "float", "bool"])
+    def test_rejects_empty(self, bad, message):
+        with pytest.raises(ValueError, match=message):
             Box(*bad)
 
     def test_as_tuple(self):
@@ -184,10 +192,16 @@ class TestProposal:
                 assert prop.area_px == area
                 assert prop.superpixel_ids == tuple(sorted(ids.tolist()))
 
-    def test_unknown_id_rejected(self):
+    @pytest.mark.parametrize("ids,message", [
+        ([0, 16], r"superpixel id out of range \[0, 16\)"),
+        # int() would turn these into the ids 2 and 1
+        ([2.7, True], "proposal superpixel id must be an integer, got 2.7"),
+        ([2, True], "proposal superpixel id must be an integer, got True"),
+    ], ids=["unknown", "float", "bool"])
+    def test_unknown_id_rejected(self, ids, message):
         grid = tiling_grid(8, 4)
-        with pytest.raises(ValueError):
-            proposal_from_superpixels(grid, [0, 16])
+        with pytest.raises(ValueError, match=message):
+            proposal_from_superpixels(grid, ids)
 
     def test_empty_rejected(self):
         grid = tiling_grid(8, 4)
@@ -234,6 +248,9 @@ class TestLabelVector:
     def test_positives(self):
         lv = LabelVector(y=np.array([1, -1, 1], dtype=np.int8))
         assert lv.positives == (0, 2)
+        assert all(type(c) is int for c in lv.positives)
+        assert lv.positives is lv.positives  # computed once
+        assert "positives" not in repr(lv)
 
 
 class TestSaliencyMap:
@@ -278,14 +295,20 @@ class TestImageRecord:
                 saliency=dict(rec.saliency), gt_boxes=rec.gt_boxes,
             )
 
-    def test_gt_box_must_fit_image(self, touching_objects_record):
+    @pytest.mark.parametrize("gt,message", [
+        ((0, Box(0, 0, 17, 4)), "exceeds grid bounds"),
+        # evaluation would score class 0.9 as class 0
+        ((0.9, Box(0, 0, 2, 2)), "gt box class must be an integer, got 0.9"),
+        ((True, Box(0, 0, 2, 2)), "gt box class must be an integer, got True"),
+    ], ids=["bounds", "float class", "bool class"])
+    def test_gt_box_must_fit_image(self, touching_objects_record, gt, message):
         rec = touching_objects_record
-        with pytest.raises(ValueError, match="bounds"):
+        with pytest.raises(ValueError, match=message):
             ImageRecord(
                 id=rec.id, grid=rec.grid, proposals=rec.proposals,
                 features=rec.features, labels=rec.labels,
                 saliency=dict(rec.saliency),
-                gt_boxes=[(0, Box(0, 0, 17, 4))],
+                gt_boxes=[gt],
             )
 
     @pytest.mark.parametrize("other", ["coarser tiling", "equal copy"])

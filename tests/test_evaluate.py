@@ -85,7 +85,7 @@ class TestDetection:
                              saliency_hidden=4)
         params = init_params(config, 0)
         for bad in (float("nan"), -0.25, 1.25):
-            def fake_forward_images(params, features, config, buf, bad=bad):
+            def fake_forward_images(params, features, config, bad=bad):
                 rows = sum(len(f) for f in features)
                 scores = np.full((rows, config.num_classes), 0.5)
                 scores[-1, -1] = bad

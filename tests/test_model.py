@@ -658,14 +658,11 @@ class TestForwardTrace:
 
 
     def test_a_run_of_images_gives_each_image_its_own_bits(self):
-        from saldet import ForwardTrace
-
         params = random_params(CFG2, 5)
         rng = np.random.default_rng(6)
         features = [rng.normal(size=(n, 4)) for n in (1, 7, 2, 30, 1)]
-        buf = np.empty(ForwardTrace.size(CFG2, [len(x) for x in features]))
-        trace = forward_images(params, features, CFG2, buf)
-        assert np.shares_memory(trace.scores, buf) and trace.image_scores.shape == (5, 4)
+        trace = forward_images(params, features, CFG2)
+        assert trace.image_scores.shape == (5, 4)
         lo = 0
         for x, tau in zip(features, trace.image_scores):
             alone = forward(params, x, CFG2)
@@ -681,7 +678,11 @@ class TestForwardTrace:
 
 
 class TestStepMemory:
-    def test_earlier_results_survive_later_calls(self):
+    @pytest.mark.parametrize("run", [
+        lambda params, x: forward(params, x, CFG2),
+        lambda params, x: forward_images(params, [x, x[:2], x], CFG2),
+    ], ids=["forward", "forward_images"])
+    def test_earlier_results_survive_later_calls(self, run):
         def trace_bytes(t):
             arrays = (*t.trunk_pre, *t.trunk_act, t.sal_pre, t.sal_hidden, t.sal_logit,
                       t.saliency, t.weighted, t.cls_softmax, t.det_softmax, t.scores,
@@ -692,11 +693,11 @@ class TestStepMemory:
         rng = np.random.default_rng(3)
         features = rng.normal(size=(6, 4))
         y = [1, -1, 1, -1]
-        trace = forward(params, features, CFG2)
+        trace = run(params, features)
         _, grad = loss_and_grads(params, features, y, None, CFG2)
         trace_before, grad_before = trace_bytes(trace), grad.tobytes()
         for n in (6, 9, 1, 30, 6):
-            forward(params, rng.normal(size=(n, 4)), CFG2)
+            run(params, rng.normal(size=(n, 4)))
             loss_and_grads(params, rng.normal(size=(n, 4)), y, None, CFG2)
         assert trace_bytes(trace) == trace_before
         assert grad.tobytes() == grad_before
