@@ -107,7 +107,7 @@ def _cmd_seeds(args) -> int:
             "classes": {
                 str(c): {
                     "seed_index": i,
-                    "seed_bbox": _box_list(rec.proposals[i].bbox),
+                    "seed_bbox": rec.proposal_boxes[i].tolist(),
                     "region_saliency": float(scores[c][0][i]),
                     "neighborhood_saliency": float(scores[c][1][i]),
                     "contrast": float(scores[c][2][i]),

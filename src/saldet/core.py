@@ -5,10 +5,11 @@ area is exactly (x1 - x0) * (y1 - y0) and IoU arithmetic is exact.
 Superpixel adjacency is 4-connected: two superpixels are neighbors iff
 some pixel pair of theirs shares a horizontal or vertical edge. Each
 grid holds each superpixel's pixel count and box, computed once, and
-its neighbour lists, built on first use. A proposal holds its grid; its
-box and area are derived from the grid's tables, never passed in, and a
-record takes only proposals on its own grid and keeps their boxes. Seed
-selection reads the lists, never an n_sp x n_sp matrix. A record keys
+its neighbour lists, built on first use. A proposal is its grid and its
+superpixel ids; ``proposal_geometry`` derives proposals' member pairs and
+boxes from the grid's tables in one pass, and a record takes only
+proposals on its own grid and keeps both. Seed selection reads the
+lists, never an n_sp x n_sp matrix. A record keys
 its saliency maps by class. Records may share one grid: the generator
 gives all its records one, and loading gives consecutive records with
 identical label grids one. All types are immutable after construction
@@ -18,6 +19,7 @@ identical label grids one. All types are immutable after construction
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -44,10 +46,8 @@ class Box:
     y1: int
 
     def __post_init__(self):
-        # four ints, the usual input, need no further check
-        if not type(self.x0) is type(self.y0) is type(self.x1) is type(self.y1) is int:
-            for name, value in zip(("x0", "y0", "x1", "y1"), self.as_tuple()):
-                _as_int(value, f"box {name}")
+        for name, value in zip(("x0", "y0", "x1", "y1"), self.as_tuple()):
+            _as_int(value, f"box {name}")
         if min(self.x0, self.y0) < 0:
             raise ValueError(f"box origin must be >= 0, got {self}")
         if self.x1 <= self.x0 or self.y1 <= self.y0:
@@ -144,14 +144,12 @@ class SuperpixelGrid:
 class Proposal:
     """A region proposal: a nonempty union of superpixels of ``grid``.
 
-    ``bbox`` encloses the member superpixels' boxes and ``area_px`` sums
-    their pixel counts, both read from the grid's tables.
+    It holds only the grid and its sorted, unique ``superpixel_ids``;
+    ``bbox`` is derived on each read by ``proposal_geometry``.
     """
 
     grid: SuperpixelGrid = field(repr=False)
     superpixel_ids: tuple[int, ...]
-    bbox: Box = field(init=False)
-    area_px: int = field(init=False)
 
     def __post_init__(self):
         ids = list(self.superpixel_ids)
@@ -165,11 +163,24 @@ class Proposal:
             raise ValueError(f"superpixel id out of range [0, {n_sp})")
         if len(set(ids)) != len(ids):
             raise ValueError("proposal superpixel ids must be unique")
-        rows = self.grid.boxes[ids]
-        lo, hi = rows[:, :2].min(axis=0), rows[:, 2:].max(axis=0)
         object.__setattr__(self, "superpixel_ids", tuple(ids))
-        object.__setattr__(self, "bbox", Box(*lo.tolist(), *hi.tolist()))
-        object.__setattr__(self, "area_px", int(self.grid.pixel_counts[ids].sum()))
+
+    @property
+    def bbox(self) -> Box:
+        """The box enclosing the member superpixels' boxes."""
+        return Box(*proposal_geometry(self.grid, [self])[1][0].tolist())
+
+
+def proposal_geometry(grid: SuperpixelGrid, proposals) -> tuple[tuple, np.ndarray]:
+    """``((rows, ids), boxes)``, read-only int64: every (proposal index,
+    superpixel id) member pair, proposal by proposal, and each proposal's
+    (P, 4) box, the segment min / max of its members' grid boxes."""
+    sizes = [len(p.superpixel_ids) for p in proposals]
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    ids = np.fromiter(chain(*[p.superpixel_ids for p in proposals]), np.int64, rows.size)
+    starts, member = np.cumsum(sizes) - sizes, grid.boxes[ids]
+    lo, hi = np.minimum.reduceat(member[:, :2], starts), np.maximum.reduceat(member[:, 2:], starts)
+    return (_freeze(rows), _freeze(ids)), _freeze(np.hstack([lo, hi]))
 
 
 def proposal_from_superpixels(grid: SuperpixelGrid, ids) -> Proposal:
@@ -208,7 +219,7 @@ class LabelVector:
         y = np.asarray(self.y)
         if y.ndim != 1 or y.size == 0:
             raise ValueError("labels must be a nonempty 1-d vector")
-        if not np.isin(y, (1, -1)).all():  # as given: the int8 cast would wrap 255 to -1
+        if not ((y == 1) | (y == -1)).all():  # as given: the int8 cast would wrap 255 to -1
             raise ValueError("labels: entries must be +1 or -1")
         y = y.astype(np.int8)
         positives = tuple(np.flatnonzero(y == 1).tolist())
@@ -227,6 +238,8 @@ class ImageRecord:
     """One example: superpixel grid, proposals, features, labels, saliency.
 
     Every proposal must be on ``grid`` itself, not on an equal copy.
+    ``proposal_members`` and ``proposal_boxes`` are the proposals'
+    ``proposal_geometry``, derived once here.
     ``saliency`` maps each positive class id to its class-specific map;
     maps must exist exactly for the positive classes. ``gt_boxes`` is the
     optional list of (class_id, Box) ground truth used only by evaluation.
@@ -240,6 +253,7 @@ class ImageRecord:
     labels: LabelVector
     saliency: dict[int, SaliencyMap]
     gt_boxes: list[tuple[int, Box]] = field(default_factory=list)
+    proposal_members: tuple = field(init=False, repr=False)  # (rows, ids) member pairs
     proposal_boxes: np.ndarray = field(init=False, repr=False)  # (N_R, 4) int64 proposal bboxes
 
     def __post_init__(self):
@@ -270,8 +284,9 @@ class ImageRecord:
         for k, p in enumerate(self.proposals):
             if p.grid is not self.grid:
                 raise ValueError(f"record {self.id}: proposal {k} is on another grid")
-        boxes = np.array([p.bbox.as_tuple() for p in self.proposals], dtype=np.int64)
-        object.__setattr__(self, "proposal_boxes", _freeze(boxes))
+        members, boxes = proposal_geometry(self.grid, self.proposals)
+        object.__setattr__(self, "proposal_members", members)
+        object.__setattr__(self, "proposal_boxes", boxes)
         for c, box in self.gt_boxes:
             _as_int(c, f"record {self.id}: gt box class")
             if not (0 <= c < self.labels.num_classes):

@@ -14,7 +14,6 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -87,19 +86,14 @@ def proposal_scores(record: ImageRecord, sigma: float) -> dict[int, tuple]:
     ``select_negatives`` both read its result. ``rs`` is the mean
     saliency inside each proposal; ``ns`` the mean saliency of its
     neighborhood, the superpixels adjacent to a member but not members
-    themselves, or 0 when that neighborhood is empty. Neighbours come
-    from the grid's neighbour lists.
+    themselves, or 0 when that neighborhood is empty. Members come from
+    the record's ``proposal_members`` and neighbours from the grid's
+    neighbour lists; areas are the members' pixel counts summed.
     """
     grid = record.grid
     n_sp = grid.n_superpixels
-    # every (proposal, member superpixel) pair, proposal by proposal
-    sizes = [len(p.superpixel_ids) for p in record.proposals]
-    rows = np.repeat(np.arange(len(sizes)), sizes)
-    ids = np.fromiter(
-        chain.from_iterable(p.superpixel_ids for p in record.proposals),
-        dtype=np.int64, count=rows.size,
-    )
-    member = np.zeros((len(sizes), n_sp))
+    rows, ids = record.proposal_members
+    member = np.zeros((record.num_proposals, n_sp))
     member[rows, ids] = 1.0
     # class sums (C, n_sp), rows following record.labels.positives
     sums = np.stack([
@@ -108,7 +102,7 @@ def proposal_scores(record: ImageRecord, sigma: float) -> dict[int, tuple]:
         )
         for c in record.labels.positives
     ])
-    area = np.array([p.area_px for p in record.proposals], dtype=np.float64)
+    area = member @ grid.pixel_counts
     rs = sums @ member.T / area
     offsets, neighbor_ids = grid.neighbors
     # one gather over the neighbour lists of every (proposal, member)

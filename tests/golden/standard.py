@@ -9,8 +9,9 @@
   parameters, by perfbench's ``params_digest``, keyed ``variant/seedN``;
 * ``reports`` - the SHA-256 of each run's ``EvalReport.as_json_dict()``,
   keyed ``variant/seedN/train`` and ``variant/seedN/test``;
-* ``pipeline`` - the SHA-256 of the criterion-8 pipeline's checkpoint
-  and report;
+* ``pipeline`` - the SHA-256 of the criterion-8 pipeline's saved
+  dataset (over each file's name and digest), of the ``saldet seeds
+  --theta 0.5`` output on it, and of its checkpoint and report;
 * ``readme_table`` - each variant's mean train CorLoc and mean test mAP
   to 3 decimals, the README's benchmark table.
 
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from saldet import _accel, benchmark
+from saldet import _accel, benchmark, cli
 from saldet.dataio import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from saldet.evaluate import evaluate
 from saldet.model import ModelConfig
@@ -77,18 +78,24 @@ def run_grid():
 
 
 def pipeline(root: Path):
-    """Synthesise, save, load, train and evaluate; returns (dataset files, checkpoint, report).
+    """Synthesise, save, select seeds, load, train and evaluate.
 
-    The dataset maps each file's relative path to its bytes, and the
-    report is the evaluation's JSON with sorted keys.
+    Returns (dataset files, seeds, checkpoint, report). The dataset maps
+    each file's relative path to its bytes, seeds is what ``saldet seeds
+    --theta 0.5`` writes for that dataset, and the report is the
+    evaluation's JSON with sorted keys.
     """
     ds = root / "ds"
     ckpt = root / "model.ckpt"
+    seeds = root / "seeds.json"
     records, manifest = generate_synthetic(SynthConfig(images=10, seed=77))
     save_dataset(records, manifest, ds)
     dataset_bytes = {
         str(p.relative_to(ds)): p.read_bytes() for p in sorted(ds.rglob("*")) if p.is_file()
     }
+    argv = ["seeds", "--data", str(ds / "manifest.json"), "--theta", "0.5", "--out", str(seeds)]
+    if cli.main(argv) != 0:
+        raise RuntimeError(f"saldet {' '.join(argv)} failed")
     loaded, _ = load_dataset(ds / "manifest.json")
     model_config = ModelConfig(
         feature_dim=16, num_classes=4, trunk_widths=(16,), saliency_hidden=8
@@ -96,12 +103,15 @@ def pipeline(root: Path):
     train_config = TrainConfig(epochs=3, lr_phase1=5e-3, lr_phase2=5e-4, phase_boundary=2)
     params, _ = train(loaded, model_config, train_config, checkpoint_path=ckpt)
     report = evaluate(params, loaded, train_config.effective_model_config(model_config))
-    return dataset_bytes, ckpt.read_bytes(), json.dumps(report.as_json_dict(), sort_keys=True)
+    report_json = json.dumps(report.as_json_dict(), sort_keys=True)
+    return dataset_bytes, seeds.read_bytes(), ckpt.read_bytes(), report_json
 
 
-def record(result, digests, checkpoint: bytes, report: str) -> dict:
-    """The contract's fields for a grid result, its digests and one pipeline run."""
+def record(result, digests, outputs) -> dict:
+    """The contract's fields for a grid result, its digests and one ``pipeline`` run's outputs."""
     runs = result.runs
+    dataset, seeds, checkpoint, report = outputs
+    files = {name: _sha256(data) for name, data in dataset.items()}
     return {
         "environment": fingerprint(),
         "params": {f"{r.variant}/seed{r.seed}": d for r, d in zip(runs, digests, strict=True)},
@@ -112,7 +122,12 @@ def record(result, digests, checkpoint: bytes, report: str) -> dict:
             for r in runs
             for split, rep in (("train", r.train_report), ("test", r.test_report))
         },
-        "pipeline": {"checkpoint": _sha256(checkpoint), "report": _sha256(report.encode())},
+        "pipeline": {
+            "dataset": _sha256(json.dumps(files, sort_keys=True).encode()),
+            "seeds": _sha256(seeds),
+            "checkpoint": _sha256(checkpoint),
+            "report": _sha256(report.encode()),
+        },
         "readme_table": {
             v: [round(result.mean_corloc(v), 3), round(result.mean_test_map(v), 3)]
             for v in benchmark.VARIANTS
@@ -149,8 +164,7 @@ def changed(old: dict, new: dict) -> list[str]:
 def main() -> int:
     result, digests = run_grid()
     with tempfile.TemporaryDirectory() as tmp:
-        _, checkpoint, report = pipeline(Path(tmp))
-    new = record(result, digests, checkpoint, report)
+        new = record(result, digests, pipeline(Path(tmp)))
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     diff = changed(old, new)
     GOLDEN.write_text(json.dumps(new, indent=2) + "\n", encoding="utf-8")

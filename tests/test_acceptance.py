@@ -290,8 +290,7 @@ def test_criterion_7_ablation_ordering(benchmark_result):
 def test_standard_results_match_the_recorded_contract(benchmark_result, tmp_path):
     result, _, digests = benchmark_result
     recorded = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
-    _, checkpoint, report = golden.pipeline(tmp_path)
-    diff = golden.changed(recorded, golden.record(result, digests, checkpoint, report))
+    diff = golden.changed(recorded, golden.record(result, digests, golden.pipeline(tmp_path)))
     assert golden.readme_table() == recorded["readme_table"], "README table != standard.json"
     table = [key for key in diff if key.startswith("readme_table.")]
     assert not table, f"README table fields differ from the run: {table}"
@@ -308,14 +307,15 @@ def test_standard_results_match_the_recorded_contract(benchmark_result, tmp_path
 
 
 def test_criterion_8_pipeline_is_byte_deterministic(tmp_path):
-    data_a, ckpt_a, report_a = golden.pipeline(tmp_path / "run_a")
-    data_b, ckpt_b, report_b = golden.pipeline(tmp_path / "run_b")
+    data_a, seeds_a, ckpt_a, report_a = golden.pipeline(tmp_path / "run_a")
+    data_b, seeds_b, ckpt_b, report_b = golden.pipeline(tmp_path / "run_b")
     assert data_a == data_b
+    assert seeds_a == seeds_b
     assert ckpt_a == ckpt_b
     assert report_a == report_b
     print(
-        "CRITERION 8 PASS: synth -> train -> eval twice gave byte-identical "
-        "datasets, checkpoints, and reports"
+        "CRITERION 8 PASS: synth -> seeds -> train -> eval twice gave byte-identical "
+        "datasets, seed files, checkpoints, and reports"
     )
 
 

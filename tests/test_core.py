@@ -154,43 +154,46 @@ class TestAdjacency:
                 arr[0] = 1
 
 
+def random_irregular_grids(rng, trials=40):
+    """Random-noise grids (disconnected superpixels) alternating with Voronoi grids."""
+    for trial in range(trials):
+        h, w = (int(v) for v in rng.integers(1, 20, 2))
+        n_sp = int(rng.integers(1, min(h * w, 12) + 1))
+        if trial % 2:
+            raw = rng.integers(0, n_sp, size=(h, w))
+        else:
+            sites = rng.integers(0, (h, w), size=(n_sp, 2))
+            yy, xx = np.mgrid[0:h, 0:w]
+            dist = (yy[..., None] - sites[:, 0]) ** 2 + (xx[..., None] - sites[:, 1]) ** 2
+            raw = dist.argmin(axis=-1)
+        labels = np.unique(raw, return_inverse=True)[1].reshape(h, w).astype(np.int32)
+        yield SuperpixelGrid(width=w, height=h, labels=labels)
+
+
 class TestProposal:
     def test_bbox_and_area(self):
         grid = tiling_grid(8, 4)  # 2x2-pixel superpixels
         prop = proposal_from_superpixels(grid, [0, 1, 4])
         assert prop.bbox == Box(0, 0, 4, 4)
-        assert prop.area_px == 12
         assert prop.superpixel_ids == (0, 1, 4)
 
     def test_non_contiguous_members_allowed(self):
         grid = tiling_grid(8, 4)
         prop = proposal_from_superpixels(grid, [0, 15])
         assert prop.bbox == Box(0, 0, 8, 8)
-        assert prop.area_px == 8
 
     def test_matches_pixel_oracle_on_irregular_grids(self):
-        """Random-noise grids (disconnected superpixels) and Voronoi grids."""
         rng = np.random.default_rng(5)
-        for trial in range(40):
-            h, w = (int(v) for v in rng.integers(1, 20, 2))
-            n_sp = int(rng.integers(1, min(h * w, 12) + 1))
-            if trial % 2:
-                raw = rng.integers(0, n_sp, size=(h, w))
-            else:
-                sites = rng.integers(0, (h, w), size=(n_sp, 2))
-                yy, xx = np.mgrid[0:h, 0:w]
-                dist = (yy[..., None] - sites[:, 0]) ** 2 + (xx[..., None] - sites[:, 1]) ** 2
-                raw = dist.argmin(axis=-1)
-            labels = np.unique(raw, return_inverse=True)[1].reshape(h, w).astype(np.int32)
-            grid = SuperpixelGrid(width=w, height=h, labels=labels)
+        for grid in random_irregular_grids(rng):
             for _ in range(5):
                 k = int(rng.integers(1, grid.n_superpixels + 1))
                 ids = rng.choice(grid.n_superpixels, size=k, replace=False)
                 prop = proposal_from_superpixels(grid, ids)
-                box, area = pixel_mask_box(np.isin(labels, ids))
-                assert prop.bbox.as_tuple() == box
-                assert prop.area_px == area
+                assert prop.bbox.as_tuple() == pixel_mask_box(np.isin(grid.labels, ids))[0]
                 assert prop.superpixel_ids == tuple(sorted(ids.tolist()))
+
+    def test_holds_only_its_grid_and_ids(self):
+        assert [f.name for f in fields(Proposal)] == ["grid", "superpixel_ids"]
 
     @pytest.mark.parametrize("ids,message", [
         ([0, 16], r"superpixel id out of range \[0, 16\)"),
@@ -239,7 +242,7 @@ class TestLabelVector:
         with pytest.raises(ValueError):
             LabelVector(y=np.array([1, 0], dtype=np.int8))
 
-    @pytest.mark.parametrize("value", [255, 257, 300, -129, 2**31, 2**63, 2**70, 1.5, "1"])
+    @pytest.mark.parametrize("value", [255, 257, 300, -129, 2**31, 2**63, 2**70, 1.5, "1", np.nan])
     def test_checked_before_the_int8_cast(self, value):
         # 255 and 257 would wrap to -1 and +1
         with pytest.raises(ValueError, match=r"entries must be \+1 or -1"):
@@ -316,9 +319,9 @@ class TestImageRecord:
         grid = tiling_grid(32, 8)  # 4x4-pixel superpixels
         foreign = tiling_grid(32, 4) if other == "coarser tiling" else tiling_grid(32, 8)
         own, moved = Proposal(grid, (15,)), Proposal(foreign, (15,))
-        assert (own.bbox, own.area_px) == (Box(28, 4, 32, 8), 16)
+        assert own.bbox == Box(28, 4, 32, 8)
         if other == "coarser tiling":  # 8x8-pixel superpixels
-            assert (moved.bbox, moved.area_px) == (Box(24, 24, 32, 32), 64)
+            assert moved.bbox == Box(24, 24, 32, 32)
         rec = build_record("r", grid, [[15]], np.ones((1, 2)), [1, -1],
                            {0: np.ones((32, 32))}, [])
         with pytest.raises(ValueError, match="proposal 1 is on another grid"):
@@ -327,3 +330,28 @@ class TestImageRecord:
                 features=np.ones((2, 2)), labels=rec.labels,
                 saliency=dict(rec.saliency),
             )
+
+    def test_proposal_geometry_matches_pixel_oracle_on_irregular_grids(self):
+        """Each record's member pairs and box rows, proposal by proposal.
+
+        A 1-superpixel and an all-superpixel proposal sit among random
+        ones, so segments of every length meet at the boundaries.
+        """
+        rng = np.random.default_rng(6)
+        for grid in random_irregular_grids(rng):
+            n = grid.n_superpixels
+            id_lists = [sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                               .tolist()) for _ in range(4)]
+            id_lists += [[int(rng.integers(n))], list(range(n))]
+            id_lists = [id_lists[k] for k in rng.permutation(len(id_lists))]
+            rec = build_record("r", grid, id_lists, np.ones((len(id_lists), 2)), [1],
+                               {0: np.ones((grid.height, grid.width))}, [])
+            rows, ids = rec.proposal_members
+            assert rows.tolist() == [k for k, members in enumerate(id_lists) for _ in members]
+            assert ids.tolist() == [i for members in id_lists for i in members]
+            for k, members in enumerate(id_lists):
+                box = pixel_mask_box(np.isin(grid.labels, members))[0]
+                assert tuple(rec.proposal_boxes[k].tolist()) == box, (k, members)
+            for arr in (rows, ids):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
