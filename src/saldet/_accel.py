@@ -163,7 +163,7 @@ def box_iou(a, b):
 _IOU_BATCH = 2**16
 
 
-def nms_keep(boxes, threshold, image=None, rank=None):
+def nms_keep(boxes, threshold, counts=None, rank=None):
     """Greedy suppression of half-open boxes, for many groups at once.
 
     ``boxes`` is (M, 4) int64 rows (x0, y0, x1, y1). Without ``rank`` the
@@ -175,8 +175,9 @@ def nms_keep(boxes, threshold, image=None, rank=None):
     ``rank`` (G, M) runs G groups over the same boxes: ``rank[g, k]`` is
     box k's priority in group g (lower first, distinct within a group),
     negative where box k is not in group g; the result is a (G, M) mask,
-    False outside each group. ``image`` (M,) labels each box with its
-    image; boxes of one image must be contiguous, else it is a
+    False outside each group. ``counts`` splits the rows into images, in
+    order: image i has ``counts[i]`` boxes, and without it all M rows are
+    one image. Counts must be integers >= 0 summing to M, else it is a
     ValueError. Boxes of different images never suppress each other. The
     IoUs are computed once, whatever the number of groups, for batches of
     images with the same box count at a time.
@@ -187,13 +188,11 @@ def nms_keep(boxes, threshold, image=None, rank=None):
     # int32 halves the memory traffic; below 2**15 two areas still sum in range
     if m and 0 <= boxes.min() and boxes.max() < 2**15:
         boxes = boxes.astype(np.int32)
-    starts = np.zeros(min(m, 1), dtype=np.int64)
-    if image is not None and m:
-        image = np.asarray(image)
-        starts = np.flatnonzero(np.concatenate(([True], image[1:] != image[:-1])))
-        if np.unique(image[starts]).size != starts.size:
-            raise ValueError("boxes of one image must be contiguous")
-    counts = np.diff(np.append(starts, m))
+    counts = np.asarray([m] if counts is None else counts)
+    whole = counts.dtype.kind in "iu" or not counts.size
+    if counts.ndim != 1 or not whole or (counts < 0).any() or counts.sum() != m:
+        raise ValueError(f"box counts must be integers >= 0 summing to {m}")
+    starts = np.cumsum(counts) - counts
     # a positive IoU is at least 2**-63, so touching boxes never reach this
     reach = max(threshold, np.finfo(np.float64).tiny)
     # node ids g * m + k index every (group, box); int32 halves the edge lists

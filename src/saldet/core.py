@@ -303,10 +303,16 @@ class ImageRecord:
         return int(self.features.shape[1])
 
 
-def check_feature_dims(records: list[ImageRecord], feature_dim: int) -> None:
-    """Raise ValueError naming the first record whose feature width is not ``feature_dim``."""
+def check_records(records: list[ImageRecord], config) -> None:
+    """Raise ValueError naming the first record whose features or labels do not fit ``config``."""
     for rec in records:
-        if rec.feature_dim != feature_dim:
+        if rec.feature_dim != config.feature_dim:
             raise ValueError(
-                f"image {rec.id}: feature dim {rec.feature_dim} != model feature dim {feature_dim}"
+                f"image {rec.id}: feature dim {rec.feature_dim} "
+                f"!= model feature dim {config.feature_dim}"
+            )
+        if rec.labels.num_classes != config.num_classes:
+            raise ValueError(
+                f"record {rec.id}: {rec.labels.num_classes} classes, "
+                f"model has {config.num_classes}"
             )

@@ -11,14 +11,14 @@ On-disk layout (all integers and floats little-endian):
                                  feature matrix (float32), all row-major
 
 Proposals are stored as superpixel-id lists only; each is rebuilt on its
-record's grid at load, which derives its box and pixel area, so neither
-can disagree with the grid. Each file stores its own label grid, but a
-record whose grid equals the previous record's (same width, height and
-ids) is given that record's ``SuperpixelGrid`` at load, so a run of
-records on one tiling builds and validates its grid tables once. Maps
-are keyed by their ``saliency_classes`` entry and stored unnormalized:
-seed selection is invariant to positive affine rescaling of the maps, so
-no normalization pass is applied anywhere.
+record's grid at load, and the record derives its proposals' boxes from
+that grid, so no box can disagree with it. Each file stores its own
+label grid, but a record whose grid equals the previous record's (same
+width, height and ids) is given that record's ``SuperpixelGrid`` at
+load, so a run of records on one tiling builds and validates its grid
+tables once. Maps are keyed by their ``saliency_classes`` entry and
+stored unnormalized: seed selection is invariant to positive affine
+rescaling of the maps, so no normalization pass is applied anywhere.
 """
 
 import json

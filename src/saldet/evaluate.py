@@ -15,7 +15,7 @@ record's ``proposal_boxes``. NMS computes the proposal IoUs once, in
 batches of images with equal proposal counts, and suppresses in every
 (image, class) group at once; AP matches ground truth only for the rows
 that reach the IoU threshold against some ground-truth box; CorLoc takes
-the top row of every group in one pass.
+the top row of every group of the NMS output, which NMS never drops.
 """
 
 import itertools
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from .core import ImageRecord, check_feature_dims
+from .core import ImageRecord, check_records
 # scoring runs ``forward_images``; perfbench's tracer also wraps ``forward``
 # under this module's name, so the binding stays
 from .model import ModelConfig, ModelParams, forward, forward_images  # noqa: F401
@@ -135,7 +135,7 @@ def score_dataset(params: ModelParams, records: list[ImageRecord], config: Model
     of whole records, one forward pass each, and every score is the one
     ``forward`` gives for its image alone.
     """
-    check_feature_dims(records, config.feature_dim)
+    check_records(records, config)
     num_classes = config.num_classes
     counts = [rec.num_proposals for rec in records]
     bounds = [0, *itertools.accumulate(counts)]
@@ -155,14 +155,15 @@ def score_dataset(params: ModelParams, records: list[ImageRecord], config: Model
 
 
 def _proposal_boxes(d: DetectionTable, records: list[ImageRecord]):
-    """The records' proposal boxes, concatenated, and each row's index into them."""
+    """The records' proposal boxes, concatenated, each row's index into
+    them, and each record's proposal count."""
     if len(d) and d.image.max() >= len(records):
         raise ValueError("detection image index outside the evaluated records")
     counts = np.array([rec.num_proposals for rec in records], dtype=np.int64)
     if (d.proposal >= counts[d.image]).any():
         raise ValueError("detection proposal index outside its image's proposals")
     boxes = [np.empty((0, 4), dtype=np.int64)] + [rec.proposal_boxes for rec in records]
-    return np.concatenate(boxes), (np.cumsum(counts) - counts)[d.image] + d.proposal
+    return np.concatenate(boxes), (np.cumsum(counts) - counts)[d.image] + d.proposal, counts
 
 
 def nms(
@@ -181,7 +182,7 @@ def nms(
     d = detections
     if not len(d):
         return d
-    boxes, box_of = _proposal_boxes(d, records)
+    boxes, box_of, counts = _proposal_boxes(d, records)
     order = np.lexsort((d.proposal, -d.score, d.class_id, d.image))
     classes, group_of = np.unique(d.class_id, return_inverse=True)
     # a row's rank is its position in ``order``: its priority in its group
@@ -189,8 +190,7 @@ def nms(
     rank[group_of[order], box_of[order]] = np.arange(len(d))
     if np.count_nonzero(rank >= 0) != len(d):
         raise ValueError("an (image, class, proposal) occurs more than once")
-    image = np.repeat(np.arange(len(records)), [rec.num_proposals for rec in records])
-    keep = _accel.nms_keep(boxes, iou_threshold, image, rank)
+    keep = _accel.nms_keep(boxes, iou_threshold, counts, rank)
     return d.take(order[np.sort(rank[keep])])
 
 
@@ -278,7 +278,7 @@ def detection_ap(
     """
     check_thresholds(iou_threshold=iou_threshold)
     d = detections
-    boxes, box_of = _proposal_boxes(d, records)
+    boxes, box_of, _ = _proposal_boxes(d, records)
     gt_keys, gt_boxes, gt_cls, width = _ground_truth(records, d)
     order = np.lexsort((d.proposal, _id_rank(records)[d.image], -d.score, d.class_id))
     row, gt, iou = _gt_pairs(
@@ -322,14 +322,15 @@ def corloc(
 ) -> dict[int, float]:
     """Fraction of positive images whose top-scoring box hits a GT box.
 
-    For each (image, positive class) pair the single highest-scoring raw
+    For each (image, positive class) pair the single highest-scoring
     detection of that class (ties by lower proposal index) is checked
     against the class's ground truth at the IoU threshold. Classes with
-    no positive images are skipped.
+    no positive images are skipped. NMS keeps that detection, so the
+    result is the same before and after ``nms``.
     """
     check_thresholds(iou_threshold=iou_threshold)
     d = detections
-    boxes, box_of = _proposal_boxes(d, records)
+    boxes, box_of, _ = _proposal_boxes(d, records)
     gt_keys, gt_boxes, _, width = _ground_truth(records, d)
     order = np.lexsort((d.proposal, -d.score, d.class_id, d.image))
     keys = d.image[order] * width + d.class_id[order]
@@ -389,17 +390,10 @@ def evaluate(
     check_thresholds(nms_threshold, iou_threshold)
     if not records:
         raise ValueError("cannot evaluate an empty dataset")
-    for rec in records:
-        if rec.labels.num_classes != config.num_classes:
-            raise ValueError(
-                f"record {rec.id}: {rec.labels.num_classes} classes, "
-                f"model has {config.num_classes}"
-            )
     detections, image_scores = score_dataset(params, records, config)
-    det_ap = detection_ap(
-        nms(detections, records, nms_threshold), records, iou_threshold, eleven_point
-    )
-    loc = corloc(detections, records, iou_threshold)
+    kept = nms(detections, records, nms_threshold)
+    det_ap = detection_ap(kept, records, iou_threshold, eleven_point)
+    loc = corloc(kept, records, iou_threshold)
     cls_ap = classification_ap(image_scores, records, eleven_point)
     return EvalReport(
         detection_ap=det_ap,

@@ -231,8 +231,11 @@ def image_classification_loss(image_scores, labels_y, epsilon):
 
     The log argument is tau for positive classes and 1 - tau for negative
     ones; arguments at or below ``epsilon`` are clamped with zero gradient.
+    A label vector not shaped like the scores is a ValueError.
     """
     y = np.asarray(labels_y, dtype=np.float64)
+    if y.shape != image_scores.shape:
+        raise ValueError(f"labels shape {y.shape} != image scores shape {image_scores.shape}")
     arg = y * (image_scores - 0.5) + 0.5
     clamped = np.maximum(arg, epsilon)
     total = float(-np.log(clamped).sum())

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import ImageRecord, check_feature_dims, check_finite_floats
+from .core import ImageRecord, check_finite_floats, check_records
 from .model import (
     LossBreakdown,
     ModelConfig,
@@ -159,7 +159,7 @@ def train(
     """
     if not records:
         raise ValueError("cannot train on an empty dataset")
-    check_feature_dims(records, model_config.feature_dim)
+    check_records(records, model_config)
 
     config = train_config.effective_model_config(model_config)
     need_assignments = config.lambda_seed_cls > 0 or (

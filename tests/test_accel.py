@@ -289,13 +289,15 @@ class TestEdgeCases:
             keep = _accel.nms_keep(np.zeros((2, 4), dtype=np.int64), 0.5)
         np.testing.assert_array_equal(keep, [True, True])
 
-    def test_image_runs_must_be_contiguous(self):
+    def test_counts_split_the_boxes_into_images(self):
         # boxes 0 and 2 are identical: one image drops box 2, two never touch it
         boxes = np.array([[0, 0, 4, 4], [8, 8, 12, 12], [0, 0, 4, 4]], dtype=np.int64)
         rank = np.array([[0, 1, 2]])
-        keep = _accel.nms_keep(boxes, 0.4, image=np.array([0, 0, 0]), rank=rank)
-        np.testing.assert_array_equal(keep, [[True, True, False]])
-        keep = _accel.nms_keep(boxes, 0.4, image=np.array([0, 1, 1]), rank=rank)
+        for counts in ([3], [0, 3, 0]):
+            keep = _accel.nms_keep(boxes, 0.4, counts, rank)
+            np.testing.assert_array_equal(keep, [[True, True, False]])
+        keep = _accel.nms_keep(boxes, 0.4, np.array([1, 2]), rank)
         np.testing.assert_array_equal(keep, [[True, True, True]])
-        with pytest.raises(ValueError, match="contiguous"):
-            _accel.nms_keep(boxes, 0.4, image=[0, 1, 0], rank=[[0, 1, 2]])
+        for bad in ([2], [1, 1, 2], [-1, 4], [1.0, 2.0], [[3]], [True, True, True]):
+            with pytest.raises(ValueError, match="box counts must be integers >= 0 summing to 3"):
+                _accel.nms_keep(boxes, 0.4, bad, rank)

@@ -381,7 +381,8 @@ class TestEval:
         capsys.readouterr()
         code = main(["eval", "--data", str(other), "--checkpoint", str(checkpoint)])
         assert code == 1
-        assert "feature dim" in capsys.readouterr().err
+        line = _one_error_line(capsys)
+        assert line == "error: image img_0000: feature dim 8 != model feature dim 16"
 
     @pytest.mark.parametrize("classes", ["3", "6"])
     def test_class_count_mismatch_is_one_error_line(

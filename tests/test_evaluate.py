@@ -652,6 +652,19 @@ class TestEvaluatePipeline:
         with pytest.raises(ValueError, match=message):
             evaluate(init_params(config, 0), records, config)
 
+    def test_names_the_record_whose_class_count_does_not_fit(self, monkeypatch):
+        records, _ = generate_synthetic(SynthConfig(images=3, seed=1))
+        config = ModelConfig(feature_dim=16, num_classes=5, trunk_widths=(8,),
+                             saliency_hidden=4)
+
+        def refuse(*args):
+            raise AssertionError("the records were scored")
+
+        monkeypatch.setattr(evaluate_module, "forward_images", refuse)
+        message = f"^record {records[0].id}: 4 classes, model has 5$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(init_params(config, 0), records, config)
+
     def test_matches_oracle_composition(self):
         # per-group quadratic NMS, greedy pixel-IoU matching with per-prefix
         # AP, and a plain top-box scan, on records with 100+ proposals
@@ -671,6 +684,9 @@ class TestEvaluatePipeline:
                     rows += [Row(rec.id, c, *item) for item in items]
                     kept += [Row(rec.id, c, *item) for item in quadratic_nms(items, 0.4)]
             report = evaluate(params, records, config)
+            # evaluate reads CorLoc from the NMS output: the top rows survive it
+            dets, _ = score_dataset(params, records, config)
+            assert corloc(dets, records) == corloc(nms(dets, records), records)
             want_ap = naive_detection_ap(kept, records)
             assert report.detection_ap.keys() == want_ap.keys()
             for c, v in want_ap.items():

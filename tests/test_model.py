@@ -287,6 +287,20 @@ class TestLossTerms:
         assert loss == -math.log(1e-8)
         np.testing.assert_array_equal(grad, 0.0)
 
+    @pytest.mark.parametrize("labels", [[1], [1, -1, 1], [[1, -1]]])
+    def test_image_cls_rejects_labels_not_shaped_like_the_scores(self, labels):
+        # a 1-entry vector would otherwise broadcast across every class
+        with pytest.raises(ValueError, match="labels shape"):
+            image_classification_loss(np.array([0.5, 0.5]), labels, epsilon=1e-8)
+
+    def test_step_rejects_a_short_label_vector(self):
+        params = init_params(CFG, rng_seed=0)
+        features = np.random.default_rng(0).normal(size=(3, 4))
+        with pytest.raises(ValueError, match=r"labels shape \(1,\) != image scores shape \(4,\)"):
+            loss_and_grads(params, features, [1], None, CFG)
+        with pytest.raises(ValueError, match="labels shape"):
+            step_losses(params, forward(params, features, CFG), [1], None, CFG)
+
 
 class TestStepLosses:
     @pytest.fixture

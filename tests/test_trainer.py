@@ -181,6 +181,19 @@ class TestTrain:
         with pytest.raises(ValueError, match=records[0].id):
             train(records, narrow, TrainConfig(epochs=1))
 
+    def test_rejects_label_count_mismatch_before_any_step(self, monkeypatch):
+        records, _ = generate_synthetic(
+            SynthConfig(images=3, classes=1, objects_per_image=(1, 1), seed=2)
+        )
+
+        def refuse(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(trainer, "loss_and_grads", refuse)
+        message = f"^record {records[0].id}: 1 classes, model has 4$"
+        with pytest.raises(ValueError, match=message):
+            train(records, MODEL, TrainConfig(epochs=1))
+
     def test_zero_lr_is_identity(self):
         records = small_dataset()
         cfg = TrainConfig(epochs=1, lr_phase1=0.0, lr_phase2=0.0, init_seed=9)
