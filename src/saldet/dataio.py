@@ -16,14 +16,21 @@ that grid, so no box can disagree with it. Each file stores its own
 label grid, but a record whose grid equals the previous record's (same
 width, height and ids) is given that record's ``SuperpixelGrid`` at
 load, so a run of records on one tiling builds and validates its grid
-tables once. Maps are keyed by their ``saliency_classes`` entry and
-stored unnormalized: seed selection is invariant to positive affine
-rescaling of the maps, so no normalization pass is applied anywhere.
+tables once. A load reads each file once, after checking its header
+and size: the label grid goes into one buffer that every record of the
+load reuses, and only a grid unlike the previous one is copied out of
+it; the maps and features are read as one ``bytes`` object, which the
+record's read-only arrays view. So a loaded record keeps its maps,
+features and grid, and no second copy of a shared grid. Maps are keyed
+by their ``saliency_classes`` entry and stored unnormalized: seed
+selection is invariant to positive affine rescaling of the maps, so no
+normalization pass is applied anywhere.
 """
 
 import json
 import logging
 import math
+import os
 import reprlib
 import struct
 from dataclasses import dataclass
@@ -210,9 +217,10 @@ def load_dataset(manifest_path):
 
     rec_dir = manifest_path.parent / "records"
     records = []
+    grid_buf = bytearray()  # each record's label grid is read into this
     for stem in manifest.images:
         prev_grid = records[-1].grid if records else None
-        records.append(_load_record(rec_dir, stem, manifest, prev_grid))
+        records.append(_load_record(rec_dir, stem, manifest, prev_grid, grid_buf))
     return records, manifest
 
 
@@ -281,9 +289,17 @@ def _read_json(path: Path):
 
 
 def _load_record(
-    rec_dir: Path, stem: str, manifest: DatasetManifest, prev_grid: SuperpixelGrid | None
+    rec_dir: Path,
+    stem: str,
+    manifest: DatasetManifest,
+    prev_grid: SuperpixelGrid | None,
+    grid_buf: bytearray,
 ) -> ImageRecord:
-    """Load one record; it takes ``prev_grid`` when its label grid equals that one."""
+    """Load one record; it takes ``prev_grid`` when its label grid equals that one.
+
+    ``grid_buf`` is the load's label-grid buffer; it grows to fit this
+    record's grid and is read over by the next record.
+    """
     json_path = rec_dir / f"{stem}.json"
     bin_path = rec_dir / f"{stem}.bin"
     for p in (json_path, bin_path):
@@ -308,47 +324,64 @@ def _load_record(
     if len(doc["proposals"]) != n_props:
         raise DatasetError(f"{json_path}: field 'proposals' length != num_proposals")
 
-    blob = bin_path.read_bytes()
-    if len(blob) < 16 or blob[:8] != _BIN_MAGIC:
-        raise DatasetError(f"{bin_path}: bad magic header")
-    version, _ = struct.unpack("<II", blob[8:16])
-    if version != FORMAT_VERSION:
-        raise DatasetError(f"{bin_path}: unsupported version {version}")
     n_px = width * height
     n_maps = len(doc["saliency_classes"])
-    expected = 16 + 4 * (n_px + n_maps * n_px + n_props * manifest.feature_dim)
-    if len(blob) != expected:
+    grid_bytes = 4 * n_px
+    body_bytes = 4 * (n_maps * n_px + n_props * manifest.feature_dim)
+    with open(bin_path, "rb", buffering=0) as f:
+        head = f.read(16)
+        if len(head) < 16 or head[:8] != _BIN_MAGIC:
+            raise DatasetError(f"{bin_path}: bad magic header")
+        version, _ = struct.unpack("<II", head[8:])
+        if version != FORMAT_VERSION:
+            raise DatasetError(f"{bin_path}: unsupported version {version}")
+        size = os.fstat(f.fileno()).st_size
+        expected = 16 + grid_bytes + body_bytes
+        if size != expected:
+            raise DatasetError(
+                f"{bin_path}: blob is {size} bytes, expected {expected} "
+                f"(grid {width}x{height}, {n_maps} maps, {n_props}x{manifest.feature_dim} features)"
+            )
+        # negative sides can still give the blob's size (-32 x -32, -5 x 0)
+        if width < 0 or height < 0:
+            raise DatasetError(f"{json_path}: grid {width}x{height} has a negative side")
+        if len(grid_buf) < grid_bytes:
+            grid_buf.extend(bytes(grid_bytes - len(grid_buf)))
+        with memoryview(grid_buf)[:grid_bytes] as view:
+            got = f.readinto(view)
+        body = f.read(body_bytes)
+    if got != grid_bytes or len(body) != body_bytes:
         raise DatasetError(
-            f"{bin_path}: blob is {len(blob)} bytes, expected {expected} "
-            f"(grid {width}x{height}, {n_maps} maps, {n_props}x{manifest.feature_dim} features)"
+            f"{bin_path}: short read, {16 + got + len(body)} of {expected} bytes"
         )
-    # negative sides can still give the blob's size (-32 x -32, -5 x 0)
-    if width < 0 or height < 0:
-        raise DatasetError(f"{json_path}: grid {width}x{height} has a negative side")
-    off = 16
-    labels_grid = np.frombuffer(blob, dtype="<u4", count=n_px, offset=off)
-    off += 4 * n_px
+    labels_grid = np.frombuffer(grid_buf, dtype="<u4", count=n_px)
     maps = {}
+    off = 0
     for c in doc["saliency_classes"]:
         if int(c) in maps:
             raise DatasetError(f"{json_path}: field 'saliency_classes' lists class {c} twice")
-        values = np.frombuffer(blob, dtype="<f4", count=n_px, offset=off)
+        values = np.frombuffer(body, dtype="<f4", count=n_px, offset=off)
         off += 4 * n_px
         try:
             maps[int(c)] = SaliencyMap(values.reshape(height, width))
         except ValueError as exc:
             raise DatasetError(f"{bin_path}: saliency map {c}: {exc}") from exc
-    features = np.frombuffer(blob, dtype="<f4", count=n_props * manifest.feature_dim, offset=off)
+    features = np.frombuffer(body, dtype="<f4", count=n_props * manifest.feature_dim, offset=off)
 
     try:
         # a zero side lets the other be too large for an array
-        labels_grid = labels_grid.reshape(height, width).astype(np.int32)
+        labels_grid = labels_grid.reshape(height, width)
         features = features.reshape(n_props, manifest.feature_dim)
-        if prev_grid is not None and np.array_equal(prev_grid.labels, labels_grid):
+        if prev_grid is not None and np.array_equal(
+            prev_grid.labels.view(np.uint32), labels_grid
+        ):
             # equal shape and ids: the grid the previous record validated
             grid = prev_grid
         else:
-            grid = SuperpixelGrid(width=width, height=height, labels=labels_grid)
+            # a copy, since the buffer is read over by the next record
+            grid = SuperpixelGrid(
+                width=width, height=height, labels=labels_grid.astype(np.int32)
+            )
         if grid.n_superpixels != n_sp:
             raise ValueError(
                 f"grid holds {grid.n_superpixels} superpixels, header says {n_sp}"

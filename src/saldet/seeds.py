@@ -204,11 +204,28 @@ def threshold_baseline(smap, theta: float = 0.5) -> list[Box]:
 
     The comparator for seed selection: each component's minimum
     enclosing rectangle, in scan order. An all-zero map yields no boxes.
+
+    Each float32 value is compared with the float64 threshold, without a
+    float64 copy of the map: a float32 value reaches the threshold exactly
+    when it reaches the least float32 that is not below it. Components
+    are labelled only on the crop bounded by the first and last rows and
+    columns above the threshold; scan order inside the crop is scan order
+    on the map, so the boxes, shifted by the crop's corner, are the same.
     """
     check_theta(theta)
-    values = np.asarray(smap.values, dtype=np.float64)
-    peak = values.max()
+    values = np.asarray(smap.values, dtype=np.float32)
+    peak = float(values.max())
     if peak <= 0.0:
         return []
-    comp, count = _accel.connected_components(values >= theta * peak)
-    return [Box(*row) for row in _accel.label_boxes(comp, count).tolist()]
+    threshold = theta * peak
+    cut = np.float32(threshold)
+    if float(cut) < threshold:
+        cut = np.nextafter(cut, np.float32(np.inf))
+    mask = values >= cut
+    rows = np.flatnonzero(mask.any(axis=1))
+    y0, y1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(mask[y0:y1].any(axis=0))
+    x0, x1 = int(cols[0]), int(cols[-1]) + 1
+    comp, count = _accel.connected_components(mask[y0:y1, x0:x1])
+    boxes = _accel.label_boxes(comp, count) + (x0, y0, x0, y0)
+    return [Box(*row) for row in boxes.tolist()]

@@ -1,14 +1,16 @@
 """Dataset serialization, validation, and the synthetic generator."""
 
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import build_record, tiling_grid
-from saldet import _accel
+from saldet import _accel, dataio
 from saldet.core import SuperpixelGrid, iou, proposal_from_superpixels
 from saldet.dataio import (
     DatasetError,
@@ -196,12 +198,15 @@ class TestGridSharing:
         np.testing.assert_array_equal(loaded[0].grid.pixel_counts, fresh.pixel_counts)
 
     @pytest.mark.parametrize("pattern, builds", [
-        ("AABB", 2), ("ABAB", 4), ("ABBA", 3), ("AAAA", 1), ("B", 1),
+        ("AABB", 2), ("ABAB", 4), ("ABBA", 3), ("AAAA", 1), ("B", 1), ("CAAC", 3),
     ])
     def test_only_runs_of_equal_grids_share(self, tmp_path, monkeypatch, pattern, builds):
         grids = {"A": tiling_grid(16, 4)}
         # B is A transposed: same shape and ids, other pixels
         grids["B"] = SuperpixelGrid(width=16, height=16, labels=grids["A"].labels.T)
+        # C is smaller, so the load's grid buffer grows after it, and is
+        # then read short of its end
+        grids["C"] = tiling_grid(8, 2)
         records = [
             _small_record(f"r{k}", grids[g], k) for k, g in enumerate(pattern)
         ]
@@ -213,6 +218,8 @@ class TestGridSharing:
             np.testing.assert_array_equal(rec.grid.labels, grids[g].labels)
             np.testing.assert_array_equal(rec.grid.boxes, grids[g].boxes)
             assert [p.bbox for p in rec.proposals] == [p.bbox for p in records[k].proposals]
+            np.testing.assert_array_equal(rec.saliency[0].values, records[k].saliency[0].values)
+            np.testing.assert_array_equal(rec.features, records[k].features)
             if k:
                 assert (rec.grid is loaded[k - 1].grid) == (g == pattern[k - 1])
 
@@ -274,6 +281,20 @@ class TestLoadErrors:
         bin_path = next((saved / "records").glob("*.bin"))
         bin_path.write_bytes(bin_path.read_bytes()[:-8])
         with pytest.raises(DatasetError, match="bytes, expected"):
+            load_dataset(saved / "manifest.json")
+
+    def test_file_shorter_than_its_stat_is_a_short_read(self, saved, monkeypatch):
+        # as if the file were cut between the size check and the reads
+        bin_path = sorted((saved / "records").glob("*.bin"))[-1]
+        bin_path.write_bytes(bin_path.read_bytes()[:-8])
+        cut = bin_path.stat().st_ino
+
+        def fstat(fd):
+            st = os.fstat(fd)
+            return SimpleNamespace(st_size=st.st_size + 8 * (st.st_ino == cut))
+
+        monkeypatch.setattr(dataio, "os", SimpleNamespace(fstat=fstat))
+        with pytest.raises(DatasetError, match=f"{bin_path.name}: short read"):
             load_dataset(saved / "manifest.json")
 
     def test_bad_manifest_version(self, saved):

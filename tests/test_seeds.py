@@ -225,20 +225,50 @@ class TestThresholdBaseline:
         boxes = threshold_baseline(SaliencyMap(values=values), theta=0.5)
         assert boxes == [Box(0, 0, 1, 1), Box(1, 1, 2, 2)]  # scan order
 
+    @staticmethod
+    def _sparse_map(rng):
+        """A few small blobs away from row and column 0, the last one
+        touching the last row or the last column."""
+        side = int(rng.integers(8, 33))
+        values = np.zeros((side, side))
+        n_blobs = int(rng.integers(1, 5))
+        for k in range(n_blobs):
+            h, w = (int(v) for v in rng.integers(1, 4, size=2))
+            y = int(rng.integers(2, side - h + 1))
+            x = int(rng.integers(2, side - w + 1))
+            if k == n_blobs - 1:
+                if rng.random() < 0.5:
+                    y = side - h
+                else:
+                    x = side - w
+            values[y:y + h, x:x + w] = rng.uniform(0.2, 1.0, size=(h, w))
+        return values
+
     def test_matches_scipy_components(self):
+        """The same boxes in the same order: scipy also numbers components
+        in scan order of their first pixel."""
         rng = np.random.default_rng(31)
+        dense = []
         for _ in range(20):
             side = int(rng.integers(5, 17))
             values = rng.random((side, side))
             values[values < 0.3] = 0.0
+            dense.append(values)
+        sparse = [self._sparse_map(rng) for _ in range(40)]
+        for values in dense + sparse:
             smap = SaliencyMap(values=values)
             theta = float(rng.uniform(0.3, 0.9))
             got = threshold_baseline(smap, theta=theta)
             want = self._boxes_via_scipy(smap.values.astype(np.float64), theta)
-            assert len(got) == len(want)
-            assert sorted(b.as_tuple() for b in got) == sorted(
-                b.as_tuple() for b in want
-            )
+            assert got == want
+
+    def test_compares_in_float64(self):
+        """0.7 as float32 is just below 0.7, so only the peak reaches
+        0.7 * peak; a float32 comparison would keep both pixels."""
+        values = np.zeros((8, 8), dtype=np.float32)
+        values[0, 0] = 1.0
+        values[3, 3] = np.float32(0.7)
+        assert threshold_baseline(SaliencyMap(values=values), theta=0.7) == [Box(0, 0, 1, 1)]
 
 
 class TestSeedAssignment:
