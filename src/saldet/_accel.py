@@ -52,7 +52,13 @@ def adjacency_matrix(labels, n_sp):
 # per-superpixel reductions
 
 def superpixel_sums(labels, values, n_sp):
-    """Sum of ``values`` over the pixels of each superpixel id."""
+    """Sum of ``values`` over the pixels of each superpixel id.
+
+    ``labels`` and ``values`` pair up pixel by pixel, in any shape: seed
+    scoring passes the 1-d ids and values of only the pixels it gathered.
+    Each id's values are added in the order given, starting from 0.0, and
+    an id that no pixel carries sums to exactly 0.0.
+    """
     return np.bincount(labels.ravel(), weights=values.ravel(), minlength=n_sp)
 
 
@@ -61,28 +67,35 @@ def superpixel_counts(labels, n_sp):
     return np.bincount(labels.ravel(), minlength=n_sp).astype(np.int64)
 
 
-def label_boxes(labels, n):
-    """Half-open box (x0, y0, x1, y1) of each label 0..n-1, as (n, 4) int64.
+def label_pixels(labels, n):
+    """Flat pixel indices of each label 0..n-1 of a 2-d grid, as CSR.
 
-    Every label in [0, n) must occur in the 2-d grid ``labels``; negative
-    labels are ignored. They are dropped before the sort, so a component
-    grid that is mostly background sorts only its foreground. A stable
-    sort of the remaining flat labels keeps each label's pixels in scan
-    order, so its first and last pixels give its rows; its columns are
-    segment minima and maxima.
+    Returns ``(offsets, pixels)``, both int64: the pixels of label k are
+    ``pixels[offsets[k]:offsets[k + 1]]``, in scan order. Negative labels
+    are ignored. They are dropped before the sort, so a component grid
+    that is mostly background sorts only its foreground; a stable sort of
+    the remaining flat labels keeps each label's pixels in scan order.
     """
     flat = labels.ravel()
     pixels = np.flatnonzero(flat >= 0)
-    order = pixels[np.argsort(flat[pixels], kind="stable")]
-    # label k occupies ordered positions [bounds[k], bounds[k + 1])
-    bounds = np.searchsorted(flat[order], np.arange(n + 1))
-    w = labels.shape[1]
-    xs = order[:bounds[n]] % w
+    pixels = pixels[np.argsort(flat[pixels], kind="stable")]
+    return np.searchsorted(flat[pixels], np.arange(n + 1)), pixels
+
+
+def label_boxes(lists, width):
+    """Half-open box (x0, y0, x1, y1) of each label, as (n, 4) int64.
+
+    ``lists`` is ``label_pixels(labels, n)`` of a grid ``width`` pixels
+    wide, in which every label in [0, n) occurs. A label's first and last
+    pixels give its rows; its columns are segment minima and maxima.
+    """
+    offsets, pixels = lists
+    xs = pixels[:offsets[-1]] % width
     return np.stack([
-        np.minimum.reduceat(xs, bounds[:-1]),
-        order[bounds[:-1]] // w,
-        np.maximum.reduceat(xs, bounds[:-1]) + 1,
-        order[bounds[1:] - 1] // w + 1,
+        np.minimum.reduceat(xs, offsets[:-1]),
+        pixels[offsets[:-1]] // width,
+        np.maximum.reduceat(xs, offsets[:-1]) + 1,
+        pixels[offsets[1:] - 1] // width + 1,
     ], axis=1)
 
 
@@ -158,8 +171,9 @@ def box_iou(a, b):
 
 
 # IoU entries one batch of equal-count images may take: without a cap 50
-# images of 200 boxes would make 2M-entry temporaries; a larger image is
-# a batch alone
+# images of 200 boxes would make 2M-entry temporaries. A larger image is a
+# batch alone, searched in tiles of rows against the columns from the
+# tile's first row on, each tile at most this many entries (or one row)
 _IOU_BATCH = 2**16
 
 
@@ -180,7 +194,8 @@ def nms_keep(boxes, threshold, counts=None, rank=None):
     one image. Counts must be integers >= 0 summing to M, else it is a
     ValueError. Boxes of different images never suppress each other. The
     IoUs are computed once, whatever the number of groups, for batches of
-    images with the same box count at a time.
+    images with the same box count at a time, and for an image past the
+    batch size a tile of rows at a time, so temporaries stay batch-sized.
     """
     m = boxes.shape[0]
     single = rank is None
@@ -201,14 +216,18 @@ def nms_keep(boxes, threshold, counts=None, rank=None):
     for count in np.unique(counts[counts > 1]).tolist():
         same = starts[counts == count]
         per_batch = max(1, _IOU_BATCH // (count * count))
+        # all rows at once unless the image alone is past the batch size
+        tile = min(count, max(1, _IOU_BATCH // count))
         for lo in range(0, same.size, per_batch):
             first = same[lo : lo + per_batch]
             b = boxes[first[:, None] + np.arange(count)]
-            g, a_idx, b_idx = np.nonzero(box_iou(b[:, :, None, :], b[:, None, :, :]) >= reach)
-            upper = a_idx < b_idx
-            at = first[g[upper]]
-            pair_a.append((at + a_idx[upper]).astype(node))
-            pair_b.append((at + b_idx[upper]).astype(node))
+            for r0 in range(0, count, tile):
+                iou = box_iou(b[:, r0 : r0 + tile, None, :], b[:, None, r0:, :])
+                g, a_idx, b_idx = np.nonzero(iou >= reach)
+                upper = a_idx < b_idx
+                at = first[g[upper]] + r0
+                pair_a.append((at + a_idx[upper]).astype(node))
+                pair_b.append((at + b_idx[upper]).astype(node))
     pair_a = np.concatenate(pair_a)
     pair_b = np.concatenate(pair_b)
     # each group orients the pairs of its boxes by its ranks (one pass per

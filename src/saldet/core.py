@@ -4,8 +4,8 @@ Boxes use half-open integer pixel intervals [x0, x1) x [y0, y1), so the
 area is exactly (x1 - x0) * (y1 - y0) and IoU arithmetic is exact.
 Superpixel adjacency is 4-connected: two superpixels are neighbors iff
 some pixel pair of theirs shares a horizontal or vertical edge. Each
-grid holds each superpixel's pixel count and box, computed once, and
-its neighbour lists, built on first use. A proposal is its grid and its
+grid holds each superpixel's pixel count and box and its pixels grouped
+by id, computed once, and its neighbour lists, built on first use. A proposal is its grid and its
 superpixel ids; ``proposal_geometry`` derives proposals' member pairs and
 boxes from the grid's tables in one pass, and a record takes only
 proposals on its own grid and keeps both. Seed selection reads the
@@ -92,8 +92,12 @@ class SuperpixelGrid:
     Every id in [0, n_superpixels) must occur at least once.
     ``pixel_counts`` (n_superpixels,) int64 holds each superpixel's pixel
     count and ``boxes`` (n_superpixels, 4) int64 its half-open box
-    (x0, y0, x1, y1); both are computed once, here. ``neighbors`` holds
-    the 4-connected neighbour lists, built on first use.
+    (x0, y0, x1, y1). ``pixel_order`` (height * width,) int32 lists the
+    flat pixel indices grouped by ascending id, each id's ``pixel_counts``
+    pixels in scan order, so seed scoring can gather the pixels of a few
+    superpixels. The boxes are read off the same order, so the label grid
+    is sorted once. All three are computed once, here. ``neighbors``
+    holds the 4-connected neighbour lists, built on first use.
     """
 
     width: int
@@ -101,6 +105,7 @@ class SuperpixelGrid:
     labels: np.ndarray  # (height, width) int32
     pixel_counts: np.ndarray = field(init=False, repr=False)
     boxes: np.ndarray = field(init=False, repr=False)
+    pixel_order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int32)
@@ -122,7 +127,11 @@ class SuperpixelGrid:
             raise ValueError("labels: every id in [0, n_superpixels) must occur")
         object.__setattr__(self, "labels", _freeze(labels))
         object.__setattr__(self, "pixel_counts", _freeze(counts))
-        object.__setattr__(self, "boxes", _freeze(_accel.label_boxes(labels, n)))
+        lists = _accel.label_pixels(labels, n)
+        # int32 while the flat indices fit, as the ids do: half the memory
+        order = lists[1].astype(np.int32 if labels.size <= 2**31 else np.int64)
+        object.__setattr__(self, "pixel_order", _freeze(order))
+        object.__setattr__(self, "boxes", _freeze(_accel.label_boxes(lists, self.width)))
 
     @property
     def n_superpixels(self) -> int:

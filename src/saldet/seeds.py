@@ -5,9 +5,14 @@ saliency contrast (mean in-region saliency minus mean saliency of the
 adjacent superpixels) becomes the class seed; an equal number of
 negatives is mined from the proposals with the lowest in-region
 saliency. Both picks read one scoring pass, ``proposal_scores``, and
-``make_assignment`` runs the three steps. The simpler map-thresholding
-baseline is provided for comparison: it merges touching salient objects
-into one box, which is exactly the failure mode seed selection avoids.
+``make_assignment`` runs the three steps. The scoring pass sums each
+class map only over the pixels of the superpixels the proposals reach
+(their members and the members' neighbours), under a tenth of a large
+grid; the sums of the other superpixels would only meet zero weights,
+so the scores have the bits of sums over every pixel. The simpler
+map-thresholding baseline is provided for comparison: it merges touching
+salient objects into one box, which is exactly the failure mode seed
+selection avoids.
 """
 
 import logging
@@ -26,9 +31,12 @@ log = logging.getLogger(__name__)
 # any meaningful contrast scale, so capping only guards float overflow
 _EXP_ARG_CAP = 64.0
 
-# libm's exp elementwise: numpy's vectorized exp can differ from it in the
-# last bit, which would change reported contrasts from earlier releases
-_exp = np.vectorize(math.exp, otypes=[np.float64])
+
+def _exp(arg: np.ndarray) -> np.ndarray:
+    """libm's exp elementwise: numpy's vectorized exp can differ from it in
+    the last bit, which would change reported contrasts from earlier releases."""
+    flat = map(math.exp, arg.ravel().tolist())
+    return np.fromiter(flat, np.float64, arg.size).reshape(arg.shape)
 
 
 @dataclass(frozen=True)
@@ -89,32 +97,48 @@ def proposal_scores(record: ImageRecord, sigma: float) -> dict[int, tuple]:
     themselves, or 0 when that neighborhood is empty. Members come from
     the record's ``proposal_members`` and neighbours from the grid's
     neighbour lists; areas are the members' pixel counts summed.
+
+    Each class map is summed only over the pixels of the superpixels some
+    proposal reaches, as a member or a member's neighbour, gathered from
+    the grid's ``pixel_order``. The result has the same bits as sums over
+    every pixel: each reached superpixel's pixels are still added in scan
+    order from 0.0, and an unreached one, whose sum is left at 0.0 instead
+    of some finite x >= 0, meets only zero entries of the member and
+    neighbourhood matrices, where both give the same +0 product.
     """
     grid = record.grid
     n_sp = grid.n_superpixels
     rows, ids = record.proposal_members
     member = np.zeros((record.num_proposals, n_sp))
     member[rows, ids] = 1.0
-    # class sums (C, n_sp), rows following record.labels.positives
-    sums = np.stack([
-        _accel.superpixel_sums(
-            grid.labels, np.asarray(record.saliency[c].values, dtype=np.float64), n_sp
-        )
-        for c in record.labels.positives
-    ])
-    area = member @ grid.pixel_counts
-    rs = sums @ member.T / area
     offsets, neighbor_ids = grid.neighbors
     # one gather over the neighbour lists of every (proposal, member)
     # pair: entry j of a list sits at its start plus j
     start = offsets[ids]
     count = offsets[ids + 1] - start
     at = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-    near = np.zeros(member.shape, dtype=np.bool_)
-    near[np.repeat(rows, count), neighbor_ids[at]] = True
-    near[rows, ids] = False  # members are not their own neighbourhood
-    near = near.astype(np.float64)
-    near_px = near @ grid.pixel_counts
+    around = neighbor_ids[at]
+    near = np.zeros(member.shape)
+    near[np.repeat(rows, count), around] = 1.0
+    near[rows, ids] = 0.0  # members are not their own neighbourhood
+    # the superpixels some proposal reaches, and their pixels in id order
+    reached = np.zeros(n_sp, dtype=np.bool_)
+    reached[ids] = True
+    reached[around] = True
+    counts = grid.pixel_counts
+    pixels = grid.pixel_order[np.repeat(reached, counts)]
+    reached = np.flatnonzero(reached)
+    pixel_ids = np.repeat(reached, counts[reached])
+    # class sums (C, n_sp), rows following record.labels.positives
+    sums = np.array([
+        _accel.superpixel_sums(pixel_ids, record.saliency[c].values.ravel().take(pixels), n_sp)
+        for c in record.labels.positives
+    ])
+    # pixel counts are exact in float64, so casting them once changes no sum
+    px = counts.astype(np.float64)
+    area = member @ px
+    rs = sums @ member.T / area
+    near_px = near @ px
     ns = np.divide(sums @ near.T, near_px, out=np.zeros_like(rs), where=near_px > 0)
     contrast = saliency_contrast(rs, ns, area, sigma)
     return {
@@ -133,7 +157,7 @@ def saliency_contrast(rs, ns, area_px, sigma: float):
     """Area-weighted contrast exp(area/sigma^2) * (rs - ns), elementwise."""
     check_sigma(sigma)
     arg = np.asarray(area_px, dtype=np.float64) / (sigma * sigma)
-    if np.any(arg > _EXP_ARG_CAP):
+    if (arg > _EXP_ARG_CAP).any():
         log.warning(
             "capping exp argument area/sigma^2 = %.3g at %g", np.max(arg), _EXP_ARG_CAP
         )
@@ -227,5 +251,5 @@ def threshold_baseline(smap, theta: float = 0.5) -> list[Box]:
     cols = np.flatnonzero(mask[y0:y1].any(axis=0))
     x0, x1 = int(cols[0]), int(cols[-1]) + 1
     comp, count = _accel.connected_components(mask[y0:y1, x0:x1])
-    boxes = _accel.label_boxes(comp, count) + (x0, y0, x0, y0)
+    boxes = _accel.label_boxes(_accel.label_pixels(comp, count), x1 - x0) + (x0, y0, x0, y0)
     return [Box(*row) for row in boxes.tolist()]

@@ -1,5 +1,6 @@
 """The grid and box kernels against independent oracles and edge cases."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -97,7 +98,7 @@ class TestPathParity:
             want = np.array(
                 [pixel_mask_box(labels == k)[0] for k in range(n)], dtype=np.int64
             ).reshape(n, 4)
-            got = _accel.label_boxes(labels, n)
+            got = _accel.label_boxes(_accel.label_pixels(labels, n), w)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
 
@@ -125,6 +126,45 @@ class TestPathParity:
                 np.testing.assert_array_equal(
                     _accel.nms_keep(boxes, threshold), oracle_keep(boxes, threshold)
                 )
+
+    @pytest.mark.parametrize("batch", [1, 7, 64, 300])
+    def test_nms_keep_in_row_tiles(self, monkeypatch, batch):
+        # a small IoU batch puts each image past it, so its pairs are
+        # searched in tiles of rows; the keep mask is the oracle's
+        monkeypatch.setattr(_accel, "_IOU_BATCH", batch)
+        rng = np.random.default_rng(batch)
+        for _ in range(10):
+            m = int(rng.integers(2, 60))
+            x0 = rng.integers(0, 20, size=m)
+            y0 = rng.integers(0, 20, size=m)
+            boxes = np.stack(
+                [x0, y0, x0 + rng.integers(1, 10, size=m),
+                 y0 + rng.integers(1, 10, size=m)], axis=1
+            ).astype(np.int64)
+            boxes[m // 2] = boxes[0]  # identical boxes, in different tiles
+            for threshold in (1e-9, float(rng.uniform(0.2, 0.8)), 0.99):
+                np.testing.assert_array_equal(
+                    _accel.nms_keep(boxes, threshold), oracle_keep(boxes, threshold)
+                )
+
+    def test_nms_keep_memory_of_one_large_image(self):
+        """2000 boxes, about a VOC image's proposals: the pair search runs
+        in row tiles, not on 2000 x 2000 temporaries (~76 MiB)."""
+        rng = np.random.default_rng(8)
+        m = 2000
+        x0, y0 = rng.integers(0, 500, size=(2, m))
+        boxes = np.stack(
+            [x0, y0, x0 + rng.integers(1, 100, size=m), y0 + rng.integers(1, 100, size=m)],
+            axis=1,
+        ).astype(np.int64)
+        tracemalloc.start()
+        try:
+            keep = _accel.nms_keep(boxes, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert 0 < keep.sum() < m
 
     def test_nms_keep_touching_boxes(self):
         # edge- and corner-sharing boxes have IoU 0 and never suppress
@@ -249,7 +289,9 @@ class TestSparseMasks:
             labels.ravel()[pixels] = np.arange(pixels.size) % n
             assert (labels < 0).mean() > 0.95
             want = np.array([pixel_mask_box(labels == k)[0] for k in range(n)])
-            np.testing.assert_array_equal(_accel.label_boxes(labels, n), want)
+            np.testing.assert_array_equal(
+                _accel.label_boxes(_accel.label_pixels(labels, n), 48), want
+            )
 
     def test_label_boxes_one_label(self):
         for labels in (
@@ -258,7 +300,7 @@ class TestSparseMasks:
             np.array([[-1, -1, -1], [-1, 0, -1], [0, -1, -1]], dtype=np.int32),
         ):
             want = np.array([pixel_mask_box(labels == 0)[0]])
-            got = _accel.label_boxes(labels, 1)
+            got = _accel.label_boxes(_accel.label_pixels(labels, 1), labels.shape[1])
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
 

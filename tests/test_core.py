@@ -84,6 +84,16 @@ class TestSuperpixelGrid:
             grid.pixel_counts[0] = 3
         with pytest.raises(ValueError):
             grid.boxes[0, 0] = 3
+        with pytest.raises(ValueError):
+            grid.pixel_order[0] = 3
+
+    @pytest.mark.parametrize("name", sorted(IRREGULAR_LABELS))
+    def test_pixel_order_groups_pixels_by_id_in_scan_order(self, name):
+        grid = irregular_grid(name)
+        flat = grid.labels.ravel()
+        want = [np.flatnonzero(flat == k) for k in range(grid.n_superpixels)]
+        assert grid.pixel_order.dtype == np.int32
+        np.testing.assert_array_equal(grid.pixel_order, np.concatenate(want))
 
     def test_id_beyond_pixel_count_rejected_before_counting(self):
         # sizing a count array by this id would ask for 16 GiB

@@ -149,8 +149,9 @@ class TestRoundTrip:
 
 
 def _count_grid_kernels(monkeypatch):
-    """Count the calls of the two kernels every new grid runs once."""
-    calls = {"label_boxes": 0, "superpixel_counts": 0}
+    """Count the calls of the three kernels every new grid runs once;
+    ``label_pixels`` is the one sort of the label grid."""
+    calls = {"label_pixels": 0, "label_boxes": 0, "superpixel_counts": 0}
     for name in calls:
         def counted(*args, _name=name, _kernel=getattr(_accel, name)):
             calls[_name] += 1
@@ -188,7 +189,7 @@ class TestGridSharing:
         for load in (1, 2):
             loaded, _ = load_dataset(tmp_path / "ds")
             assert len({id(r.grid) for r in loaded}) == 1
-            assert calls == {"label_boxes": load, "superpixel_counts": load}
+            assert calls == {"label_pixels": load, "label_boxes": load, "superpixel_counts": load}
             # so seed selection reads one set of neighbour lists per load
             neighbors = loaded[0].grid.neighbors
             assert all(r.grid.neighbors is neighbors for r in loaded)
@@ -196,6 +197,7 @@ class TestGridSharing:
         fresh = SuperpixelGrid(width=32, height=32, labels=records[0].grid.labels)
         np.testing.assert_array_equal(loaded[0].grid.boxes, fresh.boxes)
         np.testing.assert_array_equal(loaded[0].grid.pixel_counts, fresh.pixel_counts)
+        np.testing.assert_array_equal(loaded[0].grid.pixel_order, fresh.pixel_order)
 
     @pytest.mark.parametrize("pattern, builds", [
         ("AABB", 2), ("ABAB", 4), ("ABBA", 3), ("AAAA", 1), ("B", 1), ("CAAC", 3),
@@ -213,7 +215,9 @@ class TestGridSharing:
         _save_small(records, tmp_path / "ds")
         calls = _count_grid_kernels(monkeypatch)
         loaded, _ = load_dataset(tmp_path / "ds")
-        assert calls == {"label_boxes": builds, "superpixel_counts": builds}
+        assert calls == {
+            "label_pixels": builds, "label_boxes": builds, "superpixel_counts": builds
+        }
         for k, (rec, g) in enumerate(zip(loaded, pattern)):
             np.testing.assert_array_equal(rec.grid.labels, grids[g].labels)
             np.testing.assert_array_equal(rec.grid.boxes, grids[g].boxes)

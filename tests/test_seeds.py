@@ -160,6 +160,92 @@ class TestAgainstPixelOracle:
             assert make_assignment(scaled, SIGMA) == base
 
 
+def full_grid_scores(record, sigma):
+    """``proposal_scores`` by sums over every pixel of the label grid, then
+    the same matrix products: the reference for its exact bits."""
+    grid = record.grid
+    n_sp = grid.n_superpixels
+    rows, ids = record.proposal_members
+    member = np.zeros((record.num_proposals, n_sp))
+    member[rows, ids] = 1.0
+    offsets, neighbor_ids = grid.neighbors
+    near = np.zeros(member.shape)
+    for r, k in zip(rows.tolist(), ids.tolist()):
+        near[r, neighbor_ids[offsets[k]:offsets[k + 1]]] = 1.0
+    near[rows, ids] = 0.0
+    labels = grid.labels.ravel()
+    sums = np.array([
+        np.bincount(labels, weights=record.saliency[c].values.ravel().astype(np.float64),
+                    minlength=n_sp)
+        for c in record.labels.positives
+    ])
+    area = member @ grid.pixel_counts
+    rs = sums @ member.T / area
+    near_px = near @ grid.pixel_counts
+    ns = np.divide(sums @ near.T, near_px, out=np.zeros_like(rs), where=near_px > 0)
+    contrast = saliency_contrast(rs, ns, area, sigma)
+    return {c: (rs[k], ns[k], contrast[k]) for k, c in enumerate(record.labels.positives)}
+
+
+def assert_same_bits(scores, expected):
+    assert sorted(scores) == sorted(expected)
+    for c, rows in expected.items():
+        for got, want in zip(scores[c], rows):
+            assert got.dtype == want.dtype and np.array_equal(got, want), c
+
+
+@pytest.fixture(scope="module")
+def large_record():
+    """One 256x256 record of 1024 superpixels, whose proposals and their
+    neighbourhoods reach a small part of the grid."""
+    records, _ = generate_synthetic(
+        SynthConfig(grid_side=256, superpixels=1024, images=1, seed=3)
+    )
+    return records[0]
+
+
+class TestReachedPixels:
+    """Scores summed over the reached superpixels' pixels only have the
+    bits of sums over the whole grid."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 30.0, SIGMA])
+    def test_large_record_matches_full_grid_sums(self, large_record, sigma):
+        assert_same_bits(
+            proposal_scores(large_record, sigma), full_grid_scores(large_record, sigma)
+        )
+
+    def test_large_record_sums_fewer_pixels(self, large_record, monkeypatch):
+        real = _accel.superpixel_sums
+        sizes = []
+
+        def counting(labels, values, n_sp):
+            sizes.append((labels.size, values.size))
+            return real(labels, values, n_sp)
+
+        monkeypatch.setattr(_accel, "superpixel_sums", counting)
+        make_assignment(large_record, SIGMA)
+        n_px = large_record.grid.labels.size
+        assert len(sizes) == len(large_record.labels.positives)
+        assert all(a == b < n_px // 4 for a, b in sizes), (sizes, n_px)
+
+    @pytest.mark.parametrize("name", sorted(IRREGULAR_LABELS))
+    def test_sparse_proposals_on_irregular_grids(self, name):
+        grid = irregular_grid(name)
+        n_sp = grid.n_superpixels
+        rng = np.random.default_rng(len(name) + 100)
+        shape = (grid.height, grid.width)
+        # one superpixel, alone or with the union of it and every later
+        # one; on a grid with superpixels that do not touch, some of these
+        # leave one unreached
+        for k in range(n_sp):
+            for proposal_ids in ([[k]], [[k], list(range(k, n_sp))]):
+                rec = build_record(
+                    name, grid, proposal_ids, rng.normal(size=(len(proposal_ids), 4)),
+                    [1, -1, 1], {0: rng.random(shape), 2: rng.random(shape)}, [],
+                )
+                assert_same_bits(proposal_scores(rec, SIGMA), full_grid_scores(rec, SIGMA))
+
+
 class TestIrregularGrids:
     @pytest.mark.parametrize("name", sorted(IRREGULAR_LABELS))
     def test_scores_match_pixel_oracle(self, name):
