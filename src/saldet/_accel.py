@@ -156,53 +156,79 @@ def box_iou(a, b):
 
     Boxes that share no pixel get exactly 0.0, zero-area ones included.
     """
-    inter = np.minimum(a[..., 2], b[..., 2])
-    inter -= np.maximum(a[..., 0], b[..., 0])
-    iy = np.minimum(a[..., 3], b[..., 3])
-    iy -= np.maximum(a[..., 1], b[..., 1])
+    return _column_iou(_columns(a), _columns(b))
+
+
+def _columns(boxes):
+    """The x0, y0, x1, y1 and area arrays of boxes ``(..., 4)``."""
+    x0, y0, x1, y1 = (boxes[..., j] for j in range(4))
+    return x0, y0, x1, y1, (x1 - x0) * (y1 - y0)
+
+
+def _column_iou(a, b):
+    """IoU of boxes given as (x0, y0, x1, y1, area) arrays, broadcasting.
+
+    Intersection and union stay in the coordinates' integer dtype, and
+    only their quotient is float64.
+    """
+    ax0, ay0, ax1, ay1, a_area = a
+    bx0, by0, bx1, by1, b_area = b
+    inter = np.minimum(ax1, bx1)
+    inter -= np.maximum(ax0, bx0)
+    iy = np.minimum(ay1, by1)
+    iy -= np.maximum(ay0, by0)
     np.maximum(inter, 0, out=inter)
     np.maximum(iy, 0, out=iy)
     inter *= iy
-    union = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    union = union + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = a_area + b_area
     union -= inter
     # a union of 0 only comes with an intersection of 0
     return inter / np.maximum(union, 1, out=union)
 
 
-# IoU entries one batch of equal-count images may take: without a cap 50
-# images of 200 boxes would make 2M-entry temporaries. A larger image is a
-# batch alone, searched in tiles of rows against the columns from the
-# tile's first row on, each tile at most this many entries (or one row)
-_IOU_BATCH = 2**16
+# IoU entries one tile of the pair search may take (see ``nms_keep``),
+# 256 KiB of float64 IoUs. Timed on a 2-core Xeon, dense splits of
+# 150-200 boxes an image run alike at 2**13-2**16, one 2000-box image
+# runs ~12% faster than at 2**14 and within 5% of 2**16, and the dense
+# benchmark's peak RSS was lowest here; larger tiles would also compute
+# more of the lower triangles, which the search discards
+_IOU_BATCH = 2**15
 
 
-def nms_keep(boxes, threshold, counts=None, rank=None):
+def nms_keep(boxes, threshold, counts=None, score=None):
     """Greedy suppression of half-open boxes, for many groups at once.
 
-    ``boxes`` is (M, 4) int64 rows (x0, y0, x1, y1). Without ``rank`` the
+    ``boxes`` is (M, 4) int64 rows (x0, y0, x1, y1). Without ``score`` the
     rows are one group in descending priority and the result is an (M,)
     keep mask: a box is dropped when its IoU with any earlier kept box is
     >= threshold; boxes that only touch (no shared pixel) never suppress
     each other.
 
-    ``rank`` (G, M) runs G groups over the same boxes: ``rank[g, k]`` is
-    box k's priority in group g (lower first, distinct within a group),
-    negative where box k is not in group g; the result is a (G, M) mask,
-    False outside each group. ``counts`` splits the rows into images, in
-    order: image i has ``counts[i]`` boxes, and without it all M rows are
-    one image. Counts must be integers >= 0 summing to M, else it is a
-    ValueError. Boxes of different images never suppress each other. The
-    IoUs are computed once, whatever the number of groups, for batches of
-    images with the same box count at a time, and for an image past the
-    batch size a tile of rows at a time, so temporaries stay batch-sized.
+    ``score`` (G, M) runs G groups over the same boxes: ``score[g, k]`` is
+    box k's score in group g, NaN where box k is not in group g; the
+    result is a (G, M) mask, False outside each group. Within a group a
+    higher score comes first, and of equal scores the lower row. ``counts``
+    splits the rows into images, in order: image i has ``counts[i]``
+    boxes, and without it all M rows are one image. Counts must be
+    integers >= 0 summing to M, else it is a ValueError. Boxes of
+    different images never suppress each other.
+
+    The boxes are split once into x0, y0, x1, y1 and area columns. Each
+    image is searched in tiles of rows against its columns from the tile's
+    first row on, images of equal box count a batch at a time, so no
+    temporary passes ``_IOU_BATCH`` entries and most of each image's lower
+    triangle is never computed. The overlapping pairs (a, b), a < b, are
+    found once whatever the number of groups; each group then orients
+    them by its scores.
     """
     m = boxes.shape[0]
-    single = rank is None
-    rank = np.arange(m)[None, :] if single else np.asarray(rank)
+    single = score is None
+    # equal scores: each group's priority is its row order
+    score = np.zeros((1, m)) if single else np.asarray(score, dtype=np.float64)
     # int32 halves the memory traffic; below 2**15 two areas still sum in range
-    if m and 0 <= boxes.min() and boxes.max() < 2**15:
-        boxes = boxes.astype(np.int32)
+    small = m and 0 <= boxes.min() and boxes.max() < 2**15
+    x0, y0, x1, y1 = np.array(boxes.T, dtype=np.int32 if small else np.int64, order="C")
+    columns = (x0, y0, x1, y1, (x1 - x0) * (y1 - y0))
     counts = np.asarray([m] if counts is None else counts)
     whole = counts.dtype.kind in "iu" or not counts.size
     if counts.ndim != 1 or not whole or (counts < 0).any() or counts.sum() != m:
@@ -211,48 +237,58 @@ def nms_keep(boxes, threshold, counts=None, rank=None):
     # a positive IoU is at least 2**-63, so touching boxes never reach this
     reach = max(threshold, np.finfo(np.float64).tiny)
     # node ids g * m + k index every (group, box); int32 halves the edge lists
-    node = np.int32 if rank.size < 2**31 else np.int64
+    node = np.int32 if score.size < 2**31 else np.int64
     pair_a, pair_b = [np.zeros(0, dtype=node)], [np.zeros(0, dtype=node)]
     for count in np.unique(counts[counts > 1]).tolist():
         same = starts[counts == count]
         per_batch = max(1, _IOU_BATCH // (count * count))
-        # all rows at once unless the image alone is past the batch size
-        tile = min(count, max(1, _IOU_BATCH // count))
         for lo in range(0, same.size, per_batch):
             first = same[lo : lo + per_batch]
-            b = boxes[first[:, None] + np.arange(count)]
-            for r0 in range(0, count, tile):
-                iou = box_iou(b[:, r0 : r0 + tile, None, :], b[:, None, r0:, :])
-                g, a_idx, b_idx = np.nonzero(iou >= reach)
+            rows = first[:, None] + np.arange(count)
+            cols = [c[rows] for c in columns]
+            r0 = 0
+            while r0 < count:
+                r1 = min(count, r0 + max(1, _IOU_BATCH // (first.size * (count - r0))))
+                iou = _column_iou(
+                    [c[:, r0:r1, None] for c in cols], [c[:, None, r0:] for c in cols]
+                )
+                # flat indices: np.nonzero over the 3-d tile is ~8x slower
+                g, a_idx = np.divmod(np.flatnonzero(iou >= reach), (r1 - r0) * (count - r0))
+                a_idx, b_idx = np.divmod(a_idx, count - r0)
                 upper = a_idx < b_idx
                 at = first[g[upper]] + r0
                 pair_a.append((at + a_idx[upper]).astype(node))
                 pair_b.append((at + b_idx[upper]).astype(node))
+                r0 = r1
     pair_a = np.concatenate(pair_a)
     pair_b = np.concatenate(pair_b)
-    # each group orients the pairs of its boxes by its ranks (one pass per
-    # group keeps the temporaries pair-sized)
+    # a < b, so a comes first iff its score is not lower. A pair with an
+    # absent (NaN) end takes either direction: ``_suppress`` never opens
+    # an absent node, so such an edge drops out after its first round and
+    # changes no outcome. One pass per group keeps the temporaries
+    # pair-sized; on int32 ids ``take`` and the ``flip`` arithmetic run
+    # several times faster than fancy indexing and ``np.where``
+    step = pair_a - pair_b
     hi_node, lo_node = [], []
-    for g, group_rank in enumerate(rank):
-        rank_a, rank_b = group_rank[pair_a], group_rank[pair_b]
-        both = (rank_a >= 0) & (rank_b >= 0)
-        a, b = pair_a[both], pair_b[both]
-        a_first = rank_a[both] < rank_b[both]
-        hi_node.append(np.where(a_first, a, b) + node(g * m))
-        lo_node.append(np.where(a_first, b, a) + node(g * m))
+    for g, group_score in enumerate(score):
+        flip = step * (group_score.take(pair_a) >= group_score.take(pair_b))
+        hi_node.append(pair_b + flip + node(g * m))
+        lo_node.append(pair_a - flip + node(g * m))
     hi_node = np.concatenate(hi_node)
     lo_node = np.concatenate(lo_node)
-    keep = _suppress(rank.size, hi_node, lo_node, (rank >= 0).ravel())
-    return keep if single else keep.reshape(rank.shape)
+    keep = _suppress(score.size, hi_node, lo_node, ~np.isnan(score).ravel())
+    return keep if single else keep.reshape(score.shape)
 
 
 def _suppress(n, hi, lo, present):
     """Greedy NMS outcome over suppression edges ``hi -> lo``.
 
     A node is kept when every higher-priority neighbour is removed, and
-    removed when a kept higher-priority neighbour suppresses it. Each
+    removed when a kept higher-priority neighbour suppresses it. A node
+    that is not present is never open, so an edge from one blocks its
+    other end in the first round only. From the second round on, each
     round settles at least the highest-priority open node of every group,
-    so it ends after at most (longest chain of edges + 1) rounds.
+    so it ends after at most (longest chain of edges + 2) rounds.
     """
     keep = np.zeros(n, dtype=np.bool_)
     open_ = present.copy()
@@ -262,7 +298,7 @@ def _suppress(n, hi, lo, present):
         settled = open_ & ~blocked
         keep |= settled
         open_ &= ~settled
-        open_[lo[keep[hi]]] = False
-        live = open_[hi] & open_[lo]
+        open_[lo[keep.take(hi)]] = False
+        live = open_.take(hi) & open_.take(lo)
         hi, lo = hi[live], lo[live]
     return keep

@@ -11,11 +11,15 @@ conventions.
 Everything after scoring works on one :class:`DetectionTable` per split,
 a row per scored (image, class, proposal), with no per-detection Python
 objects and no boxes: NMS, AP and CorLoc read a row's box from its
-record's ``proposal_boxes``. NMS computes the proposal IoUs once, in
-batches of images with equal proposal counts, and suppresses in every
-(image, class) group at once; AP matches ground truth only for the rows
-that reach the IoU threshold against some ground-truth box; CorLoc takes
-the top row of every group of the NMS output, which NMS never drops.
+record's ``proposal_boxes``. NMS lays the scores out as one
+(class, proposal box) matrix, NaN where no row is, and finds each image's
+overlapping proposal pairs once for all classes: over x0/y0/x1/y1 columns,
+in tiles of rows against the columns from the tile's first row on, images
+of equal proposal count together. Each class orients those pairs by its
+scores, every (image, class) group is suppressed at once, and only the
+kept rows are sorted. AP matches ground truth only for the rows that
+reach the IoU threshold against some ground-truth box; CorLoc takes the
+top row of every group of the NMS output, which NMS never drops.
 """
 
 import itertools
@@ -183,15 +187,29 @@ def nms(
     if not len(d):
         return d
     boxes, box_of, counts = _proposal_boxes(d, records)
-    order = np.lexsort((d.proposal, -d.score, d.class_id, d.image))
-    classes, group_of = np.unique(d.class_id, return_inverse=True)
-    # a row's rank is its position in ``order``: its priority in its group
-    rank = np.full((classes.size, len(boxes)), -1, dtype=np.int64)
-    rank[group_of[order], box_of[order]] = np.arange(len(d))
-    if np.count_nonzero(rank >= 0) != len(d):
+    # searching the sorted classes makes fewer row-sized temporaries than
+    # ``np.unique``'s ``return_inverse``, which raised dense peak RSS
+    classes = np.unique(d.class_id)
+    group_of = np.searchsorted(classes, d.class_id)
+    groups = classes.size
+    # one score cell per (class group, box); NaN where no row has it
+    cell = group_of * len(boxes) + box_of
+    score = np.full(groups * len(boxes), np.nan)
+    score[cell] = d.score
+    if np.count_nonzero(~np.isnan(score)) != len(d):
         raise ValueError("an (image, class, proposal) occurs more than once")
-    keep = _accel.nms_keep(boxes, iou_threshold, counts, rank)
-    return d.take(order[np.sort(rank[keep])])
+    # within an image a lower box is a lower proposal, so ``nms_keep``
+    # breaks score ties as this function does
+    keep = _accel.nms_keep(boxes, iou_threshold, counts, score.reshape(groups, len(boxes)))
+    # the kept cells come in (class, image, proposal) order, so a stable
+    # sort by descending score, then by (image, class), leaves equal
+    # scores in proposal order; only the kept rows are sorted
+    kept = np.flatnonzero(keep)
+    row_of = np.empty(score.size, dtype=np.int64)
+    row_of[cell] = np.arange(len(d))
+    rows = row_of[kept]
+    order = np.lexsort((-score[kept], d.image[rows] * groups + kept // len(boxes)))
+    return d.take(rows[order])
 
 
 def _pr_curve(tp_flags: np.ndarray, num_positive: int):

@@ -147,6 +147,28 @@ class TestPathParity:
                     _accel.nms_keep(boxes, threshold), oracle_keep(boxes, threshold)
                 )
 
+    def test_nms_keep_orders_each_group_by_its_scores(self):
+        # per group: higher score first, equal scores by lower row, NaN
+        # rows absent; each group's mask is the oracle's over its rows
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            m = int(rng.integers(1, 40))
+            x0, y0 = rng.integers(0, 20, size=(2, m))
+            boxes = np.stack(
+                [x0, y0, x0 + rng.integers(1, 10, size=m), y0 + rng.integers(1, 10, size=m)],
+                axis=1,
+            ).astype(np.int64)
+            score = rng.integers(0, 4, size=(3, m)) / 3
+            score[rng.random((3, m)) < 0.2] = np.nan
+            threshold = float(rng.uniform(0.2, 0.8))
+            keep = _accel.nms_keep(boxes, threshold, [m], score)
+            for g in range(3):
+                rows = np.flatnonzero(~np.isnan(score[g]))
+                rows = rows[np.lexsort((rows, -score[g, rows]))]
+                want = np.zeros(m, dtype=bool)
+                want[rows] = oracle_keep(boxes[rows], threshold)
+                np.testing.assert_array_equal(keep[g], want)
+
     def test_nms_keep_memory_of_one_large_image(self):
         """2000 boxes, about a VOC image's proposals: the pair search runs
         in row tiles, not on 2000 x 2000 temporaries (~76 MiB)."""
@@ -334,12 +356,12 @@ class TestEdgeCases:
     def test_counts_split_the_boxes_into_images(self):
         # boxes 0 and 2 are identical: one image drops box 2, two never touch it
         boxes = np.array([[0, 0, 4, 4], [8, 8, 12, 12], [0, 0, 4, 4]], dtype=np.int64)
-        rank = np.array([[0, 1, 2]])
+        score = np.array([[0.9, 0.5, 0.1]])
         for counts in ([3], [0, 3, 0]):
-            keep = _accel.nms_keep(boxes, 0.4, counts, rank)
+            keep = _accel.nms_keep(boxes, 0.4, counts, score)
             np.testing.assert_array_equal(keep, [[True, True, False]])
-        keep = _accel.nms_keep(boxes, 0.4, np.array([1, 2]), rank)
+        keep = _accel.nms_keep(boxes, 0.4, np.array([1, 2]), score)
         np.testing.assert_array_equal(keep, [[True, True, True]])
         for bad in ([2], [1, 1, 2], [-1, 4], [1.0, 2.0], [[3]], [True, True, True]):
             with pytest.raises(ValueError, match="box counts must be integers >= 0 summing to 3"):
-                _accel.nms_keep(boxes, 0.4, bad, rank)
+                _accel.nms_keep(boxes, 0.4, bad, score)

@@ -3,6 +3,7 @@
 import functools
 import importlib
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -210,9 +211,36 @@ class TestNms:
             counts = [count] * int(rng.integers(2, 12)) + rng.integers(1, 12, size=3).tolist()
             self.check_against_oracle(rng, rng.permutation(counts), trial)
 
+    @pytest.mark.parametrize("budget", [None, 500])
+    def test_dense_images_match_quadratic_oracle(self, monkeypatch, budget):
+        # 150-200 boxes an image, as in the dense benchmark: at the real
+        # tile budget images of more than 181 boxes take two row tiles,
+        # and at a budget of a few rows a tile most overlapping pairs
+        # straddle a tile edge
+        if budget is not None:
+            monkeypatch.setattr(importlib.import_module("saldet._accel"), "_IOU_BATCH", budget)
+        rng = np.random.default_rng(37)
+        for trial in range(3):
+            self.check_against_oracle(rng, rng.integers(150, 201, size=3), trial)
+
+    def test_sparse_huge_class_ids_match_quadratic_oracle(self):
+        # two ids far apart, and rows missing: the class groups are
+        # numbered without anything sized by the largest id (2**40)
+        rng = np.random.default_rng(41)
+        tracemalloc.start()
+        try:
+            for trial in range(6):
+                counts = rng.integers(1, 30, size=int(rng.integers(1, 5)))
+                self.check_against_oracle(rng, counts, trial, classes=(2**40, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     @staticmethod
-    def check_against_oracle(rng, counts, trial):
-        n_classes = int(rng.integers(1, 6))
+    def check_against_oracle(rng, counts, trial, classes=None):
+        if classes is None:
+            classes = range(int(rng.integers(1, 6)))
         threshold = (1e-9, 0.99, float(rng.uniform(0.1, 0.9)))[trial % 3]
         image_ids = [f"img{k}" for k in range(len(counts))]
         rows = []
@@ -229,7 +257,7 @@ class TestNms:
                     x0, y0 = int(rng.integers(0, 12)), int(rng.integers(0, 12))
                     boxes.append(Box(x0, y0, x0 + int(rng.integers(1, 7)),
                                      y0 + int(rng.integers(1, 7))))
-            for c in range(n_classes):
+            for c in classes:
                 coarse = rng.random() < 0.5
                 for i, box in enumerate(boxes):
                     if rng.random() < 0.8:
@@ -244,7 +272,7 @@ class TestNms:
         )
         expected = []
         for image_id in image_ids:
-            for c in range(n_classes):
+            for c in sorted(classes):
                 items = [(r.bbox, r.score, r.proposal_index) for r in rows
                          if r.image_id == image_id and r.class_id == c]
                 expected += [Row(image_id, c, *item)
