@@ -4,16 +4,17 @@ Boxes use half-open integer pixel intervals [x0, x1) x [y0, y1), so the
 area is exactly (x1 - x0) * (y1 - y0) and IoU arithmetic is exact.
 Superpixel adjacency is 4-connected: two superpixels are neighbors iff
 some pixel pair of theirs shares a horizontal or vertical edge. Each
-grid holds each superpixel's pixel count and box and its pixels grouped
-by id, computed once, and its neighbour lists, built on first use. A proposal is its grid and its
-superpixel ids; ``proposal_geometry`` derives proposals' member pairs and
-boxes from the grid's tables in one pass, and a record takes only
-proposals on its own grid and keeps both. Seed selection reads the
-lists, never an n_sp x n_sp matrix. A record keys
-its saliency maps by class. Records may share one grid: the generator
-gives all its records one, and loading gives consecutive records with
-identical label grids one. All types are immutable after construction
-(arrays are marked read-only), which is what makes that sharing safe.
+grid holds its pixels grouped by id and each superpixel's pixel count
+and box, all from one sort of the label grid, and its neighbour lists,
+built on first use. A proposal is its grid and its superpixel ids;
+``proposal_geometry`` derives proposals' member pairs and boxes from the
+grid's tables in one pass, and a record takes only proposals on its own
+grid and keeps both. Seed selection reads the lists, never an
+n_sp x n_sp matrix. A record keys its saliency maps by class. Records
+may share one grid: the generator gives all its records one, and loading
+gives consecutive records with identical label grids one. All types are
+immutable after construction (arrays are marked read-only), which is
+what makes that sharing safe.
 """
 
 import math
@@ -95,9 +96,9 @@ class SuperpixelGrid:
     (x0, y0, x1, y1). ``pixel_order`` (height * width,) int32 lists the
     flat pixel indices grouped by ascending id, each id's ``pixel_counts``
     pixels in scan order, so seed scoring can gather the pixels of a few
-    superpixels. The boxes are read off the same order, so the label grid
-    is sorted once. All three are computed once, here. ``neighbors``
-    holds the 4-connected neighbour lists, built on first use.
+    superpixels. The counts and boxes are read off the same order, so the
+    label grid is sorted once. All three are computed once, here.
+    ``neighbors`` holds the 4-connected neighbour lists, built on first use.
     """
 
     width: int
@@ -119,15 +120,15 @@ class SuperpixelGrid:
         if labels.min() < 0:
             raise ValueError("labels: negative superpixel id")
         n = int(labels.max()) + 1
-        # checked before sizing the count array by the largest id
+        # checked before ``label_pixels`` sizes its offsets by the largest id
         if n > labels.size:
             raise ValueError(f"labels: id {n - 1} exceeds the pixel count {labels.size}")
-        counts = _accel.superpixel_counts(labels, n)
+        lists = _accel.label_pixels(labels, n)
+        counts = np.diff(lists[0])
         if not counts.all():
             raise ValueError("labels: every id in [0, n_superpixels) must occur")
         object.__setattr__(self, "labels", _freeze(labels))
         object.__setattr__(self, "pixel_counts", _freeze(counts))
-        lists = _accel.label_pixels(labels, n)
         # int32 while the flat indices fit, as the ids do: half the memory
         order = lists[1].astype(np.int32 if labels.size <= 2**31 else np.int64)
         object.__setattr__(self, "pixel_order", _freeze(order))

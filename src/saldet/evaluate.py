@@ -11,15 +11,19 @@ conventions.
 Everything after scoring works on one :class:`DetectionTable` per split,
 a row per scored (image, class, proposal), with no per-detection Python
 objects and no boxes: NMS, AP and CorLoc read a row's box from its
-record's ``proposal_boxes``. NMS lays the scores out as one
-(class, proposal box) matrix, NaN where no row is, and finds each image's
-overlapping proposal pairs once for all classes: over x0/y0/x1/y1 columns,
-in tiles of rows against the columns from the tile's first row on, images
-of equal proposal count together. Each class orients those pairs by its
-scores, every (image, class) group is suppressed at once, and only the
-kept rows are sorted. AP matches ground truth only for the rows that
-reach the IoU threshold against some ground-truth box; CorLoc takes the
-top row of every group of the NMS output, which NMS never drops.
+record's ``proposal_boxes`` and its (image, class) group from one
+numbering, ``_index``, so no array size or key depends on a class id's
+value. A class id past the records' label count has no ground truth and
+no positive image: AP skips it with a log note, and CorLoc never reads
+it. NMS lays the scores out as one (group, proposal box) matrix, NaN
+where no row is, and finds each image's overlapping proposal pairs once
+for all classes: over x0/y0/x1/y1 columns, in tiles of rows against the
+columns from the tile's first row on, images of equal proposal count
+together. Each class orients those pairs by its scores, every group is
+suppressed at once, and only the kept rows are sorted. AP matches ground
+truth only for the rows that reach the IoU threshold against some
+ground-truth box; CorLoc takes the top row of every group of the NMS
+output, which NMS never drops.
 """
 
 import itertools
@@ -158,16 +162,23 @@ def score_dataset(params: ModelParams, records: list[ImageRecord], config: Model
     return table, {rec.id: tau for rec, tau in zip(records, taus)}
 
 
-def _proposal_boxes(d: DetectionTable, records: list[ImageRecord]):
-    """The records' proposal boxes, concatenated, each row's index into
-    them, and each record's proposal count."""
+def _index(d: DetectionTable, records: list[ImageRecord]):
+    """(boxes, box_of, counts, classes, group): the records' proposal boxes
+    concatenated, each row's index into them, each record's proposal count,
+    the sorted union of 0..C-1 (C the records' largest label count) and the
+    table's class ids, and each row's index there, so class c < C is group c."""
     if len(d) and d.image.max() >= len(records):
         raise ValueError("detection image index outside the evaluated records")
     counts = np.array([rec.num_proposals for rec in records], dtype=np.int64)
     if (d.proposal >= counts[d.image]).any():
         raise ValueError("detection proposal index outside its image's proposals")
     boxes = [np.empty((0, 4), dtype=np.int64)] + [rec.proposal_boxes for rec in records]
-    return np.concatenate(boxes), (np.cumsum(counts) - counts)[d.image] + d.proposal, counts
+    box_of = (np.cumsum(counts) - counts)[d.image] + d.proposal
+    num_classes = max([rec.labels.num_classes for rec in records], default=0)
+    classes = np.union1d(np.arange(num_classes), d.class_id)
+    # searching the sorted classes makes fewer row-sized temporaries than
+    # ``np.unique``'s ``return_inverse``, which raised dense peak RSS
+    return np.concatenate(boxes), box_of, counts, classes, np.searchsorted(classes, d.class_id)
 
 
 def nms(
@@ -186,13 +197,9 @@ def nms(
     d = detections
     if not len(d):
         return d
-    boxes, box_of, counts = _proposal_boxes(d, records)
-    # searching the sorted classes makes fewer row-sized temporaries than
-    # ``np.unique``'s ``return_inverse``, which raised dense peak RSS
-    classes = np.unique(d.class_id)
-    group_of = np.searchsorted(classes, d.class_id)
+    boxes, box_of, counts, classes, group_of = _index(d, records)
     groups = classes.size
-    # one score cell per (class group, box); NaN where no row has it
+    # one score cell per (group, box); NaN, which is never kept, where no row is
     cell = group_of * len(boxes) + box_of
     score = np.full(groups * len(boxes), np.nan)
     score[cell] = d.score
@@ -250,24 +257,19 @@ def _id_rank(records: list[ImageRecord]) -> np.ndarray:
     return rank
 
 
-def _ground_truth(records: list[ImageRecord], detections: DetectionTable):
-    """GT boxes keyed like the detections, sorted by key.
+def _ground_truth(records: list[ImageRecord], groups: int):
+    """GT boxes keyed like ``_index``'s rows, sorted by key.
 
-    A row's key is ``image * width + class``, with ``width`` above every
-    class id in play; within a key the boxes keep their record order,
-    which breaks matching ties. Returns (keys, boxes, classes, width).
+    A box of class c in image i has key ``i * groups + c``, as class c is
+    group c; within a key the boxes keep their record order, which breaks
+    matching ties. Returns (keys, boxes, classes).
     """
-    d = detections
-    width = max(
-        [rec.labels.num_classes for rec in records]
-        + [int(d.class_id.max()) + 1 if len(d) else 0]
-    )
     gt = [(i, c, box.as_tuple()) for i, rec in enumerate(records) for c, box in rec.gt_boxes]
-    keys = np.array([i * width + c for i, c, _ in gt], dtype=np.int64)
+    keys = np.array([i * groups + c for i, c, _ in gt], dtype=np.int64)
     classes = np.array([c for _, c, _ in gt], dtype=np.int64)
     boxes = np.array([b for _, _, b in gt], dtype=np.int64).reshape(-1, 4)
     order = np.argsort(keys, kind="stable")
-    return keys[order], boxes[order], classes[order], width
+    return keys[order], boxes[order], classes[order]
 
 
 def _gt_pairs(row_keys, row_boxes, gt_keys, gt_boxes):
@@ -291,16 +293,17 @@ def detection_ap(
     proposal index), is matched to the highest-IoU still-unmatched
     ground-truth box of its class in its image; it is a true positive
     when that IoU is >= the threshold, otherwise a false positive
-    (duplicates included). Classes with no ground truth are skipped with
-    a log note.
+    (duplicates included). A class with rows but no ground truth, as any
+    id past the records' label count, is skipped with a log note.
     """
     check_thresholds(iou_threshold=iou_threshold)
     d = detections
-    boxes, box_of, _ = _proposal_boxes(d, records)
-    gt_keys, gt_boxes, gt_cls, width = _ground_truth(records, d)
-    order = np.lexsort((d.proposal, _id_rank(records)[d.image], -d.score, d.class_id))
+    boxes, box_of, _, classes, group = _index(d, records)
+    groups = classes.size
+    gt_keys, gt_boxes, gt_cls = _ground_truth(records, groups)
+    order = np.lexsort((d.proposal, _id_rank(records)[d.image], -d.score, group))
     row, gt, iou = _gt_pairs(
-        d.image[order] * width + d.class_id[order], boxes[box_of[order]], gt_keys, gt_boxes
+        d.image[order] * groups + group[order], boxes[box_of[order]], gt_keys, gt_boxes
     )
     # only rows reaching the threshold against some GT box can be true
     # positives; their matching depends on earlier matches, so it is sequential
@@ -315,21 +318,15 @@ def detection_ap(
             used[gt[lo + j]] = True
             tp[k] = True
 
-    classes = np.union1d(gt_cls, d.class_id)
-    n_gt = np.bincount(gt_cls, minlength=width)
-    cls_sorted = d.class_id[order]
-    starts = np.searchsorted(cls_sorted, classes, side="left")
-    ends = np.searchsorted(cls_sorted, classes, side="right")
+    # the ordered rows run class by class, in ``classes`` order
+    ends = np.cumsum(np.bincount(group, minlength=groups)).tolist()
+    n_gt = np.bincount(gt_cls, minlength=groups).tolist()
     result = {}
-    for c, lo, hi in zip(classes.tolist(), starts.tolist(), ends.tolist()):
-        if n_gt[c] == 0:
+    for c, lo, hi, n in zip(classes.tolist(), [0] + ends, ends, n_gt):
+        if n:
+            result[c] = _ap_from_pr(*_pr_curve(tp[lo:hi], n), eleven_point)
+        elif hi > lo:
             log.info("class %d has no ground-truth boxes; AP undefined", c)
-            continue
-        if lo == hi:
-            result[c] = 0.0
-            continue
-        recall, precision = _pr_curve(tp[lo:hi], int(n_gt[c]))
-        result[c] = _ap_from_pr(recall, precision, eleven_point)
     return result
 
 
@@ -343,20 +340,22 @@ def corloc(
     For each (image, positive class) pair the single highest-scoring
     detection of that class (ties by lower proposal index) is checked
     against the class's ground truth at the IoU threshold. Classes with
-    no positive images are skipped. NMS keeps that detection, so the
-    result is the same before and after ``nms``.
+    no positive images, as any id past the records' label count, are
+    skipped. NMS keeps that detection, so the result is the same before
+    and after ``nms``.
     """
     check_thresholds(iou_threshold=iou_threshold)
     d = detections
-    boxes, box_of, _ = _proposal_boxes(d, records)
-    gt_keys, gt_boxes, _, width = _ground_truth(records, d)
-    order = np.lexsort((d.proposal, -d.score, d.class_id, d.image))
-    keys = d.image[order] * width + d.class_id[order]
+    boxes, box_of, _, classes, group = _index(d, records)
+    groups = classes.size
+    gt_keys, gt_boxes, _ = _ground_truth(records, groups)
+    order = np.lexsort((d.proposal, -d.score, group, d.image))
+    keys = d.image[order] * groups + group[order]
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     top_keys, top_boxes = keys[first], boxes[box_of[order[first]]]
 
-    positive = [(i * width + c, c) for i, rec in enumerate(records) for c in rec.labels.positives]
+    positive = [(i * groups + c, c) for i, rec in enumerate(records) for c in rec.labels.positives]
     pos_keys = np.array([k for k, _ in positive], dtype=np.int64)
     pos_class = np.array([c for _, c in positive], dtype=np.int64)
     at = np.searchsorted(top_keys, pos_keys)

@@ -370,7 +370,8 @@ class TestEval:
                      "--csv", str(table)])
         assert code == 0
         capsys.readouterr()
-        rows = list(csv.reader(table.open()))
+        with table.open(newline="") as f:
+            rows = list(csv.reader(f))
         assert rows[0] == ["class", "detection_ap", "corloc", "classification_ap"]
         assert rows[-1][0] == "mean"
 

@@ -69,7 +69,7 @@ class TestIou:
 class TestSuperpixelGrid:
     def test_requires_every_id(self):
         labels = np.array([[0, 2], [0, 2]], dtype=np.int32)  # id 1 missing
-        with pytest.raises(ValueError, match="superpixel"):
+        with pytest.raises(ValueError, match=r"every id in \[0, n_superpixels\) must occur"):
             SuperpixelGrid(width=2, height=2, labels=labels)
 
     def test_shape_mismatch(self):
@@ -87,13 +87,20 @@ class TestSuperpixelGrid:
         with pytest.raises(ValueError):
             grid.pixel_order[0] = 3
 
-    @pytest.mark.parametrize("name", sorted(IRREGULAR_LABELS))
-    def test_pixel_order_groups_pixels_by_id_in_scan_order(self, name):
-        grid = irregular_grid(name)
+    @pytest.mark.parametrize("name", [*sorted(IRREGULAR_LABELS), "random_256"])
+    def test_pixel_order_and_counts_match_a_pixel_scan(self, name):
+        if name == "random_256":
+            labels = np.random.default_rng(3).integers(0, 1024, size=(256, 256))
+            grid = SuperpixelGrid(width=256, height=256, labels=labels)
+        else:
+            grid = irregular_grid(name)
         flat = grid.labels.ravel()
         want = [np.flatnonzero(flat == k) for k in range(grid.n_superpixels)]
         assert grid.pixel_order.dtype == np.int32
         np.testing.assert_array_equal(grid.pixel_order, np.concatenate(want))
+        # the counts are read off the same sort
+        assert grid.pixel_counts.dtype == np.int64 and not grid.pixel_counts.flags.writeable
+        np.testing.assert_array_equal(grid.pixel_counts, np.bincount(flat))
 
     def test_id_beyond_pixel_count_rejected_before_counting(self):
         # sizing a count array by this id would ask for 16 GiB

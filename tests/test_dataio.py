@@ -149,8 +149,9 @@ class TestRoundTrip:
 
 
 def _count_grid_kernels(monkeypatch):
-    """Count the calls of the three kernels every new grid runs once;
-    ``label_pixels`` is the one sort of the label grid."""
+    """Count the calls of the grid kernels: every new grid runs
+    ``label_pixels``, the one sort of the label grid, and ``label_boxes``
+    once, and reads its pixel counts off that sort, not ``superpixel_counts``."""
     calls = {"label_pixels": 0, "label_boxes": 0, "superpixel_counts": 0}
     for name in calls:
         def counted(*args, _name=name, _kernel=getattr(_accel, name)):
@@ -189,7 +190,7 @@ class TestGridSharing:
         for load in (1, 2):
             loaded, _ = load_dataset(tmp_path / "ds")
             assert len({id(r.grid) for r in loaded}) == 1
-            assert calls == {"label_pixels": load, "label_boxes": load, "superpixel_counts": load}
+            assert calls == {"label_pixels": load, "label_boxes": load, "superpixel_counts": 0}
             # so seed selection reads one set of neighbour lists per load
             neighbors = loaded[0].grid.neighbors
             assert all(r.grid.neighbors is neighbors for r in loaded)
@@ -216,7 +217,7 @@ class TestGridSharing:
         calls = _count_grid_kernels(monkeypatch)
         loaded, _ = load_dataset(tmp_path / "ds")
         assert calls == {
-            "label_pixels": builds, "label_boxes": builds, "superpixel_counts": builds
+            "label_pixels": builds, "label_boxes": builds, "superpixel_counts": 0
         }
         for k, (rec, g) in enumerate(zip(loaded, pattern)):
             np.testing.assert_array_equal(rec.grid.labels, grids[g].labels)

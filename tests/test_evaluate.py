@@ -317,10 +317,16 @@ class TestDetectionAp:
         records = [metric_record("a", [1], [(0, Box(0, 0, 6, 6))])]
         assert ap([], records) == {0: 0.0}
 
-    def test_class_without_gt_is_skipped(self):
-        records = [metric_record("a", [1, -1], [(0, Box(0, 0, 6, 6))])]
-        dets = [det("a", 1, Box(0, 0, 6, 6), 0.9, 0)]
-        assert 1 not in ap(dets, records)
+    def test_class_without_gt_is_skipped(self, caplog):
+        records = [metric_record("a", [1, -1, -1], [(0, Box(0, 0, 6, 6))])]
+        dets = [det("a", c, Box(0, 0, 6, 6), 0.9, 0) for c in (1, 2**61)]
+        with caplog.at_level("INFO", logger="saldet.evaluate"):
+            assert ap(dets, records) == {0: 0.0}
+        # class 2 has neither rows nor ground truth, so it stays silent
+        assert caplog.messages == [
+            "class 1 has no ground-truth boxes; AP undefined",
+            f"class {2**61} has no ground-truth boxes; AP undefined",
+        ]
 
     def test_hand_curve(self):
         records = [
@@ -486,6 +492,50 @@ class TestCorloc:
                 for c in range(4):
                     dets.append(det(rec.id, c, prop.bbox, float(rng.random()), i))
         assert corloc(nms(table(dets, ids_of(records)), records), records) == loc(dets, records)
+
+
+class TestClassNumbering:
+    """AP and CorLoc number (image, class) groups as NMS does: nothing is
+    sized or keyed by a class id's value."""
+
+    CLASSES = (0, 1, 2, 3, 2**40, 2**61)
+
+    def test_huge_class_ids_match_oracles(self):
+        # classes 0-3 have ground truth and positives, the two huge ids
+        # only rows; each (image, class, proposal) row is missing at random
+        rng = np.random.default_rng(47)
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                records, rows = [], []
+                for k in range(int(rng.integers(1, 9))):
+                    y = [1 if v else -1 for v in rng.random(4) < 0.5]
+                    y[int(rng.integers(4))] = 1
+                    gt = [(c, self.random_box(rng)) for c in range(4)
+                          for _ in range(int(rng.integers(0, 3)))]
+                    records.append(metric_record(f"img{k}", y, gt))
+                    # the gt boxes are proposals too, so top rows often hit
+                    boxes = [b for _, b in gt] + [self.random_box(rng) for _ in range(3)]
+                    boxes = [boxes[i] for i in rng.permutation(len(boxes))]
+                    for c in self.CLASSES:
+                        for i, box in enumerate(boxes):
+                            if rng.random() < 0.6:
+                                rows.append(det(f"img{k}", c, box, rng.integers(0, 5) / 4, i))
+                want_ap = naive_detection_ap(rows, records)
+                got_ap = ap(rows, records)
+                assert got_ap.keys() == want_ap.keys()
+                for c, v in want_ap.items():
+                    assert got_ap[c] == pytest.approx(v, abs=1e-12)
+                assert loc(rows, records) == naive_corloc(rows, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @staticmethod
+    def random_box(rng):
+        x0, y0 = (int(v) for v in rng.integers(0, 18, 2))
+        return Box(x0, y0, x0 + int(rng.integers(1, 7)), y0 + int(rng.integers(1, 7)))
 
 
 class TestClassificationAp:
