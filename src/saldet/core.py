@@ -314,8 +314,13 @@ class ImageRecord:
 
 
 def check_records(records: list[ImageRecord], config) -> None:
-    """Raise ValueError naming the first record whose features or labels do not fit ``config``."""
+    """Raise ValueError naming the first record whose id repeats an earlier
+    one or whose features or labels do not fit ``config``."""
+    seen = set()
     for rec in records:
+        if rec.id in seen:
+            raise ValueError(f"record id {rec.id!r} is repeated")
+        seen.add(rec.id)
         if rec.feature_dim != config.feature_dim:
             raise ValueError(
                 f"image {rec.id}: feature dim {rec.feature_dim} "

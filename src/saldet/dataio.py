@@ -69,13 +69,22 @@ class DatasetManifest:
     seed: int | None = None
 
     def __post_init__(self):
+        images, seen = tuple(self.images), set()
+        for stem in images:
+            # a stem names files inside records/, so it must be one plain name
+            plain = isinstance(stem, str) and stem not in ("", ".", "..")
+            if not plain or any(ch in stem for ch in "/\\\0"):
+                raise ValueError(f"image stem {stem!r} is not a plain file name")
+            if stem in seen:
+                raise ValueError(f"image stem {stem!r} is listed twice")
+            seen.add(stem)
         if self.num_classes < 1 or self.feature_dim < 1:
             raise ValueError("num_classes and feature_dim must be >= 1")
         names = tuple(self.class_names)
         if len(names) != self.num_classes or len(set(names)) != len(names):
             raise ValueError("class_names must hold exactly num_classes unique entries")
         object.__setattr__(self, "class_names", names)
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", images)
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,11 @@ class SynthConfig:
 # save / load
 
 def save_dataset(records, manifest: DatasetManifest, out_dir) -> Path:
-    """Write the directory layout; byte output is deterministic in the inputs."""
+    """Write the directory layout; byte output is deterministic in the inputs.
+
+    The records' ids must be the manifest's image stems, in order."""
+    if tuple(r.id for r in records) != manifest.images:
+        raise ValueError("record ids must be the manifest's image stems, in order")
     out_dir = Path(out_dir)
     rec_dir = out_dir / "records"
     rec_dir.mkdir(parents=True, exist_ok=True)
@@ -196,14 +209,6 @@ def load_dataset(manifest_path):
         raise DatasetError(f"{manifest_path}: field 'seed' must be an integer or null")
     if doc["version"] != FORMAT_VERSION:
         raise DatasetError(f"{manifest_path}: unsupported version {doc['version']}")
-    seen = set()
-    for stem in doc["images"]:
-        # a stem names files inside records/, so it must be one plain name
-        if stem in ("", ".", "..") or any(ch in stem for ch in "/\\\0"):
-            raise DatasetError(f"{manifest_path}: image stem {stem!r} is not a plain file name")
-        if stem in seen:
-            raise DatasetError(f"{manifest_path}: image stem {stem!r} is listed twice")
-        seen.add(stem)
     try:
         manifest = DatasetManifest(
             num_classes=doc["num_classes"],

@@ -742,6 +742,11 @@ def forward_images(params: ModelParams, features, config: ModelConfig) -> Forwar
     return trace
 
 
+def _check_one_image(trace: ForwardTrace) -> None:
+    if trace.row_image is not None:
+        raise ValueError(f"need one image's trace, got a trace of {len(trace.image_scores)} images")
+
+
 def step_losses(params, trace, labels_y, assignment, config):
     """All loss terms for one image plus gradients w.r.t. scores and P.
 
@@ -750,6 +755,7 @@ def step_losses(params, trace, labels_y, assignment, config):
     e.g. at test time or with seed supervision disabled); a seed or
     negative index >= N_R is a ValueError.
     """
+    _check_one_image(trace)
     d_scores = np.empty(trace.scores.shape)
     d_sal = np.empty(trace.saliency.shape)
     kernel = _step_kernel(params, config)
@@ -766,6 +772,7 @@ def backward(params, trace, d_scores, d_saliency, config):
     Returns a new flat vector laid out like ``params.flat_values``;
     ``params.layout.views(grad)`` names its tensors.
     """
+    _check_one_image(trace)
     if d_scores.shape != trace.scores.shape:
         raise ValueError("d_scores shape mismatch")
     kernel = _step_kernel(params, config)
@@ -792,39 +799,35 @@ def loss_and_grads(params, features, labels_y, assignment, config):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization: versioned header, shape table, float32 tensors
+# checkpoint serialization: one header encoding, then float32 tensors
 
 _CKPT_MAGIC = b"SALDETC\x00"
 _CKPT_VERSION = 1
 
 
+def _checkpoint_header(config: ModelConfig) -> bytes:
+    """The magic, then little-endian u32s: version, tensor count, feature_dim,
+    num_classes, saliency_hidden, saliency flag (0/1), trunk depth, the trunk
+    widths, and per tensor in declaration order its ndim and dims."""
+    shapes = _tensor_shapes(config)
+    fields = [_CKPT_VERSION, len(shapes), config.feature_dim, config.num_classes,
+              config.saliency_hidden, 1 if config.saliency_enabled else 0,
+              len(config.trunk_widths), *config.trunk_widths]
+    for _, shape in shapes:
+        fields += [len(shape), *shape]
+    return _CKPT_MAGIC + struct.pack(f"<{len(fields)}I", *fields)
+
+
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
-    """Write architecture header + tensors (little-endian float32).
+    """Write the header, then each tensor as little-endian float32.
 
     Values are clipped to the float32 finite range so a checkpoint can
     never hold inf; this only matters for rescue checkpoints written
     after divergence, where weights may exceed 3.4e38.
     """
     f4_max = float(np.finfo(np.float32).max)
-    shapes = _tensor_shapes(config)
-    blob = bytearray()
-    blob += _CKPT_MAGIC
-    blob += struct.pack("<II", _CKPT_VERSION, len(shapes))
-    blob += struct.pack(
-        "<IIII",
-        config.feature_dim,
-        config.num_classes,
-        config.saliency_hidden,
-        1 if config.saliency_enabled else 0,
-    )
-    blob += struct.pack("<I", len(config.trunk_widths))
-    for w in config.trunk_widths:
-        blob += struct.pack("<I", w)
-    for name, shape in shapes:
-        blob += struct.pack("<I", len(shape))
-        for d in shape:
-            blob += struct.pack("<I", d)
-    for name, shape in shapes:
+    blob = bytearray(_checkpoint_header(config))
+    for name, shape in _tensor_shapes(config):
         arr = params.values[name]
         if tuple(arr.shape) != shape:
             raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
@@ -837,54 +840,40 @@ def load_checkpoint(path):
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:8] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    version, n_tensors = struct.unpack("<II", blob[8:16])
+    (version,) = struct.unpack_from("<I", blob, 8)
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    off = 16
 
-    def take(n_bytes):
-        nonlocal off
-        if off + n_bytes > len(blob):
+    def read_u32s(offset, count):
+        if offset + 4 * count > len(blob):
             raise ValueError(f"{path}: truncated checkpoint")
-        off += n_bytes
-        return off - n_bytes
+        return struct.unpack_from(f"<{count}I", blob, offset)
 
-    def unpack(fmt):
-        return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt)))
-
-    feature_dim, num_classes, sal_hidden, sal_enabled = unpack("<IIII")
+    feature_dim, num_classes, sal_hidden, sal_enabled, n_trunk = read_u32s(16, 5)
     if sal_enabled not in (0, 1):
         raise ValueError(f"{path}: saliency flag {sal_enabled} is neither 0 nor 1")
-    (n_trunk,) = unpack("<I")
-    widths = unpack(f"<{n_trunk}I")
     config = ModelConfig(
         feature_dim=feature_dim,
         num_classes=num_classes,
-        trunk_widths=tuple(widths),
+        trunk_widths=read_u32s(36, n_trunk),
         saliency_hidden=sal_hidden,
         saliency_enabled=bool(sal_enabled),
     )
-    shapes = _tensor_shapes(config)
-    if len(shapes) != n_tensors:
-        raise ValueError(f"{path}: shape table length mismatch")
-    for name, shape in shapes:
-        (ndim,) = unpack("<I")
-        dims = unpack(f"<{ndim}I")
-        if shape != dims:
-            raise ValueError(f"{path}: tensor {name} shape {dims} != expected {shape}")
     # the header alone must not size the buffers: a forged width would
     # otherwise allocate before the missing data is noticed
-    if 4 * sum(math.prod(shape) for _, shape in shapes) > len(blob) - off:
+    header, layout = _checkpoint_header(config), param_layout(config)
+    if len(blob) < len(header) + 4 * layout.size:
         raise ValueError(f"{path}: truncated checkpoint")
-    params = ModelParams(param_layout(config))
-    for name, shape in shapes:
-        count = math.prod(shape)
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=take(4 * count))
-        params.values[name][...] = arr.reshape(shape)
-    if off != len(blob):
+    if len(blob) > len(header) + 4 * layout.size:
         raise ValueError(f"{path}: trailing bytes after tensor data")
-    # saving clips to the finite float32 range, so only damage yields these
-    for name, arr in params.values.items():
+    if blob[: len(header)] != header:
+        raise ValueError(f"{path}: shape table does not match the architecture")
+    params = ModelParams(layout)
+    run = np.frombuffer(blob, dtype="<f4", offset=len(header))
+    for name, arr in params.values.items():  # declaration order
+        arr[...] = run[: arr.size].reshape(arr.shape)
+        run = run[arr.size :]
+        # saving clips to the finite float32 range, so only damage yields these
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: tensor {name} holds non-finite values")
     return params, config

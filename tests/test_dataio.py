@@ -148,6 +148,33 @@ class TestRoundTrip:
         assert all(a[k] == b[k] for k in a)
 
 
+class TestSaveRefuses:
+    """Save writes only datasets that load accepts: nothing is written otherwise."""
+
+    @pytest.mark.parametrize("ids, stems, message", [
+        (["../escaped"], None, "'../escaped' is not a plain file name"),
+        (["../../escaped"], ["escaped"], "record ids must be the manifest's image stems"),
+        (["a", "a"], None, "'a' is listed twice"),
+        (["a", "b"], ["b", "a"], "record ids must be the manifest's image stems"),
+        (["a", "b"], ["a"], "record ids must be the manifest's image stems"),
+    ], ids=["escaping-id", "escaping-id-plain-stem", "repeated-id", "reordered", "missing"])
+    def test_bad_ids_or_stems_write_nothing(self, tmp_path, ids, stems, message):
+        grid = tiling_grid(8, 2)
+        records = [_small_record(rec_id, grid, seed) for seed, rec_id in enumerate(ids)]
+        with pytest.raises(ValueError, match=message):
+            manifest = DatasetManifest(
+                num_classes=2, feature_dim=4, class_names=("a", "b"),
+                images=tuple(ids if stems is None else stems),
+            )
+            save_dataset(records, manifest, tmp_path / "ds" / "sub")
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("stem", [3, None, b"img"])
+    def test_manifest_stems_are_strings(self, stem):
+        with pytest.raises(ValueError, match="is not a plain file name"):
+            DatasetManifest(num_classes=1, feature_dim=1, class_names=("a",), images=(stem,))
+
+
 def _count_grid_kernels(monkeypatch):
     """Count the calls of the grid kernels: every new grid runs
     ``label_pixels``, the one sort of the label grid, and ``label_boxes``

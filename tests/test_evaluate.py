@@ -4,6 +4,7 @@ import functools
 import importlib
 import json
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -741,6 +742,20 @@ class TestEvaluatePipeline:
         monkeypatch.setattr(evaluate_module, "forward_images", refuse)
         message = f"^record {records[0].id}: 4 classes, model has 5$"
         with pytest.raises(ValueError, match=message):
+            evaluate(init_params(config, 0), records, config)
+
+    def test_rejects_a_repeated_record_id_before_scoring(self, monkeypatch):
+        # image scores are keyed by id, so two records would share one tau
+        records, _ = generate_synthetic(SynthConfig(images=6, seed=1))
+        records[5] = replace(records[5], id=records[2].id)
+        config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,),
+                             saliency_hidden=4)
+
+        def refuse(*args):
+            raise AssertionError("the records were scored")
+
+        monkeypatch.setattr(evaluate_module, "forward_images", refuse)
+        with pytest.raises(ValueError, match=f"^record id '{records[2].id}' is repeated$"):
             evaluate(init_params(config, 0), records, config)
 
     def test_matches_oracle_composition(self):

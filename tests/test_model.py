@@ -11,6 +11,7 @@ from conftest import LAYER_BIAS, LAYERS
 from oracles import reference_forward, reference_step
 from saldet.model import (
     ModelConfig,
+    _checkpoint_header,
     backward,
     forward,
     forward_images,
@@ -489,6 +490,45 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"tensor {last} holds non-finite values"):
             load_checkpoint(path)
 
+    # the u32s after the magic, written out by hand from the format
+    @pytest.mark.parametrize("config, fields", [
+        (ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(7,), saliency_enabled=False),
+         (1, 10, 16, 4, 32, 0, 1, 7,
+          2, 16, 7, 1, 7, 2, 7, 32, 1, 32, 1, 32, 1, 1, 2, 7, 4, 1, 4, 2, 7, 4, 1, 4)),
+        (ModelConfig(feature_dim=5, num_classes=3, trunk_widths=(8, 6, 4), saliency_hidden=3),
+         (1, 14, 5, 3, 3, 1, 3, 8, 6, 4,
+          2, 5, 8, 1, 8, 2, 8, 6, 1, 6, 2, 6, 4, 1, 4,
+          2, 4, 3, 1, 3, 1, 3, 1, 1, 2, 4, 3, 1, 3, 2, 4, 3, 1, 3)),
+    ], ids=["saliency-off-one-layer", "three-layers"])
+    def test_header_is_the_saved_prefix(self, tmp_path, config, fields):
+        params = init_params(config, rng_seed=3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config)
+        blob = path.read_bytes()
+        header = _checkpoint_header(config)
+        assert header == b"SALDETC\x00" + struct.pack(f"<{len(fields)}I", *fields)
+        assert blob[: len(header)] == header
+        assert len(blob) == len(header) + 4 * params.flat_values.size
+        loaded, loaded_config = load_checkpoint(path)
+        assert loaded_config == config
+        expected = params.flat_values.astype(np.float32).astype(np.float64)
+        assert loaded.flat_values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        (12, 13),              # the tensor count
+        (44, 8), (48, 4),      # trunk0.w's dims (4, 8) read as (8, 8), then (4, 4)
+        (None, 5),             # det.b's one dim, the table's last u32
+    ], ids=["tensor-count", "first-dim", "second-dim", "last-dim"])
+    def test_shape_table_must_match_the_architecture(self, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(CFG, 0), CFG)
+        blob = bytearray(path.read_bytes())
+        at, value = edit
+        struct.pack_into("<I", blob, len(_checkpoint_header(CFG)) - 4 if at is None else at, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=f"{path}: shape table does not match the architecture"):
+            load_checkpoint(path)
+
     def test_rejects_truncation_and_trailing(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, init_params(CFG, 0), CFG)
@@ -689,6 +729,31 @@ class TestForwardTrace:
             forward_images(params, [], CFG2)
         with pytest.raises(ValueError, match=r"features must be \(N_R, 4\), got \(3, 5\)"):
             forward_images(params, [features[0], np.zeros((3, 5))], CFG2)
+
+
+class TestOneImageTrace:
+    def test_step_losses_and_backward_refuse_a_run_of_images(self):
+        # the detection softmax's backward would mix the images' rows
+        params = random_params(CFG2, 5)
+        rng = np.random.default_rng(8)
+        features = [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))]
+        y = [1, -1, 1, -1]
+        trace = forward_images(params, features, CFG2)
+        message = "^need one image's trace, got a trace of 2 images$"
+        with pytest.raises(ValueError, match=message):
+            step_losses(params, trace, y, None, CFG2)
+        with pytest.raises(ValueError, match=message):
+            backward(params, trace, np.zeros(trace.scores.shape),
+                     np.zeros(trace.saliency.shape), CFG2)
+        # a run of one image is that image's trace
+        one, alone = forward_images(params, features[:1], CFG2), forward(params, features[0], CFG2)
+        got, want = step_losses(params, one, y, None, CFG2), step_losses(params, alone, y, None, CFG2)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.tobytes() == b.tobytes()
+        grads = [backward(params, t, *step_losses(params, t, y, None, CFG2)[1:], CFG2)
+                 for t in (one, alone)]
+        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 class TestStepMemory:

@@ -194,6 +194,19 @@ class TestTrain:
         with pytest.raises(ValueError, match=message):
             train(records, MODEL, TrainConfig(epochs=1))
 
+    def test_rejects_repeated_record_id_before_any_step(self, monkeypatch):
+        # seed assignments are keyed by id, so a repeat would take a later record's
+        records, _ = generate_synthetic(SynthConfig(images=4, seed=2))
+        records[3] = replace(records[3], id=records[1].id)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("seeds were selected or a step was taken")
+
+        monkeypatch.setattr(trainer, "precompute_assignments", refuse)
+        monkeypatch.setattr(trainer, "loss_and_grads", refuse)
+        with pytest.raises(ValueError, match=f"^record id '{records[1].id}' is repeated$"):
+            train(records, MODEL, TrainConfig(epochs=1))
+
     def test_zero_lr_is_identity(self):
         records = small_dataset()
         cfg = TrainConfig(epochs=1, lr_phase1=0.0, lr_phase2=0.0, init_seed=9)
