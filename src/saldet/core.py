@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -72,12 +73,23 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def check_finite_floats(config) -> None:
-    """Raise ValueError for the first ``float`` field of a dataclass that is NaN or infinite."""
+def check_number_fields(config) -> None:
+    """Raise ValueError naming the first number field of a dataclass that is wrong.
+
+    A ``float`` field must be finite. An ``int`` field, and each entry of
+    a tuple-of-``int`` field, must be an int or numpy integer, not a bool.
+    """
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type is float and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+        if f.type is int:
+            _as_int(value, f.name)
+        elif get_origin(f.type) is tuple and int in get_args(f.type):
+            if not isinstance(value, (tuple, list)):
+                raise ValueError(f"{f.name} must be a tuple of integers, got {value!r}")
+            for entry in value:
+                _as_int(entry, f"{f.name} entry")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -313,9 +325,10 @@ class ImageRecord:
         return int(self.features.shape[1])
 
 
-def check_records(records: list[ImageRecord], config) -> None:
+def check_records(records: list[ImageRecord], config, owner: str = "model") -> None:
     """Raise ValueError naming the first record whose id repeats an earlier
-    one or whose features or labels do not fit ``config``."""
+    one or whose features or labels do not fit ``config``, which the
+    messages call ``owner`` (a model config or a dataset manifest)."""
     seen = set()
     for rec in records:
         if rec.id in seen:
@@ -324,10 +337,10 @@ def check_records(records: list[ImageRecord], config) -> None:
         if rec.feature_dim != config.feature_dim:
             raise ValueError(
                 f"image {rec.id}: feature dim {rec.feature_dim} "
-                f"!= model feature dim {config.feature_dim}"
+                f"!= {owner} feature dim {config.feature_dim}"
             )
         if rec.labels.num_classes != config.num_classes:
             raise ValueError(
                 f"record {rec.id}: {rec.labels.num_classes} classes, "
-                f"model has {config.num_classes}"
+                f"{owner} has {config.num_classes}"
             )

@@ -45,7 +45,8 @@ from .core import (
     SaliencyMap,
     SuperpixelGrid,
     Proposal,
-    check_finite_floats,
+    check_number_fields,
+    check_records,
 )
 
 log = logging.getLogger(__name__)
@@ -110,7 +111,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite_floats(self)
+        check_number_fields(self)
         for name in ("grid_side", "superpixels", "images", "classes", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -142,9 +143,11 @@ class SynthConfig:
 def save_dataset(records, manifest: DatasetManifest, out_dir) -> Path:
     """Write the directory layout; byte output is deterministic in the inputs.
 
-    The records' ids must be the manifest's image stems, in order."""
+    The records' ids must be the manifest's image stems, in order, and
+    their features and labels must fit the manifest."""
     if tuple(r.id for r in records) != manifest.images:
         raise ValueError("record ids must be the manifest's image stems, in order")
+    check_records(records, manifest, owner="manifest")
     out_dir = Path(out_dir)
     rec_dir = out_dir / "records"
     rec_dir.mkdir(parents=True, exist_ok=True)

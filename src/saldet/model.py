@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import check_finite_floats
+from .core import check_number_fields
 
 _EPSILON = 1e-8  # clamp for the log arguments of the image and seed classification losses
 
@@ -56,7 +56,7 @@ class ModelConfig:
     saliency_enabled: bool = True
 
     def __post_init__(self):
-        check_finite_floats(self)
+        check_number_fields(self)
         if self.feature_dim < 1 or self.num_classes < 1:
             raise ValueError("feature_dim and num_classes must be >= 1")
         if not self.trunk_widths or any(w < 1 for w in self.trunk_widths):
@@ -180,12 +180,21 @@ def init_params(config: ModelConfig, rng_seed: int) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng(rng_seed)
     params = ModelParams(param_layout(config))
-    for name, shape in _tensor_shapes(config):
+    for name, arr in params.values.items():  # declaration order
         if _is_weight(name):
-            fan_in = shape[0]
-            scale = 1.0 / math.sqrt(fan_in)
-            params.values[name][...] = rng.uniform(-scale, scale, size=shape)
+            scale = 1.0 / math.sqrt(arr.shape[0])
+            arr[...] = rng.uniform(-scale, scale, size=arr.shape)
     return params
+
+
+def _check_fit(params: ModelParams, config: ModelConfig) -> ParamLayout:
+    layout = param_layout(config)
+    if params.layout is not layout and params.layout.tensors != layout.tensors:
+        raise ValueError("parameters do not fit the config")
+    if params.layout.l2_end != layout.l2_end:  # same tensors: the other saliency switch
+        other = not config.saliency_enabled
+        raise ValueError(f"saliency mismatch: parameters fit saliency_enabled={other}")
+    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +496,7 @@ class _StepKernel:
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig):
-        layout = param_layout(config)
-        if params.layout is not layout and params.layout.tensors != layout.tensors:
-            raise ValueError("gradient shape mismatch: parameters do not fit the config")
-        if params.layout.l2_end != layout.l2_end:  # same tensors: the other saliency switch
-            raise ValueError(
-                f"saliency mismatch: parameters fit saliency_enabled={not config.saliency_enabled}"
-            )
+        layout = _check_fit(params, config)
         self.config = config
         self.grad = np.zeros(layout.size)
         v, gv = params.values, layout.views(self.grad)
@@ -821,18 +824,15 @@ def _checkpoint_header(config: ModelConfig) -> bytes:
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
     """Write the header, then each tensor as little-endian float32.
 
-    Values are clipped to the float32 finite range so a checkpoint can
-    never hold inf; this only matters for rescue checkpoints written
-    after divergence, where weights may exceed 3.4e38.
+    Parameters that do not fit ``config`` are a ValueError; nothing is
+    written. Values are clipped to the finite float32 range, so that a
+    rescue checkpoint, whose weights may exceed 3.4e38, holds no inf.
     """
+    _check_fit(params, config)
     f4_max = float(np.finfo(np.float32).max)
-    blob = bytearray(_checkpoint_header(config))
-    for name, shape in _tensor_shapes(config):
-        arr = params.values[name]
-        if tuple(arr.shape) != shape:
-            raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
-        blob += np.clip(arr, -f4_max, f4_max).astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    run = np.concatenate([arr.ravel() for arr in params.values.values()])  # declaration order
+    tensors = np.clip(run, -f4_max, f4_max).astype("<f4").tobytes()
+    Path(path).write_bytes(_checkpoint_header(config) + tensors)
 
 
 def load_checkpoint(path):
@@ -852,13 +852,17 @@ def load_checkpoint(path):
     feature_dim, num_classes, sal_hidden, sal_enabled, n_trunk = read_u32s(16, 5)
     if sal_enabled not in (0, 1):
         raise ValueError(f"{path}: saliency flag {sal_enabled} is neither 0 nor 1")
-    config = ModelConfig(
-        feature_dim=feature_dim,
-        num_classes=num_classes,
-        trunk_widths=read_u32s(36, n_trunk),
-        saliency_hidden=sal_hidden,
-        saliency_enabled=bool(sal_enabled),
-    )
+    trunk_widths = read_u32s(36, n_trunk)
+    try:
+        config = ModelConfig(
+            feature_dim=feature_dim,
+            num_classes=num_classes,
+            trunk_widths=trunk_widths,
+            saliency_hidden=sal_hidden,
+            saliency_enabled=bool(sal_enabled),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     # the header alone must not size the buffers: a forged width would
     # otherwise allocate before the missing data is noticed
     header, layout = _checkpoint_header(config), param_layout(config)

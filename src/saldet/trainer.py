@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import ImageRecord, check_finite_floats, check_records
+from .core import ImageRecord, check_number_fields, check_records
 from .model import (
     LossBreakdown,
     ModelConfig,
@@ -44,7 +44,7 @@ class TrainConfig:
     disable_saliency_subnet: bool = False
 
     def __post_init__(self):
-        check_finite_floats(self)
+        check_number_fields(self)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.lr_phase1 < 0 or self.lr_phase2 < 0:

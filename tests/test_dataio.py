@@ -48,11 +48,21 @@ class TestSynthConfig:
             {"feature_snr": 0.0},
             {"images": 0},
             {"seed": -1},
+            {"images": 2.0},
+            {"seed": True},
+            {"objects_per_image": (1, 2.0)},
+            {"objects_per_image": 2},
         ],
     )
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             replace(TINY, **kw)
+
+    def test_integer_errors_name_the_field(self):
+        with pytest.raises(ValueError, match="images must be an integer, got 2.0"):
+            replace(TINY, images=2.0)
+        with pytest.raises(ValueError, match="objects_per_image entry must be an integer"):
+            replace(TINY, objects_per_image=(1, 2.0))
 
 
 class TestGenerator:
@@ -167,6 +177,21 @@ class TestSaveRefuses:
                 images=tuple(ids if stems is None else stems),
             )
             save_dataset(records, manifest, tmp_path / "ds" / "sub")
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("manifest_fields, message", [
+        ({"feature_dim": 5}, "image r: feature dim 4 != manifest feature dim 5"),
+        ({"num_classes": 3, "class_names": ("a", "b", "c")}, "record r: 2 classes, manifest has 3"),
+    ], ids=["feature-width", "label-count"])
+    def test_records_that_do_not_fit_the_manifest_write_nothing(
+        self, tmp_path, manifest_fields, message
+    ):
+        manifest = DatasetManifest(**{
+            "num_classes": 2, "feature_dim": 4, "class_names": ("a", "b"), "images": ("r",),
+            **manifest_fields,
+        })
+        with pytest.raises(ValueError, match=message):
+            save_dataset([_small_record("r", tiling_grid(8, 2), 0)], manifest, tmp_path / "ds")
         assert list(tmp_path.rglob("*")) == []
 
     @pytest.mark.parametrize("stem", [3, None, b"img"])

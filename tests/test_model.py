@@ -1,6 +1,7 @@
 """Forward pass, loss terms, analytic gradients, and checkpoints."""
 
 import math
+import re
 import struct
 from dataclasses import replace
 
@@ -48,6 +49,12 @@ class TestModelConfig:
             {"trunk_widths": (8, 0)},
             {"saliency_hidden": 0},
             {"lambda_seed_cls": -1.0},
+            {"feature_dim": True},
+            {"num_classes": 4.0},
+            {"saliency_hidden": np.float64(4)},
+            {"trunk_widths": (8.5,)},
+            {"trunk_widths": (8, True)},
+            {"trunk_widths": 8},
         ],
     )
     def test_rejects(self, kw):
@@ -55,6 +62,20 @@ class TestModelConfig:
         base.update(kw)
         with pytest.raises(ValueError):
             ModelConfig(**base)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"feature_dim": True}, "feature_dim must be an integer, got True"),
+        ({"trunk_widths": (8.5,)}, "trunk_widths entry must be an integer, got 8.5"),
+    ])
+    def test_integer_errors_name_the_field(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(**{"feature_dim": 4, "num_classes": 4, **kw})
+
+    def test_numpy_integers_are_accepted(self):
+        config = ModelConfig(feature_dim=np.int64(4), num_classes=np.int32(2),
+                             trunk_widths=[np.int64(8)], saliency_hidden=np.uint8(3))
+        assert config == ModelConfig(feature_dim=4, num_classes=2, trunk_widths=(8,),
+                                     saliency_hidden=3)
 
     def test_trunk_out(self):
         assert ModelConfig(feature_dim=4, num_classes=2, trunk_widths=(8, 6)).trunk_out == 6
@@ -228,12 +249,29 @@ class TestForward:
                 step_losses(params, trace, y, assignment, CFG)
 
 
-    def test_params_of_the_other_saliency_setting_are_rejected(self):
+    def test_params_of_the_other_saliency_setting_are_rejected(self, tmp_path):
+        # the forward pass and saving share one rule; saving writes nothing
         off = replace(CFG, saliency_enabled=False)
         x = np.zeros((3, 4))
-        for params, config in ((init_params(CFG, 0), off), (init_params(off, 0), CFG)):
-            with pytest.raises(ValueError, match="saliency mismatch"):
+        path = tmp_path / "m.ckpt"
+        for params, config, fits in ((init_params(CFG, 0), off, True),
+                                     (init_params(off, 0), CFG, False)):
+            match = f"saliency mismatch: parameters fit saliency_enabled={fits}"
+            with pytest.raises(ValueError, match=match):
                 forward(params, x, config)
+            with pytest.raises(ValueError, match=match):
+                save_checkpoint(path, params, config)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_params_of_other_trunk_widths_are_rejected(self, tmp_path):
+        other = replace(CFG, trunk_widths=(8, 8))
+        path = tmp_path / "m.ckpt"
+        for params, config in ((init_params(CFG, 0), other), (init_params(other, 0), CFG)):
+            with pytest.raises(ValueError, match="parameters do not fit the config"):
+                forward(params, np.zeros((3, 4)), config)
+            with pytest.raises(ValueError, match="parameters do not fit the config"):
+                save_checkpoint(path, params, config)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLossTerms:
@@ -453,6 +491,22 @@ class TestCheckpoint:
         struct.pack_into("<I", blob, 16 + 12, 7)
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=f"{path}: saliency flag 7"):
+            load_checkpoint(path)
+
+    # offsets of feature_dim, saliency_hidden, trunk depth and the first width
+    @pytest.mark.parametrize("at, message", [
+        (16, "feature_dim and num_classes must be >= 1"),
+        (24, "saliency_hidden must be >= 1"),
+        (32, "trunk widths must all be >= 1"),
+        (36, "trunk widths must all be >= 1"),
+    ], ids=["feature-dim", "saliency-hidden", "no-trunk", "trunk-width"])
+    def test_invalid_architecture_names_the_file(self, tmp_path, at, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(CFG, 0), CFG)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, at, 0)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
             load_checkpoint(path)
 
     def test_every_truncation_is_a_value_error(self, tmp_path):

@@ -53,11 +53,20 @@ class TestTrainConfig:
             {"sigma": -1.0},
             {"shuffle_seed": -1},
             {"init_seed": -1},
+            {"epochs": 1.5},
+            {"epochs": True},
+            {"phase_boundary": 2.0},
+            {"init_seed": False},
         ],
     )
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
+
+    def test_integer_errors_name_the_field(self):
+        with pytest.raises(ValueError, match="epochs must be an integer, got 1.5"):
+            TrainConfig(epochs=1.5)
+        assert TrainConfig(epochs=np.int64(3)).epochs == 3
 
     def test_schedule(self):
         cfg = TrainConfig(epochs=5, lr_phase1=0.1, lr_phase2=0.01, phase_boundary=3)
