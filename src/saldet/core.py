@@ -74,15 +74,23 @@ def iou(a: Box, b: Box) -> float:
 
 
 def check_number_fields(config) -> None:
-    """Raise ValueError naming the first number field of a dataclass that is wrong.
+    """Raise ValueError naming the first bool or number field of a dataclass that is wrong.
 
-    A ``float`` field must be finite. An ``int`` field, and each entry of
-    a tuple-of-``int`` field, must be an int or numpy integer, not a bool.
+    A ``bool`` field must hold a bool or numpy bool. A ``float`` field
+    must hold a finite int, float or numpy number that is not a bool. An
+    ``int`` field, and each entry of a tuple-of-``int`` field, must be an
+    int or numpy integer, not a bool.
     """
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type is float and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        is_bool = isinstance(value, (bool, np.bool_))
+        if f.type is bool and not is_bool:
+            raise ValueError(f"{f.name} must be a bool, got {value!r}")
+        if f.type is float:
+            if is_bool or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if f.type is int:
             _as_int(value, f.name)
         elif get_origin(f.type) is tuple and int in get_args(f.type):

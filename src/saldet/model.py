@@ -22,12 +22,16 @@ image and ``forward_images`` a new one over many (evaluation scores a
 split in chunks this way); only the kernel's workspace, for one image,
 views a buffer the kernel keeps. A run of images gives every image the
 bits it gets alone: the matrix products and the per-image column
-reductions run per image, everything elementwise once over all rows.
+reductions run once per run of consecutive images of equal proposal
+count, stacked (images, rows, width) when the run holds more than one
+image, so each image's share runs on its own shape; everything
+elementwise runs once over all rows.
 ``ForwardTrace.check_ranges`` is the one check of the ranges a pass must
 stay in.
 """
 
 import functools
+import itertools
 import math
 import struct
 import time
@@ -283,19 +287,30 @@ def _check_finite(arr, layer: str):
 
 
 def _dot_rows(pairs, w):
-    """``out = x @ w`` for every (x, out) pair: one product per image.
+    """``out = x @ w`` for every (x, out) pair: one product per run of equal counts.
 
-    Stacking the images into one product changes bits: a 1-row product
-    is a gemv, and the BLAS kernel also changes with the row count.
+    A one-image run is 2-D and takes ``np.dot``. A run of k images is
+    stacked, (k, rows, width), and takes one ``np.matmul``, which runs
+    each image's product on that image's shape and so gives it the bits
+    of its own ``np.dot``: 1-row images, the saliency gemv and 600-row
+    stacks included. Concatenating the rows into one product would not,
+    as the BLAS kernel changes with the row count.
     """
     for x, out in pairs:
-        np.dot(x, w, out=out)
+        if x.ndim == 2:
+            np.dot(x, w, out=out)
+        else:
+            np.matmul(x, w, out=out)
 
 
 def _reduce_columns(ufunc, pairs):
-    """``out = ufunc.reduce(x, axis=0)`` for every (x, out) pair: one per image."""
+    """``out = ufunc.reduce(x, axis=-2)`` for every (x, out) pair: one per run of equal counts.
+
+    A one-image run reduces its (rows, C) over the rows into its (C,)
+    row, a stacked run its (k, rows, C) into its images' (k, C) rows.
+    """
     for x, out in pairs:
-        ufunc.reduce(x, axis=0, out=out)
+        ufunc.reduce(x, axis=-2, out=out)
 
 
 def _check_features(features, config: ModelConfig) -> np.ndarray:
@@ -363,12 +378,14 @@ class ForwardTrace:
     over each image's proposals: (C,) for one image, (images, C) for
     more. The other attributes are named as in :func:`_workspace_plan`.
 
-    The work whose bits depend on an image's shape runs per image, on
-    views of that image's rows built here once, as lists of per-image
-    (input, output) pairs: the matrix products (``trunk_dots`` per layer,
-    ``sal_dots`` and ``head_dots``) and the column reductions
+    The work whose bits depend on an image's shape runs once per run of
+    consecutive images of equal count, on views built here once, as lists
+    of per-run (input, output) pairs: the matrix products (``trunk_dots``
+    per layer, ``sal_dots`` and ``head_dots``) and the column reductions
     (``det_max`` and ``det_sum`` of the detection softmax, ``tau_sum`` of
-    the image scores). Everything else runs once over all rows.
+    the image scores). A run of one image has 2-D views of its rows; a
+    run of k images has its rows stacked (k, rows, width) and its outputs
+    of the reductions as (k, C). Everything else runs once over all rows.
 
     Three runs of the buffer are checked with one reduction each: ``pre``
     (the input copy and every pre-activation), ``unit`` (score matrix and
@@ -414,14 +431,23 @@ class ForwardTrace:
             self.d_z = [getattr(self, f"d_z{l}") for l in range(depth)]
             self.d_in = [None] + [getattr(self, f"d_in{l}") for l in range(1, depth)]
 
-        bounds = np.cumsum((0,) + counts).tolist()
-        rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        # runs of consecutive images of equal count: (rows, images, k, count)
+        runs, row, image = [], 0, 0
+        for m, run in itertools.groupby(counts):
+            k = len(tuple(run))
+            runs.append((slice(row, row + k * m), slice(image, image + k), k, m))
+            row, image = row + k * m, image + k
 
-        def dots(x, out):  # each image's rows of both
-            return [(x[r], out[r]) for r in rows]
+        def stacked(x, rows, k, m):  # one image's rows, or k images' stacked
+            return x[rows] if k == 1 else x[rows].reshape(k, m, *x.shape[1:])
 
-        def columns(x, out):  # each image's rows of x, its row of out
-            return [(x[r], out[i]) for i, r in enumerate(rows)]
+        def dots(x, out):  # each run's rows of both
+            return [(stacked(x, rows, k, m), stacked(out, rows, k, m))
+                    for rows, _, k, m in runs]
+
+        def columns(x, out):  # each run's rows of x, its images' rows of out
+            return [(stacked(x, rows, k, m), out[images] if k > 1 else out[images.start])
+                    for rows, images, k, m in runs]
 
         self.trunk_dots = [dots(x, z) for x, z in zip(self.trunk_act, self.trunk_pre)]
         self.sal_dots = (
@@ -535,7 +561,8 @@ class _StepKernel:
     def forward(self, ws: ForwardTrace) -> None:
         """Run the pass on the checked features in ``ws.features``, then check its ranges.
 
-        Each matrix product runs per image, on the shapes of one image.
+        Each matrix product runs once per run of equal counts, on the
+        shapes of one image, stacked when the run has several.
         """
         for (w, b), dots, z, out in zip(self.trunk, ws.trunk_dots, ws.trunk_pre, ws.trunk_act[1:]):
             _dot_rows(dots, w)

@@ -494,6 +494,27 @@ class TestCorloc:
                     dets.append(det(rec.id, c, prop.bbox, float(rng.random()), i))
         assert corloc(nms(table(dets, ids_of(records)), records), records) == loc(dets, records)
 
+    def test_tie_heavy_groups_match_per_group_oracle(self):
+        # three score levels make most groups' top score a tie, which the
+        # lower proposal must win; rows come in random order, some missing
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            records, rows = [], []
+            for k in range(int(rng.integers(1, 7))):
+                y = [1 if v else -1 for v in rng.random(3) < 0.6]
+                y[int(rng.integers(3))] = 1
+                gt = [(c, TestClassNumbering.random_box(rng)) for c in range(3) if y[c] == 1]
+                records.append(metric_record(f"img{k}", y, gt))
+                boxes = [b for _, b in gt] + [TestClassNumbering.random_box(rng)
+                                              for _ in range(int(rng.integers(1, 6)))]
+                boxes = [boxes[i] for i in rng.permutation(len(boxes))]
+                for c in range(3):
+                    for i, box in enumerate(boxes):
+                        if rng.random() < 0.8:
+                            rows.append(det(f"img{k}", c, box, rng.integers(0, 3) / 2, i))
+            rows = [rows[i] for i in rng.permutation(len(rows))]
+            assert loc(rows, records) == naive_corloc(rows, records)
+
 
 class TestClassNumbering:
     """AP and CorLoc number (image, class) groups as NMS does: nothing is
@@ -710,6 +731,35 @@ class TestEvaluatePipeline:
             trace = forward(params, rec.features, config)
             assert dets.score[dets.image == i].tobytes() == trace.scores.tobytes()
             assert taus[rec.id].tobytes() == trace.image_scores.tobytes()
+
+    @pytest.mark.parametrize("chunk_rows", [1, 16, 40])
+    def test_records_scored_in_count_order_keep_their_rows(self, monkeypatch, chunk_rows):
+        # counts interleave, so the count order is not the record order, and
+        # small chunks cut runs of equal counts
+        monkeypatch.setattr(evaluate_module, "_CHUNK_ROWS", chunk_rows)
+        counts = [9, 6, 9, 1, 6, 9, 1, 6, 9, 9, 1, 6, 9]
+        grid = tiling_grid(16, 8)
+        rng = np.random.default_rng(chunk_rows)
+        records = [
+            build_record(f"r{k:02d}", grid, rng.integers(0, 64, size=(n, 1)).tolist(),
+                         rng.normal(size=(n, 16)), [1, -1, -1, -1],
+                         {0: np.full((16, 16), 0.5)}, [])
+            for k, n in enumerate(counts)
+        ]
+        config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,),
+                             saliency_hidden=4)
+        params = init_params(config, 3)
+        dets, taus = score_dataset(params, records, config)
+        # (image, proposal, class) order
+        image = np.repeat(np.arange(len(counts)), counts)
+        proposal = np.concatenate([np.arange(n) for n in counts])
+        assert dets.image.tolist() == np.repeat(image, 4).tolist()
+        assert dets.proposal.tolist() == np.repeat(proposal, 4).tolist()
+        assert dets.class_id.tolist() == np.tile(np.arange(4), sum(counts)).tolist()
+        for i, rec in enumerate(records):
+            trace = forward(params, rec.features, config)
+            assert np.array_equal(dets.score[dets.image == i], trace.scores.ravel())
+            assert np.array_equal(taus[rec.id], trace.image_scores)
 
     def test_chunks_hold_whole_records_within_the_row_budget(self, monkeypatch):
         monkeypatch.setattr(evaluate_module, "_CHUNK_ROWS", 10)

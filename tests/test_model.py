@@ -55,6 +55,8 @@ class TestModelConfig:
             {"trunk_widths": (8.5,)},
             {"trunk_widths": (8, True)},
             {"trunk_widths": 8},
+            {"saliency_enabled": "no"},
+            {"lambda_l2": "x"},
         ],
     )
     def test_rejects(self, kw):
@@ -66,6 +68,8 @@ class TestModelConfig:
     @pytest.mark.parametrize("kw, message", [
         ({"feature_dim": True}, "feature_dim must be an integer, got True"),
         ({"trunk_widths": (8.5,)}, "trunk_widths entry must be an integer, got 8.5"),
+        ({"saliency_enabled": "no"}, "saliency_enabled must be a bool, got 'no'"),
+        ({"lambda_l2": "x"}, "lambda_l2 must be a number, got 'x'"),
     ])
     def test_integer_errors_name_the_field(self, kw, message):
         with pytest.raises(ValueError, match=message):
@@ -783,6 +787,42 @@ class TestForwardTrace:
             forward_images(params, [], CFG2)
         with pytest.raises(ValueError, match=r"features must be \(N_R, 4\), got \(3, 5\)"):
             forward_images(params, [features[0], np.zeros((3, 5))], CFG2)
+
+
+class TestStackedRuns:
+    """Images of equal proposal count share one stacked product per run."""
+
+    COUNTS = [9, 9, 6, 1, 1, 6, 9, 9, 9]  # runs broken by other counts; 1-row images stack
+
+    @pytest.mark.parametrize("counts", [COUNTS, [600] * 8], ids=["interleaved", "8x600"])
+    @pytest.mark.parametrize("widths", [(128,), (128, 128, 64)], ids=["1layer", "3layers"])
+    @pytest.mark.parametrize("saliency", [True, False])
+    def test_stacked_runs_keep_every_bit(self, counts, widths, saliency):
+        config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=widths,
+                             saliency_hidden=32, saliency_enabled=saliency)
+        params = random_params(config, 11)
+        rng = np.random.default_rng(12)
+        features = [rng.normal(size=(n, 16)) for n in counts]
+        trace = forward_images(params, features, config)
+        bounds = np.cumsum([0, *counts])
+        for i, x in enumerate(features):
+            alone, rows = forward(params, x, config), slice(bounds[i], bounds[i + 1])
+            assert np.array_equal(trace.scores[rows], alone.scores)
+            assert np.array_equal(trace.saliency[rows], alone.saliency)
+            assert np.array_equal(trace.image_scores[i], alone.image_scores)
+
+    def test_runs_of_equal_counts_are_stacked(self):
+        params = random_params(CFG2, 13)
+        rng = np.random.default_rng(14)
+        trace = forward_images(params, [rng.normal(size=(n, 4)) for n in self.COUNTS], CFG2)
+        # one product per run: 9 9 | 6 | 1 1 | 6 | 9 9 9
+        assert [x.shape for x, _ in trace.trunk_dots[0]] == [
+            (2, 9, 4), (6, 4), (2, 1, 4), (6, 4), (3, 9, 4)
+        ]
+        assert [out.shape for _, out in trace.tau_sum] == [(2, 4), (4,), (2, 4), (4,), (3, 4)]
+        # a one-image trace, as a training step's workspace, has 2-D views only
+        one = forward(params, rng.normal(size=(9, 4)), CFG2)
+        assert [x.ndim for x, _ in one.trunk_dots[0] + one.head_dots[0]] == [2, 2]
 
 
 class TestOneImageTrace:

@@ -57,11 +57,27 @@ class TestTrainConfig:
             {"epochs": True},
             {"phase_boundary": 2.0},
             {"init_seed": False},
+            {"disable_saliency_subnet": "no"},
+            {"lr_phase1": True},
         ],
     )
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"disable_saliency_subnet": "no"}, "^disable_saliency_subnet must be a bool, got 'no'$"),
+        ({"disable_seed_losses": 0}, "^disable_seed_losses must be a bool, got 0$"),
+        ({"lr_phase1": True}, "^lr_phase1 must be a number, got True$"),
+        ({"sigma": "1000"}, "^sigma must be a number, got '1000'$"),
+    ])
+    def test_bool_and_float_errors_name_the_field(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kw)
+
+    def test_ints_and_numpy_values_fill_float_and_bool_fields(self):
+        cfg = TrainConfig(sigma=1000, lr_phase1=np.float32(0.5), disable_seed_losses=np.True_)
+        assert (cfg.sigma, cfg.lr_phase1, cfg.disable_seed_losses) == (1000.0, 0.5, True)
 
     def test_integer_errors_name_the_field(self):
         with pytest.raises(ValueError, match="epochs must be an integer, got 1.5"):
