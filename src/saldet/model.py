@@ -25,7 +25,10 @@ bits it gets alone: the matrix products and the per-image column
 reductions run once per run of consecutive images of equal proposal
 count, stacked (images, rows, width) when the run holds more than one
 image, so each image's share runs on its own shape; everything
-elementwise runs once over all rows.
+elementwise runs once over all rows. The two streams' arrays of one kind
+sit side by side, so an elementwise op or a same-axis reduction runs
+once over their (2, N, C) pair. The losses write into buffers the kernel
+keeps, and a step allocates only the gradient it returns.
 ``ForwardTrace.check_ranges`` is the one check of the ranges a pass must
 stay in.
 """
@@ -232,11 +235,20 @@ def _seed_classification_terms(scores, seeds, epsilon):
 
 def seed_saliency_loss(saliency, sample_indices, targets):
     """Squared error of P against the 1/0 targets on the sampled proposals."""
-    idx = np.asarray(sample_indices, dtype=np.int64)
-    residual = saliency[idx] - np.asarray(targets, dtype=np.float64)
-    grad = np.zeros_like(saliency)
-    np.add.at(grad, idx, 2.0 * residual)
-    return float(residual @ residual), grad
+    # numpy's index rules: a negative index counts from the end, one out of range raises
+    idx = np.arange(saliency.size)[np.asarray(sample_indices, dtype=np.int64)]
+    loss, grad = _seed_saliency_loss(saliency, idx, np.asarray(targets, dtype=np.float64))
+    return loss, grad.astype(saliency.dtype, copy=False)  # bincount of no indices gives ints
+
+
+def _seed_saliency_loss(saliency, idx, targets):
+    """The loss and its gradient w.r.t. P, which the duplicates of an index sum into."""
+    residual = saliency[idx]
+    residual -= targets
+    total = float(residual @ residual)
+    residual *= 2.0
+    # bincount adds each index's terms in order into zeros, as np.add.at would
+    return total, np.bincount(idx, residual, minlength=saliency.size)
 
 
 def image_classification_loss(image_scores, labels_y, epsilon):
@@ -246,14 +258,28 @@ def image_classification_loss(image_scores, labels_y, epsilon):
     ones; arguments at or below ``epsilon`` are clamped with zero gradient.
     A label vector not shaped like the scores is a ValueError.
     """
+    grad, *scratch = np.empty((3, *image_scores.shape))
+    mask = np.empty(image_scores.shape, dtype=bool)
+    return _image_classification_loss(image_scores, labels_y, epsilon, grad, *scratch, mask), grad
+
+
+def _image_classification_loss(tau, labels_y, epsilon, grad, arg, clamped, mask):
+    """The loss; its gradient goes to ``grad``, the other arrays are scratch."""
     y = np.asarray(labels_y, dtype=np.float64)
-    if y.shape != image_scores.shape:
-        raise ValueError(f"labels shape {y.shape} != image scores shape {image_scores.shape}")
-    arg = y * (image_scores - 0.5) + 0.5
-    clamped = np.maximum(arg, epsilon)
-    total = float(-np.log(clamped).sum())
-    grad = np.where(arg > epsilon, -y / clamped, 0.0)
-    return total, grad
+    if y.shape != tau.shape:
+        raise ValueError(f"labels shape {y.shape} != image scores shape {tau.shape}")
+    np.subtract(tau, 0.5, out=arg)
+    arg *= y
+    arg += 0.5
+    np.maximum(arg, epsilon, out=clamped)
+    total = float(-np.add.reduce(np.log(clamped, out=grad)))
+    # -y / clamped where arg > epsilon, else 0.0: the negation turns the
+    # -0.0 left outside the mask into 0.0
+    np.greater(arg, epsilon, out=mask)
+    grad.fill(-0.0)
+    np.divide(y, clamped, out=grad, where=mask)
+    np.negative(grad, out=grad)
+    return total
 
 
 @dataclass(frozen=True)
@@ -346,12 +372,16 @@ def _workspace_plan(config: ModelConfig, n: int, images: int, backward: bool):
     shapes.update({f"act{l}": (n, w) for l, w in enumerate(widths)})
     if sal:
         shapes.update(sal_hidden=(n, hid), sal_logit=(n,), denominator=(n,))
-    shapes.update(saliency=(n,), weighted=(n, k), cls_softmax=(n, c), det_softmax=(n, c))
+    shapes.update(saliency=(n,))
+    if sal:  # without the branch ``weighted`` is the trunk output itself
+        shapes.update(weighted=(n, k))
+    shapes.update(cls_softmax=(n, c), det_softmax=(n, c), tmp=(2, n, c))
     if backward:
-        shapes.update(d_scores=(n, c), d_sal=(n,), d_cls=(n, c), d_det=(n, c), tmp=(n, c))
-        shapes.update(d_g=(n, k), tmp_g=(n, k), d_h=(n, k))
-        if sal:
-            shapes.update(d_p=(n,), d_logit=(n,), one_minus_p=(n,), d_u=(n, hid), d_z_sal=(n, hid))
+        shapes.update(d_scores=(n, c), d_sal=(n,), d_cls=(n, c), d_det=(n, c))
+        shapes.update(d_g=(n, k), tmp_g=(n, k))
+        if sal:  # and ``d_h`` is ``d_g``
+            shapes.update(d_h=(n, k), d_p=(n,), d_logit=(n,), one_minus_p=(n,),
+                          d_u=(n, hid), d_z_sal=(n, hid))
         shapes.update({f"d_z{l}": (n, w) for l, w in enumerate(widths)})
         shapes.update({f"d_in{l}": (n, widths[l - 1]) for l in range(1, len(widths))})
     plan, off = {}, 0
@@ -371,7 +401,8 @@ class ForwardTrace:
     ``trunk_act`` is [features, h_1, ..., h_L]. ``sal_pre``,
     ``sal_hidden`` and ``sal_logit`` are the saliency branch's (None
     without it), ``saliency`` is P, (N,), all ones without the branch,
-    and ``weighted`` is P[:, None] * trunk output. ``cls_softmax`` rows
+    and ``weighted`` is P[:, None] * trunk output, the trunk output
+    itself without the branch (and ``d_h`` is ``d_g``). ``cls_softmax`` rows
     (one per proposal) sum to 1 over classes; ``det_softmax`` columns sum
     to 1 over each image's proposals, per class. ``scores`` is their
     elementwise product, (N, C), and ``image_scores`` its per-class sum
@@ -386,6 +417,12 @@ class ForwardTrace:
     the image scores). A run of one image has 2-D views of its rows; a
     run of k images has its rows stacked (k, rows, width) and its outputs
     of the reductions as (k, C). Everything else runs once over all rows.
+    ``streams`` (the two heads' outputs), ``softmax`` (the two softmaxes)
+    and, with backward scratch, ``d_streams`` view each stream pair as
+    one (2, N, C) array, and ``sigmoid`` the [denominator, P] pair.
+    ``spread`` writes the softmax's per-row and per-image shifts and sums
+    out over the scratch pair ``tmp``, so that the pair takes one
+    same-shape op, cheaper on small arrays than two that broadcast.
 
     Three runs of the buffer are checked with one reduction each: ``pre``
     (the input copy and every pre-activation), ``unit`` (score matrix and
@@ -418,6 +455,19 @@ class ForwardTrace:
         self.saliency_enabled = sal = config.saliency_enabled
         if not sal:
             self.sal_pre = self.sal_hidden = self.sal_logit = None
+            self.weighted = self.trunk_act[-1]
+            if backward:
+                self.d_h = self.d_g
+
+        def pair(first, second):  # two arrays side by side; the reshape refuses others
+            return buf[plan[first][0] : plan[second][1]].reshape(2, *plan[first][2])
+
+        self.streams = pair("s_cls", "s_det")
+        self.softmax = pair("cls_softmax", "det_softmax")
+        if sal:
+            self.sigmoid = pair("denominator", "saliency")
+        if backward:
+            self.d_streams = pair("d_cls", "d_det")
         # pre-activations in layer order, under the names their errors give
         self.layers = [("input features", self.features)]
         self.layers += [(f"trunk layer {l}", z) for l, z in enumerate(self.trunk_pre)]
@@ -458,18 +508,18 @@ class ForwardTrace:
         self.det_max = columns(self.s_det, self.row)
         self.det_sum = columns(self.det_softmax, self.row)
         self.tau_sum = columns(self.scores, self.image_scores.reshape(images, c))
-        # the image of every row, for ``spread_row``
+        # the image of every row, for ``spread``
         self.row_image = np.repeat(np.arange(images), counts) if images > 1 else None
+        self.tmp_cls, self.tmp_det = self.tmp
 
-    def spread_row(self) -> np.ndarray:
-        """Each image's row of ``row`` (images, C) repeated over the image's rows.
-
-        Several images fill ``scores``, which the pass writes last, with
-        the repeated rows; one image broadcasts its row.
-        """
+    def spread(self) -> np.ndarray:
+        """``tmp`` filled with ``col`` over its classes, and each image's ``row`` over its rows."""
+        self.tmp_cls[...] = self.col
         if self.row_image is None:
-            return self.row
-        return np.take(self.row, self.row_image, axis=0, out=self.scores)
+            self.tmp_det[...] = self.row
+        else:
+            np.take(self.row, self.row_image, axis=0, out=self.tmp_det)
+        return self.tmp
 
     def check_finite(self):
         """One check over every pre-activation; on failure name the first bad layer.
@@ -514,8 +564,11 @@ class _StepKernel:
 
     The parameter and gradient views are bound once. Training steps run
     in one workspace buffer sized to the largest proposal count seen so
-    far, and the views of the last few counts are kept. ``grad`` is
-    overwritten by every backward pass, so callers hand out copies. The
+    far, and the views of the last few counts are kept. ``grad`` holds
+    the data terms' gradient, overwritten by every backward pass, which
+    returns a new vector with the L2 term added. ``head_bias`` and
+    ``head_bias_grad`` view cls.b and det.b as one pair, and ``tau_work``
+    holds the image classification loss's gradient and scratch. The
     order of every float operation is that of the per-layer formulation
     (``tests/oracles.py`` keeps it as a reference), so results match it
     bit for bit.
@@ -532,12 +585,16 @@ class _StepKernel:
         sal = ("sal_hidden.w", "sal_hidden.b", "sal_out.w", "sal_out.b")
         self.sal = [v[name] for name in sal]
         self.sal_grad = [gv[name] for name in sal]
-        head = ("cls.w", "cls.b", "det.w", "det.b")
-        self.head = [v[name] for name in head]
-        self.head_grad = [gv[name] for name in head]
+        self.head = (v["cls.w"], v["det.w"])
+        self.head_grad = (gv["cls.w"], gv["det.w"])
+        # ``param_layout`` puts det.b right after cls.b; the reshape refuses other layouts
+        c = config.num_classes
+        cls_b, det_b = (sl for name, _, sl in layout.tensors if name in ("cls.b", "det.b"))
+        self.head_bias = params.flat_values[cls_b.start : det_b.stop].reshape(2, 1, c)
+        self.head_bias_grad = self.grad[cls_b.start : det_b.stop].reshape(2, c)
         self.l2_values = params.flat_values[: layout.l2_end]
-        self.l2_grad = self.grad[: layout.l2_end]
-        self.l2_tmp = np.empty(layout.l2_end)
+        self.l2_grad, self.rest_grad = self.grad[: layout.l2_end], self.grad[layout.l2_end :]
+        self.tau_work = (*np.empty((3, c)), np.empty(c, dtype=bool))
         self.buffer = np.empty(0)
         self._workspaces = {}
 
@@ -566,7 +623,8 @@ class _StepKernel:
         """
         for (w, b), dots, z, out in zip(self.trunk, ws.trunk_dots, ws.trunk_pre, ws.trunk_act[1:]):
             _dot_rows(dots, w)
-            z += b
+            out[...] = b  # a same-shape add costs less than one that broadcasts
+            z += out
             h = np.maximum(z, 0.0, out=out)
 
         p = ws.saliency
@@ -574,51 +632,47 @@ class _StepKernel:
             w, b, w_out, b_out = self.sal
             dots_hidden, dots_out = ws.sal_dots
             _dot_rows(dots_hidden, w)
-            ws.sal_pre += b
+            ws.sal_hidden[...] = b
+            ws.sal_pre += ws.sal_hidden
             np.maximum(ws.sal_pre, 0.0, out=ws.sal_hidden)
             _dot_rows(dots_out, w_out)
-            ws.sal_raw += b_out
+            ws.sal_raw += b_out[0]
             logit = ws.sal_logit
             np.maximum(ws.sal_raw, -_SAL_LOGIT_CAP, out=logit)
             np.minimum(logit, _SAL_LOGIT_CAP, out=logit)
             # sigmoid: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))
             # below; the numerator is exp(min(x, 0)), the denominator
-            # 1 + exp(-|x|)
+            # 1 + exp(-|x|), and one exp takes the [denominator, P] pair
             den = ws.denominator
             np.minimum(logit, 0.0, out=p)
-            np.exp(p, out=p)
-            np.abs(logit, out=den)
-            np.negative(den, out=den)
-            np.exp(den, out=den)
+            np.copysign(logit, -1.0, out=den)
+            np.exp(ws.sigmoid, out=ws.sigmoid)
             den += 1.0
             p /= den
+            ws.weighted[...] = p[:, None]
+            ws.weighted *= h
         else:
-            p.fill(1.0)
+            p.fill(1.0)  # and ``weighted`` is h
 
-        g = ws.weighted
-        np.multiply(h, p[:, None], out=g)
-        w_cls, b_cls, w_det, b_det = self.head
+        w_cls, w_det = self.head
         dots_cls, dots_det = ws.head_dots
         _dot_rows(dots_cls, w_cls)
-        ws.s_cls += b_cls
         _dot_rows(dots_det, w_det)
-        ws.s_det += b_det
+        ws.tmp[...] = self.head_bias
+        ws.streams += ws.tmp
         ws.check_finite()
 
-        a, col = ws.cls_softmax, ws.col
-        np.maximum.reduce(ws.s_cls, axis=1, keepdims=True, out=col)
-        np.subtract(ws.s_cls, col, out=a)
-        np.exp(a, out=a)
-        np.add.reduce(a, axis=1, keepdims=True, out=col)
-        a /= col
-        # the detection softmax runs over each image's proposals: only its
-        # column max and sum are taken per image
-        b = ws.det_softmax
+        # the classification softmax runs over each proposal's classes, the
+        # detection softmax over each image's proposals, whose column max
+        # and sum are taken per image; one exp takes both streams
+        a, b, softmax = ws.cls_softmax, ws.det_softmax, ws.softmax
+        np.maximum.reduce(ws.s_cls, axis=1, keepdims=True, out=ws.col)
         _reduce_columns(np.maximum, ws.det_max)
-        np.subtract(ws.s_det, ws.spread_row(), out=b)
-        np.exp(b, out=b)
+        np.subtract(ws.streams, ws.spread(), out=softmax)
+        np.exp(softmax, out=softmax)
+        np.add.reduce(a, axis=1, keepdims=True, out=ws.col)
         _reduce_columns(np.add, ws.det_sum)
-        b /= ws.spread_row()
+        softmax /= ws.spread()
 
         np.multiply(a, b, out=ws.scores)
         # the per-class sum is <= 1 exactly; min() only absorbs summation rounding
@@ -636,8 +690,8 @@ class _StepKernel:
                 raise ValueError(
                     f"assignment proposal index {last} out of range for {n} proposals"
                 )
-        l_ic, d_tau = image_classification_loss(trace.image_scores, labels_y, _EPSILON)
-        d_scores[...] = d_tau
+        l_ic = _image_classification_loss(trace.image_scores, labels_y, _EPSILON, *self.tau_work)
+        d_scores[...] = self.tau_work[0]
 
         l_sc = 0.0
         if assignment is not None and config.lambda_seed_cls > 0:
@@ -655,8 +709,8 @@ class _StepKernel:
             and config.lambda_seed_sal > 0
             and len(assignment.sample_indices) > 0
         ):
-            l_ss, d_p = seed_saliency_loss(
-                trace.saliency, assignment.sample_indices, assignment.targets
+            l_ss, d_p = _seed_saliency_loss(
+                trace.saliency, assignment._sample_array, assignment.targets
             )
             np.multiply(d_p, config.lambda_seed_sal / 2.0, out=d_sal)
         else:
@@ -673,39 +727,36 @@ class _StepKernel:
             image_cls=l_ic, seed_cls=l_sc, seed_sal=l_ss, l2=l_reg, total=total
         )
 
-    def backward(self, trace, d_scores, d_sal, ws: ForwardTrace) -> None:
-        """Write the gradient of the weighted total into ``grad``, using ``ws`` as scratch."""
-        a, b = trace.cls_softmax, trace.det_softmax
-        d_cls, d_det, tmp = ws.d_cls, ws.d_det, ws.tmp
+    def backward(self, trace, d_scores, d_sal, ws: ForwardTrace) -> np.ndarray:
+        """The gradient of the weighted total as a new flat vector, using ``ws`` as scratch."""
+        a, b, softmax = trace.cls_softmax, trace.det_softmax, trace.softmax
+        d_cls, d_det = ws.d_cls, ws.d_det
         np.multiply(d_scores, b, out=d_cls)
         np.multiply(d_scores, a, out=d_det)
         # softmax backward: d_s = a * (d_a - sum(d_a * a)) per row, per column for b
-        np.multiply(d_cls, a, out=tmp)
-        np.add.reduce(tmp, axis=1, keepdims=True, out=ws.col)
-        d_cls -= ws.col
-        d_cls *= a
-        np.multiply(d_det, b, out=tmp)
-        np.add.reduce(tmp, axis=0, keepdims=True, out=ws.row)
-        d_det -= ws.row
-        d_det *= b
+        np.multiply(ws.d_streams, softmax, out=ws.tmp)
+        np.add.reduce(ws.tmp_cls, axis=1, keepdims=True, out=ws.col)
+        np.add.reduce(ws.tmp_det, axis=0, keepdims=True, out=ws.row)
+        ws.d_streams -= ws.spread()
+        ws.d_streams *= softmax
 
         g = trace.weighted
-        w_cls, _, w_det, _ = self.head
-        gw_cls, gb_cls, gw_det, gb_det = self.head_grad
+        w_cls, w_det = self.head
+        gw_cls, gw_det = self.head_grad
         np.dot(g.T, d_cls, out=gw_cls)
-        np.add.reduce(d_cls, axis=0, out=gb_cls)
         np.dot(g.T, d_det, out=gw_det)
-        np.add.reduce(d_det, axis=0, out=gb_det)
+        np.add.reduce(ws.d_streams, axis=1, out=self.head_bias_grad)
         d_g = ws.d_g
         np.dot(d_cls, w_cls.T, out=d_g)
         np.dot(d_det, w_det.T, out=ws.tmp_g)
         d_g += ws.tmp_g
 
         h = trace.trunk_act[-1]
-        p = trace.saliency
-        d_h = np.multiply(d_g, p[:, None], out=ws.d_h)
-
+        d_h = ws.d_h  # ``d_g`` itself without the branch, where P = 1
         if self.config.saliency_enabled:
+            p = trace.saliency
+            d_h[...] = p[:, None]
+            d_h *= d_g
             w, _, w_out, _ = self.sal
             gw, gb, gw_out, gb_out = self.sal_grad
             d_p, d_logit = ws.d_p, ws.d_logit
@@ -716,7 +767,7 @@ class _StepKernel:
             np.subtract(1.0, p, out=ws.one_minus_p)
             d_logit *= ws.one_minus_p
             np.dot(trace.sal_hidden.T, d_logit, out=gw_out)
-            gb_out[0] = d_logit.sum()
+            np.add.reduce(d_logit, keepdims=True, out=gb_out)
             d_z = ws.d_z_sal
             np.multiply(d_logit[:, None], w_out, out=ws.d_u)
             np.greater(trace.sal_pre, 0.0, out=d_z)
@@ -736,8 +787,12 @@ class _StepKernel:
             if l:  # the gradient w.r.t. the input features is not needed
                 d_h = np.dot(d_z, self.trunk[l][0].T, out=ws.d_in[l])
 
-        np.multiply(self.l2_values, self.config.lambda_l2, out=self.l2_tmp)
-        self.l2_grad += self.l2_tmp
+        # the L2 term joins on the way into the returned vector
+        out = np.empty(self.grad.size)
+        l2 = np.multiply(self.l2_values, self.config.lambda_l2, out=out[: self.l2_grad.size])
+        l2 += self.l2_grad
+        out[self.l2_grad.size :] = self.rest_grad
+        return out
 
 
 def _step_kernel(params: ModelParams, config: ModelConfig) -> _StepKernel:
@@ -806,8 +861,7 @@ def backward(params, trace, d_scores, d_saliency, config):
     if d_scores.shape != trace.scores.shape:
         raise ValueError("d_scores shape mismatch")
     kernel = _step_kernel(params, config)
-    kernel.backward(trace, d_scores, d_saliency, kernel.workspace(d_scores.shape[0]))
-    return kernel.grad.copy()
+    return kernel.backward(trace, d_scores, d_saliency, kernel.workspace(d_scores.shape[0]))
 
 
 def loss_and_grads(params, features, labels_y, assignment, config):
@@ -824,8 +878,7 @@ def loss_and_grads(params, features, labels_y, assignment, config):
     np.copyto(ws.features, x)
     kernel.forward(ws)
     breakdown = kernel.losses(ws, labels_y, assignment, ws.d_scores, ws.d_sal)
-    kernel.backward(ws, ws.d_scores, ws.d_sal, ws)
-    return breakdown, kernel.grad.copy()
+    return breakdown, kernel.backward(ws, ws.d_scores, ws.d_sal, ws)
 
 
 # ---------------------------------------------------------------------------

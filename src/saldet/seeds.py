@@ -83,6 +83,13 @@ class SeedAssignment:
         targets.flags.writeable = False
         return targets
 
+    @cached_property
+    def _sample_array(self) -> np.ndarray:
+        """``sample_indices`` as a read-only int64 array, built once."""
+        idx = np.array(self.sample_indices, dtype=np.int64)
+        idx.flags.writeable = False
+        return idx
+
 
 # ---------------------------------------------------------------------------
 # scoring

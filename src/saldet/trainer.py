@@ -8,6 +8,7 @@ bit for bit from (dataset bytes, config, seeds).
 """
 
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -122,17 +123,24 @@ def precompute_assignments(
     return {rec.id: make_assignment(rec, sigma=sigma) for rec in records}
 
 
+# an overflow only sends ``sgd_step`` to its walk, which then rejects nothing
+@np.errstate(over="ignore", invalid="ignore")
+def _sum_of_squares(x: np.ndarray) -> float:
+    return float(np.dot(x, x))
+
+
 def sgd_step(params: ModelParams, grad: np.ndarray, lr: float, momentum: float) -> None:
     """In-place heavy-ball update: v <- momentum*v + g; w <- w - lr*v.
 
     ``grad`` is one flat vector laid out like ``params.flat_values``. It
     is checked before anything changes, so a rejected step leaves all
-    values and velocities as they were.
+    values and velocities as they were. Only a non-finite sum of squares
+    walks the tensors to name the first non-finite one.
     """
     w, v = params.flat_values, params.flat_velocity
     if grad.shape != w.shape:
         raise ValueError(f"gradient shape mismatch: {grad.shape} != {w.shape}")
-    if not np.isfinite(grad).all():
+    if not math.isfinite(_sum_of_squares(grad)):
         for name, g in params.layout.views(grad).items():
             if not np.isfinite(g).all():
                 raise FloatingPointError(f"non-finite gradient for {name}")
@@ -207,7 +215,7 @@ def train(
                 breakdown, grad = loss_and_grads(
                     params, features, labels_y, assignment, config
                 )
-                if not np.isfinite(breakdown.total):
+                if not math.isfinite(breakdown.total):
                     raise FloatingPointError("non-finite total loss")
                 sgd_step(params, grad, lr, train_config.momentum)
             except FloatingPointError as exc:

@@ -328,7 +328,7 @@ class TestLossTerms:
         # a confident wrong answer hits the epsilon clamp: finite loss, zero grad
         loss, grad = image_classification_loss(np.array([1.0]), [-1], epsilon=1e-8)
         assert loss == -math.log(1e-8)
-        np.testing.assert_array_equal(grad, 0.0)
+        assert grad.tobytes() == np.zeros(1).tobytes()  # +0.0, not -0.0
 
     @pytest.mark.parametrize("labels", [[1], [1, -1, 1], [[1, -1]]])
     def test_image_cls_rejects_labels_not_shaped_like_the_scores(self, labels):
@@ -629,7 +629,7 @@ class TestStepAgainstReference:
 
     @pytest.mark.parametrize("case", [
         "one_proposal", "shared_seed", "saliency_off", "no_assignment",
-        "zero_lambdas", "clamped_seed_score",
+        "zero_lambdas", "clamped_seed_score", "baseline",
     ])
     def test_bit_for_bit(self, case):
         config, n = CFG2, 7
@@ -642,6 +642,9 @@ class TestStepAgainstReference:
             config = ModelConfig(feature_dim=4, num_classes=4, trunk_widths=(8, 6),
                                  saliency_hidden=4, saliency_enabled=False)
         elif case == "no_assignment":
+            assignment = None
+        elif case == "baseline":  # the ablation's label-only variant: P = 1, no seeds
+            config = replace(CFG2, saliency_enabled=False, lambda_seed_cls=0.0)
             assignment = None
         elif case == "zero_lambdas":
             config = ModelConfig(feature_dim=4, num_classes=4, trunk_widths=(8, 6),
@@ -737,6 +740,41 @@ class TestTraceChecks:
             getattr(ws, array)[index] = value
         with pytest.raises(FloatingPointError, match=message):
             ws.check_ranges()
+
+
+class TestStreamPairs:
+    """The (2, ...) views that run both streams' ops at once view each stream's own memory."""
+
+    @pytest.mark.parametrize("config", [
+        ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(64, 64), saliency_hidden=32),
+        ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(64, 64), saliency_hidden=32,
+                    saliency_enabled=False),
+        ModelConfig(feature_dim=16, num_classes=3, trunk_widths=(128,), saliency_hidden=8),
+        ModelConfig(feature_dim=5, num_classes=6, trunk_widths=(9, 7, 5), saliency_hidden=4),
+    ], ids=["standard", "saliency_off", "1layer", "3layers"])
+    def test_pairs_view_each_stream(self, config):
+        from saldet import model as m
+
+        params = random_params(config, 0)
+        features = np.random.default_rng(1).normal(size=(5, config.feature_dim))
+        y = np.resize([1, -1], config.num_classes)
+        loss_and_grads(params, features, y, None, config)
+        kernel = m._step_kernel(params, config)
+        grads = params.layout.views(kernel.grad)
+        ws = kernel.workspace(5)
+        pairs = [
+            (kernel.head_bias[:, 0], params.values["cls.b"], params.values["det.b"]),
+            (kernel.head_bias_grad, grads["cls.b"], grads["det.b"]),
+            (ws.streams, ws.s_cls, ws.s_det),
+            (ws.softmax, ws.cls_softmax, ws.det_softmax),
+            (ws.d_streams, ws.d_cls, ws.d_det),
+        ]
+        if config.saliency_enabled:
+            pairs.append((ws.sigmoid, ws.denominator, ws.saliency))
+        for pair, first, second in pairs:
+            assert np.shares_memory(pair[0], first) and np.shares_memory(pair[1], second)
+            first[...], second[...] = 1.0, 2.0
+            assert (pair[0] == 1.0).all() and (pair[1] == 2.0).all()
 
 
 class TestForwardTrace:

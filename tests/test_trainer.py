@@ -180,7 +180,7 @@ class TestSgdStep:
             assert params.values[name].tobytes() == ref_w[name].tobytes()
             assert params.velocity[name].tobytes() == ref_v[name].tobytes()
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_names_its_tensor(self, bad):
         params = init_params(MODEL, rng_seed=0)
         params.flat_velocity[...] = 0.5
@@ -193,6 +193,30 @@ class TestSgdStep:
                 sgd_step(params, grad, 0.1, 0.9)
             assert params.flat_values.tobytes() == before_w
             assert params.flat_velocity.tobytes() == before_v
+
+    def test_a_finite_gradient_whose_sum_overflows_is_applied(self):
+        # the one-reduction check overflows; the walk finds every entry finite
+        params = self._single([1.0, 2.0, -3.0])
+        params.velocity["w"][...] = [0.5, -0.5, 0.0]
+        grad = np.array([1e308, 1e308, -1.0])
+        lr, m = 1e-3, 0.5
+        v = m * np.array([0.5, -0.5, 0.0]) + grad
+        w = np.array([1.0, 2.0, -3.0]) - lr * v
+        sgd_step(params, grad, lr, m)
+        assert params.values["w"].tobytes() == w.tobytes()
+        assert params.velocity["w"].tobytes() == v.tobytes()
+
+    def test_inf_and_minus_inf_in_one_tensor_are_refused(self):
+        # their sum is NaN, their squares +inf: either way the walk names the tensor
+        params = init_params(MODEL, rng_seed=0)
+        params.flat_velocity[...] = 0.25
+        before_w, before_v = params.flat_values.tobytes(), params.flat_velocity.tobytes()
+        grad = np.ones_like(params.flat_values)
+        params.layout.views(grad)["cls.w"].flat[:2] = [np.inf, -np.inf]
+        with pytest.raises(FloatingPointError, match="non-finite gradient for cls.w$"):
+            sgd_step(params, grad, 0.1, 0.9)
+        assert params.flat_values.tobytes() == before_w
+        assert params.flat_velocity.tobytes() == before_v
 
 
 class TestTrain:
