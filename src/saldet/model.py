@@ -15,22 +15,22 @@ the trunk. Seed/negative indices are inputs here, never differentiated.
 
 One step kernel per parameter set holds the maths: ``forward``,
 ``forward_images``, ``step_losses``, ``backward`` and ``loss_and_grads``
-all run it, the last in one reused workspace, which is what a training
-step calls. Every array of a pass lives in one :class:`ForwardTrace`,
-over a run of whole images: ``forward`` returns a new one over one
-image and ``forward_images`` a new one over many (evaluation scores a
-split in chunks this way); only the kernel's workspace, for one image,
-views a buffer the kernel keeps. A run of images gives every image the
+all run it. One trace per pass: every array of a pass lives in one
+:class:`ForwardTrace` over a run of whole images, and the kernel's
+forward, losses and backward take only that trace. ``forward`` returns
+a new one over one image and ``forward_images`` a new one over many
+(evaluation scores a split in chunks this way); ``loss_and_grads``,
+which is what a training step calls, runs in the kernel's workspace, a
+one-image trace viewing a buffer the kernel keeps. Only a one-image
+trace holds the step's scratch. A run of images gives every image the
 bits it gets alone: the matrix products and the per-image column
 reductions run once per run of consecutive images of equal proposal
 count, stacked (images, rows, width) when the run holds more than one
 image, so each image's share runs on its own shape; everything
 elementwise runs once over all rows. The two streams' arrays of one kind
 sit side by side, so an elementwise op or a same-axis reduction runs
-once over their (2, N, C) pair. The losses write into buffers the kernel
-keeps, and a step allocates only the gradient it returns.
-``ForwardTrace.check_ranges`` is the one check of the ranges a pass must
-stay in.
+once over their (2, N, C) pair. A step allocates only the gradient it returns.
+``ForwardTrace.check_ranges`` is the one check of the ranges a pass must stay in.
 """
 
 import functools
@@ -352,13 +352,13 @@ def _check_features(features, config: ModelConfig) -> np.ndarray:
 # one per proposal count (dense datasets have ~100) and evaluation one
 # per chunk shape
 @functools.lru_cache(maxsize=256)
-def _workspace_plan(config: ModelConfig, n: int, images: int, backward: bool):
+def _workspace_plan(config: ModelConfig, n: int, images: int):
     """Buffer size, and name -> (start, stop, shape) of every array of a pass.
 
     ``n`` rows of ``images`` whole images. Arrays are in buffer order: the
     input copy and the pre-activations first, in layer order, then the
     score matrix and the image scores, then the softmax sums, the rest of
-    the forward arrays and, with ``backward``, the backward pass's scratch.
+    the forward arrays and, for one image, the step's scratch.
     """
     c, k, hid = config.num_classes, config.trunk_out, config.saliency_hidden
     widths, sal = config.trunk_widths, config.saliency_enabled
@@ -376,7 +376,7 @@ def _workspace_plan(config: ModelConfig, n: int, images: int, backward: bool):
     if sal:  # without the branch ``weighted`` is the trunk output itself
         shapes.update(weighted=(n, k))
     shapes.update(cls_softmax=(n, c), det_softmax=(n, c), tmp=(2, n, c))
-    if backward:
+    if images == 1:
         shapes.update(d_scores=(n, c), d_sal=(n,), d_cls=(n, c), d_det=(n, c))
         shapes.update(d_g=(n, k), tmp_g=(n, k))
         if sal:  # and ``d_h`` is ``d_g``
@@ -395,8 +395,10 @@ class ForwardTrace:
     """All arrays of one forward pass over a run of whole images, carved from one float64 buffer.
 
     ``counts`` lists the images' proposal counts; their rows are stacked
-    in that order, N rows in all. A training step or a ``forward`` call
-    is a run of one image. ``features`` (N, D) is the input copy;
+    in that order, N rows in all. One trace per pass: a training step or
+    a ``forward`` call is a run of one image, and only such a trace holds
+    the step's scratch: ``d_scores`` and ``d_sal``, which the losses write
+    and backward reads, and backward's arrays. ``features`` (N, D) is the input copy;
     ``trunk_pre`` lists each trunk layer's pre-activations and
     ``trunk_act`` is [features, h_1, ..., h_L]. ``sal_pre``,
     ``sal_hidden`` and ``sal_logit`` are the saliency branch's (None
@@ -418,7 +420,7 @@ class ForwardTrace:
     run of k images has its rows stacked (k, rows, width) and its outputs
     of the reductions as (k, C). Everything else runs once over all rows.
     ``streams`` (the two heads' outputs), ``softmax`` (the two softmaxes)
-    and, with backward scratch, ``d_streams`` view each stream pair as
+    and, for one image, ``d_streams`` view each stream pair as
     one (2, N, C) array, and ``sigmoid`` the [denominator, P] pair.
     ``spread`` writes the softmax's per-row and per-image shifts and sums
     out over the scratch pair ``tmp``, so that the pair takes one
@@ -426,17 +428,14 @@ class ForwardTrace:
 
     Three runs of the buffer are checked with one reduction each: ``pre``
     (the input copy and every pre-activation), ``unit`` (score matrix and
-    image scores) and ``sums`` (the softmax sums). The trace allocates
-    its buffer, except a step kernel's workspace, which passes the
-    kernel's shared ``buf`` and ``backward``, so that the buffer also
-    holds the backward pass's scratch.
+    image scores) and ``sums`` (the softmax sums). A trace allocates its
+    buffer, unless given the kernel's shared ``buf`` as a workspace.
     """
 
-    def __init__(self, config: ModelConfig, counts, buf: np.ndarray | None = None,
-                 backward: bool = False):
+    def __init__(self, config: ModelConfig, counts, buf: np.ndarray | None = None):
         counts = tuple(counts)
         n, images, c = sum(counts), len(counts), config.num_classes
-        size, plan = _workspace_plan(config, n, images, backward)
+        size, plan = _workspace_plan(config, n, images)
         if buf is None:
             buf = np.empty(size)
         vars(self).update(
@@ -456,8 +455,6 @@ class ForwardTrace:
         if not sal:
             self.sal_pre = self.sal_hidden = self.sal_logit = None
             self.weighted = self.trunk_act[-1]
-            if backward:
-                self.d_h = self.d_g
 
         def pair(first, second):  # two arrays side by side; the reshape refuses others
             return buf[plan[first][0] : plan[second][1]].reshape(2, *plan[first][2])
@@ -466,8 +463,6 @@ class ForwardTrace:
         self.softmax = pair("cls_softmax", "det_softmax")
         if sal:
             self.sigmoid = pair("denominator", "saliency")
-        if backward:
-            self.d_streams = pair("d_cls", "d_det")
         # pre-activations in layer order, under the names their errors give
         self.layers = [("input features", self.features)]
         self.layers += [(f"trunk layer {l}", z) for l, z in enumerate(self.trunk_pre)]
@@ -477,9 +472,12 @@ class ForwardTrace:
                 ("saliency output layer", self.sal_raw),
             ]
         self.layers += [("classification stream", self.s_cls), ("detection stream", self.s_det)]
-        if backward:
+        if images == 1:  # the step's scratch
+            self.d_streams = pair("d_cls", "d_det")
             self.d_z = [getattr(self, f"d_z{l}") for l in range(depth)]
             self.d_in = [None] + [getattr(self, f"d_in{l}") for l in range(1, depth)]
+            if not sal:
+                self.d_h = self.d_g
 
         # runs of consecutive images of equal count: (rows, images, k, count)
         runs, row, image = [], 0, 0
@@ -538,23 +536,23 @@ class ForwardTrace:
         score matrix and then the image scores in [0, 1], the softmax rows
         and then columns summing to 1 within 1e-6. The passing path
         reduces P, ``unit`` and ``sums`` whole, after one column sum per
-        image; only a failed run is split to name its part.
+        image; only a failed run is split to name its part. NaN fails each test.
         """
         p = self.saliency
-        if self.saliency_enabled and (
-            np.minimum.reduce(p) <= 0.0 or np.maximum.reduce(p) >= 1.0
+        if self.saliency_enabled and not (
+            np.minimum.reduce(p) > 0.0 and np.maximum.reduce(p) < 1.0
         ):
             raise FloatingPointError("saliency prediction left the open interval (0, 1)")
-        if np.minimum.reduce(self.unit) < 0.0 or np.maximum.reduce(self.unit) > 1.0:
-            if self.scores.min() < 0.0 or self.scores.max() > 1.0:
+        if not (np.minimum.reduce(self.unit) >= 0.0 and np.maximum.reduce(self.unit) <= 1.0):
+            if not (self.scores.min() >= 0.0 and self.scores.max() <= 1.0):
                 raise FloatingPointError("score matrix left [0, 1]")
             raise FloatingPointError("image scores left [0, 1]")
         np.add.reduce(self.cls_softmax, axis=1, out=self.row_sums)
         _reduce_columns(np.add, self.det_sum)
         self.sums -= 1.0
         np.abs(self.sums, out=self.sums)
-        if np.maximum.reduce(self.sums) > 1e-6:
-            if self.row_sums.max() > 1e-6:
+        if not np.maximum.reduce(self.sums) <= 1e-6:
+            if not self.row_sums.max() <= 1e-6:
                 raise FloatingPointError("classification softmax rows do not sum to 1")
             raise FloatingPointError("detection softmax columns do not sum to 1")
 
@@ -562,7 +560,10 @@ class ForwardTrace:
 class _StepKernel:
     """Forward, losses, backward and L2 term of one image for one ModelParams.
 
-    The parameter and gradient views are bound once. Training steps run
+    One trace per pass: ``forward``, ``losses`` and ``backward`` take no
+    array but the pass's trace, whose ``d_scores`` and ``d_sal`` the
+    losses write and backward reads. The parameter and gradient views
+    are bound once. Training steps run
     in one workspace buffer sized to the largest proposal count seen so
     far, and the views of the last few counts are kept. ``grad`` holds
     the data terms' gradient, overwritten by every backward pass, which
@@ -602,13 +603,13 @@ class _StepKernel:
         """Views of the shared buffer for one image of ``n`` proposals; the buffer only grows."""
         ws = self._workspaces.get(n)
         if ws is None:
-            size, _ = _workspace_plan(self.config, n, 1, True)
+            size, _ = _workspace_plan(self.config, n, 1)
             if size > self.buffer.size:
                 self.buffer = np.empty(size)
                 self._workspaces.clear()
             elif len(self._workspaces) >= _KEPT_COUNTS:
                 self._workspaces.clear()
-            ws = ForwardTrace(self.config, (n,), self.buffer, backward=True)
+            ws = ForwardTrace(self.config, (n,), self.buffer)
             self._workspaces[n] = ws
         return ws
 
@@ -680,9 +681,9 @@ class _StepKernel:
         np.minimum(ws.image_scores, 1.0, out=ws.image_scores)
         ws.check_ranges()
 
-    def losses(self, trace, labels_y, assignment, d_scores, d_sal) -> LossBreakdown:
-        """Every loss term; writes the weighted total's gradients w.r.t. scores and P."""
-        config = self.config
+    def losses(self, trace, labels_y, assignment) -> LossBreakdown:
+        """Every loss term; the total's gradients w.r.t. scores and P go to the trace."""
+        config, d_scores = self.config, trace.d_scores
         if assignment is not None:
             n = trace.scores.shape[0]
             last = max(assignment.sample_indices, default=-1)
@@ -712,9 +713,9 @@ class _StepKernel:
             l_ss, d_p = _seed_saliency_loss(
                 trace.saliency, assignment._sample_array, assignment.targets
             )
-            np.multiply(d_p, config.lambda_seed_sal / 2.0, out=d_sal)
+            np.multiply(d_p, config.lambda_seed_sal / 2.0, out=trace.d_sal)
         else:
-            d_sal.fill(0.0)
+            trace.d_sal.fill(0.0)
 
         l_reg = float(self.l2_values @ self.l2_values)
         total = (
@@ -727,65 +728,65 @@ class _StepKernel:
             image_cls=l_ic, seed_cls=l_sc, seed_sal=l_ss, l2=l_reg, total=total
         )
 
-    def backward(self, trace, d_scores, d_sal, ws: ForwardTrace) -> np.ndarray:
-        """The gradient of the weighted total as a new flat vector, using ``ws`` as scratch."""
+    def backward(self, trace: ForwardTrace) -> np.ndarray:
+        """The total's gradient as a new flat vector, from ``trace.d_scores`` and ``d_sal``."""
         a, b, softmax = trace.cls_softmax, trace.det_softmax, trace.softmax
-        d_cls, d_det = ws.d_cls, ws.d_det
-        np.multiply(d_scores, b, out=d_cls)
-        np.multiply(d_scores, a, out=d_det)
+        d_cls, d_det = trace.d_cls, trace.d_det
+        np.multiply(trace.d_scores, b, out=d_cls)
+        np.multiply(trace.d_scores, a, out=d_det)
         # softmax backward: d_s = a * (d_a - sum(d_a * a)) per row, per column for b
-        np.multiply(ws.d_streams, softmax, out=ws.tmp)
-        np.add.reduce(ws.tmp_cls, axis=1, keepdims=True, out=ws.col)
-        np.add.reduce(ws.tmp_det, axis=0, keepdims=True, out=ws.row)
-        ws.d_streams -= ws.spread()
-        ws.d_streams *= softmax
+        np.multiply(trace.d_streams, softmax, out=trace.tmp)
+        np.add.reduce(trace.tmp_cls, axis=1, keepdims=True, out=trace.col)
+        np.add.reduce(trace.tmp_det, axis=0, keepdims=True, out=trace.row)
+        trace.d_streams -= trace.spread()
+        trace.d_streams *= softmax
 
         g = trace.weighted
         w_cls, w_det = self.head
         gw_cls, gw_det = self.head_grad
         np.dot(g.T, d_cls, out=gw_cls)
         np.dot(g.T, d_det, out=gw_det)
-        np.add.reduce(ws.d_streams, axis=1, out=self.head_bias_grad)
-        d_g = ws.d_g
+        np.add.reduce(trace.d_streams, axis=1, out=self.head_bias_grad)
+        d_g = trace.d_g
         np.dot(d_cls, w_cls.T, out=d_g)
-        np.dot(d_det, w_det.T, out=ws.tmp_g)
-        d_g += ws.tmp_g
+        np.dot(d_det, w_det.T, out=trace.tmp_g)
+        d_g += trace.tmp_g
 
         h = trace.trunk_act[-1]
-        d_h = ws.d_h  # ``d_g`` itself without the branch, where P = 1
+        d_h = trace.d_h  # ``d_g`` itself without the branch, where P = 1
         if self.config.saliency_enabled:
             p = trace.saliency
             d_h[...] = p[:, None]
             d_h *= d_g
             w, _, w_out, _ = self.sal
             gw, gb, gw_out, gb_out = self.sal_grad
-            d_p, d_logit = ws.d_p, ws.d_logit
-            np.multiply(d_g, h, out=ws.tmp_g)
-            np.add.reduce(ws.tmp_g, axis=1, out=d_p)
-            d_p += d_sal
+            d_p, d_logit = trace.d_p, trace.d_logit
+            np.multiply(d_g, h, out=trace.tmp_g)
+            np.add.reduce(trace.tmp_g, axis=1, out=d_p)
+            d_p += trace.d_sal
             np.multiply(d_p, p, out=d_logit)
-            np.subtract(1.0, p, out=ws.one_minus_p)
-            d_logit *= ws.one_minus_p
+            np.subtract(1.0, p, out=trace.one_minus_p)
+            d_logit *= trace.one_minus_p
             np.dot(trace.sal_hidden.T, d_logit, out=gw_out)
             np.add.reduce(d_logit, keepdims=True, out=gb_out)
-            d_z = ws.d_z_sal
-            np.multiply(d_logit[:, None], w_out, out=ws.d_u)
+            d_z = trace.d_z_sal
+            np.multiply(d_logit[:, None], w_out, out=trace.d_u)
             np.greater(trace.sal_pre, 0.0, out=d_z)
-            d_z *= ws.d_u
+            d_z *= trace.d_u
             np.dot(h.T, d_z, out=gw)
             np.add.reduce(d_z, axis=0, out=gb)
-            np.dot(d_z, w.T, out=ws.tmp_g)
-            d_h += ws.tmp_g
+            np.dot(d_z, w.T, out=trace.tmp_g)
+            d_h += trace.tmp_g
 
         for l in reversed(range(len(self.trunk))):
-            d_z = ws.d_z[l]
+            d_z = trace.d_z[l]
             np.greater(trace.trunk_pre[l], 0.0, out=d_z)
             d_z *= d_h
             gw, gb = self.trunk_grad[l]
             np.dot(trace.trunk_act[l].T, d_z, out=gw)
             np.add.reduce(d_z, axis=0, out=gb)
             if l:  # the gradient w.r.t. the input features is not needed
-                d_h = np.dot(d_z, self.trunk[l][0].T, out=ws.d_in[l])
+                d_h = np.dot(d_z, self.trunk[l][0].T, out=trace.d_in[l])
 
         # the L2 term joins on the way into the returned vector
         out = np.empty(self.grad.size)
@@ -836,16 +837,13 @@ def step_losses(params, trace, labels_y, assignment, config):
     """All loss terms for one image plus gradients w.r.t. scores and P.
 
     Returns ``(breakdown, d_scores, d_saliency)`` where the gradients are
-    of the weighted total. ``assignment`` may be None (no seed terms,
-    e.g. at test time or with seed supervision disabled); a seed or
-    negative index >= N_R is a ValueError.
+    of the weighted total, copies of those the trace holds. ``assignment``
+    may be None (no seed terms, e.g. at test time or with seed supervision
+    disabled); a seed or negative index >= N_R is a ValueError.
     """
     _check_one_image(trace)
-    d_scores = np.empty(trace.scores.shape)
-    d_sal = np.empty(trace.saliency.shape)
-    kernel = _step_kernel(params, config)
-    breakdown = kernel.losses(trace, labels_y, assignment, d_scores, d_sal)
-    return breakdown, d_scores, d_sal
+    breakdown = _step_kernel(params, config).losses(trace, labels_y, assignment)
+    return breakdown, trace.d_scores.copy(), trace.d_sal.copy()
 
 
 def backward(params, trace, d_scores, d_saliency, config):
@@ -853,15 +851,17 @@ def backward(params, trace, d_scores, d_saliency, config):
 
     ``d_scores`` and ``d_saliency`` are the gradients of the objective
     w.r.t. the score matrix and P (both already lambda-weighted); the L2
-    term is added here. Disabled-branch tensors get zero gradients.
-    Returns a new flat vector laid out like ``params.flat_values``;
-    ``params.layout.views(grad)`` names its tensors.
+    term is added here. Disabled-branch tensors get zero gradients. Both
+    are written into ``trace``, which the pass runs in. Returns a new flat
+    vector laid out like ``params.flat_values``; ``params.layout.views(grad)``
+    names its tensors.
     """
     _check_one_image(trace)
     if d_scores.shape != trace.scores.shape:
         raise ValueError("d_scores shape mismatch")
-    kernel = _step_kernel(params, config)
-    return kernel.backward(trace, d_scores, d_saliency, kernel.workspace(d_scores.shape[0]))
+    np.copyto(trace.d_scores, d_scores)
+    np.copyto(trace.d_sal, d_saliency)  # None, which numpy would store as NaN, is refused
+    return _step_kernel(params, config).backward(trace)
 
 
 def loss_and_grads(params, features, labels_y, assignment, config):
@@ -877,8 +877,8 @@ def loss_and_grads(params, features, labels_y, assignment, config):
     ws = kernel.workspace(x.shape[0])
     np.copyto(ws.features, x)
     kernel.forward(ws)
-    breakdown = kernel.losses(ws, labels_y, assignment, ws.d_scores, ws.d_sal)
-    return breakdown, kernel.backward(ws, ws.d_scores, ws.d_sal, ws)
+    breakdown = kernel.losses(ws, labels_y, assignment)
+    return breakdown, kernel.backward(ws)
 
 
 # ---------------------------------------------------------------------------

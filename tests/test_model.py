@@ -674,14 +674,30 @@ class TestStepAgainstReference:
                 else:
                     assert got.tobytes() == want.tobytes()
 
-    def test_step_losses_and_backward_match_loss_and_grads(self):
-        params = random_params(CFG2, 3)
-        features = np.random.default_rng(4).normal(size=(6, 4))
-        assignment = SeedAssignment(seeds=((0, 1), (3, 2)), negatives=(0, 5))
-        trace = forward(params, features, CFG2)
-        breakdown, d_scores, d_sal = step_losses(params, trace, self.Y, assignment, CFG2)
-        grad = backward(params, trace, d_scores, d_sal, CFG2)
-        fused, fused_grad = loss_and_grads(params, features, self.Y, assignment, CFG2)
+    @pytest.mark.parametrize("variant", ["full", "no_sal", "baseline"])
+    @pytest.mark.parametrize("n", [1, 6, 40])
+    def test_step_losses_and_backward_match_loss_and_grads(self, n, variant):
+        from saldet import model as m
+
+        config, assignment = CFG2, SeedAssignment(seeds=((0, 0), (3, 0)), negatives=())
+        if n > 1:
+            assignment = SeedAssignment(seeds=((0, 1), (3, 2)), negatives=(0, n - 1))
+        if variant != "full":
+            config = replace(CFG2, saliency_enabled=False)
+        if variant == "baseline":
+            config, assignment = replace(config, lambda_seed_cls=0.0), None
+        params = random_params(config, 3)
+        rng = np.random.default_rng(4)
+        features = rng.normal(size=(n, 4))
+        # a step on other features of the same count fills the kernel's buffer
+        loss_and_grads(params, rng.normal(size=(n, 4)), self.Y, assignment, config)
+        kernel_buffer = m._step_kernel(params, config).buffer.tobytes()
+        trace = forward(params, features, config)
+        breakdown, d_scores, d_sal = step_losses(params, trace, self.Y, assignment, config)
+        grad = backward(params, trace, d_scores, d_sal, config)
+        # the public pass runs in the caller's trace alone
+        assert m._step_kernel(params, config).buffer.tobytes() == kernel_buffer
+        fused, fused_grad = loss_and_grads(params, features, self.Y, assignment, config)
         assert breakdown == fused
         assert grad.tobytes() == fused_grad.tobytes()
 
@@ -727,6 +743,12 @@ class TestTraceChecks:
         ([("det_softmax", (0, 3), 0.5)], "detection softmax columns"),
         # two failures: the earlier check in the order names the error
         ([("cls_softmax", (2, 1), 0.5), ("scores", (1, 2), 1.5)], "score matrix left"),
+        # NaN makes every comparison False, and fails each check all the same
+        ([("saliency", 2, np.nan)], "saliency prediction left the open interval"),
+        ([("scores", (3, 1), np.nan)], "score matrix left"),
+        ([("image_scores", 2, np.nan)], "image scores left"),
+        ([("cls_softmax", (4, 0), np.nan)], "classification softmax rows"),
+        ([("det_softmax", (1, 2), np.nan)], "detection softmax columns"),
     ])
     def test_each_range_check_raises_its_message(self, pokes, message):
         from saldet import model as m
@@ -864,6 +886,25 @@ class TestStackedRuns:
 
 
 class TestOneImageTrace:
+    def test_only_a_one_image_trace_holds_the_step_scratch(self):
+        params = random_params(CFG2, 5)
+        rng = np.random.default_rng(9)
+        one = forward(params, rng.normal(size=(3, 4)), CFG2)
+        assert one.d_scores.shape == (3, 4) and one.d_sal.shape == (3,)
+        for counts in ([3, 2], [4, 4, 1]):
+            trace = forward_images(params, [rng.normal(size=(n, 4)) for n in counts], CFG2)
+            assert not hasattr(trace, "d_scores") and not hasattr(trace, "d_sal")
+
+    def test_backward_refuses_a_saliency_gradient_that_does_not_fit(self):
+        # with the branch off too, where the gradient w.r.t. P is not read
+        for config in (CFG2, replace(CFG2, saliency_enabled=False)):
+            params = random_params(config, 5)
+            trace = forward(params, np.random.default_rng(9).normal(size=(3, 4)), config)
+            with pytest.raises(ValueError, match="broadcast"):
+                backward(params, trace, np.zeros((3, 4)), np.zeros(4), config)
+            with pytest.raises(TypeError):
+                backward(params, trace, np.zeros((3, 4)), None, config)
+
     def test_step_losses_and_backward_refuse_a_run_of_images(self):
         # the detection softmax's backward would mix the images' rows
         params = random_params(CFG2, 5)

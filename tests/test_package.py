@@ -1,5 +1,6 @@
-"""The package's public names and its dependencies."""
+"""The package's public names, its dependencies and its oldest supported Python."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -26,3 +27,16 @@ def test_the_package_imports_with_numpy_only():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_sources_parse_as_python_3_10():
+    """pyproject's ``requires-python = ">=3.10"``, checked on a newer interpreter.
+
+    Parsing with ``feature_version=(3, 10)`` refuses syntax newer than
+    3.10, such as ``except*``. It does not see calls into the library
+    that only 3.11 or later provides; only running on 3.10 does.
+    """
+    sources = sorted(Path(saldet.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
