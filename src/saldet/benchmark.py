@@ -109,10 +109,16 @@ def run_variant(
     """
     if variant not in VARIANT_FLAGS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if records is None:
-        train_records, test_records = benchmark_datasets(seed)
-    else:
-        train_records = test_records = records
+    return _run_split(variant, seed, _split(seed, records), model_config)
+
+
+def _split(seed: int, records):
+    """(train, test) records of one run: ``seed``'s pair, or ``records`` twice."""
+    return benchmark_datasets(seed) if records is None else (records, records)
+
+
+def _run_split(variant, seed, split, model_config) -> BenchmarkRun:
+    train_records, test_records = split
     train_config = replace(
         STANDARD_TRAIN,
         shuffle_seed=seed,
@@ -142,13 +148,17 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """The ablation grid: every variant of ``VARIANTS`` on every seed.
 
-    ``records`` and ``model_config`` pass through to :func:`run_variant`.
+    ``records`` and ``model_config`` mean what they do for
+    :func:`run_variant`, and every run equals that function's. Each
+    seed's split pair is generated once, up front, and its three
+    variants train on the same records; the runs go variant by variant.
     """
     seeds = check_ablation(seeds)
+    splits = [_split(seed, records) for seed in seeds]
     result = BenchmarkResult()
     for variant in VARIANTS:
-        for seed in seeds:
-            run = run_variant(variant, seed, records, model_config)
+        for seed, split in zip(seeds, splits):
+            run = _run_split(variant, seed, split, model_config)
             result.runs.append(run)
             log.info(
                 "variant=%s seed=%d train CorLoc %.3f test mAP %.3f",

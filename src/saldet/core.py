@@ -20,7 +20,7 @@ what makes that sharing safe.
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import get_args, get_origin
 
 import numpy as np
@@ -48,11 +48,14 @@ class Box:
     y1: int
 
     def __post_init__(self):
-        for name, value in zip(("x0", "y0", "x1", "y1"), self.as_tuple()):
-            _as_int(value, f"box {name}")
-        if min(self.x0, self.y0) < 0:
+        x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
+        # four plain ints, the usual input, need no check one by one
+        if not type(x0) is type(y0) is type(x1) is type(y1) is int:
+            for name, value in zip(("x0", "y0", "x1", "y1"), (x0, y0, x1, y1)):
+                _as_int(value, f"box {name}")
+        if x0 < 0 or y0 < 0:
             raise ValueError(f"box origin must be >= 0, got {self}")
-        if self.x1 <= self.x0 or self.y1 <= self.y0:
+        if x1 <= x0 or y1 <= y0:
             raise ValueError(f"box must have positive extent, got {self}")
 
     @property
@@ -208,9 +211,14 @@ def proposal_geometry(grid: SuperpixelGrid, proposals) -> tuple[tuple, np.ndarra
     sizes = [len(p.superpixel_ids) for p in proposals]
     rows = np.repeat(np.arange(len(sizes)), sizes)
     ids = np.fromiter(chain(*[p.superpixel_ids for p in proposals]), np.int64, rows.size)
-    starts, member = np.cumsum(sizes) - sizes, grid.boxes[ids]
-    lo, hi = np.minimum.reduceat(member[:, :2], starts), np.maximum.reduceat(member[:, 2:], starts)
-    return (_freeze(rows), _freeze(ids)), _freeze(np.hstack([lo, hi]))
+    starts = np.fromiter(accumulate(sizes[:-1], initial=0), np.int64, len(sizes))
+    member = grid.boxes.take(ids, axis=0)
+    boxes = np.empty((len(sizes), 4), dtype=np.int64)
+    np.minimum.reduceat(member[:, :2], starts, out=boxes[:, :2])
+    np.maximum.reduceat(member[:, 2:], starts, out=boxes[:, 2:])
+    for arr in (rows, ids, boxes):  # each is new and contiguous
+        arr.flags.writeable = False
+    return (rows, ids), boxes
 
 
 def proposal_from_superpixels(grid: SuperpixelGrid, ids) -> Proposal:
@@ -228,7 +236,7 @@ class SaliencyMap:
         values = np.asarray(self.values, dtype=np.float32)
         if values.ndim != 2:
             raise ValueError("saliency values must be a 2-d grid")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("saliency values must be finite")
         if values.min() < 0:
             raise ValueError("saliency values must be >= 0")
@@ -249,10 +257,11 @@ class LabelVector:
         y = np.asarray(self.y)
         if y.ndim != 1 or y.size == 0:
             raise ValueError("labels must be a nonempty 1-d vector")
-        if not ((y == 1) | (y == -1)).all():  # as given: the int8 cast would wrap 255 to -1
+        positive = y == 1
+        if not (positive | (y == -1)).all():  # as given: the int8 cast would wrap 255 to -1
             raise ValueError("labels: entries must be +1 or -1")
         y = y.astype(np.int8)
-        positives = tuple(np.flatnonzero(y == 1).tolist())
+        positives = tuple(positive.nonzero()[0].tolist())
         if not positives:
             raise ValueError("labels: at least one positive class required")
         object.__setattr__(self, "y", _freeze(y))
@@ -295,7 +304,7 @@ class ImageRecord:
                 f"record {self.id}: features shape {features.shape} does not "
                 f"match {len(self.proposals)} proposals"
             )
-        if not np.all(np.isfinite(features)):
+        if not np.isfinite(features).all():
             raise ValueError(f"record {self.id}: non-finite feature values")
         object.__setattr__(self, "features", _freeze(features))
 

@@ -25,6 +25,10 @@ features and grid, and no second copy of a shared grid. Maps are keyed
 by their ``saliency_classes`` entry and stored unnormalized: seed
 selection is invariant to positive affine rescaling of the maps, so no
 normalization pass is applied anywhere.
+
+The synthetic generator paints each object's map by lookup: a table of
+one value per superpixel, 1 on the object's and 0 elsewhere, gathered
+over the label grid, before the noise and the clamp at 0.
 """
 
 import json
@@ -427,24 +431,28 @@ def generate_synthetic(cfg: SynthConfig):
     Each image plants 1..k non-overlapping rectangular objects with
     distinct classes on a regular superpixel tiling. The class-c saliency
     map is 1 on the class-c object and 0 elsewhere, plus clamped uniform
-    noise. The proposal list holds every planted object's superpixel set
-    first, then the distractors: one part per object, unions of object
-    pairs, and random superpixel rectangles. Feature row i is the one-hot
-    template of the dominant overlapping class scaled by the proposal's
-    pixel IoU with that object, plus Gaussian noise.
+    noise; its 0/1 part is a table of one value per superpixel gathered
+    over the label grid, one pass over the pixels. The proposal list
+    holds every planted object's superpixel set first, then the
+    distractors: one part per object, unions of object pairs, and random
+    superpixel rectangles. Feature row i is the one-hot template of the
+    dominant overlapping class scaled by the proposal's pixel IoU with
+    that object, plus Gaussian noise.
     """
     rng = np.random.default_rng(cfg.seed)
     sp_side = math.isqrt(cfg.superpixels)
     block = cfg.grid_side // sp_side
 
-    # regular tiling shared by all images
+    # regular tiling shared by all images; the maps gather over an intp copy,
+    # since numpy gathers by an int32 index several times slower
     yy, xx = np.mgrid[0:cfg.grid_side, 0:cfg.grid_side]
-    tiling = ((yy // block) * sp_side + (xx // block)).astype(np.int32)
+    tiling = (yy // block) * sp_side + (xx // block)
     grid = SuperpixelGrid(width=cfg.grid_side, height=cfg.grid_side, labels=tiling)
+    tiling = tiling.astype(np.intp, copy=False)
 
     records = []
     for idx in range(cfg.images):
-        records.append(_generate_image(cfg, rng, grid, sp_side, block, idx))
+        records.append(_generate_image(cfg, rng, grid, tiling, sp_side, block, idx))
     manifest = DatasetManifest(
         num_classes=cfg.classes,
         feature_dim=cfg.feature_dim,
@@ -455,7 +463,7 @@ def generate_synthetic(cfg: SynthConfig):
     return records, manifest
 
 
-def _generate_image(cfg, rng, grid, sp_side, block, idx) -> ImageRecord:
+def _generate_image(cfg, rng, grid, tiling, sp_side, block, idx) -> ImageRecord:
     n_objects = int(rng.integers(cfg.objects_per_image[0], cfg.objects_per_image[1] + 1))
     classes = sorted(int(c) for c in rng.choice(cfg.classes, size=n_objects, replace=False))
     rects = _place_objects(rng, sp_side, n_objects)
@@ -484,8 +492,9 @@ def _generate_image(cfg, rng, grid, sp_side, block, idx) -> ImageRecord:
 
     saliency = {}
     for ids, cls in zip(obj_ids, classes):
-        values = np.zeros((cfg.grid_side, cfg.grid_side), dtype=np.float64)
-        values[np.isin(grid.labels, ids)] = 1.0
+        on = np.zeros(grid.n_superpixels)
+        on[ids] = 1.0
+        values = on.take(tiling)
         if cfg.noise_amplitude > 0:
             values += rng.uniform(
                 -cfg.noise_amplitude, cfg.noise_amplitude, size=values.shape
@@ -533,9 +542,14 @@ def _place_objects(rng, sp_side, n_objects):
                 w = int(rng.integers(_OBJECT_SIDES[0], max_side + 1))
                 r0 = int(rng.integers(0, sp_side - h + 1))
                 c0 = int(rng.integers(0, sp_side - w + 1))
-                cand = (r0, c0, r0 + h, c0 + w)
-                if all(_chebyshev_gap(cand, r) >= _OBJECT_GAP for r in rects):
-                    rects.append(cand)
+                r1, c1 = r0 + h, c0 + w
+                # the Chebyshev gap to a placed rectangle is the largest of
+                # the four edge-to-edge differences, or 0 when they overlap
+                for a0, b0, a1, b1 in rects:
+                    if max(r0 - a1, a0 - r1, c0 - b1, b0 - c1) < _OBJECT_GAP:
+                        break
+                else:
+                    rects.append((r0, c0, r1, c1))
                     placed = True
                     break
             if not placed:
@@ -544,12 +558,6 @@ def _place_objects(rng, sp_side, n_objects):
         if ok:
             return rects
     raise ValueError("config infeasible: could not place objects with the required gap")
-
-
-def _chebyshev_gap(a, b):
-    dr = max(a[0] - b[2], b[0] - a[2], 0)
-    dc = max(a[1] - b[3], b[1] - a[3], 0)
-    return max(dr, dc)
 
 
 def _part_of(rng, rect, sp_side):

@@ -381,8 +381,11 @@ def _workspace_plan(config: ModelConfig, n: int, images: int):
         shapes.update(d_g=(n, k), tmp_g=(n, k))
         if sal:  # and ``d_h`` is ``d_g``
             shapes.update(d_h=(n, k), d_p=(n,), d_logit=(n,), one_minus_p=(n,),
-                          d_u=(n, hid), d_z_sal=(n, hid))
+                          d_u=(n, hid))
+        # laid out as the pre-activations they mask: the trunk's, then the branch's
         shapes.update({f"d_z{l}": (n, w) for l, w in enumerate(widths)})
+        if sal:
+            shapes.update(d_z_sal=(n, hid))
         shapes.update({f"d_in{l}": (n, widths[l - 1]) for l in range(1, len(widths))})
     plan, off = {}, 0
     for name, shape in shapes.items():
@@ -421,7 +424,10 @@ class ForwardTrace:
     of the reductions as (k, C). Everything else runs once over all rows.
     ``streams`` (the two heads' outputs), ``softmax`` (the two softmaxes)
     and, for one image, ``d_streams`` view each stream pair as
-    one (2, N, C) array, and ``sigmoid`` the [denominator, P] pair.
+    one (2, N, C) array, and ``sigmoid`` the [denominator, P] pair. For
+    one image ``relu_pre`` views every ReLU layer's pre-activations as one
+    block and ``relu_d_z`` their ``d_z`` arrays, laid out alike, so one op
+    writes every layer's 0/1 mask.
     ``spread`` writes the softmax's per-row and per-image shifts and sums
     out over the scratch pair ``tmp``, so that the pair takes one
     same-shape op, cheaper on small arrays than two that broadcast.
@@ -474,6 +480,10 @@ class ForwardTrace:
         self.layers += [("classification stream", self.s_cls), ("detection stream", self.s_det)]
         if images == 1:  # the step's scratch
             self.d_streams = pair("d_cls", "d_det")
+            # every ReLU layer's pre-activations and their d_z, laid out alike
+            last = ("sal_pre", "d_z_sal") if sal else (f"pre{depth - 1}", f"d_z{depth - 1}")
+            self.relu_pre = buf[plan["pre0"][0] : plan[last[0]][1]]
+            self.relu_d_z = buf[plan["d_z0"][0] : plan[last[1]][1]]
             self.d_z = [getattr(self, f"d_z{l}") for l in range(depth)]
             self.d_in = [None] + [getattr(self, f"d_in{l}") for l in range(1, depth)]
             if not sal:
@@ -613,9 +623,6 @@ class _StepKernel:
             self._workspaces[n] = ws
         return ws
 
-    # overflow surfaces as a FloatingPointError from the finiteness check,
-    # so the numpy warning would only duplicate it
-    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, ws: ForwardTrace) -> None:
         """Run the pass on the checked features in ``ws.features``, then check its ranges.
 
@@ -752,6 +759,8 @@ class _StepKernel:
         np.dot(d_det, w_det.T, out=trace.tmp_g)
         d_g += trace.tmp_g
 
+        # every ReLU layer's 0/1 mask at once, each in its layer's d_z
+        np.greater(trace.relu_pre, 0.0, out=trace.relu_d_z)
         h = trace.trunk_act[-1]
         d_h = trace.d_h  # ``d_g`` itself without the branch, where P = 1
         if self.config.saliency_enabled:
@@ -771,7 +780,6 @@ class _StepKernel:
             np.add.reduce(d_logit, keepdims=True, out=gb_out)
             d_z = trace.d_z_sal
             np.multiply(d_logit[:, None], w_out, out=trace.d_u)
-            np.greater(trace.sal_pre, 0.0, out=d_z)
             d_z *= trace.d_u
             np.dot(h.T, d_z, out=gw)
             np.add.reduce(d_z, axis=0, out=gb)
@@ -780,7 +788,6 @@ class _StepKernel:
 
         for l in reversed(range(len(self.trunk))):
             d_z = trace.d_z[l]
-            np.greater(trace.trunk_pre[l], 0.0, out=d_z)
             d_z *= d_h
             gw, gb = self.trunk_grad[l]
             np.dot(trace.trunk_act[l].T, d_z, out=gw)
@@ -794,6 +801,16 @@ class _StepKernel:
         l2 += self.l2_grad
         out[self.l2_grad.size :] = self.rest_grad
         return out
+
+
+def _quiet():
+    """The floating-point state a pass runs in: overflow and invalid values raise no warning.
+
+    Each ends in an error that names it: the trace's finiteness check,
+    or the trainer's non-finite total loss or gradient. The warning
+    would only duplicate it, and under warnings-as-errors replace it.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _step_kernel(params: ModelParams, config: ModelConfig) -> _StepKernel:
@@ -824,7 +841,8 @@ def forward_images(params: ModelParams, features, config: ModelConfig) -> Forwar
         raise ValueError("need at least one image")
     trace = ForwardTrace(config, [x.shape[0] for x in xs])
     np.concatenate(xs, out=trace.features)
-    _step_kernel(params, config).forward(trace)
+    with _quiet():
+        _step_kernel(params, config).forward(trace)
     return trace
 
 
@@ -842,7 +860,8 @@ def step_losses(params, trace, labels_y, assignment, config):
     disabled); a seed or negative index >= N_R is a ValueError.
     """
     _check_one_image(trace)
-    breakdown = _step_kernel(params, config).losses(trace, labels_y, assignment)
+    with _quiet():
+        breakdown = _step_kernel(params, config).losses(trace, labels_y, assignment)
     return breakdown, trace.d_scores.copy(), trace.d_sal.copy()
 
 
@@ -861,7 +880,8 @@ def backward(params, trace, d_scores, d_saliency, config):
         raise ValueError("d_scores shape mismatch")
     np.copyto(trace.d_scores, d_scores)
     np.copyto(trace.d_sal, d_saliency)  # None, which numpy would store as NaN, is refused
-    return _step_kernel(params, config).backward(trace)
+    with _quiet():
+        return _step_kernel(params, config).backward(trace)
 
 
 def loss_and_grads(params, features, labels_y, assignment, config):
@@ -876,9 +896,10 @@ def loss_and_grads(params, features, labels_y, assignment, config):
     kernel = _step_kernel(params, config)
     ws = kernel.workspace(x.shape[0])
     np.copyto(ws.features, x)
-    kernel.forward(ws)
-    breakdown = kernel.losses(ws, labels_y, assignment)
-    return breakdown, kernel.backward(ws)
+    with _quiet():
+        kernel.forward(ws)
+        breakdown = kernel.losses(ws, labels_y, assignment)
+        return breakdown, kernel.backward(ws)
 
 
 # ---------------------------------------------------------------------------

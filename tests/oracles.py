@@ -415,3 +415,146 @@ def reference_step(params, features, labels_y, assignment, config):
         d_h = d_z @ v[f"trunk{l}.w"].T
     grad[:l2_end] += config.lambda_l2 * w
     return (l_ic, l_sc, l_ss, l_reg, total), grad
+
+
+# ---------------------------------------------------------------------------
+# the synthetic generator as first written: each object map from a pixel
+# membership test (np.isin) and each placement test through a per-pair
+# Chebyshev gap, drawing from the generator in the same order
+
+_RANDOM_UNIONS_PER_IMAGE = 4
+_OBJECT_SIDES = (2, 3)
+_OBJECT_GAP = 2
+_PLACEMENT_ATTEMPTS = 200
+
+
+def reference_synthetic(cfg):
+    """What ``saldet.dataio.generate_synthetic(cfg)`` must build, as one dict per record.
+
+    Each holds the record's ``id``, ``proposals`` (sorted superpixel-id
+    tuples), ``proposal_boxes`` (each union's pixel-mask box),
+    ``features`` and ``saliency`` (float32, by class), ``labels`` (int8)
+    and ``gt_boxes`` ((class, (x0, y0, x1, y1)) pairs).
+    """
+    rng = np.random.default_rng(cfg.seed)
+    sp_side = math.isqrt(cfg.superpixels)
+    block = cfg.grid_side // sp_side
+    yy, xx = np.mgrid[0:cfg.grid_side, 0:cfg.grid_side]
+    labels = ((yy // block) * sp_side + (xx // block)).astype(np.int32)
+    return [_reference_image(cfg, rng, labels, sp_side, block, idx) for idx in range(cfg.images)]
+
+
+def _reference_image(cfg, rng, labels, sp_side, block, idx):
+    n_objects = int(rng.integers(cfg.objects_per_image[0], cfg.objects_per_image[1] + 1))
+    classes = sorted(int(c) for c in rng.choice(cfg.classes, size=n_objects, replace=False))
+    rects = _reference_place_objects(rng, sp_side, n_objects)
+
+    obj_ids = []
+    gt_boxes = []
+    for (r0, c0, r1, c1), cls in zip(rects, classes):
+        ids = [r * sp_side + c for r in range(r0, r1) for c in range(c0, c1)]
+        obj_ids.append(ids)
+        gt_boxes.append((cls, (c0 * block, r0 * block, c1 * block, r1 * block)))
+
+    proposals_ids = [list(ids) for ids in obj_ids]
+    proposals_ids.extend(_reference_part_of(rng, rect, sp_side) for rect in rects)
+    for a in range(n_objects - 1):
+        proposals_ids.append(sorted(obj_ids[a] + obj_ids[a + 1]))
+    for _ in range(_RANDOM_UNIONS_PER_IMAGE):
+        w = int(rng.integers(1, 4))
+        h = int(rng.integers(1, 4))
+        r0 = int(rng.integers(0, sp_side - h + 1))
+        c0 = int(rng.integers(0, sp_side - w + 1))
+        proposals_ids.append(
+            [r * sp_side + c for r in range(r0, r0 + h) for c in range(c0, c0 + w)]
+        )
+
+    saliency = {}
+    for ids, cls in zip(obj_ids, classes):
+        values = np.zeros((cfg.grid_side, cfg.grid_side), dtype=np.float64)
+        values[np.isin(labels, ids)] = 1.0
+        if cfg.noise_amplitude > 0:
+            values += rng.uniform(
+                -cfg.noise_amplitude, cfg.noise_amplitude, size=values.shape
+            )
+        saliency[cls] = np.maximum(values, 0.0).astype(np.float32)
+
+    features = np.zeros((len(proposals_ids), cfg.feature_dim), dtype=np.float64)
+    obj_sets = [set(ids) for ids in obj_ids]
+    for i, ids in enumerate(proposals_ids):
+        prop_set = set(ids)
+        best_cls, best_inter, best_iou = -1, 0, 0.0
+        for ids_o, cls in zip(obj_sets, classes):
+            inter = len(prop_set & ids_o)
+            if inter > best_inter:
+                union = len(prop_set | ids_o)
+                best_cls, best_inter, best_iou = cls, inter, inter / union
+        if best_cls >= 0:
+            features[i, best_cls] = best_iou
+    features += rng.normal(0.0, 1.0 / cfg.feature_snr, size=features.shape)
+
+    y = np.full(cfg.classes, -1, dtype=np.int8)
+    y[classes] = 1
+    return dict(
+        id=f"img_{idx:04d}",
+        proposals=[tuple(sorted(ids)) for ids in proposals_ids],
+        proposal_boxes=[_mask_box(np.isin(labels, ids)) for ids in proposals_ids],
+        features=features.astype(np.float32),
+        labels=y,
+        saliency=saliency,
+        gt_boxes=gt_boxes,
+    )
+
+
+def _mask_box(mask):
+    """Half-open (x0, y0, x1, y1) of a nonempty boolean mask's pixels; what
+    ``pixel_mask_box`` gives, without its per-pixel walk over 256x256 grids."""
+    ys, xs = np.nonzero(mask)
+    return int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1
+
+
+def _reference_place_objects(rng, sp_side, n_objects):
+    for attempt in range(_PLACEMENT_ATTEMPTS):
+        max_side = _OBJECT_SIDES[1] if attempt < _PLACEMENT_ATTEMPTS // 2 else _OBJECT_SIDES[0]
+        rects = []
+        ok = True
+        for _ in range(n_objects):
+            placed = False
+            for _ in range(_PLACEMENT_ATTEMPTS):
+                h = int(rng.integers(_OBJECT_SIDES[0], max_side + 1))
+                w = int(rng.integers(_OBJECT_SIDES[0], max_side + 1))
+                r0 = int(rng.integers(0, sp_side - h + 1))
+                c0 = int(rng.integers(0, sp_side - w + 1))
+                cand = (r0, c0, r0 + h, c0 + w)
+                if all(_chebyshev_gap(cand, r) >= _OBJECT_GAP for r in rects):
+                    rects.append(cand)
+                    placed = True
+                    break
+            if not placed:
+                ok = False
+                break
+        if ok:
+            return rects
+    raise ValueError("config infeasible: could not place objects with the required gap")
+
+
+def _chebyshev_gap(a, b):
+    dr = max(a[0] - b[2], b[0] - a[2], 0)
+    dc = max(a[1] - b[3], b[1] - a[3], 0)
+    return max(dr, dc)
+
+
+def _reference_part_of(rng, rect, sp_side):
+    r0, c0, r1, c1 = rect
+    h, w = r1 - r0, c1 - c0
+    ph = max(1, math.ceil(h / 2)) if h > 1 else 1
+    pw = max(1, math.ceil(w / 2)) if w > 1 else 1
+    while ph * pw * 2 > h * w and (ph > 1 or pw > 1):
+        if ph >= pw and ph > 1:
+            ph -= 1
+        else:
+            pw -= 1
+    corner = int(rng.integers(0, 4))
+    rr0 = r0 if corner in (0, 1) else r1 - ph
+    cc0 = c0 if corner in (0, 2) else c1 - pw
+    return [r * sp_side + c for r in range(rr0, rr0 + ph) for c in range(cc0, cc0 + pw)]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import build_record, tiling_grid
+from oracles import reference_synthetic
 from saldet import _accel, dataio
 from saldet.core import SuperpixelGrid, iou, proposal_from_superpixels
 from saldet.dataio import (
@@ -119,6 +120,30 @@ class TestGenerator:
                 values = rec.saliency[cls].values
                 inside = values[box.y0:box.y1, box.x0:box.x1]
                 assert inside.min() >= 1.0 - TINY.noise_amplitude
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(images=8),
+        SynthConfig(grid_side=256, superpixels=1024, images=3),
+        SynthConfig(objects_per_image=(1, 3), images=8),
+        SynthConfig(noise_amplitude=0.0, images=8),
+    ], ids=["standard", "256x256", "1-3_objects", "no_noise"])
+    def test_matches_the_reference_generator(self, cfg, seed):
+        """Every draw, map and feature byte of the first-written generator."""
+        cfg = replace(cfg, seed=seed)
+        records, _ = generate_synthetic(cfg)
+        expected = reference_synthetic(cfg)
+        assert len(records) == len(expected)
+        for rec, ref in zip(records, expected):
+            assert rec.id == ref["id"]
+            assert [p.superpixel_ids for p in rec.proposals] == ref["proposals"]
+            assert [tuple(b) for b in rec.proposal_boxes.tolist()] == ref["proposal_boxes"]
+            assert [(c, b.as_tuple()) for c, b in rec.gt_boxes] == ref["gt_boxes"]
+            assert rec.labels.y.tobytes() == ref["labels"].tobytes()
+            assert rec.features.tobytes() == ref["features"].tobytes()
+            assert sorted(rec.saliency) == sorted(ref["saliency"])
+            for c, m in rec.saliency.items():
+                assert m.values.tobytes() == ref["saliency"][c].tobytes()
 
     def test_infeasible_config_raises(self):
         with pytest.raises(ValueError, match="infeasible"):

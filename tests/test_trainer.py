@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -362,6 +363,37 @@ class TestTrain:
         f4_max = np.finfo(np.float32).max
         for name, arr in err.last_good_params.values.items():
             assert np.all(np.isfinite(loaded.values[name]))
+            np.testing.assert_array_equal(
+                loaded.values[name],
+                np.clip(arr, -f4_max, f4_max).astype(np.float32).astype(np.float64),
+            )
+
+    @pytest.mark.parametrize("model", [MODEL, replace(MODEL, saliency_enabled=False)])
+    def test_overflow_past_the_forward_pass_diverges_under_warnings_as_errors(
+        self, tmp_path, monkeypatch, model
+    ):
+        # weights of 1e155 keep every activation finite, but their squares
+        # overflow the L2 term: a divergence, not a warning
+        real = trainer.init_params
+
+        def huge_trunk(config, rng_seed):
+            params = real(config, rng_seed)
+            params.values["trunk0.w"][...] *= 1e155
+            return params
+
+        monkeypatch.setattr(trainer, "init_params", huge_trunk)
+        path = tmp_path / "rescue.ckpt"
+        cfg = TrainConfig(epochs=2, lr_phase1=1e-3, lr_phase2=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match="non-finite total loss") as info:
+                train(small_dataset(), model, cfg, checkpoint_path=path)
+        err = info.value
+        assert err.partial_log.epochs == []
+        assert err.last_good_params.values["trunk0.w"].max() > 1e150
+        loaded, _ = load_checkpoint(path)
+        f4_max = np.finfo(np.float32).max
+        for name, arr in err.last_good_params.values.items():
             np.testing.assert_array_equal(
                 loaded.values[name],
                 np.clip(arr, -f4_max, f4_max).astype(np.float32).astype(np.float64),
