@@ -13,8 +13,9 @@ grid and keeps both. Seed selection reads the lists, never an
 n_sp x n_sp matrix. A record keys its saliency maps by class. Records
 may share one grid: the generator gives all its records one, and loading
 gives consecutive records with identical label grids one. All types are
-immutable after construction (arrays are marked read-only), which is
-what makes that sharing safe.
+immutable after construction (arrays are marked read-only, and an array
+the caller could still write to is copied first), which is what makes
+that sharing safe.
 """
 
 import math
@@ -103,8 +104,18 @@ def check_number_fields(config) -> None:
                 _as_int(entry, f"{f.name} entry")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr: np.ndarray, given=None) -> np.ndarray:
+    """``arr`` contiguous and read-only.
+
+    ``given`` is what the caller passed, of which ``arr`` is the cast:
+    ``np.asarray`` hands back a writeable array of the right dtype as it
+    is, and such an array is copied first, so that the caller's array
+    stays writeable and later writes to it do not reach the record. A
+    read-only one (the loader's buffer views) is kept as it is.
+    """
     arr = np.ascontiguousarray(arr)
+    if arr.flags.writeable and given is not None and np.may_share_memory(arr, given):
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -150,7 +161,7 @@ class SuperpixelGrid:
         counts = np.diff(lists[0])
         if not counts.all():
             raise ValueError("labels: every id in [0, n_superpixels) must occur")
-        object.__setattr__(self, "labels", _freeze(labels))
+        object.__setattr__(self, "labels", _freeze(labels, self.labels))
         object.__setattr__(self, "pixel_counts", _freeze(counts))
         # int32 while the flat indices fit, as the ids do: half the memory
         order = lists[1].astype(np.int32 if labels.size <= 2**31 else np.int64)
@@ -240,7 +251,7 @@ class SaliencyMap:
             raise ValueError("saliency values must be finite")
         if values.min() < 0:
             raise ValueError("saliency values must be >= 0")
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", _freeze(values, self.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +317,7 @@ class ImageRecord:
             )
         if not np.isfinite(features).all():
             raise ValueError(f"record {self.id}: non-finite feature values")
-        object.__setattr__(self, "features", _freeze(features))
+        object.__setattr__(self, "features", _freeze(features, self.features))
 
         shape = (self.grid.height, self.grid.width)
         if set(self.saliency) != set(self.labels.positives):

@@ -390,10 +390,9 @@ def _load_record(
             # equal shape and ids: the grid the previous record validated
             grid = prev_grid
         else:
-            # a copy, since the buffer is read over by the next record
-            grid = SuperpixelGrid(
-                width=width, height=height, labels=labels_grid.astype(np.int32)
-            )
+            # the grid's int32 cast is a copy, since the buffer is read
+            # over by the next record
+            grid = SuperpixelGrid(width=width, height=height, labels=labels_grid)
         if grid.n_superpixels != n_sp:
             raise ValueError(
                 f"grid holds {grid.n_superpixels} superpixels, header says {n_sp}"

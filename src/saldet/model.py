@@ -15,21 +15,25 @@ the trunk. Seed/negative indices are inputs here, never differentiated.
 
 One step kernel per parameter set holds the maths: ``forward``,
 ``forward_images``, ``step_losses``, ``backward`` and ``loss_and_grads``
-all run it. One trace per pass: every array of a pass lives in one
-:class:`ForwardTrace` over a run of whole images, and the kernel's
-forward, losses and backward take only that trace. ``forward`` returns
-a new one over one image and ``forward_images`` a new one over many
-(evaluation scores a split in chunks this way); ``loss_and_grads``,
-which is what a training step calls, runs in the kernel's workspace, a
-one-image trace viewing a buffer the kernel keeps. Only a one-image
-trace holds the step's scratch. A run of images gives every image the
-bits it gets alone: the matrix products and the per-image column
-reductions run once per run of consecutive images of equal proposal
-count, stacked (images, rows, width) when the run holds more than one
-image, so each image's share runs on its own shape; everything
-elementwise runs once over all rows. The two streams' arrays of one kind
-sit side by side, so an elementwise op or a same-axis reduction runs
-once over their (2, N, C) pair. A step allocates only the gradient it returns.
+all run it, ``sgd_step`` runs its update, and a training step is one
+call of its ``step``. One trace per pass: every array of a pass lives
+in one :class:`ForwardTrace` over a run of whole images, and the
+kernel's forward, losses and backward take only that trace. ``forward``
+returns a new one over one image and ``forward_images`` a new one over
+many (evaluation scores a split in chunks this way); a training step
+and ``loss_and_grads`` run in the kernel's workspace, a one-image trace
+viewing a buffer the kernel keeps. Only a one-image trace holds the
+step's scratch. A run of images gives every image the bits it gets
+alone: the matrix products and the per-image column reductions run once
+per run of consecutive images of equal proposal count, stacked (images,
+rows, width) when the run holds more than one image, so each image's
+share runs on its own shape; everything elementwise runs once over all
+rows. The two streams' arrays of one kind sit side by side, so an
+elementwise op or a same-axis reduction runs once over their (2, N, C)
+pair. A training step allocates no vector the size of the parameters:
+the gradient, the L2 term and the update's ``lr * v`` are written into
+vectors the kernel keeps, and ``loss_and_grads`` returns a copy of the
+gradient.
 ``ForwardTrace.check_ranges`` is the one check of the ranges a pass must stay in.
 """
 
@@ -258,16 +262,22 @@ def image_classification_loss(image_scores, labels_y, epsilon):
     ones; arguments at or below ``epsilon`` are clamped with zero gradient.
     A label vector not shaped like the scores is a ValueError.
     """
+    y = _check_labels(labels_y, image_scores.shape)
     grad, *scratch = np.empty((3, *image_scores.shape))
     mask = np.empty(image_scores.shape, dtype=bool)
-    return _image_classification_loss(image_scores, labels_y, epsilon, grad, *scratch, mask), grad
+    return _image_classification_loss(image_scores, y, epsilon, grad, *scratch, mask), grad
 
 
-def _image_classification_loss(tau, labels_y, epsilon, grad, arg, clamped, mask):
-    """The loss; its gradient goes to ``grad``, the other arrays are scratch."""
+def _check_labels(labels_y, shape) -> np.ndarray:
     y = np.asarray(labels_y, dtype=np.float64)
-    if y.shape != tau.shape:
-        raise ValueError(f"labels shape {y.shape} != image scores shape {tau.shape}")
+    if y.shape != shape:
+        raise ValueError(f"labels shape {y.shape} != image scores shape {shape}")
+    return y
+
+
+def _image_classification_loss(tau, y, epsilon, grad, arg, clamped, mask):
+    """The loss for checked float64 labels ``y``; its gradient goes to
+    ``grad``, the other arrays are scratch."""
     np.subtract(tau, 0.5, out=arg)
     arg *= y
     arg += 0.5
@@ -346,6 +356,28 @@ def _check_features(features, config: ModelConfig) -> np.ndarray:
     if x.shape[0] < 1:
         raise ValueError("need at least one proposal")
     return x
+
+
+def _check_targets(labels_y, assignment, n: int, config: ModelConfig) -> np.ndarray:
+    """The labels as float64, once they and the assignment fit an image of ``n`` proposals.
+
+    The assignment's largest index is checked first, then the labels' shape.
+    """
+    if assignment is not None:
+        last = max(assignment.sample_indices, default=-1)
+        if last >= n:
+            raise ValueError(f"assignment proposal index {last} out of range for {n} proposals")
+    return _check_labels(labels_y, (config.num_classes,))
+
+
+def _check_step_inputs(features, labels_y, assignment, config: ModelConfig):
+    """One image's features and labels as float64, after every check a step makes of them.
+
+    ``loss_and_grads`` runs these checks on every call; the trainer runs
+    them once per record and hands the results to the step kernel.
+    """
+    x = _check_features(features, config)
+    return x, _check_targets(labels_y, assignment, x.shape[0], config)
 
 
 # a plan takes ~3.5 kB and ~20 us to build; a kernel's workspaces need
@@ -568,27 +600,32 @@ class ForwardTrace:
 
 
 class _StepKernel:
-    """Forward, losses, backward and L2 term of one image for one ModelParams.
+    """Forward, losses, backward, L2 term and update of one image for one ModelParams.
 
     One trace per pass: ``forward``, ``losses`` and ``backward`` take no
     array but the pass's trace, whose ``d_scores`` and ``d_sal`` the
     losses write and backward reads. The parameter and gradient views
-    are bound once. Training steps run
-    in one workspace buffer sized to the largest proposal count seen so
-    far, and the views of the last few counts are kept. ``grad`` holds
-    the data terms' gradient, overwritten by every backward pass, which
-    returns a new vector with the L2 term added. ``head_bias`` and
-    ``head_bias_grad`` view cls.b and det.b as one pair, and ``tau_work``
-    holds the image classification loss's gradient and scratch. The
-    order of every float operation is that of the per-layer formulation
-    (``tests/oracles.py`` keeps it as a reference), so results match it
-    bit for bit.
+    are bound once. ``step`` is a whole training step and ``run`` the
+    part of it that ``loss_and_grads`` shares; both run in one workspace
+    buffer sized to the largest proposal count seen so far, and the
+    views of the last few counts are kept. ``grad`` holds the gradient
+    of the total, overwritten by every backward pass, which adds the L2
+    term in place; ``scratch``, a vector of the same size, takes the L2
+    term and the update's ``lr * v`` first, so that a step allocates no
+    vector. ``head_bias`` and ``head_bias_grad`` view cls.b and det.b as
+    one pair, and ``tau_work`` holds the image classification loss's
+    gradient and scratch. The order of every float operation is that of
+    the per-layer formulation (``tests/oracles.py`` keeps it as a
+    reference), so results match it bit for bit.
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig):
         layout = _check_fit(params, config)
         self.config = config
+        self.layout = layout
+        self.flat_values, self.flat_velocity = params.flat_values, params.flat_velocity
         self.grad = np.zeros(layout.size)
+        self.scratch = np.empty(layout.size)
         v, gv = params.values, layout.views(self.grad)
         trunk = [f"trunk{l}" for l in range(len(config.trunk_widths))]
         self.trunk = [(v[f"{m}.w"], v[f"{m}.b"]) for m in trunk]
@@ -604,7 +641,7 @@ class _StepKernel:
         self.head_bias = params.flat_values[cls_b.start : det_b.stop].reshape(2, 1, c)
         self.head_bias_grad = self.grad[cls_b.start : det_b.stop].reshape(2, c)
         self.l2_values = params.flat_values[: layout.l2_end]
-        self.l2_grad, self.rest_grad = self.grad[: layout.l2_end], self.grad[layout.l2_end :]
+        self.l2_grad, self.l2_term = self.grad[: layout.l2_end], self.scratch[: layout.l2_end]
         self.tau_work = (*np.empty((3, c)), np.empty(c, dtype=bool))
         self.buffer = np.empty(0)
         self._workspaces = {}
@@ -688,17 +725,14 @@ class _StepKernel:
         np.minimum(ws.image_scores, 1.0, out=ws.image_scores)
         ws.check_ranges()
 
-    def losses(self, trace, labels_y, assignment) -> LossBreakdown:
-        """Every loss term; the total's gradients w.r.t. scores and P go to the trace."""
+    def losses(self, trace, y, assignment) -> tuple[float, float, float, float, float]:
+        """The loss terms (image_cls, seed_cls, seed_sal, l2, total) of checked targets.
+
+        ``y`` and ``assignment`` are as ``_check_targets`` passes them. The
+        total's gradients w.r.t. scores and P go to the trace.
+        """
         config, d_scores = self.config, trace.d_scores
-        if assignment is not None:
-            n = trace.scores.shape[0]
-            last = max(assignment.sample_indices, default=-1)
-            if last >= n:
-                raise ValueError(
-                    f"assignment proposal index {last} out of range for {n} proposals"
-                )
-        l_ic = _image_classification_loss(trace.image_scores, labels_y, _EPSILON, *self.tau_work)
+        l_ic = _image_classification_loss(trace.image_scores, y, _EPSILON, *self.tau_work)
         d_scores[...] = self.tau_work[0]
 
         l_sc = 0.0
@@ -731,12 +765,10 @@ class _StepKernel:
             + (config.lambda_seed_sal / 2.0) * l_ss
             + (config.lambda_l2 / 2.0) * l_reg
         )
-        return LossBreakdown(
-            image_cls=l_ic, seed_cls=l_sc, seed_sal=l_ss, l2=l_reg, total=total
-        )
+        return l_ic, l_sc, l_ss, l_reg, total
 
-    def backward(self, trace: ForwardTrace) -> np.ndarray:
-        """The total's gradient as a new flat vector, from ``trace.d_scores`` and ``d_sal``."""
+    def backward(self, trace: ForwardTrace) -> None:
+        """The total's gradient into ``grad``, from ``trace.d_scores`` and ``d_sal``."""
         a, b, softmax = trace.cls_softmax, trace.det_softmax, trace.softmax
         d_cls, d_det = trace.d_cls, trace.d_det
         np.multiply(trace.d_scores, b, out=d_cls)
@@ -795,12 +827,54 @@ class _StepKernel:
             if l:  # the gradient w.r.t. the input features is not needed
                 d_h = np.dot(d_z, self.trunk[l][0].T, out=trace.d_in[l])
 
-        # the L2 term joins on the way into the returned vector
-        out = np.empty(self.grad.size)
-        l2 = np.multiply(self.l2_values, self.config.lambda_l2, out=out[: self.l2_grad.size])
-        l2 += self.l2_grad
-        out[self.l2_grad.size :] = self.rest_grad
-        return out
+        # the L2 term joins last: g + lambda * w
+        self.l2_grad += np.multiply(self.l2_values, self.config.lambda_l2, out=self.l2_term)
+
+    def run(self, x: np.ndarray, y: np.ndarray, assignment):
+        """Forward, losses and backward of one image's checked inputs in the workspace.
+
+        ``x``, ``y`` and ``assignment`` are as ``_check_step_inputs``
+        passes them. Returns the loss terms; the gradient is in ``grad``.
+        """
+        ws = self.workspace(x.shape[0])
+        np.copyto(ws.features, x)
+        self.forward(ws)
+        terms = self.losses(ws, y, assignment)
+        self.backward(ws)
+        return terms
+
+    def step(self, x: np.ndarray, y: np.ndarray, assignment, lr: float, momentum: float):
+        """One training step of one image's checked inputs: ``run``, then ``sgd_step``'s update.
+
+        Returns the loss terms. The forward pass's checks, then a
+        non-finite total loss, then a non-finite gradient raise a
+        FloatingPointError in that order, before any value or velocity
+        changes. Runs in ``_quiet()``.
+        """
+        terms = self.run(x, y, assignment)
+        if not math.isfinite(terms[4]):
+            raise FloatingPointError("non-finite total loss")
+        _momentum_update(self.layout, self.flat_values, self.flat_velocity, self.grad,
+                         lr, momentum, self.scratch)
+        return terms
+
+
+def _momentum_update(layout, w, v, grad, lr, momentum, scratch) -> None:
+    """Refuse a non-finite ``grad``, then v <- momentum*v + grad; w <- w - lr*v.
+
+    ``lr * v`` is written to ``scratch``. The check runs before anything
+    is written: one sum of squares, and only when that is not finite a
+    walk over the tensors, which names the first non-finite one (a sum
+    that overflows on finite entries finds none and the step is taken).
+    Runs in ``_quiet()``, where that overflow raises no warning.
+    """
+    if not math.isfinite(np.dot(grad, grad)):
+        for name, g in layout.views(grad).items():
+            if not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient for {name}")
+    v *= momentum
+    v += grad
+    w -= np.multiply(v, lr, out=scratch)
 
 
 def _quiet():
@@ -860,9 +934,10 @@ def step_losses(params, trace, labels_y, assignment, config):
     disabled); a seed or negative index >= N_R is a ValueError.
     """
     _check_one_image(trace)
+    y = _check_targets(labels_y, assignment, trace.scores.shape[0], config)
     with _quiet():
-        breakdown = _step_kernel(params, config).losses(trace, labels_y, assignment)
-    return breakdown, trace.d_scores.copy(), trace.d_sal.copy()
+        terms = _step_kernel(params, config).losses(trace, y, assignment)
+    return LossBreakdown(*terms), trace.d_scores.copy(), trace.d_sal.copy()
 
 
 def backward(params, trace, d_scores, d_saliency, config):
@@ -880,26 +955,41 @@ def backward(params, trace, d_scores, d_saliency, config):
         raise ValueError("d_scores shape mismatch")
     np.copyto(trace.d_scores, d_scores)
     np.copyto(trace.d_sal, d_saliency)  # None, which numpy would store as NaN, is refused
+    kernel = _step_kernel(params, config)
     with _quiet():
-        return _step_kernel(params, config).backward(trace)
+        kernel.backward(trace)
+    return kernel.grad.copy()
 
 
 def loss_and_grads(params, features, labels_y, assignment, config):
     """Forward, losses, backward and L2 term in one call; returns (breakdown, flat grad).
 
     The same maths as ``forward``, ``step_losses`` and ``backward`` in
-    turn, run in the kernel kept with ``params``, with the same
-    ValueError for an assignment index >= N_R. The gradient is a new
-    array on every call.
+    turn, run in the kernel kept with ``params`` as a training step's
+    first part, with the same ValueError for an assignment index >= N_R.
+    The gradient is a new array on every call, a copy of the kernel's.
     """
-    x = _check_features(features, config)
+    x, y = _check_step_inputs(features, labels_y, assignment, config)
     kernel = _step_kernel(params, config)
-    ws = kernel.workspace(x.shape[0])
-    np.copyto(ws.features, x)
     with _quiet():
-        kernel.forward(ws)
-        breakdown = kernel.losses(ws, labels_y, assignment)
-        return breakdown, kernel.backward(ws)
+        terms = kernel.run(x, y, assignment)
+    return LossBreakdown(*terms), kernel.grad.copy()
+
+
+def sgd_step(params: ModelParams, grad: np.ndarray, lr: float, momentum: float) -> None:
+    """In-place heavy-ball update: v <- momentum*v + g; w <- w - lr*v.
+
+    ``grad`` is one flat vector laid out like ``params.flat_values``. It
+    is checked before anything changes, so a rejected step leaves all
+    values and velocities as they were. Only a non-finite sum of squares
+    walks the tensors to name the first non-finite one. The update is
+    the one a training step makes in the step kernel.
+    """
+    w, v = params.flat_values, params.flat_velocity
+    if grad.shape != w.shape:
+        raise ValueError(f"gradient shape mismatch: {grad.shape} != {w.shape}")
+    with _quiet():
+        _momentum_update(params.layout, w, v, grad, lr, momentum, np.empty_like(w))
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,36 @@
 """SGD-with-momentum training loop over a dataset of image records.
 
 Seed assignments depend only on geometry and saliency maps, never on the
-weights, so they are computed once up front. Each epoch shuffles the
-image order with a seeded RNG and takes one optimizer step per image.
-The learning rate follows a two-phase schedule. A run is reproducible
-bit for bit from (dataset bytes, config, seeds).
+weights, so they are computed once up front, and so are each record's
+checked inputs. Each epoch shuffles the image order with a seeded RNG
+and takes one optimizer step per image: one call of the step kernel
+kept with the parameters, which runs forward, losses, backward and the
+update of ``sgd_step`` in buffers it keeps. The learning rate follows a
+two-phase schedule. A run is reproducible bit for bit from (dataset
+bytes, config, seeds).
 """
 
 import logging
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .core import ImageRecord, check_number_fields, check_records
-from .model import (
+# a step is one call of the step kernel; ``loss_and_grads`` and ``sgd_step``,
+# the public step in two parts, stay bound here for callers and perfbench
+from .model import (  # noqa: F401
     LossBreakdown,
     ModelConfig,
-    ModelParams,
+    _check_step_inputs,
+    _quiet,
+    _step_kernel,
     init_params,
     loss_and_grads,
     save_checkpoint,
+    sgd_step,
 )
 from .seeds import SeedAssignment, check_sigma, make_assignment
 
@@ -123,32 +132,6 @@ def precompute_assignments(
     return {rec.id: make_assignment(rec, sigma=sigma) for rec in records}
 
 
-# an overflow only sends ``sgd_step`` to its walk, which then rejects nothing
-@np.errstate(over="ignore", invalid="ignore")
-def _sum_of_squares(x: np.ndarray) -> float:
-    return float(np.dot(x, x))
-
-
-def sgd_step(params: ModelParams, grad: np.ndarray, lr: float, momentum: float) -> None:
-    """In-place heavy-ball update: v <- momentum*v + g; w <- w - lr*v.
-
-    ``grad`` is one flat vector laid out like ``params.flat_values``. It
-    is checked before anything changes, so a rejected step leaves all
-    values and velocities as they were. Only a non-finite sum of squares
-    walks the tensors to name the first non-finite one.
-    """
-    w, v = params.flat_values, params.flat_velocity
-    if grad.shape != w.shape:
-        raise ValueError(f"gradient shape mismatch: {grad.shape} != {w.shape}")
-    if not math.isfinite(_sum_of_squares(grad)):
-        for name, g in params.layout.views(grad).items():
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient for {name}")
-    v *= momentum
-    v += grad
-    w -= lr * v
-
-
 def train(
     records: list[ImageRecord],
     model_config: ModelConfig,
@@ -160,10 +143,12 @@ def train(
     The returned parameters keep no step kernel: the training workspace
     is freed on return, and their first forward binds a new kernel.
 
-    Raises TrainingDivergedError when any step's total loss or gradient is
-    non-finite; the exception carries the parameters from the last
-    completed epoch (already written to ``checkpoint_path`` when one was
-    given).
+    Every record's features, labels and assignment indices are checked
+    before the first step, with the messages of ``loss_and_grads``.
+    Raises TrainingDivergedError when any step's forward pass, total loss
+    or gradient is non-finite; the exception carries the parameters from
+    the last completed epoch (already written to ``checkpoint_path`` when
+    one was given).
     """
     if not records:
         raise ValueError("cannot train on an empty dataset")
@@ -179,17 +164,16 @@ def train(
         else {}
     )
 
-    # per record, once: float64 features and labels, and its assignment
-    # (whose seed arrays are built on first use and then kept)
-    prepared = [
-        (
-            np.asarray(rec.features, dtype=np.float64),
-            np.asarray(rec.labels.y, dtype=np.float64),
-            assignments.get(rec.id),
-        )
-        for rec in records
-    ]
+    # per record, once: float64 features and labels, checked as
+    # ``loss_and_grads`` checks them, and its assignment (whose seed
+    # arrays are built on first use and then kept)
+    prepared = []
+    for rec in records:
+        assignment = assignments.get(rec.id)
+        x, y = _check_step_inputs(rec.features, rec.labels.y, assignment, config)
+        prepared.append((x, y, assignment))
     params = init_params(config, rng_seed=train_config.init_seed)
+    kernel = _step_kernel(params, config)
     rng = np.random.default_rng(train_config.shuffle_seed)
     last_good = params.copy()
     train_log = TrainLog()
@@ -200,51 +184,40 @@ def train(
             train_log.checkpoint_path = str(checkpoint_path)
 
     order = np.arange(len(records))
-    for epoch in range(1, train_config.epochs + 1):
-        lr = train_config.learning_rate(epoch)
-        rng.shuffle(order)
-        sums = np.zeros(5)
-        tic = time.perf_counter()
-        for idx in order:
-            features, labels_y, assignment = prepared[idx]
-            if train_config.feature_jitter > 0:
-                features = features + rng.normal(
-                    0.0, train_config.feature_jitter, size=features.shape
+    momentum, jitter = train_config.momentum, train_config.feature_jitter
+    with _quiet():  # the floating-point state of every step
+        for epoch in range(1, train_config.epochs + 1):
+            lr = train_config.learning_rate(epoch)
+            rng.shuffle(order)
+            steps = []  # each step's loss terms
+            tic = time.perf_counter()
+            for idx in order:
+                features, labels_y, assignment = prepared[idx]
+                if jitter > 0:
+                    features = features + rng.normal(0.0, jitter, size=features.shape)
+                try:
+                    steps.append(kernel.step(features, labels_y, assignment, lr, momentum))
+                except FloatingPointError as exc:
+                    checkpoint(last_good)
+                    raise TrainingDivergedError(
+                        f"epoch {epoch}, image {records[idx].id}: {exc}", last_good, train_log
+                    ) from exc
+            wall = time.perf_counter() - tic
+            # each term summed in step order from 0.0, then divided, in float64
+            means = [reduce(add, column, 0.0) / len(records) for column in zip(*steps)]
+            train_log.epochs.append(
+                EpochStats(
+                    epoch=epoch,
+                    lr=lr,
+                    mean_loss=LossBreakdown(*means),
+                    wall_time_s=wall,
                 )
-            try:
-                breakdown, grad = loss_and_grads(
-                    params, features, labels_y, assignment, config
-                )
-                if not math.isfinite(breakdown.total):
-                    raise FloatingPointError("non-finite total loss")
-                sgd_step(params, grad, lr, train_config.momentum)
-            except FloatingPointError as exc:
-                checkpoint(last_good)
-                raise TrainingDivergedError(
-                    f"epoch {epoch}, image {records[idx].id}: {exc}", last_good, train_log
-                ) from exc
-            sums += (
-                breakdown.image_cls,
-                breakdown.seed_cls,
-                breakdown.seed_sal,
-                breakdown.l2,
-                breakdown.total,
             )
-        wall = time.perf_counter() - tic
-        means = sums / len(records)
-        train_log.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                lr=lr,
-                mean_loss=LossBreakdown(*means),
-                wall_time_s=wall,
+            log.info(
+                "epoch %d/%d lr=%g mean total loss %.6f (%.2fs)",
+                epoch, train_config.epochs, lr, means[4], wall,
             )
-        )
-        log.info(
-            "epoch %d/%d lr=%g mean total loss %.6f (%.2fs)",
-            epoch, train_config.epochs, lr, means[4], wall,
-        )
-        last_good = params.copy()
+            last_good = params.copy()
 
     # the copy taken after the last epoch is the final state without the
     # step kernel, so the kernel's workspace is freed with ``params``

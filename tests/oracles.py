@@ -2,7 +2,8 @@
 
 Everything here favors clarity over speed: plain Python loops, pixel
 masks, and per-prefix recomputation. None of it shares code with the
-package internals it verifies.
+package internals it verifies, except ``reference_train``, which checks
+the training loop around the package's public step.
 """
 
 import math
@@ -10,6 +11,9 @@ import math
 import numpy as np
 
 from saldet.core import iou
+from saldet.model import init_params, loss_and_grads
+from saldet.seeds import make_assignment
+from saldet.trainer import sgd_step
 
 
 def pixel_adjacency(labels, n_sp):
@@ -415,6 +419,47 @@ def reference_step(params, features, labels_y, assignment, config):
         d_h = d_z @ v[f"trunk{l}.w"].T
     grad[:l2_end] += config.lambda_l2 * w
     return (l_ic, l_sc, l_ss, l_reg, total), grad
+
+
+def reference_train(records, model_config, train_config):
+    """The training loop from the package's public step: ``(params, epoch means)``.
+
+    This one oracle shares the package's maths on purpose, as it checks
+    the loop around it: per step a ``loss_and_grads`` call on the
+    record's float64 features (jittered when asked), a non-finite total
+    refused, then ``sgd_step``; the loss terms summed into a float64
+    array and divided by the record count at each epoch's end. The
+    epoch means are (image_cls, seed_cls, seed_sal, l2, total) tuples.
+    Divergence raises the FloatingPointError the step raised.
+    """
+    config = train_config.effective_model_config(model_config)
+    seeded = config.lambda_seed_cls > 0 or (config.saliency_enabled and config.lambda_seed_sal > 0)
+    assignments = {
+        rec.id: make_assignment(rec, sigma=train_config.sigma) if seeded else None
+        for rec in records
+    }
+    params = init_params(config, rng_seed=train_config.init_seed)
+    rng = np.random.default_rng(train_config.shuffle_seed)
+    order = np.arange(len(records))
+    means = []
+    for epoch in range(1, train_config.epochs + 1):
+        lr = train_config.learning_rate(epoch)
+        rng.shuffle(order)
+        sums = np.zeros(5)
+        for idx in order:
+            rec = records[idx]
+            features = np.asarray(rec.features, dtype=np.float64)
+            if train_config.feature_jitter > 0:
+                features = features + rng.normal(
+                    0.0, train_config.feature_jitter, size=features.shape
+                )
+            b, grad = loss_and_grads(params, features, rec.labels.y, assignments[rec.id], config)
+            if not math.isfinite(b.total):
+                raise FloatingPointError("non-finite total loss")
+            sgd_step(params, grad, lr, train_config.momentum)
+            sums += (b.image_cls, b.seed_cls, b.seed_sal, b.l2, b.total)
+        means.append(tuple(sums / len(records)))
+    return params, means
 
 
 # ---------------------------------------------------------------------------

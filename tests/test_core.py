@@ -287,6 +287,44 @@ class TestSaliencyMap:
             SaliencyMap(class_id=0, values=np.zeros((2, 2)))
 
 
+class TestCallerArrays:
+    """A record copies a writeable array it would otherwise keep as given,
+    so the caller's array stays writeable and writes to it stay the caller's."""
+
+    def test_saliency_map(self):
+        a = np.zeros((2, 2), np.float32)
+        m = SaliencyMap(a)
+        assert a.flags.writeable and not m.values.flags.writeable
+        a[0, 0] = 5.0
+        assert m.values.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_grid_labels(self):
+        a = np.arange(4, dtype=np.int32).reshape(2, 2)
+        grid = SuperpixelGrid(width=2, height=2, labels=a)
+        assert a.flags.writeable and not grid.labels.flags.writeable
+        a[0, 0] = 3
+        assert grid.labels.tolist() == [[0, 1], [2, 3]]
+
+    def test_record_features(self, touching_objects_record):
+        rec = touching_objects_record
+        a = np.ones((rec.num_proposals, 4), np.float32)
+        got = ImageRecord(
+            id=rec.id, grid=rec.grid, proposals=rec.proposals, features=a,
+            labels=rec.labels, saliency=dict(rec.saliency), gt_boxes=rec.gt_boxes,
+        )
+        assert a.flags.writeable and not got.features.flags.writeable
+        a[0, 0] = 7.0
+        assert (got.features == 1.0).all()
+
+    def test_read_only_and_cast_arrays_are_not_copied_again(self):
+        # the loader's buffer views are kept as they are, and a cast is
+        # already the record's own array
+        view = np.frombuffer(np.ones(4, np.float32).tobytes(), np.float32).reshape(2, 2)
+        assert SaliencyMap(view).values is view
+        cast = SaliencyMap(np.ones((2, 2))).values
+        assert cast.base is None and not cast.flags.writeable
+
+
 class TestImageRecord:
     def _parts(self, touching_objects_record):
         return touching_objects_record

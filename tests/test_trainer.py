@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import LAYER_BIAS, LAYERS
-from oracles import reference_step
+from oracles import reference_step, reference_train
 from saldet import trainer
+from saldet.benchmark import VARIANT_FLAGS
+from saldet.model import _StepKernel
 from saldet.dataio import SynthConfig, generate_synthetic
 from saldet.evaluate import evaluate
 from saldet.model import (
@@ -37,6 +39,17 @@ MODEL2 = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(16, 8), salien
 def small_dataset(images=6, seed=2):
     records, _ = generate_synthetic(SynthConfig(images=images, seed=seed))
     return records
+
+
+def ragged_dataset():
+    """Eight records of 2 to 9 proposals: the step's workspace grows and
+    switches between counts within an epoch."""
+    records = small_dataset(images=8, seed=5)
+    keep = (4, 2, 9, 3, 9, 6, 2, 5)
+    return [
+        replace(rec, proposals=rec.proposals[:k], features=rec.features[:k])
+        for rec, k in zip(records, keep, strict=True)
+    ]
 
 
 class TestTrainConfig:
@@ -239,7 +252,7 @@ class TestTrain:
         def refuse(*args):
             raise AssertionError("a step was taken")
 
-        monkeypatch.setattr(trainer, "loss_and_grads", refuse)
+        monkeypatch.setattr(_StepKernel, "step", refuse)
         message = f"^record {records[0].id}: 1 classes, model has 4$"
         with pytest.raises(ValueError, match=message):
             train(records, MODEL, TrainConfig(epochs=1))
@@ -253,7 +266,7 @@ class TestTrain:
             raise AssertionError("seeds were selected or a step was taken")
 
         monkeypatch.setattr(trainer, "precompute_assignments", refuse)
-        monkeypatch.setattr(trainer, "loss_and_grads", refuse)
+        monkeypatch.setattr(_StepKernel, "step", refuse)
         with pytest.raises(ValueError, match=f"^record id '{records[1].id}' is repeated$"):
             train(records, MODEL, TrainConfig(epochs=1))
 
@@ -402,18 +415,18 @@ class TestTrain:
     def test_nan_gradient_raises_diverged_with_rescue_checkpoint(
         self, tmp_path, monkeypatch
     ):
-        real = trainer.loss_and_grads
+        # a step's gradient is the kernel's backward pass
+        real = _StepKernel.backward
         calls = []
 
-        def nan_on_tenth_step(params, *args):
-            breakdown, grad = real(params, *args)
+        def nan_on_tenth_step(kernel, trace):
+            real(kernel, trace)
             calls.append(1)
             if len(calls) == 10:  # epoch 2 of 6 images
-                grads = params.layout.views(grad)
+                grads = kernel.layout.views(kernel.grad)
                 grads[list(grads)[-1]][0] = np.nan
-            return breakdown, grad
 
-        monkeypatch.setattr(trainer, "loss_and_grads", nan_on_tenth_step)
+        monkeypatch.setattr(_StepKernel, "backward", nan_on_tenth_step)
         path = tmp_path / "rescue.ckpt"
         cfg = TrainConfig(epochs=3, lr_phase1=1e-3, lr_phase2=1e-3)
         with pytest.raises(TrainingDivergedError, match="non-finite gradient") as info:
@@ -426,25 +439,62 @@ class TestTrain:
                 loaded.values[name], arr.astype(np.float32).astype(np.float64)
             )
 
+    @pytest.mark.parametrize("path", ["train", "sgd_step"])
+    def test_a_rejected_step_leaves_values_and_velocity_untouched(self, monkeypatch, path):
+        # the third step's gradient holds a NaN in one tensor, after two
+        # steps have given the velocity something to lose
+        real = _StepKernel.backward
+        calls, seen = [], {}
+
+        def nan_on_third_step(kernel, trace):
+            real(kernel, trace)
+            calls.append(1)
+            if len(calls) == 3:
+                kernel.layout.views(kernel.grad)["sal_hidden.w"][1, 2] = np.nan
+                seen.update(kernel=kernel, values=kernel.flat_values.tobytes(),
+                            velocity=kernel.flat_velocity.tobytes())
+
+        monkeypatch.setattr(_StepKernel, "backward", nan_on_third_step)
+        message = "non-finite gradient for sal_hidden.w$"
+        if path == "train":
+            with pytest.raises(TrainingDivergedError, match=message):
+                train(small_dataset(), MODEL, TrainConfig(epochs=1, lr_phase1=1e-2))
+            values, velocity = seen["kernel"].flat_values, seen["kernel"].flat_velocity
+        else:
+            params = init_params(MODEL, rng_seed=0)
+            records = small_dataset()
+            for rec in records[:3]:
+                _, grad = trainer.loss_and_grads(params, rec.features, rec.labels.y, None, MODEL)
+                if len(calls) == 3:
+                    with pytest.raises(FloatingPointError, match=message):
+                        sgd_step(params, grad, 1e-2, 0.9)
+                else:
+                    sgd_step(params, grad, 1e-2, 0.9)
+            values, velocity = params.flat_values, params.flat_velocity
+        assert len(calls) == 3
+        assert np.any(velocity != 0.0)
+        assert values.tobytes() == seen["values"]
+        assert velocity.tobytes() == seen["velocity"]
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     @pytest.mark.parametrize("layer", LAYERS)
     def test_non_finite_layer_raises_diverged_with_rescue_checkpoint(
         self, tmp_path, monkeypatch, layer, bad
     ):
-        real = trainer.loss_and_grads
+        real = _StepKernel.step
         calls = []
 
-        def inject_on_eighth_step(params, features, *args):
+        def inject_on_eighth_step(kernel, features, *args):
             calls.append(1)
             if len(calls) == 8:  # epoch 2 of 6 images
                 if layer == "input features":
                     features = features.copy()
                     features[0, 0] = bad
                 else:
-                    params.values[LAYER_BIAS[layer]][0] = bad
-            return real(params, features, *args)
+                    kernel.layout.views(kernel.flat_values)[LAYER_BIAS[layer]][0] = bad
+            return real(kernel, features, *args)
 
-        monkeypatch.setattr(trainer, "loss_and_grads", inject_on_eighth_step)
+        monkeypatch.setattr(_StepKernel, "step", inject_on_eighth_step)
         path = tmp_path / "rescue.ckpt"
         cfg = TrainConfig(epochs=3, lr_phase1=1e-3, lr_phase2=1e-3)
         with pytest.raises(
@@ -477,6 +527,24 @@ class TestTrain:
 
 
 class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("variant", list(VARIANT_FLAGS))
+    @pytest.mark.parametrize("data, jitter", [
+        ("small", 0.0), ("small", 0.05), ("ragged", 0.0), ("ragged", 0.05),
+    ])
+    def test_matches_the_public_step_loop(self, variant, data, jitter):
+        records = small_dataset() if data == "small" else ragged_dataset()
+        cfg = TrainConfig(epochs=3, lr_phase1=1e-2, lr_phase2=1e-3, phase_boundary=2,
+                          feature_jitter=jitter, **VARIANT_FLAGS[variant])
+        params, log = train(records, MODEL2, cfg)
+        ref, means = reference_train(records, MODEL2, cfg)
+        assert params.flat_values.tobytes() == ref.flat_values.tobytes()
+        assert params.flat_velocity.tobytes() == ref.flat_velocity.tobytes()
+        got = [(e.mean_loss.image_cls, e.mean_loss.seed_cls, e.mean_loss.seed_sal,
+                e.mean_loss.l2, e.mean_loss.total) for e in log.epochs]
+        assert [[float(x).hex() for x in m] for m in got] == [
+            [float(x).hex() for x in m] for m in means
+        ]
+
     @pytest.mark.parametrize("kw", [
         {}, {"disable_saliency_subnet": True}, {"disable_seed_losses": True},
         {"feature_jitter": 0.05},
