@@ -34,6 +34,18 @@ pair. A training step allocates no vector the size of the parameters:
 the gradient, the L2 term and the update's ``lr * v`` are written into
 vectors the kernel keeps, and ``loss_and_grads`` returns a copy of the
 gradient.
+
+A step is its numpy calls and little else. Each trace binds once, when
+it is built, the tuples of arrays each stage of its pass reads, and the
+kernel binds its parameter and gradient views, transposes included;
+forward, losses, backward and the update unpack them into locals, with
+the per-run product and reduction loops inline. A trace's views never
+change, and the kernel drops its kept traces when its buffer grows or
+it has kept ``_KEPT_COUNTS`` counts; a new config builds a new kernel.
+The float operands are read-only 0-d float64 arrays kept for good
+(``_kept``): numpy converts a Python float operand to an array on every
+call, and a kept one gives the same bits. Without the saliency branch
+P = 1 and its zero gradient are written once, when a trace is built.
 ``ForwardTrace.check_ranges`` is the one check of the ranges a pass must stay in.
 """
 
@@ -51,6 +63,24 @@ import numpy as np
 from .core import check_number_fields
 
 _EPSILON = 1e-8  # clamp for the log arguments of the image and seed classification losses
+
+
+def _kept(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, kept as a ufunc operand.
+
+    numpy converts a Python float operand to an array on every call; a
+    kept array holds the same float64 and is taken as it is.
+    """
+    const = np.array(value, dtype=np.float64)
+    const.flags.writeable = False
+    return const
+
+
+# the float operands of a pass
+_ZERO, _ONE, _MINUS_ONE, _HALF, _TWO = map(_kept, (0.0, 1.0, -1.0, 0.5, 2.0))
+_EPSILON_KEPT = _kept(_EPSILON)
+
+_add_reduce, _max_reduce, _min_reduce = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
 
 @dataclass(frozen=True)
@@ -250,7 +280,7 @@ def _seed_saliency_loss(saliency, idx, targets):
     residual = saliency[idx]
     residual -= targets
     total = float(residual @ residual)
-    residual *= 2.0
+    residual *= _TWO
     # bincount adds each index's terms in order into zeros, as np.add.at would
     return total, np.bincount(idx, residual, minlength=saliency.size)
 
@@ -278,9 +308,9 @@ def _check_labels(labels_y, shape) -> np.ndarray:
 def _image_classification_loss(tau, y, epsilon, grad, arg, clamped, mask):
     """The loss for checked float64 labels ``y``; its gradient goes to
     ``grad``, the other arrays are scratch."""
-    np.subtract(tau, 0.5, out=arg)
+    np.subtract(tau, _HALF, out=arg)
     arg *= y
-    arg += 0.5
+    arg += _HALF
     np.maximum(arg, epsilon, out=clamped)
     total = float(-np.add.reduce(np.log(clamped, out=grad)))
     # -y / clamped where arg > epsilon, else 0.0: the negation turns the
@@ -312,7 +342,7 @@ class LossBreakdown:
 _SAL_LOGIT_CAP = 36.0
 
 # how many proposal counts a step kernel keeps workspace views for: the
-# views of one count take ~10 kB and rebuilding them ~40 us, and a dense
+# views of one count take ~20 kB and rebuilding them ~40 us, and a dense
 # dataset of 100-200 proposals per image has ~90 distinct counts
 _KEPT_COUNTS = 128
 
@@ -320,33 +350,6 @@ _KEPT_COUNTS = 128
 def _check_finite(arr, layer: str):
     if not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite activation in {layer}")
-
-
-def _dot_rows(pairs, w):
-    """``out = x @ w`` for every (x, out) pair: one product per run of equal counts.
-
-    A one-image run is 2-D and takes ``np.dot``. A run of k images is
-    stacked, (k, rows, width), and takes one ``np.matmul``, which runs
-    each image's product on that image's shape and so gives it the bits
-    of its own ``np.dot``: 1-row images, the saliency gemv and 600-row
-    stacks included. Concatenating the rows into one product would not,
-    as the BLAS kernel changes with the row count.
-    """
-    for x, out in pairs:
-        if x.ndim == 2:
-            np.dot(x, w, out=out)
-        else:
-            np.matmul(x, w, out=out)
-
-
-def _reduce_columns(ufunc, pairs):
-    """``out = ufunc.reduce(x, axis=-2)`` for every (x, out) pair: one per run of equal counts.
-
-    A one-image run reduces its (rows, C) over the rows into its (C,)
-    row, a stacked run its (k, rows, C) into its images' (k, C) rows.
-    """
-    for x, out in pairs:
-        ufunc.reduce(x, axis=-2, out=out)
 
 
 def _check_features(features, config: ModelConfig) -> np.ndarray:
@@ -390,7 +393,8 @@ def _workspace_plan(config: ModelConfig, n: int, images: int):
     ``n`` rows of ``images`` whole images. Arrays are in buffer order: the
     input copy and the pre-activations first, in layer order, then the
     score matrix and the image scores, then the softmax sums, the rest of
-    the forward arrays and, for one image, the step's scratch.
+    the forward arrays and, for one image, the step's scratch. Without
+    the saliency branch P and its gradient are not in the buffer.
     """
     c, k, hid = config.num_classes, config.trunk_out, config.saliency_hidden
     widths, sal = config.trunk_widths, config.saliency_enabled
@@ -402,15 +406,15 @@ def _workspace_plan(config: ModelConfig, n: int, images: int):
     shapes.update(s_cls=(n, c), s_det=(n, c), scores=(n, c), image_scores=tau,
                   sums=(n + images * c,))
     shapes.update({f"act{l}": (n, w) for l, w in enumerate(widths)})
-    if sal:
-        shapes.update(sal_hidden=(n, hid), sal_logit=(n,), denominator=(n,))
-    shapes.update(saliency=(n,))
     if sal:  # without the branch ``weighted`` is the trunk output itself
-        shapes.update(weighted=(n, k))
+        shapes.update(sal_hidden=(n, hid), sal_logit=(n,), denominator=(n,), saliency=(n,),
+                      weighted=(n, k))
     shapes.update(cls_softmax=(n, c), det_softmax=(n, c), tmp=(2, n, c))
     if images == 1:
-        shapes.update(d_scores=(n, c), d_sal=(n,), d_cls=(n, c), d_det=(n, c))
-        shapes.update(d_g=(n, k), tmp_g=(n, k))
+        shapes.update(d_scores=(n, c))
+        if sal:
+            shapes.update(d_sal=(n,))
+        shapes.update(d_cls=(n, c), d_det=(n, c), d_g=(n, k), tmp_g=(n, k))
         if sal:  # and ``d_h`` is ``d_g``
             shapes.update(d_h=(n, k), d_p=(n,), d_logit=(n,), one_minus_p=(n,),
                           d_u=(n, hid))
@@ -447,22 +451,38 @@ class ForwardTrace:
     more. The other attributes are named as in :func:`_workspace_plan`.
 
     The work whose bits depend on an image's shape runs once per run of
-    consecutive images of equal count, on views built here once, as lists
-    of per-run (input, output) pairs: the matrix products (``trunk_dots``
-    per layer, ``sal_dots`` and ``head_dots``) and the column reductions
-    (``det_max`` and ``det_sum`` of the detection softmax, ``tau_sum`` of
-    the image scores). A run of one image has 2-D views of its rows; a
-    run of k images has its rows stacked (k, rows, width) and its outputs
-    of the reductions as (k, C). Everything else runs once over all rows.
+    consecutive images of equal count, on views built here once, as
+    tuples of per-run entries: the matrix products (``trunk_dots`` per
+    layer, ``sal_dots`` and ``head_dots``) as (product, x, out), the
+    product ``np.dot`` for a run of one image and ``np.matmul`` for a
+    stack, which runs each image's product on that image's shape and so
+    gives it the bits of its own ``np.dot`` (1-row images, the saliency
+    gemv and 600-row stacks included; one product over the concatenated
+    rows would not, as the BLAS kernel changes with the row count), and
+    the column reductions (``det_max`` and ``det_sum`` of the detection
+    softmax, ``tau_sum`` of the image scores) as (x, out). A
+    run of one image has 2-D views of its rows; a run of k images has its
+    rows stacked (k, rows, width) and its outputs of the reductions as
+    (k, C). Everything else runs once over all rows.
     ``streams`` (the two heads' outputs), ``softmax`` (the two softmaxes)
     and, for one image, ``d_streams`` view each stream pair as
     one (2, N, C) array, and ``sigmoid`` the [denominator, P] pair. For
     one image ``relu_pre`` views every ReLU layer's pre-activations as one
     block and ``relu_d_z`` their ``d_z`` arrays, laid out alike, so one op
-    writes every layer's 0/1 mask.
-    ``spread`` writes the softmax's per-row and per-image shifts and sums
-    out over the scratch pair ``tmp``, so that the pair takes one
-    same-shape op, cheaper on small arrays than two that broadcast.
+    writes every layer's 0/1 mask. The softmax's per-row and per-image
+    shifts and sums are spread over the scratch pair ``tmp`` (``row`` by
+    ``row_image``, each row's image, when there are several images), so
+    that the pair takes one same-shape op, cheaper on small arrays than
+    two that broadcast.
+
+    What each stage of the pass reads is bound here once, as a tuple the
+    step kernel unpacks: ``forward_arrays``, ``range_arrays`` and, for
+    one image, ``loss_arrays`` and ``backward_arrays``, the transposed
+    and column views included. The views never change: a trace is built
+    for one buffer and one count list, and a kernel builds a new one
+    when its buffer grows. Without the saliency branch P = 1 and, for one
+    image, its zero gradient ``d_sal`` are arrays of the trace's own,
+    written here once; no pass writes them.
 
     Three runs of the buffer are checked with one reduction each: ``pre``
     (the input copy and every pre-activation), ``unit`` (score matrix and
@@ -489,10 +509,14 @@ class ForwardTrace:
         depth = len(config.trunk_widths)
         self.trunk_pre = [getattr(self, f"pre{l}") for l in range(depth)]
         self.trunk_act = [self.features] + [getattr(self, f"act{l}") for l in range(depth)]
+        h = self.trunk_act[-1]
         self.saliency_enabled = sal = config.saliency_enabled
         if not sal:
             self.sal_pre = self.sal_hidden = self.sal_logit = None
-            self.weighted = self.trunk_act[-1]
+            self.weighted = h
+            self.saliency = np.ones(n)
+            if images == 1:
+                self.d_sal = np.zeros(n)
 
         def pair(first, second):  # two arrays side by side; the reshape refuses others
             return buf[plan[first][0] : plan[second][1]].reshape(2, *plan[first][2])
@@ -510,16 +534,6 @@ class ForwardTrace:
                 ("saliency output layer", self.sal_raw),
             ]
         self.layers += [("classification stream", self.s_cls), ("detection stream", self.s_det)]
-        if images == 1:  # the step's scratch
-            self.d_streams = pair("d_cls", "d_det")
-            # every ReLU layer's pre-activations and their d_z, laid out alike
-            last = ("sal_pre", "d_z_sal") if sal else (f"pre{depth - 1}", f"d_z{depth - 1}")
-            self.relu_pre = buf[plan["pre0"][0] : plan[last[0]][1]]
-            self.relu_d_z = buf[plan["d_z0"][0] : plan[last[1]][1]]
-            self.d_z = [getattr(self, f"d_z{l}") for l in range(depth)]
-            self.d_in = [None] + [getattr(self, f"d_in{l}") for l in range(1, depth)]
-            if not sal:
-                self.d_h = self.d_g
 
         # runs of consecutive images of equal count: (rows, images, k, count)
         runs, row, image = [], 0, 0
@@ -532,44 +546,55 @@ class ForwardTrace:
             return x[rows] if k == 1 else x[rows].reshape(k, m, *x.shape[1:])
 
         def dots(x, out):  # each run's rows of both
-            return [(stacked(x, rows, k, m), stacked(out, rows, k, m))
-                    for rows, _, k, m in runs]
+            return tuple((np.dot if k == 1 else np.matmul,
+                          stacked(x, rows, k, m), stacked(out, rows, k, m))
+                         for rows, _, k, m in runs)
 
         def columns(x, out):  # each run's rows of x, its images' rows of out
-            return [(stacked(x, rows, k, m), out[images] if k > 1 else out[images.start])
-                    for rows, images, k, m in runs]
+            return tuple((stacked(x, rows, k, m), out[images] if k > 1 else out[images.start])
+                         for rows, images, k, m in runs)
 
         self.trunk_dots = [dots(x, z) for x, z in zip(self.trunk_act, self.trunk_pre)]
-        self.sal_dots = (
-            (dots(self.trunk_act[-1], self.sal_pre), dots(self.sal_hidden, self.sal_raw))
-            if sal else None
-        )
+        self.sal_dots = (dots(h, self.sal_pre), dots(self.sal_hidden, self.sal_raw)) if sal else None
         self.head_dots = (dots(self.weighted, self.s_cls), dots(self.weighted, self.s_det))
         self.det_max = columns(self.s_det, self.row)
         self.det_sum = columns(self.det_softmax, self.row)
         self.tau_sum = columns(self.scores, self.image_scores.reshape(images, c))
-        # the image of every row, for ``spread``
         self.row_image = np.repeat(np.arange(images), counts) if images > 1 else None
         self.tmp_cls, self.tmp_det = self.tmp
 
-    def spread(self) -> np.ndarray:
-        """``tmp`` filled with ``col`` over its classes, and each image's ``row`` over its rows."""
-        self.tmp_cls[...] = self.col
-        if self.row_image is None:
-            self.tmp_det[...] = self.row
-        else:
-            np.take(self.row, self.row_image, axis=0, out=self.tmp_det)
-        return self.tmp
-
-    def check_finite(self):
-        """One check over every pre-activation; on failure name the first bad layer.
-
-        Their sum is finite unless one of them is not, or the sum
-        overflows; then the walk finds no bad layer and nothing is raised.
-        """
-        if not math.isfinite(np.add.reduce(self.pre)):
-            for layer, arr in self.layers:
-                _check_finite(arr, layer)
+        p, a, b = self.saliency, self.cls_softmax, self.det_softmax
+        self.forward_arrays = (
+            tuple(zip(self.trunk_dots, self.trunk_pre, self.trunk_act[1:])),
+            (*self.sal_dots, self.sal_pre, self.sal_hidden, self.sal_raw, self.sal_logit,
+             p, self.denominator, self.sigmoid, p[:, None], self.weighted, h) if sal else None,
+            *self.head_dots, self.tmp, self.streams, self.pre,
+            self.s_cls, self.col, self.det_max, self.tmp_cls, self.tmp_det, self.row,
+            self.row_image, self.softmax, a, self.det_sum, b, self.scores, self.tau_sum,
+            self.image_scores,
+        )
+        self.range_arrays = (p, self.unit, a, self.row_sums, self.det_sum, self.sums)
+        if images == 1:  # the step's scratch
+            self.d_streams = pair("d_cls", "d_det")
+            # every ReLU layer's pre-activations and their d_z, laid out alike
+            last = ("sal_pre", "d_z_sal") if sal else (f"pre{depth - 1}", f"d_z{depth - 1}")
+            self.relu_pre = buf[plan["pre0"][0] : plan[last[0]][1]]
+            self.relu_d_z = buf[plan["d_z0"][0] : plan[last[1]][1]]
+            if not sal:
+                self.d_h = self.d_g
+            d_z = [getattr(self, f"d_z{l}") for l in range(depth)]
+            d_in = [None] + [getattr(self, f"d_in{l}") for l in range(1, depth)]
+            self.loss_arrays = (self.image_scores, self.d_scores, self.scores, p, self.d_sal)
+            self.backward_arrays = (
+                self.d_scores, a, b, self.softmax, self.d_cls, self.d_det, self.d_streams,
+                self.tmp, self.tmp_cls, self.tmp_det, self.col, self.row, self.weighted.T,
+                self.d_g, self.tmp_g, self.relu_pre, self.relu_d_z, self.d_h,
+                (p[:, None], h, self.d_p, self.d_sal, p, self.d_logit, self.one_minus_p,
+                 self.sal_hidden.T, self.d_logit[:, None], self.d_u, self.d_z_sal, h.T)
+                if sal else None,
+                # the trunk's layers from the last: d_z, its input transposed, its d_in
+                tuple(zip(d_z, (x.T for x in self.trunk_act), d_in))[::-1],
+            )
 
     def check_ranges(self):
         """Raise a FloatingPointError naming the first range the pass left.
@@ -580,21 +605,20 @@ class ForwardTrace:
         reduces P, ``unit`` and ``sums`` whole, after one column sum per
         image; only a failed run is split to name its part. NaN fails each test.
         """
-        p = self.saliency
-        if self.saliency_enabled and not (
-            np.minimum.reduce(p) > 0.0 and np.maximum.reduce(p) < 1.0
-        ):
+        p, unit, a, row_sums, det_sum, sums = self.range_arrays
+        if self.saliency_enabled and not (_min_reduce(p) > 0.0 and _max_reduce(p) < 1.0):
             raise FloatingPointError("saliency prediction left the open interval (0, 1)")
-        if not (np.minimum.reduce(self.unit) >= 0.0 and np.maximum.reduce(self.unit) <= 1.0):
+        if not (_min_reduce(unit) >= 0.0 and _max_reduce(unit) <= 1.0):
             if not (self.scores.min() >= 0.0 and self.scores.max() <= 1.0):
                 raise FloatingPointError("score matrix left [0, 1]")
             raise FloatingPointError("image scores left [0, 1]")
-        np.add.reduce(self.cls_softmax, axis=1, out=self.row_sums)
-        _reduce_columns(np.add, self.det_sum)
-        self.sums -= 1.0
-        np.abs(self.sums, out=self.sums)
-        if not np.maximum.reduce(self.sums) <= 1e-6:
-            if not self.row_sums.max() <= 1e-6:
+        _add_reduce(a, axis=1, out=row_sums)
+        for x, out in det_sum:
+            _add_reduce(x, axis=-2, out=out)
+        sums -= _ONE
+        np.abs(sums, out=sums)
+        if not _max_reduce(sums) <= 1e-6:
+            if not row_sums.max() <= 1e-6:
                 raise FloatingPointError("classification softmax rows do not sum to 1")
             raise FloatingPointError("detection softmax columns do not sum to 1")
 
@@ -604,19 +628,28 @@ class _StepKernel:
 
     One trace per pass: ``forward``, ``losses`` and ``backward`` take no
     array but the pass's trace, whose ``d_scores`` and ``d_sal`` the
-    losses write and backward reads. The parameter and gradient views
-    are bound once. ``step`` is a whole training step and ``run`` the
-    part of it that ``loss_and_grads`` shares; both run in one workspace
-    buffer sized to the largest proposal count seen so far, and the
-    views of the last few counts are kept. ``grad`` holds the gradient
-    of the total, overwritten by every backward pass, which adds the L2
-    term in place; ``scratch``, a vector of the same size, takes the L2
-    term and the update's ``lr * v`` first, so that a step allocates no
-    vector. ``head_bias`` and ``head_bias_grad`` view cls.b and det.b as
-    one pair, and ``tau_work`` holds the image classification loss's
-    gradient and scratch. The order of every float operation is that of
-    the per-layer formulation (``tests/oracles.py`` keeps it as a
-    reference), so results match it bit for bit.
+    losses write and backward reads. Each unpacks the trace's bound
+    tuple for it and the kernel's, and runs its numpy calls back to back.
+    The parameter and gradient views, their transposes included, are
+    bound here once in ``forward_params`` and ``backward_params``: the
+    kernel is built for one ModelParams and one config, and a new config
+    builds a new kernel. ``step`` is a whole training step and ``run``
+    the part of it that ``loss_and_grads`` shares; both run in one
+    workspace buffer sized to the largest proposal count seen so far,
+    and the traces of the last few counts are kept. A new buffer, or more
+    counts than ``_KEPT_COUNTS``, drops them all, so every kept trace
+    views the current buffer. ``grad`` holds the gradient of the total,
+    overwritten by every backward pass, which adds the L2 term in place;
+    ``scratch``, a vector of the same size, takes the L2 term and the
+    update's ``lr * v`` first, so that a step allocates no vector.
+    ``head_bias`` and ``head_bias_grad`` view cls.b and det.b as one
+    pair, and ``tau_work`` holds the image classification loss's
+    gradient and scratch. The float operands are kept 0-d arrays: the
+    module's ``_ZERO`` and the like, and the kernel's ``logit_cap``
+    (-cap, cap), ``lambda_l2`` and ``half_lambda_sal`` of its config.
+    The order of every float operation is that of the per-layer
+    formulation (``tests/oracles.py`` keeps it as a reference), so
+    results match it bit for bit.
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig):
@@ -628,26 +661,41 @@ class _StepKernel:
         self.scratch = np.empty(layout.size)
         v, gv = params.values, layout.views(self.grad)
         trunk = [f"trunk{l}" for l in range(len(config.trunk_widths))]
-        self.trunk = [(v[f"{m}.w"], v[f"{m}.b"]) for m in trunk]
-        self.trunk_grad = [(gv[f"{m}.w"], gv[f"{m}.b"]) for m in trunk]
         sal = ("sal_hidden.w", "sal_hidden.b", "sal_out.w", "sal_out.b")
-        self.sal = [v[name] for name in sal]
-        self.sal_grad = [gv[name] for name in sal]
-        self.head = (v["cls.w"], v["det.w"])
-        self.head_grad = (gv["cls.w"], gv["det.w"])
         # ``param_layout`` puts det.b right after cls.b; the reshape refuses other layouts
         c = config.num_classes
         cls_b, det_b = (sl for name, _, sl in layout.tensors if name in ("cls.b", "det.b"))
         self.head_bias = params.flat_values[cls_b.start : det_b.stop].reshape(2, 1, c)
         self.head_bias_grad = self.grad[cls_b.start : det_b.stop].reshape(2, c)
         self.l2_values = params.flat_values[: layout.l2_end]
-        self.l2_grad, self.l2_term = self.grad[: layout.l2_end], self.scratch[: layout.l2_end]
         self.tau_work = (*np.empty((3, c)), np.empty(c, dtype=bool))
+        self.logit_cap = (_kept(-_SAL_LOGIT_CAP), _kept(_SAL_LOGIT_CAP))
+        self.lambda_l2 = _kept(config.lambda_l2)
+        self.half_lambda_sal = _kept(config.lambda_seed_sal / 2.0)
+        # the loss weights of the total, as the per-layer formulation computes them
+        self.total_weights = (config.lambda_seed_cls, config.lambda_seed_sal / 2.0,
+                              config.lambda_l2 / 2.0)
+        self.forward_params = (
+            tuple((v[f"{m}.w"], v[f"{m}.b"]) for m in trunk),
+            # sal_out.b as a 0-d view, an operand cheaper than its (1,) array
+            (*(v[name] for name in sal[:3]), v["sal_out.b"].reshape(())),
+            v["cls.w"], v["det.w"], self.head_bias,
+        )
+        self.backward_params = (
+            v["cls.w"].T, v["det.w"].T, gv["cls.w"], gv["det.w"], self.head_bias_grad,
+            (v["sal_hidden.w"].T, v["sal_out.w"], *(gv[name] for name in sal)),
+            # the trunk's layers from the last: weight and bias gradients, the weight
+            # transposed for d_in (not needed for the first layer)
+            tuple((gv[f"{m}.w"], gv[f"{m}.b"], v[f"{m}.w"].T if l else None)
+                  for l, m in enumerate(trunk))[::-1],
+            self.l2_values, self.grad[: layout.l2_end], self.scratch[: layout.l2_end],
+            self.lambda_l2,
+        )
         self.buffer = np.empty(0)
         self._workspaces = {}
 
     def workspace(self, n: int) -> ForwardTrace:
-        """Views of the shared buffer for one image of ``n`` proposals; the buffer only grows."""
+        """The trace of one image of ``n`` proposals in the shared buffer, which only grows."""
         ws = self._workspaces.get(n)
         if ws is None:
             size, _ = _workspace_plan(self.config, n, 1)
@@ -660,86 +708,108 @@ class _StepKernel:
             self._workspaces[n] = ws
         return ws
 
-    def forward(self, ws: ForwardTrace) -> None:
-        """Run the pass on the checked features in ``ws.features``, then check its ranges.
+    def forward(self, trace: ForwardTrace) -> None:
+        """Run the pass on the checked features in ``trace.features``, then check its ranges.
 
         Each matrix product runs once per run of equal counts, on the
         shapes of one image, stacked when the run has several.
         """
-        for (w, b), dots, z, out in zip(self.trunk, ws.trunk_dots, ws.trunk_pre, ws.trunk_act[1:]):
-            _dot_rows(dots, w)
-            out[...] = b  # a same-shape add costs less than one that broadcasts
-            z += out
-            h = np.maximum(z, 0.0, out=out)
+        trunk, sal, w_cls, w_det, head_bias = self.forward_params
+        (trunk_layers, sal_arrays, cls_dots, det_dots, tmp, streams, pre,
+         s_cls, col, det_max, tmp_cls, tmp_det, row, row_image, softmax, a, det_sum, b,
+         scores, tau_sum, image_scores) = trace.forward_arrays
+        for (w, bias), (dots, z, h) in zip(trunk, trunk_layers):
+            for product, x, out in dots:
+                product(x, w, out=out)
+            h[...] = bias  # a same-shape add costs less than one that broadcasts
+            z += h
+            np.maximum(z, _ZERO, out=h)
 
-        p = ws.saliency
-        if ws.saliency_enabled:
-            w, b, w_out, b_out = self.sal
-            dots_hidden, dots_out = ws.sal_dots
-            _dot_rows(dots_hidden, w)
-            ws.sal_hidden[...] = b
-            ws.sal_pre += ws.sal_hidden
-            np.maximum(ws.sal_pre, 0.0, out=ws.sal_hidden)
-            _dot_rows(dots_out, w_out)
-            ws.sal_raw += b_out[0]
-            logit = ws.sal_logit
-            np.maximum(ws.sal_raw, -_SAL_LOGIT_CAP, out=logit)
-            np.minimum(logit, _SAL_LOGIT_CAP, out=logit)
+        if sal_arrays is not None:
+            w, bias, w_out, b_out = sal
+            (hidden_dots, out_dots, sal_pre, hidden, raw, logit, p, den, sigmoid, p_col,
+             weighted, h) = sal_arrays
+            for product, x, out in hidden_dots:
+                product(x, w, out=out)
+            hidden[...] = bias
+            sal_pre += hidden
+            np.maximum(sal_pre, _ZERO, out=hidden)
+            for product, x, out in out_dots:
+                product(x, w_out, out=out)
+            raw += b_out
+            low, high = self.logit_cap
+            np.maximum(raw, low, out=logit)
+            np.minimum(logit, high, out=logit)
             # sigmoid: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))
             # below; the numerator is exp(min(x, 0)), the denominator
             # 1 + exp(-|x|), and one exp takes the [denominator, P] pair
-            den = ws.denominator
-            np.minimum(logit, 0.0, out=p)
-            np.copysign(logit, -1.0, out=den)
-            np.exp(ws.sigmoid, out=ws.sigmoid)
-            den += 1.0
+            np.minimum(logit, _ZERO, out=p)
+            np.copysign(logit, _MINUS_ONE, out=den)
+            np.exp(sigmoid, out=sigmoid)
+            den += _ONE
             p /= den
-            ws.weighted[...] = p[:, None]
-            ws.weighted *= h
-        else:
-            p.fill(1.0)  # and ``weighted`` is h
+            weighted[...] = p_col
+            weighted *= h
+        # without the branch P = 1 and ``weighted`` is h
 
-        w_cls, w_det = self.head
-        dots_cls, dots_det = ws.head_dots
-        _dot_rows(dots_cls, w_cls)
-        _dot_rows(dots_det, w_det)
-        ws.tmp[...] = self.head_bias
-        ws.streams += ws.tmp
-        ws.check_finite()
+        for product, x, out in cls_dots:
+            product(x, w_cls, out=out)
+        for product, x, out in det_dots:
+            product(x, w_det, out=out)
+        tmp[...] = head_bias
+        streams += tmp
+        # one sum checks every pre-activation; it is finite unless one of
+        # them is not, or it overflows, and then the walk names no layer
+        if not math.isfinite(_add_reduce(pre)):
+            for layer, arr in trace.layers:
+                _check_finite(arr, layer)
 
         # the classification softmax runs over each proposal's classes, the
         # detection softmax over each image's proposals, whose column max
-        # and sum are taken per image; one exp takes both streams
-        a, b, softmax = ws.cls_softmax, ws.det_softmax, ws.softmax
-        np.maximum.reduce(ws.s_cls, axis=1, keepdims=True, out=ws.col)
-        _reduce_columns(np.maximum, ws.det_max)
-        np.subtract(ws.streams, ws.spread(), out=softmax)
+        # and sum are taken per image; one exp takes both streams, and the
+        # shifts and sums are spread over ``tmp`` first
+        _max_reduce(s_cls, axis=1, keepdims=True, out=col)
+        for x, out in det_max:
+            _max_reduce(x, axis=-2, out=out)
+        tmp_cls[...] = col
+        if row_image is None:
+            tmp_det[...] = row
+        else:
+            np.take(row, row_image, axis=0, out=tmp_det)
+        np.subtract(streams, tmp, out=softmax)
         np.exp(softmax, out=softmax)
-        np.add.reduce(a, axis=1, keepdims=True, out=ws.col)
-        _reduce_columns(np.add, ws.det_sum)
-        softmax /= ws.spread()
+        _add_reduce(a, axis=1, keepdims=True, out=col)
+        for x, out in det_sum:
+            _add_reduce(x, axis=-2, out=out)
+        tmp_cls[...] = col
+        if row_image is None:
+            tmp_det[...] = row
+        else:
+            np.take(row, row_image, axis=0, out=tmp_det)
+        softmax /= tmp
 
-        np.multiply(a, b, out=ws.scores)
+        np.multiply(a, b, out=scores)
         # the per-class sum is <= 1 exactly; min() only absorbs summation rounding
-        _reduce_columns(np.add, ws.tau_sum)
-        np.minimum(ws.image_scores, 1.0, out=ws.image_scores)
-        ws.check_ranges()
+        for x, out in tau_sum:
+            _add_reduce(x, axis=-2, out=out)
+        np.minimum(image_scores, _ONE, out=image_scores)
+        trace.check_ranges()
 
     def losses(self, trace, y, assignment) -> tuple[float, float, float, float, float]:
         """The loss terms (image_cls, seed_cls, seed_sal, l2, total) of checked targets.
 
         ``y`` and ``assignment`` are as ``_check_targets`` passes them. The
-        total's gradients w.r.t. scores and P go to the trace.
+        total's gradients w.r.t. scores and P go to the trace; without
+        the saliency branch the trace's zero ``d_sal`` is left as it is.
         """
-        config, d_scores = self.config, trace.d_scores
-        l_ic = _image_classification_loss(trace.image_scores, y, _EPSILON, *self.tau_work)
+        config = self.config
+        image_scores, d_scores, scores, p, d_sal = trace.loss_arrays
+        l_ic = _image_classification_loss(image_scores, y, _EPSILON_KEPT, *self.tau_work)
         d_scores[...] = self.tau_work[0]
 
         l_sc = 0.0
         if assignment is not None and config.lambda_seed_cls > 0:
-            l_sc, terms = _seed_classification_terms(
-                trace.scores, assignment.seeds, _EPSILON
-            )
+            l_sc, terms = _seed_classification_terms(scores, assignment.seeds, _EPSILON)
             # seed classes are distinct, so each entry gets one term
             for i, c, d in terms:
                 d_scores[i, c] += config.lambda_seed_cls * d
@@ -751,84 +821,75 @@ class _StepKernel:
             and config.lambda_seed_sal > 0
             and len(assignment.sample_indices) > 0
         ):
-            l_ss, d_p = _seed_saliency_loss(
-                trace.saliency, assignment._sample_array, assignment.targets
-            )
-            np.multiply(d_p, config.lambda_seed_sal / 2.0, out=trace.d_sal)
-        else:
-            trace.d_sal.fill(0.0)
+            l_ss, d_p = _seed_saliency_loss(p, assignment._sample_array, assignment.targets)
+            np.multiply(d_p, self.half_lambda_sal, out=d_sal)
+        elif config.saliency_enabled:
+            d_sal.fill(0.0)
 
-        l_reg = float(self.l2_values @ self.l2_values)
-        total = (
-            l_ic
-            + config.lambda_seed_cls * l_sc
-            + (config.lambda_seed_sal / 2.0) * l_ss
-            + (config.lambda_l2 / 2.0) * l_reg
-        )
+        l_values = self.l2_values
+        l_reg = float(l_values @ l_values)
+        lambda_sc, half_lambda_ss, half_lambda_l2 = self.total_weights
+        total = l_ic + lambda_sc * l_sc + half_lambda_ss * l_ss + half_lambda_l2 * l_reg
         return l_ic, l_sc, l_ss, l_reg, total
 
     def backward(self, trace: ForwardTrace) -> None:
         """The total's gradient into ``grad``, from ``trace.d_scores`` and ``d_sal``."""
-        a, b, softmax = trace.cls_softmax, trace.det_softmax, trace.softmax
-        d_cls, d_det = trace.d_cls, trace.d_det
-        np.multiply(trace.d_scores, b, out=d_cls)
-        np.multiply(trace.d_scores, a, out=d_det)
+        (w_cls_t, w_det_t, gw_cls, gw_det, head_bias_grad, sal_params, trunk_params,
+         l2_values, l2_grad, l2_term, lambda_l2) = self.backward_params
+        (d_scores, a, b, softmax, d_cls, d_det, d_streams, tmp, tmp_cls, tmp_det, col, row,
+         g_t, d_g, tmp_g, relu_pre, relu_d_z, d_h, sal_arrays,
+         trunk_layers) = trace.backward_arrays
+        np.multiply(d_scores, b, out=d_cls)
+        np.multiply(d_scores, a, out=d_det)
         # softmax backward: d_s = a * (d_a - sum(d_a * a)) per row, per column for b
-        np.multiply(trace.d_streams, softmax, out=trace.tmp)
-        np.add.reduce(trace.tmp_cls, axis=1, keepdims=True, out=trace.col)
-        np.add.reduce(trace.tmp_det, axis=0, keepdims=True, out=trace.row)
-        trace.d_streams -= trace.spread()
-        trace.d_streams *= softmax
+        np.multiply(d_streams, softmax, out=tmp)
+        _add_reduce(tmp_cls, axis=1, keepdims=True, out=col)
+        _add_reduce(tmp_det, axis=0, keepdims=True, out=row)
+        tmp_cls[...] = col
+        tmp_det[...] = row
+        d_streams -= tmp
+        d_streams *= softmax
 
-        g = trace.weighted
-        w_cls, w_det = self.head
-        gw_cls, gw_det = self.head_grad
-        np.dot(g.T, d_cls, out=gw_cls)
-        np.dot(g.T, d_det, out=gw_det)
-        np.add.reduce(trace.d_streams, axis=1, out=self.head_bias_grad)
-        d_g = trace.d_g
-        np.dot(d_cls, w_cls.T, out=d_g)
-        np.dot(d_det, w_det.T, out=trace.tmp_g)
-        d_g += trace.tmp_g
+        np.dot(g_t, d_cls, out=gw_cls)
+        np.dot(g_t, d_det, out=gw_det)
+        _add_reduce(d_streams, axis=1, out=head_bias_grad)
+        np.dot(d_cls, w_cls_t, out=d_g)
+        np.dot(d_det, w_det_t, out=tmp_g)
+        d_g += tmp_g
 
         # every ReLU layer's 0/1 mask at once, each in its layer's d_z
-        np.greater(trace.relu_pre, 0.0, out=trace.relu_d_z)
-        h = trace.trunk_act[-1]
-        d_h = trace.d_h  # ``d_g`` itself without the branch, where P = 1
-        if self.config.saliency_enabled:
-            p = trace.saliency
-            d_h[...] = p[:, None]
+        np.greater(relu_pre, _ZERO, out=relu_d_z)
+        # without the branch ``d_h`` is ``d_g`` itself, where P = 1
+        if sal_arrays is not None:
+            w_t, w_out, gw, gb, gw_out, gb_out = sal_params
+            (p_col, h, d_p, d_sal, p, d_logit, one_minus_p, hidden_t, d_logit_col, d_u, d_z,
+             h_t) = sal_arrays
+            d_h[...] = p_col
             d_h *= d_g
-            w, _, w_out, _ = self.sal
-            gw, gb, gw_out, gb_out = self.sal_grad
-            d_p, d_logit = trace.d_p, trace.d_logit
-            np.multiply(d_g, h, out=trace.tmp_g)
-            np.add.reduce(trace.tmp_g, axis=1, out=d_p)
-            d_p += trace.d_sal
+            np.multiply(d_g, h, out=tmp_g)
+            _add_reduce(tmp_g, axis=1, out=d_p)
+            d_p += d_sal
             np.multiply(d_p, p, out=d_logit)
-            np.subtract(1.0, p, out=trace.one_minus_p)
-            d_logit *= trace.one_minus_p
-            np.dot(trace.sal_hidden.T, d_logit, out=gw_out)
-            np.add.reduce(d_logit, keepdims=True, out=gb_out)
-            d_z = trace.d_z_sal
-            np.multiply(d_logit[:, None], w_out, out=trace.d_u)
-            d_z *= trace.d_u
-            np.dot(h.T, d_z, out=gw)
-            np.add.reduce(d_z, axis=0, out=gb)
-            np.dot(d_z, w.T, out=trace.tmp_g)
-            d_h += trace.tmp_g
+            np.subtract(_ONE, p, out=one_minus_p)
+            d_logit *= one_minus_p
+            np.dot(hidden_t, d_logit, out=gw_out)
+            _add_reduce(d_logit, keepdims=True, out=gb_out)
+            np.multiply(d_logit_col, w_out, out=d_u)
+            d_z *= d_u
+            np.dot(h_t, d_z, out=gw)
+            _add_reduce(d_z, axis=0, out=gb)
+            np.dot(d_z, w_t, out=tmp_g)
+            d_h += tmp_g
 
-        for l in reversed(range(len(self.trunk))):
-            d_z = trace.d_z[l]
+        for (d_z, x_t, d_in), (gw, gb, w_t) in zip(trunk_layers, trunk_params):
             d_z *= d_h
-            gw, gb = self.trunk_grad[l]
-            np.dot(trace.trunk_act[l].T, d_z, out=gw)
-            np.add.reduce(d_z, axis=0, out=gb)
-            if l:  # the gradient w.r.t. the input features is not needed
-                d_h = np.dot(d_z, self.trunk[l][0].T, out=trace.d_in[l])
+            np.dot(x_t, d_z, out=gw)
+            _add_reduce(d_z, axis=0, out=gb)
+            if d_in is not None:  # the gradient w.r.t. the input features is not needed
+                d_h = np.dot(d_z, w_t, out=d_in)
 
         # the L2 term joins last: g + lambda * w
-        self.l2_grad += np.multiply(self.l2_values, self.config.lambda_l2, out=self.l2_term)
+        l2_grad += np.multiply(l2_values, lambda_l2, out=l2_term)
 
     def run(self, x: np.ndarray, y: np.ndarray, assignment):
         """Forward, losses and backward of one image's checked inputs in the workspace.
@@ -837,7 +898,7 @@ class _StepKernel:
         passes them. Returns the loss terms; the gradient is in ``grad``.
         """
         ws = self.workspace(x.shape[0])
-        np.copyto(ws.features, x)
+        ws.features[...] = x
         self.forward(ws)
         terms = self.losses(ws, y, assignment)
         self.backward(ws)
@@ -946,7 +1007,9 @@ def backward(params, trace, d_scores, d_saliency, config):
     ``d_scores`` and ``d_saliency`` are the gradients of the objective
     w.r.t. the score matrix and P (both already lambda-weighted); the L2
     term is added here. Disabled-branch tensors get zero gradients. Both
-    are written into ``trace``, which the pass runs in. Returns a new flat
+    are written into ``trace``, which the pass runs in; without the
+    saliency branch P is constant, and ``d_saliency`` is checked alike but
+    not kept, so the trace's ``d_sal`` stays zero. Returns a new flat
     vector laid out like ``params.flat_values``; ``params.layout.views(grad)``
     names its tensors.
     """
@@ -954,7 +1017,9 @@ def backward(params, trace, d_scores, d_saliency, config):
     if d_scores.shape != trace.scores.shape:
         raise ValueError("d_scores shape mismatch")
     np.copyto(trace.d_scores, d_scores)
-    np.copyto(trace.d_sal, d_saliency)  # None, which numpy would store as NaN, is refused
+    # None, which numpy would store as NaN, is refused
+    d_sal = trace.d_sal if trace.saliency_enabled else np.empty_like(trace.d_sal)
+    np.copyto(d_sal, d_saliency)
     kernel = _step_kernel(params, config)
     with _quiet():
         kernel.backward(trace)

@@ -25,6 +25,7 @@ from .model import (  # noqa: F401
     LossBreakdown,
     ModelConfig,
     _check_step_inputs,
+    _kept,
     _quiet,
     _step_kernel,
     init_params,
@@ -184,10 +185,12 @@ def train(
             train_log.checkpoint_path = str(checkpoint_path)
 
     order = np.arange(len(records))
-    momentum, jitter = train_config.momentum, train_config.feature_jitter
+    # the update's factors as kept 0-d arrays, the same float64s
+    momentum, jitter = _kept(train_config.momentum), train_config.feature_jitter
     with _quiet():  # the floating-point state of every step
         for epoch in range(1, train_config.epochs + 1):
             lr = train_config.learning_rate(epoch)
+            step_lr = _kept(lr)
             rng.shuffle(order)
             steps = []  # each step's loss terms
             tic = time.perf_counter()
@@ -196,7 +199,7 @@ def train(
                 if jitter > 0:
                     features = features + rng.normal(0.0, jitter, size=features.shape)
                 try:
-                    steps.append(kernel.step(features, labels_y, assignment, lr, momentum))
+                    steps.append(kernel.step(features, labels_y, assignment, step_lr, momentum))
                 except FloatingPointError as exc:
                     checkpoint(last_good)
                     raise TrainingDivergedError(

@@ -721,6 +721,101 @@ class TestNonFiniteLayers:
             loss_and_grads(params, features, [1, -1, -1, 1], None, CFG2)
 
 
+class TestKeptConstants:
+    """A pass's float operands are read-only 0-d float64 arrays with a Python float's bits."""
+
+    @staticmethod
+    def kept():
+        from saldet import model as m
+
+        kernel = m._StepKernel(random_params(CFG2, 0), CFG2)
+        low, high = kernel.logit_cap
+        return [
+            (m._ZERO, 0.0), (m._ONE, 1.0), (m._MINUS_ONE, -1.0), (m._HALF, 0.5), (m._TWO, 2.0),
+            (m._EPSILON_KEPT, 1e-8), (low, -36.0), (high, 36.0),
+            (kernel.lambda_l2, CFG2.lambda_l2),
+            (kernel.half_lambda_sal, CFG2.lambda_seed_sal / 2.0),
+        ]
+
+    def test_each_is_a_read_only_0d_float64(self):
+        for const, value in self.kept():
+            assert const.shape == () and const.dtype == np.float64
+            assert float(const).hex() == value.hex()
+            with pytest.raises(ValueError, match="read-only"):
+                const[...] = 7.0
+            with pytest.raises(ValueError, match="read-only"):
+                np.add(const, 1.0, out=const)
+            assert float(const).hex() == value.hex()
+
+    # signed zeros, the logit cap and its neighbours, the smallest and largest
+    # magnitudes, and the non-finite values
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-8, 0.5, -0.5, 1.0, -1.0, 2.0, 36.0, -36.0,
+             math.nextafter(36.0, 0.0), math.nextafter(36.0, 99.0),
+             math.nextafter(-36.0, -99.0), 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (17,), (64,), (7, 16)])
+    def test_each_op_gives_the_python_floats_bits(self, shape):
+        # lengths below, at and past the vector width, with and without tails
+        from saldet import model as m
+
+        kernel = m._StepKernel(random_params(CFG2, 0), CFG2)
+        low, high = kernel.logit_cap
+        rng = np.random.default_rng(math.prod(shape))
+        x = np.resize(rng.permutation(self.EDGES), shape)
+        # the ufunc, kept operand and output dtype of each use in a pass
+        uses = [
+            (np.maximum, m._ZERO, None), (np.greater, m._ZERO, np.float64),
+            (np.maximum, low, None), (np.minimum, high, None), (np.minimum, m._ZERO, None),
+            (np.copysign, m._MINUS_ONE, None), (np.add, m._ONE, None),
+            (np.subtract, m._ONE, None), (np.minimum, m._ONE, None),
+            (np.subtract, m._HALF, None), (np.add, m._HALF, None), (np.multiply, m._TWO, None),
+            (np.maximum, m._EPSILON_KEPT, None), (np.greater, m._EPSILON_KEPT, bool),
+            (np.multiply, kernel.lambda_l2, None), (np.multiply, kernel.half_lambda_sal, None),
+        ]
+        with np.errstate(all="ignore"):
+            for ufunc, const, dtype in uses:
+                for operands in ((x, const), (const, x)):  # ``1 - P`` takes the constant first
+                    as_float = [float(a) if a is const else a for a in operands]
+                    got, want = np.empty(shape, dtype), np.empty(shape, dtype)
+                    ufunc(*operands, out=got)
+                    ufunc(*as_float, out=want)
+                    assert got.tobytes() == want.tobytes(), (ufunc, float(const))
+                    if dtype is None:  # and in place, as ``den += _ONE`` runs
+                        got, want = x.copy(), x.copy()
+                        ufunc(*[got if a is x else a for a in operands], out=got)
+                        ufunc(*[want if a is x else a for a in as_float], out=want)
+                        assert got.tobytes() == want.tobytes(), (ufunc, float(const))
+
+    @pytest.mark.parametrize("sal_bias", [800.0, -800.0, 0.0])
+    def test_reference_step_on_signed_zeros_and_capped_logits(self, sal_bias):
+        # BLAS gives +0.0 for a zero row, so -0.0 reaches the pass as input
+        # features; the ops themselves are checked on both zeros above
+        params = random_params(CFG2, 3)
+        params.values["trunk0.b"][:3] = (0.0, -0.0, 0.0)
+        params.values["sal_out.w"][...] *= 4000.0  # saliency logits far past the cap
+        params.values["sal_out.b"][0] = sal_bias
+        features = np.random.default_rng(4).normal(size=(7, 4))
+        features[1] = 0.0
+        features[2] = -0.0
+        features[3, ::2] = -0.0
+        t = reference_forward(params, features, CFG2)
+        assert np.signbit(features[features == 0.0]).any()
+        pre = t["trunk_pre"][0][1:3, :3]  # the zero rows' pre-activations are their biases
+        assert (pre == 0.0).all() and not np.signbit(pre).any()
+        logit = t["sal_logit"]
+        assert (np.abs(logit) == 36.0).any()
+        if sal_bias == 0.0:  # past the cap on both sides, and inside it
+            assert (logit == 36.0).any() and (logit == -36.0).any()
+            assert (np.abs(logit) < 36.0).any()
+        assignment = SeedAssignment(seeds=((0, 1), (1, 4), (3, 2)), negatives=(0, 5, 6))
+        for a in (assignment, None):
+            assert_same_step(params, features, TestStepAgainstReference.Y, a, CFG2)
+        no_sal = replace(CFG2, saliency_enabled=False)
+        off = init_params(no_sal, rng_seed=0)
+        off.flat_values[...] = params.flat_values  # the same tensors, the other L2 prefix
+        assert_same_step(off, features, TestStepAgainstReference.Y, assignment, no_sal)
+
+
 class TestTraceChecks:
     def test_saliency_at_one_or_zero_is_rejected(self, monkeypatch):
         from saldet import model as m
@@ -876,13 +971,18 @@ class TestStackedRuns:
         rng = np.random.default_rng(14)
         trace = forward_images(params, [rng.normal(size=(n, 4)) for n in self.COUNTS], CFG2)
         # one product per run: 9 9 | 6 | 1 1 | 6 | 9 9 9
-        assert [x.shape for x, _ in trace.trunk_dots[0]] == [
+        assert [x.shape for _, x, _ in trace.trunk_dots[0]] == [
             (2, 9, 4), (6, 4), (2, 1, 4), (6, 4), (3, 9, 4)
+        ]
+        # np.dot for one image's rows, np.matmul for a stack
+        assert [product for product, _, _ in trace.trunk_dots[0]] == [
+            np.matmul, np.dot, np.matmul, np.dot, np.matmul
         ]
         assert [out.shape for _, out in trace.tau_sum] == [(2, 4), (4,), (2, 4), (4,), (3, 4)]
         # a one-image trace, as a training step's workspace, has 2-D views only
         one = forward(params, rng.normal(size=(9, 4)), CFG2)
-        assert [x.ndim for x, _ in one.trunk_dots[0] + one.head_dots[0]] == [2, 2]
+        runs = one.trunk_dots[0] + one.head_dots[0]
+        assert [(product, x.ndim) for product, x, _ in runs] == [(np.dot, 2), (np.dot, 2)]
 
 
 class TestOneImageTrace:

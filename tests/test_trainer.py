@@ -12,7 +12,7 @@ from conftest import LAYER_BIAS, LAYERS
 from oracles import reference_step, reference_train
 from saldet import trainer
 from saldet.benchmark import VARIANT_FLAGS
-from saldet.model import _StepKernel
+from saldet.model import _KEPT_COUNTS, _StepKernel
 from saldet.dataio import SynthConfig, generate_synthetic
 from saldet.evaluate import evaluate
 from saldet.model import (
@@ -50,6 +50,23 @@ def ragged_dataset():
         replace(rec, proposals=rec.proposals[:k], features=rec.features[:k])
         for rec, k in zip(records, keep, strict=True)
     ]
+
+
+def many_counts_dataset(seed=3):
+    """Records of every proposal count from 1 to ``_KEPT_COUNTS`` + 8, and
+    six more of each count from 2 to 9: more distinct counts than a step
+    kernel keeps traces for, and an epoch that grows the workspace buffer
+    after its first step and comes back to counts it saw before."""
+    base = small_dataset(images=4, seed=seed)
+    rng = np.random.default_rng(seed)
+    counts = [*range(1, _KEPT_COUNTS + 9), *list(range(2, 10)) * 6]
+    records = []
+    for k, n in enumerate(counts):
+        rec = base[k % len(base)]
+        proposals = [rec.proposals[i % len(rec.proposals)] for i in range(n)]
+        features = rng.normal(size=(n, rec.features.shape[1])).astype(np.float32)
+        records.append(replace(rec, id=f"many_{k:03d}", proposals=proposals, features=features))
+    return records
 
 
 class TestTrainConfig:
@@ -595,6 +612,65 @@ class TestAgainstReferenceLoop:
             ]
         assert params.flat_values.tobytes() == w.tobytes()
         assert params.flat_velocity.tobytes() == v.tobytes()
+
+
+class TestBindingFollowsTheBuffer:
+    """Every step runs in views of the kernel's current buffer, with the per-layer bits."""
+
+    @pytest.mark.parametrize("variant", list(VARIANT_FLAGS))
+    def test_growth_and_count_cache_clears_keep_every_bit(self, monkeypatch, variant):
+        records = many_counts_dataset()
+        cfg = TrainConfig(epochs=2, lr_phase1=1e-2, lr_phase2=1e-3, phase_boundary=1,
+                          **VARIANT_FLAGS[variant])
+        real = _StepKernel.step
+        steps = []  # per step: (buffer grew, kept traces dropped, trace views the buffer)
+
+        def watched(kernel, features, *args):
+            buffer, kept = kernel.buffer, len(kernel._workspaces)
+            terms = real(kernel, features, *args)
+            trace = kernel._workspaces[features.shape[0]]
+            views = [trace.pre, trace.d_g, trace.forward_arrays[-1], trace.backward_arrays[0]]
+            steps.append((kernel.buffer is not buffer, len(kernel._workspaces) < kept,
+                          all(np.shares_memory(a, kernel.buffer) for a in views)))
+            return terms
+
+        monkeypatch.setattr(_StepKernel, "step", watched)
+        params, log = train(records, MODEL2, cfg)
+        grew, dropped, current = zip(*steps)
+        assert any(grew[1 : len(records)])  # mid-epoch growth
+        assert not any(grew[len(records) :])
+        assert any(d and not g for d, g in zip(dropped, grew))  # the count cache was cleared
+        assert all(current)
+
+        # the loop train() documents, stepping with the per-layer reference
+        # and updating tensor by tensor
+        config = cfg.effective_model_config(MODEL2)
+        ref = init_params(config, rng_seed=cfg.init_seed)
+        assignments = {rec.id: make_assignment(rec, cfg.sigma) for rec in records}
+        rng = np.random.default_rng(cfg.shuffle_seed)
+        order = np.arange(len(records))
+        for epoch, logged in zip(range(1, cfg.epochs + 1), log.epochs, strict=True):
+            lr = cfg.learning_rate(epoch)
+            rng.shuffle(order)
+            sums = np.zeros(5)
+            for idx in order:
+                rec = records[idx]
+                losses, grad = reference_step(
+                    ref, rec.features, rec.labels.y, assignments[rec.id], config
+                )
+                for name, g in ref.layout.views(grad).items():
+                    w, v = ref.values[name], ref.velocity[name]
+                    v *= cfg.momentum
+                    v += g
+                    w -= lr * v
+                sums += losses
+            got = logged.mean_loss
+            assert [float(x).hex() for x in sums / len(records)] == [
+                float(x).hex()
+                for x in (got.image_cls, got.seed_cls, got.seed_sal, got.l2, got.total)
+            ]
+        assert params.flat_values.tobytes() == ref.flat_values.tobytes()
+        assert params.flat_velocity.tobytes() == ref.flat_velocity.tobytes()
 
 
 class TestPrecomputeAssignments:
