@@ -155,8 +155,10 @@ def box_iou(a, b):
     """Elementwise IoU of half-open integer boxes ``(..., 4)``, broadcasting.
 
     Boxes that share no pixel get exactly 0.0, zero-area ones included.
+    Two single boxes give a 0-d array.
     """
-    return _column_iou(_columns(a), _columns(b))
+    # a trailing unit axis keeps even single boxes' columns arrays for the in-place ops
+    return _column_iou(_columns(a[..., None, :]), _columns(b[..., None, :]))[..., 0]
 
 
 def _columns(boxes):

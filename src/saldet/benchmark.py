@@ -97,19 +97,12 @@ def benchmark_datasets(seed: int):
     return train_records, test_records
 
 
-def run_variant(
-    variant: str, seed: int, records=None, model_config: ModelConfig = STANDARD_MODEL
-) -> BenchmarkRun:
-    """Train one variant on one seed and evaluate it.
-
-    By default the standard split pair of ``seed`` is used, with CorLoc
-    on the training split and mAP on the held-out split. Given
-    ``records``, the model trains on them and both reports are the one
-    evaluation of those records.
-    """
+def run_variant(variant: str, seed: int) -> BenchmarkRun:
+    """Train one variant on ``seed``'s standard split pair and evaluate it:
+    CorLoc on the training split and mAP on the held-out split."""
     if variant not in VARIANT_FLAGS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return _run_split(variant, seed, _split(seed, records), model_config)
+    return _run_split(variant, seed, benchmark_datasets(seed), STANDARD_MODEL)
 
 
 def _split(seed: int, records):
@@ -148,10 +141,11 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """The ablation grid: every variant of ``VARIANTS`` on every seed.
 
-    ``records`` and ``model_config`` mean what they do for
-    :func:`run_variant`, and every run equals that function's. Each
-    seed's split pair is generated once, up front, and its three
-    variants train on the same records; the runs go variant by variant.
+    By default each run is :func:`run_variant`'s. Given ``records``, each
+    run trains ``model_config`` on them and both its reports are the one
+    evaluation of those records. Each seed's split pair is generated
+    once, up front, and its three variants train on the same records;
+    the runs go variant by variant.
     """
     seeds = check_ablation(seeds)
     splits = [_split(seed, records) for seed in seeds]

@@ -254,6 +254,14 @@ class SaliencyMap:
         object.__setattr__(self, "values", _freeze(values, self.values))
 
 
+def check_label_values(y: np.ndarray) -> np.ndarray:
+    """The mask of ``y``'s +1 entries, once every entry is +1 or -1 (NaN is neither)."""
+    positive = y == 1
+    if not (positive | (y == -1)).all():
+        raise ValueError("labels: entries must be +1 or -1")
+    return positive
+
+
 @dataclass(frozen=True, eq=False)
 class LabelVector:
     """Image-level presence/absence labels, entries in {+1, -1}.
@@ -268,9 +276,7 @@ class LabelVector:
         y = np.asarray(self.y)
         if y.ndim != 1 or y.size == 0:
             raise ValueError("labels must be a nonempty 1-d vector")
-        positive = y == 1
-        if not (positive | (y == -1)).all():  # as given: the int8 cast would wrap 255 to -1
-            raise ValueError("labels: entries must be +1 or -1")
+        positive = check_label_values(y)  # as given: the int8 cast would wrap 255 to -1
         y = y.astype(np.int8)
         positives = tuple(positive.nonzero()[0].tolist())
         if not positives:

@@ -60,7 +60,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import check_number_fields
+from .core import check_label_values, check_number_fields
 
 _EPSILON = 1e-8  # clamp for the log arguments of the image and seed classification losses
 
@@ -290,7 +290,7 @@ def image_classification_loss(image_scores, labels_y, epsilon):
 
     The log argument is tau for positive classes and 1 - tau for negative
     ones; arguments at or below ``epsilon`` are clamped with zero gradient.
-    A label vector not shaped like the scores is a ValueError.
+    Labels not shaped like the scores or not all +1 or -1 are a ValueError.
     """
     y = _check_labels(labels_y, image_scores.shape)
     grad, *scratch = np.empty((3, *image_scores.shape))
@@ -302,6 +302,7 @@ def _check_labels(labels_y, shape) -> np.ndarray:
     y = np.asarray(labels_y, dtype=np.float64)
     if y.shape != shape:
         raise ValueError(f"labels shape {y.shape} != image scores shape {shape}")
+    check_label_values(y)
     return y
 
 
@@ -371,16 +372,6 @@ def _check_targets(labels_y, assignment, n: int, config: ModelConfig) -> np.ndar
         if last >= n:
             raise ValueError(f"assignment proposal index {last} out of range for {n} proposals")
     return _check_labels(labels_y, (config.num_classes,))
-
-
-def _check_step_inputs(features, labels_y, assignment, config: ModelConfig):
-    """One image's features and labels as float64, after every check a step makes of them.
-
-    ``loss_and_grads`` runs these checks on every call; the trainer runs
-    them once per record and hands the results to the step kernel.
-    """
-    x = _check_features(features, config)
-    return x, _check_targets(labels_y, assignment, x.shape[0], config)
 
 
 # a plan takes ~3.5 kB and ~20 us to build; a kernel's workspaces need
@@ -894,8 +885,8 @@ class _StepKernel:
     def run(self, x: np.ndarray, y: np.ndarray, assignment):
         """Forward, losses and backward of one image's checked inputs in the workspace.
 
-        ``x``, ``y`` and ``assignment`` are as ``_check_step_inputs``
-        passes them. Returns the loss terms; the gradient is in ``grad``.
+        ``x``, ``y`` and ``assignment`` fit, as ``loss_and_grads`` and
+        ``train()`` ensure. Returns the loss terms; the gradient is in ``grad``.
         """
         ws = self.workspace(x.shape[0])
         ws.features[...] = x
@@ -1034,7 +1025,8 @@ def loss_and_grads(params, features, labels_y, assignment, config):
     first part, with the same ValueError for an assignment index >= N_R.
     The gradient is a new array on every call, a copy of the kernel's.
     """
-    x, y = _check_step_inputs(features, labels_y, assignment, config)
+    x = _check_features(features, config)
+    y = _check_targets(labels_y, assignment, x.shape[0], config)
     kernel = _step_kernel(params, config)
     with _quiet():
         terms = kernel.run(x, y, assignment)

@@ -2,7 +2,7 @@
 
 Seed assignments depend only on geometry and saliency maps, never on the
 weights, so they are computed once up front, and so are each record's
-checked inputs. Each epoch shuffles the image order with a seeded RNG
+float64 inputs. Each epoch shuffles the image order with a seeded RNG
 and takes one optimizer step per image: one call of the step kernel
 kept with the parameters, which runs forward, losses, backward and the
 update of ``sgd_step`` in buffers it keeps. The learning rate follows a
@@ -24,7 +24,6 @@ from .core import ImageRecord, check_number_fields, check_records
 from .model import (  # noqa: F401
     LossBreakdown,
     ModelConfig,
-    _check_step_inputs,
     _kept,
     _quiet,
     _step_kernel,
@@ -144,8 +143,9 @@ def train(
     The returned parameters keep no step kernel: the training workspace
     is freed on return, and their first forward binds a new kernel.
 
-    Every record's features, labels and assignment indices are checked
-    before the first step, with the messages of ``loss_and_grads``.
+    Records are checked once: ``check_records`` and the record types make
+    the checks ``loss_and_grads`` makes of a step's inputs, and
+    ``make_assignment`` picks only indices below a record's proposal count.
     Raises TrainingDivergedError when any step's forward pass, total loss
     or gradient is non-finite; the exception carries the parameters from
     the last completed epoch (already written to ``checkpoint_path`` when
@@ -165,14 +165,11 @@ def train(
         else {}
     )
 
-    # per record, once: float64 features and labels, checked as
-    # ``loss_and_grads`` checks them, and its assignment (whose seed
-    # arrays are built on first use and then kept)
-    prepared = []
-    for rec in records:
-        assignment = assignments.get(rec.id)
-        x, y = _check_step_inputs(rec.features, rec.labels.y, assignment, config)
-        prepared.append((x, y, assignment))
+    # per record, once: float64 features and labels, and its assignment
+    # (whose seed arrays are built on first use and then kept)
+    prepared = [(np.asarray(rec.features, dtype=np.float64),
+                 np.asarray(rec.labels.y, dtype=np.float64), assignments.get(rec.id))
+                for rec in records]
     params = init_params(config, rng_seed=train_config.init_seed)
     kernel = _step_kernel(params, config)
     rng = np.random.default_rng(train_config.shuffle_seed)

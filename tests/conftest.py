@@ -1,6 +1,7 @@
 """Shared fixtures: hand-built records with known geometry and saliency."""
 
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,14 @@ def build_record(rec_id, grid, proposal_ids, features, y, saliency_values, gt_bo
         saliency=saliency,
         gt_boxes=gt_boxes,
     )
+
+
+def dir_bytes(root: Path) -> dict:
+    """Each file's bytes under ``root``, keyed by its relative path."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
 
 
 def detection_table(rows, image_ids):

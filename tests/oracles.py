@@ -2,8 +2,7 @@
 
 Everything here favors clarity over speed: plain Python loops, pixel
 masks, and per-prefix recomputation. None of it shares code with the
-package internals it verifies, except ``reference_train``, which checks
-the training loop around the package's public step.
+package internals it verifies.
 """
 
 import math
@@ -11,9 +10,8 @@ import math
 import numpy as np
 
 from saldet.core import iou
-from saldet.model import init_params, loss_and_grads
+from saldet.model import init_params
 from saldet.seeds import make_assignment
-from saldet.trainer import sgd_step
 
 
 def pixel_adjacency(labels, n_sp):
@@ -422,15 +420,15 @@ def reference_step(params, features, labels_y, assignment, config):
 
 
 def reference_train(records, model_config, train_config):
-    """The training loop from the package's public step: ``(params, epoch means)``.
+    """What ``saldet.trainer.train`` must return: ``(params, epoch means)``.
 
-    This one oracle shares the package's maths on purpose, as it checks
-    the loop around it: per step a ``loss_and_grads`` call on the
-    record's float64 features (jittered when asked), a non-finite total
-    refused, then ``sgd_step``; the loss terms summed into a float64
-    array and divided by the record count at each epoch's end. The
-    epoch means are (image_cls, seed_cls, seed_sal, l2, total) tuples.
-    Divergence raises the FloatingPointError the step raised.
+    Each epoch shuffles the record order with the shuffle generator, which
+    then draws each step's feature jitter (when asked). Per image a step
+    is ``reference_step`` on the float64 features, then per tensor
+    v <- momentum * v + g and w <- w - lr * v. The epoch means are the
+    (image_cls, seed_cls, seed_sal, l2, total) terms summed in float64
+    and divided by the record count. A non-finite activation raises
+    ``reference_forward``'s FloatingPointError.
     """
     config = train_config.effective_model_config(model_config)
     seeded = config.lambda_seed_cls > 0 or (config.saliency_enabled and config.lambda_seed_sal > 0)
@@ -453,11 +451,15 @@ def reference_train(records, model_config, train_config):
                 features = features + rng.normal(
                     0.0, train_config.feature_jitter, size=features.shape
                 )
-            b, grad = loss_and_grads(params, features, rec.labels.y, assignments[rec.id], config)
-            if not math.isfinite(b.total):
-                raise FloatingPointError("non-finite total loss")
-            sgd_step(params, grad, lr, train_config.momentum)
-            sums += (b.image_cls, b.seed_cls, b.seed_sal, b.l2, b.total)
+            losses, grad = reference_step(
+                params, features, rec.labels.y, assignments[rec.id], config
+            )
+            for name, g in params.layout.views(grad).items():
+                w, v = params.values[name], params.velocity[name]
+                v *= train_config.momentum
+                v += g
+                w -= lr * v
+            sums += losses
         means.append(tuple(sums / len(records)))
     return params, means
 

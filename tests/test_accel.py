@@ -9,7 +9,7 @@ import scipy.ndimage
 
 from oracles import bfs_components, pixel_adjacency, pixel_mask_box, quadratic_nms
 from saldet import _accel
-from saldet.core import Box
+from saldet.core import Box, iou
 
 
 def random_labels(rng, h, w, n_sp):
@@ -365,3 +365,37 @@ class TestEdgeCases:
         for bad in ([2], [1, 1, 2], [-1, 4], [1.0, 2.0], [[3]], [True, True, True]):
             with pytest.raises(ValueError, match="box counts must be integers >= 0 summing to 3"):
                 _accel.nms_keep(boxes, 0.4, bad, score)
+
+
+class TestBoxIou:
+    """``box_iou`` against ``core.iou``, pair by pair."""
+
+    def test_one_pair_of_boxes(self):
+        a, b = (1, 2, 5, 7), (3, 0, 9, 4)
+        got = _accel.box_iou(np.array(a), np.array(b))
+        assert got.shape == ()
+        assert got == iou(Box(*a), Box(*b)) > 0.0
+
+    def test_n_by_one_against_one_by_m_broadcasts(self):
+        rng = np.random.default_rng(0)
+        corner = rng.integers(0, 8, size=(11, 2))
+        boxes = np.concatenate([corner, corner + rng.integers(1, 6, size=(11, 2))], axis=1)
+        a, b = boxes[:4], boxes[4:]
+        got = _accel.box_iou(a[:, None, :], b[None, :, :])
+        assert got.shape == (4, 7)
+        assert got.tolist() == [
+            [iou(Box(*p.tolist()), Box(*q.tolist())) for q in b] for p in a
+        ]
+
+    def test_touching_boxes_give_zero(self):
+        a = np.array([[0, 0, 2, 2]] * 3)
+        b = np.array([[2, 0, 4, 2], [0, 2, 2, 4], [2, 2, 4, 4]])  # an edge, an edge, a corner
+        got = _accel.box_iou(a, b)
+        assert got.tolist() == [iou(Box(*p.tolist()), Box(*q.tolist())) for p, q in zip(a, b)]
+        assert got.tobytes() == np.zeros(3).tobytes()
+
+    def test_zero_area_boxes_give_zero(self):
+        # core.Box refuses these, so the want is the docstring's exact 0.0
+        a = np.array([[1, 1, 1, 3], [2, 2, 2, 2], [1, 1, 1, 3]])
+        b = np.array([[1, 1, 1, 3], [2, 2, 2, 2], [0, 0, 3, 3]])
+        assert _accel.box_iou(a, b).tobytes() == np.zeros(3).tobytes()

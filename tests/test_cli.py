@@ -7,11 +7,11 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
 import saldet.cli as cli
+from conftest import dir_bytes
 from saldet.cli import main
 from saldet.dataio import SynthConfig, load_dataset
 from saldet.evaluate import evaluate
@@ -39,13 +39,6 @@ def checkpoint(tmp_path_factory, dataset):
     return path
 
 
-def _dir_bytes(root: Path) -> dict:
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(root.rglob("*")) if p.is_file()
-    }
-
-
 class TestSynth:
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "ds"
@@ -60,7 +53,7 @@ class TestSynth:
         for name in ("a", "b"):
             assert main(["synth", "--out", str(tmp_path / name), "--images", "4"]) == 0
         capsys.readouterr()
-        assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
+        assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
     def test_bad_config_value_exits_1(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "x"), "--noise-amplitude", "1.5"])

@@ -3,13 +3,12 @@
 import json
 import os
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import build_record, tiling_grid
+from conftest import build_record, dir_bytes, tiling_grid
 from oracles import reference_synthetic
 from saldet import _accel, dataio
 from saldet.core import SuperpixelGrid, iou, proposal_from_superpixels
@@ -23,13 +22,6 @@ from saldet.dataio import (
 )
 
 TINY = SynthConfig(images=5, seed=11)
-
-
-def _dir_bytes(root: Path) -> dict:
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(root.rglob("*")) if p.is_file()
-    }
 
 
 class TestSynthConfig:
@@ -178,7 +170,7 @@ class TestRoundTrip:
         records, manifest = generate_synthetic(TINY)
         save_dataset(records, manifest, tmp_path / "a")
         save_dataset(records, manifest, tmp_path / "b")
-        a, b = _dir_bytes(tmp_path / "a"), _dir_bytes(tmp_path / "b")
+        a, b = dir_bytes(tmp_path / "a"), dir_bytes(tmp_path / "b")
         assert list(a) == list(b)
         assert all(a[k] == b[k] for k in a)
 

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import LAYER_BIAS, LAYERS
 from oracles import reference_forward, reference_step
+from saldet.core import LabelVector
 from saldet.model import (
     ModelConfig,
     _checkpoint_header,
@@ -344,6 +345,22 @@ class TestLossTerms:
         with pytest.raises(ValueError, match="labels shape"):
             step_losses(params, forward(params, features, CFG), [1], None, CFG)
 
+    @pytest.mark.parametrize("bad", [2, 0, 0.5, np.nan])
+    def test_entry_points_refuse_labels_other_than_plus_or_minus_one(self, bad):
+        # LabelVector's rule and message; each would otherwise give a loss
+        params = init_params(CFG, rng_seed=0)
+        features = np.random.default_rng(0).normal(size=(3, 4))
+        y = [1, bad, -1, -1]
+        message = r"^labels: entries must be \+1 or -1$"
+        with pytest.raises(ValueError, match=message):
+            LabelVector(y=y)
+        with pytest.raises(ValueError, match=message):
+            loss_and_grads(params, features, y, None, CFG)
+        with pytest.raises(ValueError, match=message):
+            step_losses(params, forward(params, features, CFG), y, None, CFG)
+        with pytest.raises(ValueError, match=message):
+            image_classification_loss(np.full(4, 0.5), y, epsilon=1e-8)
+
 
 class TestStepLosses:
     @pytest.fixture
@@ -427,6 +444,9 @@ class TestGradientCheck:
         report = run_gradient_check(seed=123, instances=4)
         assert report.passed
         assert len(report.per_instance) == 4
+
+    def test_seed_zero_passes(self):
+        assert run_gradient_check(seed=0, instances=2).passed
 
     def test_detects_defective_gradient(self):
         # a 0.1% scale error on one tensor must land far above threshold
@@ -844,6 +864,8 @@ class TestTraceChecks:
         ([("image_scores", 2, np.nan)], "image scores left"),
         ([("cls_softmax", (4, 0), np.nan)], "classification softmax rows"),
         ([("det_softmax", (1, 2), np.nan)], "detection softmax columns"),
+        # the score matrix at its bound 0 is in range; the image scores are not
+        ([("scores", (0, 0), 0.0), ("image_scores", 1, 1.0 + 1e-9)], "image scores left"),
     ])
     def test_each_range_check_raises_its_message(self, pokes, message):
         from saldet import model as m

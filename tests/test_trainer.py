@@ -3,13 +3,13 @@
 import json
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import LAYER_BIAS, LAYERS
-from oracles import reference_step, reference_train
+from oracles import reference_train
 from saldet import trainer
 from saldet.benchmark import VARIANT_FLAGS
 from saldet.model import _KEPT_COUNTS, _StepKernel
@@ -543,75 +543,35 @@ class TestTrain:
         }
 
 
+def assert_trains_like_the_reference_loop(records, model, cfg):
+    """``train`` gives ``reference_train``'s values, velocity and epoch means, bit for bit."""
+    params, log = train(records, model, cfg)
+    ref, means = reference_train(records, model, cfg)
+    assert params.flat_values.tobytes() == ref.flat_values.tobytes()
+    assert params.flat_velocity.tobytes() == ref.flat_velocity.tobytes()
+    assert [[x.hex() for x in astuple(e.mean_loss)] for e in log.epochs] == [
+        [float(x).hex() for x in m] for m in means
+    ]
+
+
+WEIGHTED = replace(MODEL2, lambda_seed_cls=0.3, lambda_seed_sal=0.7, lambda_l2=0.05)
+
+
 class TestAgainstReferenceLoop:
-    @pytest.mark.parametrize("variant", list(VARIANT_FLAGS))
-    @pytest.mark.parametrize("data, jitter", [
-        ("small", 0.0), ("small", 0.05), ("ragged", 0.0), ("ragged", 0.05),
+    @pytest.mark.parametrize("flags, data, jitter, model", [
+        *(pytest.param(VARIANT_FLAGS[variant], data, jitter, MODEL2,
+                       id=f"{data}-{jitter}-{variant}")
+          for data, jitter in [("small", 0.0), ("small", 0.05), ("ragged", 0.0), ("ragged", 0.05)]
+          for variant in VARIANT_FLAGS),
+        pytest.param({"disable_seed_losses": True}, "small", 0.0, MODEL2,
+                     id="small-0.0-no_seed_losses"),
+        pytest.param({}, "small", 0.0, WEIGHTED, id="small-0.0-full-loss_weights"),
     ])
-    def test_matches_the_public_step_loop(self, variant, data, jitter):
+    def test_matches_the_reference_loop(self, flags, data, jitter, model):
         records = small_dataset() if data == "small" else ragged_dataset()
         cfg = TrainConfig(epochs=3, lr_phase1=1e-2, lr_phase2=1e-3, phase_boundary=2,
-                          feature_jitter=jitter, **VARIANT_FLAGS[variant])
-        params, log = train(records, MODEL2, cfg)
-        ref, means = reference_train(records, MODEL2, cfg)
-        assert params.flat_values.tobytes() == ref.flat_values.tobytes()
-        assert params.flat_velocity.tobytes() == ref.flat_velocity.tobytes()
-        got = [(e.mean_loss.image_cls, e.mean_loss.seed_cls, e.mean_loss.seed_sal,
-                e.mean_loss.l2, e.mean_loss.total) for e in log.epochs]
-        assert [[float(x).hex() for x in m] for m in got] == [
-            [float(x).hex() for x in m] for m in means
-        ]
-
-    @pytest.mark.parametrize("kw", [
-        {}, {"disable_saliency_subnet": True}, {"disable_seed_losses": True},
-        {"feature_jitter": 0.05},
-    ])
-    def test_params_velocity_and_losses_bit_for_bit(self, kw):
-        cfg = TrainConfig(epochs=3, lr_phase1=1e-2, lr_phase2=1e-3, phase_boundary=2, **kw)
-        self.check(cfg, MODEL2)
-
-    def test_loss_weights_of_the_model_config(self):
-        cfg = TrainConfig(epochs=3, lr_phase1=1e-2, lr_phase2=1e-3, phase_boundary=2)
-        self.check(cfg, replace(MODEL2, lambda_seed_cls=0.3, lambda_seed_sal=0.7,
-                                lambda_l2=0.05))
-
-    @staticmethod
-    def check(cfg, model):
-        records = small_dataset()
-        params, log = train(records, model, cfg)
-
-        # the loop train() documents, stepping with the per-layer reference
-        config = cfg.effective_model_config(model)
-        ref = init_params(config, rng_seed=cfg.init_seed)
-        w, v = ref.flat_values, ref.flat_velocity
-        assignments = {rec.id: make_assignment(rec, cfg.sigma) for rec in records}
-        rng = np.random.default_rng(cfg.shuffle_seed)
-        order = np.arange(len(records))
-        for epoch, logged in zip(range(1, cfg.epochs + 1), log.epochs, strict=True):
-            lr = cfg.learning_rate(epoch)
-            rng.shuffle(order)
-            sums = np.zeros(5)
-            for idx in order:
-                rec = records[idx]
-                features = rec.features
-                if cfg.feature_jitter > 0:
-                    features = features + rng.normal(
-                        0.0, cfg.feature_jitter, size=features.shape
-                    )
-                losses, grad = reference_step(
-                    ref, features, rec.labels.y, assignments[rec.id], config
-                )
-                v *= cfg.momentum
-                v += grad
-                w -= lr * v
-                sums += losses
-            got = logged.mean_loss
-            assert [float(x).hex() for x in sums / len(records)] == [
-                float(x).hex()
-                for x in (got.image_cls, got.seed_cls, got.seed_sal, got.l2, got.total)
-            ]
-        assert params.flat_values.tobytes() == w.tobytes()
-        assert params.flat_velocity.tobytes() == v.tobytes()
+                          feature_jitter=jitter, **flags)
+        assert_trains_like_the_reference_loop(records, model, cfg)
 
 
 class TestBindingFollowsTheBuffer:
@@ -635,42 +595,12 @@ class TestBindingFollowsTheBuffer:
             return terms
 
         monkeypatch.setattr(_StepKernel, "step", watched)
-        params, log = train(records, MODEL2, cfg)
+        assert_trains_like_the_reference_loop(records, MODEL2, cfg)
         grew, dropped, current = zip(*steps)
         assert any(grew[1 : len(records)])  # mid-epoch growth
         assert not any(grew[len(records) :])
         assert any(d and not g for d, g in zip(dropped, grew))  # the count cache was cleared
         assert all(current)
-
-        # the loop train() documents, stepping with the per-layer reference
-        # and updating tensor by tensor
-        config = cfg.effective_model_config(MODEL2)
-        ref = init_params(config, rng_seed=cfg.init_seed)
-        assignments = {rec.id: make_assignment(rec, cfg.sigma) for rec in records}
-        rng = np.random.default_rng(cfg.shuffle_seed)
-        order = np.arange(len(records))
-        for epoch, logged in zip(range(1, cfg.epochs + 1), log.epochs, strict=True):
-            lr = cfg.learning_rate(epoch)
-            rng.shuffle(order)
-            sums = np.zeros(5)
-            for idx in order:
-                rec = records[idx]
-                losses, grad = reference_step(
-                    ref, rec.features, rec.labels.y, assignments[rec.id], config
-                )
-                for name, g in ref.layout.views(grad).items():
-                    w, v = ref.values[name], ref.velocity[name]
-                    v *= cfg.momentum
-                    v += g
-                    w -= lr * v
-                sums += losses
-            got = logged.mean_loss
-            assert [float(x).hex() for x in sums / len(records)] == [
-                float(x).hex()
-                for x in (got.image_cls, got.seed_cls, got.seed_sal, got.l2, got.total)
-            ]
-        assert params.flat_values.tobytes() == ref.flat_values.tobytes()
-        assert params.flat_velocity.tobytes() == ref.flat_velocity.tobytes()
 
 
 class TestPrecomputeAssignments:
