@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from .dataio import SynthConfig, generate_synthetic
 from .evaluate import EvalReport, evaluate
-from .model import ModelConfig
+from .model import ModelConfig, ModelParams
 from .trainer import TrainConfig, train
 
 log = logging.getLogger(__name__)
@@ -71,6 +71,7 @@ class BenchmarkRun:
     seed: int
     train_report: EvalReport
     test_report: EvalReport
+    params: ModelParams  # the trained parameters
 
 
 @dataclass
@@ -125,7 +126,7 @@ def _run_split(variant, seed, split, model_config) -> BenchmarkRun:
         test_report = train_report
     else:
         test_report = evaluate(params, test_records, config)
-    return BenchmarkRun(variant, seed, train_report, test_report)
+    return BenchmarkRun(variant, seed, train_report, test_report, params)
 
 
 def check_ablation(seeds) -> list:
@@ -136,18 +137,22 @@ def check_ablation(seeds) -> list:
     return seeds
 
 
-def run_benchmark(
-    seeds=range(5), records=None, model_config: ModelConfig = STANDARD_MODEL
-) -> BenchmarkResult:
+def run_benchmark(seeds=range(5), records=None) -> BenchmarkResult:
     """The ablation grid: every variant of ``VARIANTS`` on every seed.
 
     By default each run is :func:`run_variant`'s. Given ``records``, each
-    run trains ``model_config`` on them and both its reports are the one
-    evaluation of those records. Each seed's split pair is generated
-    once, up front, and its three variants train on the same records;
-    the runs go variant by variant.
+    run trains ``STANDARD_MODEL`` sized to their feature width and class
+    count on them, and both its reports are the one evaluation of those
+    records. Each seed's split pair is generated once, up front, and its
+    three variants train on the same records; the runs go variant by
+    variant.
     """
     seeds = check_ablation(seeds)
+    model_config = STANDARD_MODEL
+    if records:  # an empty list is refused by ``train``
+        first = records[0]
+        model_config = replace(STANDARD_MODEL, feature_dim=first.feature_dim,
+                               num_classes=first.labels.num_classes)
     splits = [_split(seed, records) for seed in seeds]
     result = BenchmarkResult()
     for variant in VARIANTS:

@@ -264,18 +264,8 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_ablate(args) -> int:
     seeds = bench.check_ablation(range(args.seeds))
-    dataset = {}
-    if args.data:
-        records, manifest = load_dataset(args.data)
-        dataset = {
-            "records": records,
-            "model_config": replace(
-                bench.STANDARD_MODEL,
-                feature_dim=manifest.feature_dim,
-                num_classes=manifest.num_classes,
-            ),
-        }
-    result = bench.run_benchmark(seeds, **dataset)
+    records = load_dataset(args.data)[0] if args.data else None
+    result = bench.run_benchmark(seeds, records)
     rows = [
         (v, result.mean_corloc(v), result.mean_test_map(v)) for v in bench.VARIANTS
     ]

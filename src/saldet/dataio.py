@@ -563,15 +563,10 @@ def _part_of(rng, rect, sp_side):
     """A corner sub-rectangle strictly smaller than half the object."""
     r0, c0, r1, c1 = rect
     h, w = r1 - r0, c1 - c0
-    ph = max(1, math.ceil(h / 2)) if h > 1 else 1
-    pw = max(1, math.ceil(w / 2)) if w > 1 else 1
-    # shrink until strictly below half the area so the part's box stays
-    # under the 0.5 IoU match threshold against its object
-    while ph * pw * 2 > h * w and (ph > 1 or pw > 1):
-        if ph >= pw and ph > 1:
-            ph -= 1
-        else:
-            pw -= 1
+    # object sides are 2 or 3 (``_OBJECT_SIDES``), so the part covers at most
+    # 4 of 9 superpixels, under half the object: its box stays under the
+    # 0.5 IoU match threshold against its object
+    ph, pw = math.ceil(h / 2), math.ceil(w / 2)
     corner = int(rng.integers(0, 4))
     rr0 = r0 if corner in (0, 1) else r1 - ph
     cc0 = c0 if corner in (0, 2) else c1 - pw

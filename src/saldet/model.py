@@ -35,13 +35,13 @@ the gradient, the L2 term and the update's ``lr * v`` are written into
 vectors the kernel keeps, and ``loss_and_grads`` returns a copy of the
 gradient.
 
-A step is its numpy calls and little else. Each trace binds once, when
-it is built, the tuples of arrays each stage of its pass reads, and the
-kernel binds its parameter and gradient views, transposes included;
-forward, losses, backward and the update unpack them into locals, with
-the per-run product and reduction loops inline. A trace's views never
-change, and the kernel drops its kept traces when its buffer grows or
-it has kept ``_KEPT_COUNTS`` counts; a new config builds a new kernel.
+A step is its numpy calls and little else. A trace binds every view
+its pass reads when it is built, and the kernel its parameter and
+gradient views, transposes included; forward, losses and backward read
+them by name, with the per-run product and reduction loops inline. A
+trace's views never change, and the kernel drops its kept traces when
+its buffer grows or it has kept ``_KEPT_COUNTS`` counts; a new config
+builds a new kernel.
 The float operands are read-only 0-d float64 arrays kept for good
 (``_kept``): numpy converts a Python float operand to an array on every
 call, and a kept one gives the same bits. Without the saliency branch
@@ -466,14 +466,14 @@ class ForwardTrace:
     that the pair takes one same-shape op, cheaper on small arrays than
     two that broadcast.
 
-    What each stage of the pass reads is bound here once, as a tuple the
-    step kernel unpacks: ``forward_arrays``, ``range_arrays`` and, for
-    one image, ``loss_arrays`` and ``backward_arrays``, the transposed
-    and column views included. The views never change: a trace is built
-    for one buffer and one count list, and a kernel builds a new one
-    when its buffer grows. Without the saliency branch P = 1 and, for one
-    image, its zero gradient ``d_sal`` are arrays of the trace's own,
-    written here once; no pass writes them.
+    Every view a pass reads, transposes and column views included, is
+    bound here once, so that a pass makes none; ``trunk_layers`` zips
+    each trunk layer's products, pre-activations and output, and, for
+    one image, ``trunk_layers_back`` what its backward reads. The views
+    never change: a trace is built for one buffer and one count list,
+    and a kernel builds a new one when its buffer grows. Without the
+    saliency branch P = 1 and, for one image, its zero gradient ``d_sal``
+    are arrays of the trace's own, written here once; no pass writes them.
 
     Three runs of the buffer are checked with one reduction each: ``pre``
     (the input copy and every pre-activation), ``unit`` (score matrix and
@@ -553,39 +553,26 @@ class ForwardTrace:
         self.tau_sum = columns(self.scores, self.image_scores.reshape(images, c))
         self.row_image = np.repeat(np.arange(images), counts) if images > 1 else None
         self.tmp_cls, self.tmp_det = self.tmp
-
-        p, a, b = self.saliency, self.cls_softmax, self.det_softmax
-        self.forward_arrays = (
-            tuple(zip(self.trunk_dots, self.trunk_pre, self.trunk_act[1:])),
-            (*self.sal_dots, self.sal_pre, self.sal_hidden, self.sal_raw, self.sal_logit,
-             p, self.denominator, self.sigmoid, p[:, None], self.weighted, h) if sal else None,
-            *self.head_dots, self.tmp, self.streams, self.pre,
-            self.s_cls, self.col, self.det_max, self.tmp_cls, self.tmp_det, self.row,
-            self.row_image, self.softmax, a, self.det_sum, b, self.scores, self.tau_sum,
-            self.image_scores,
-        )
-        self.range_arrays = (p, self.unit, a, self.row_sums, self.det_sum, self.sums)
+        self.trunk_layers = tuple(zip(self.trunk_dots, self.trunk_pre, self.trunk_act[1:]))
+        self.trunk_out = h
+        if sal:
+            self.saliency_col = self.saliency[:, None]
         if images == 1:  # the step's scratch
             self.d_streams = pair("d_cls", "d_det")
             # every ReLU layer's pre-activations and their d_z, laid out alike
             last = ("sal_pre", "d_z_sal") if sal else (f"pre{depth - 1}", f"d_z{depth - 1}")
             self.relu_pre = buf[plan["pre0"][0] : plan[last[0]][1]]
             self.relu_d_z = buf[plan["d_z0"][0] : plan[last[1]][1]]
-            if not sal:
+            self.weighted_t = self.weighted.T
+            if sal:
+                self.sal_hidden_t, self.trunk_out_t = self.sal_hidden.T, h.T
+                self.d_logit_col = self.d_logit[:, None]
+            else:
                 self.d_h = self.d_g
             d_z = [getattr(self, f"d_z{l}") for l in range(depth)]
             d_in = [None] + [getattr(self, f"d_in{l}") for l in range(1, depth)]
-            self.loss_arrays = (self.image_scores, self.d_scores, self.scores, p, self.d_sal)
-            self.backward_arrays = (
-                self.d_scores, a, b, self.softmax, self.d_cls, self.d_det, self.d_streams,
-                self.tmp, self.tmp_cls, self.tmp_det, self.col, self.row, self.weighted.T,
-                self.d_g, self.tmp_g, self.relu_pre, self.relu_d_z, self.d_h,
-                (p[:, None], h, self.d_p, self.d_sal, p, self.d_logit, self.one_minus_p,
-                 self.sal_hidden.T, self.d_logit[:, None], self.d_u, self.d_z_sal, h.T)
-                if sal else None,
-                # the trunk's layers from the last: d_z, its input transposed, its d_in
-                tuple(zip(d_z, (x.T for x in self.trunk_act), d_in))[::-1],
-            )
+            # the trunk's layers from the last: d_z, its input transposed, its d_in
+            self.trunk_layers_back = tuple(zip(d_z, (x.T for x in self.trunk_act), d_in))[::-1]
 
     def check_ranges(self):
         """Raise a FloatingPointError naming the first range the pass left.
@@ -596,15 +583,18 @@ class ForwardTrace:
         reduces P, ``unit`` and ``sums`` whole, after one column sum per
         image; only a failed run is split to name its part. NaN fails each test.
         """
-        p, unit, a, row_sums, det_sum, sums = self.range_arrays
-        if self.saliency_enabled and not (_min_reduce(p) > 0.0 and _max_reduce(p) < 1.0):
-            raise FloatingPointError("saliency prediction left the open interval (0, 1)")
+        if self.saliency_enabled:
+            p = self.saliency
+            if not (_min_reduce(p) > 0.0 and _max_reduce(p) < 1.0):
+                raise FloatingPointError("saliency prediction left the open interval (0, 1)")
+        unit = self.unit
         if not (_min_reduce(unit) >= 0.0 and _max_reduce(unit) <= 1.0):
             if not (self.scores.min() >= 0.0 and self.scores.max() <= 1.0):
                 raise FloatingPointError("score matrix left [0, 1]")
             raise FloatingPointError("image scores left [0, 1]")
-        _add_reduce(a, axis=1, out=row_sums)
-        for x, out in det_sum:
+        row_sums, sums = self.row_sums, self.sums
+        _add_reduce(self.cls_softmax, axis=1, out=row_sums)
+        for x, out in self.det_sum:
             _add_reduce(x, axis=-2, out=out)
         sums -= _ONE
         np.abs(sums, out=sums)
@@ -619,15 +609,15 @@ class _StepKernel:
 
     One trace per pass: ``forward``, ``losses`` and ``backward`` take no
     array but the pass's trace, whose ``d_scores`` and ``d_sal`` the
-    losses write and backward reads. Each unpacks the trace's bound
-    tuple for it and the kernel's, and runs its numpy calls back to back.
-    The parameter and gradient views, their transposes included, are
-    bound here once in ``forward_params`` and ``backward_params``: the
-    kernel is built for one ModelParams and one config, and a new config
-    builds a new kernel. ``step`` is a whole training step and ``run``
-    the part of it that ``loss_and_grads`` shares; both run in one
-    workspace buffer sized to the largest proposal count seen so far,
-    and the traces of the last few counts are kept. A new buffer, or more
+    losses write and backward reads. Each reads by name the trace's
+    arrays and the kernel's parameter and gradient views, transposes
+    included, and runs its numpy calls back to back. The views are
+    bound here once: the kernel is built for one ModelParams and one
+    config, and a new config builds a new kernel. ``step`` is a whole
+    training step and ``run`` the part of it that ``loss_and_grads``
+    shares; both run in one workspace buffer sized to the largest
+    proposal count seen so far, and the traces of the last few counts
+    are kept. A new buffer, or more
     counts than ``_KEPT_COUNTS``, drops them all, so every kept trace
     views the current buffer. ``grad`` holds the gradient of the total,
     overwritten by every backward pass, which adds the L2 term in place;
@@ -652,7 +642,6 @@ class _StepKernel:
         self.scratch = np.empty(layout.size)
         v, gv = params.values, layout.views(self.grad)
         trunk = [f"trunk{l}" for l in range(len(config.trunk_widths))]
-        sal = ("sal_hidden.w", "sal_hidden.b", "sal_out.w", "sal_out.b")
         # ``param_layout`` puts det.b right after cls.b; the reshape refuses other layouts
         c = config.num_classes
         cls_b, det_b = (sl for name, _, sl in layout.tensors if name in ("cls.b", "det.b"))
@@ -666,22 +655,22 @@ class _StepKernel:
         # the loss weights of the total, as the per-layer formulation computes them
         self.total_weights = (config.lambda_seed_cls, config.lambda_seed_sal / 2.0,
                               config.lambda_l2 / 2.0)
-        self.forward_params = (
-            tuple((v[f"{m}.w"], v[f"{m}.b"]) for m in trunk),
-            # sal_out.b as a 0-d view, an operand cheaper than its (1,) array
-            (*(v[name] for name in sal[:3]), v["sal_out.b"].reshape(())),
-            v["cls.w"], v["det.w"], self.head_bias,
-        )
-        self.backward_params = (
-            v["cls.w"].T, v["det.w"].T, gv["cls.w"], gv["det.w"], self.head_bias_grad,
-            (v["sal_hidden.w"].T, v["sal_out.w"], *(gv[name] for name in sal)),
-            # the trunk's layers from the last: weight and bias gradients, the weight
-            # transposed for d_in (not needed for the first layer)
-            tuple((gv[f"{m}.w"], gv[f"{m}.b"], v[f"{m}.w"].T if l else None)
-                  for l, m in enumerate(trunk))[::-1],
-            self.l2_values, self.grad[: layout.l2_end], self.scratch[: layout.l2_end],
-            self.lambda_l2,
-        )
+        # the parameter views a pass reads and the gradient views backward writes
+        sal = ("sal_hidden.w", "sal_hidden.b", "sal_out.w", "sal_out.b")
+        self.trunk_params = tuple((v[f"{m}.w"], v[f"{m}.b"]) for m in trunk)
+        self.sal_w, self.sal_b, self.sal_out_w = (v[name] for name in sal[:3])
+        # sal_out.b as a 0-d view, an operand cheaper than its (1,) array
+        self.sal_out_b = v["sal_out.b"].reshape(())
+        self.cls_w, self.det_w = v["cls.w"], v["det.w"]
+        self.sal_w_t, self.cls_w_t, self.det_w_t = self.sal_w.T, self.cls_w.T, self.det_w.T
+        self.sal_w_grad, self.sal_b_grad, self.sal_out_w_grad, self.sal_out_b_grad = (
+            gv[name] for name in sal)
+        self.cls_w_grad, self.det_w_grad = gv["cls.w"], gv["det.w"]
+        # the trunk's layers from the last: weight and bias gradients, the weight
+        # transposed for d_in (not needed for the first layer)
+        self.trunk_grads = tuple((gv[f"{m}.w"], gv[f"{m}.b"], v[f"{m}.w"].T if l else None)
+                                 for l, m in enumerate(trunk))[::-1]
+        self.l2_grad, self.l2_term = self.grad[: layout.l2_end], self.scratch[: layout.l2_end]
         self.buffer = np.empty(0)
         self._workspaces = {}
 
@@ -705,29 +694,25 @@ class _StepKernel:
         Each matrix product runs once per run of equal counts, on the
         shapes of one image, stacked when the run has several.
         """
-        trunk, sal, w_cls, w_det, head_bias = self.forward_params
-        (trunk_layers, sal_arrays, cls_dots, det_dots, tmp, streams, pre,
-         s_cls, col, det_max, tmp_cls, tmp_det, row, row_image, softmax, a, det_sum, b,
-         scores, tau_sum, image_scores) = trace.forward_arrays
-        for (w, bias), (dots, z, h) in zip(trunk, trunk_layers):
+        for (w, bias), (dots, z, h) in zip(self.trunk_params, trace.trunk_layers):
             for product, x, out in dots:
                 product(x, w, out=out)
             h[...] = bias  # a same-shape add costs less than one that broadcasts
             z += h
             np.maximum(z, _ZERO, out=h)
 
-        if sal_arrays is not None:
-            w, bias, w_out, b_out = sal
-            (hidden_dots, out_dots, sal_pre, hidden, raw, logit, p, den, sigmoid, p_col,
-             weighted, h) = sal_arrays
+        if trace.saliency_enabled:
+            hidden_dots, out_dots = trace.sal_dots
+            sal_pre, hidden, raw = trace.sal_pre, trace.sal_hidden, trace.sal_raw
+            logit, p, den = trace.sal_logit, trace.saliency, trace.denominator
             for product, x, out in hidden_dots:
-                product(x, w, out=out)
-            hidden[...] = bias
+                product(x, self.sal_w, out=out)
+            hidden[...] = self.sal_b
             sal_pre += hidden
             np.maximum(sal_pre, _ZERO, out=hidden)
             for product, x, out in out_dots:
-                product(x, w_out, out=out)
-            raw += b_out
+                product(x, self.sal_out_w, out=out)
+            raw += self.sal_out_b
             low, high = self.logit_cap
             np.maximum(raw, low, out=logit)
             np.minimum(logit, high, out=logit)
@@ -736,22 +721,26 @@ class _StepKernel:
             # 1 + exp(-|x|), and one exp takes the [denominator, P] pair
             np.minimum(logit, _ZERO, out=p)
             np.copysign(logit, _MINUS_ONE, out=den)
+            sigmoid = trace.sigmoid
             np.exp(sigmoid, out=sigmoid)
             den += _ONE
             p /= den
-            weighted[...] = p_col
-            weighted *= h
+            weighted = trace.weighted
+            weighted[...] = trace.saliency_col
+            weighted *= trace.trunk_out
         # without the branch P = 1 and ``weighted`` is h
 
+        cls_dots, det_dots = trace.head_dots
         for product, x, out in cls_dots:
-            product(x, w_cls, out=out)
+            product(x, self.cls_w, out=out)
         for product, x, out in det_dots:
-            product(x, w_det, out=out)
-        tmp[...] = head_bias
+            product(x, self.det_w, out=out)
+        tmp, streams = trace.tmp, trace.streams
+        tmp[...] = self.head_bias
         streams += tmp
         # one sum checks every pre-activation; it is finite unless one of
         # them is not, or it overflows, and then the walk names no layer
-        if not math.isfinite(_add_reduce(pre)):
+        if not math.isfinite(_add_reduce(trace.pre)):
             for layer, arr in trace.layers:
                 _check_finite(arr, layer)
 
@@ -759,8 +748,11 @@ class _StepKernel:
         # detection softmax over each image's proposals, whose column max
         # and sum are taken per image; one exp takes both streams, and the
         # shifts and sums are spread over ``tmp`` first
-        _max_reduce(s_cls, axis=1, keepdims=True, out=col)
-        for x, out in det_max:
+        col, row, row_image = trace.col, trace.row, trace.row_image
+        tmp_cls, tmp_det = trace.tmp_cls, trace.tmp_det
+        softmax, a = trace.softmax, trace.cls_softmax
+        _max_reduce(trace.s_cls, axis=1, keepdims=True, out=col)
+        for x, out in trace.det_max:
             _max_reduce(x, axis=-2, out=out)
         tmp_cls[...] = col
         if row_image is None:
@@ -770,7 +762,7 @@ class _StepKernel:
         np.subtract(streams, tmp, out=softmax)
         np.exp(softmax, out=softmax)
         _add_reduce(a, axis=1, keepdims=True, out=col)
-        for x, out in det_sum:
+        for x, out in trace.det_sum:
             _add_reduce(x, axis=-2, out=out)
         tmp_cls[...] = col
         if row_image is None:
@@ -779,10 +771,11 @@ class _StepKernel:
             np.take(row, row_image, axis=0, out=tmp_det)
         softmax /= tmp
 
-        np.multiply(a, b, out=scores)
+        np.multiply(a, trace.det_softmax, out=trace.scores)
         # the per-class sum is <= 1 exactly; min() only absorbs summation rounding
-        for x, out in tau_sum:
+        for x, out in trace.tau_sum:
             _add_reduce(x, axis=-2, out=out)
+        image_scores = trace.image_scores
         np.minimum(image_scores, _ONE, out=image_scores)
         trace.check_ranges()
 
@@ -793,14 +786,13 @@ class _StepKernel:
         total's gradients w.r.t. scores and P go to the trace; without
         the saliency branch the trace's zero ``d_sal`` is left as it is.
         """
-        config = self.config
-        image_scores, d_scores, scores, p, d_sal = trace.loss_arrays
-        l_ic = _image_classification_loss(image_scores, y, _EPSILON_KEPT, *self.tau_work)
+        config, d_scores = self.config, trace.d_scores
+        l_ic = _image_classification_loss(trace.image_scores, y, _EPSILON_KEPT, *self.tau_work)
         d_scores[...] = self.tau_work[0]
 
         l_sc = 0.0
         if assignment is not None and config.lambda_seed_cls > 0:
-            l_sc, terms = _seed_classification_terms(scores, assignment.seeds, _EPSILON)
+            l_sc, terms = _seed_classification_terms(trace.scores, assignment.seeds, _EPSILON)
             # seed classes are distinct, so each entry gets one term
             for i, c, d in terms:
                 d_scores[i, c] += config.lambda_seed_cls * d
@@ -812,10 +804,11 @@ class _StepKernel:
             and config.lambda_seed_sal > 0
             and len(assignment.sample_indices) > 0
         ):
-            l_ss, d_p = _seed_saliency_loss(p, assignment._sample_array, assignment.targets)
-            np.multiply(d_p, self.half_lambda_sal, out=d_sal)
+            l_ss, d_p = _seed_saliency_loss(trace.saliency, assignment._sample_array,
+                                            assignment.targets)
+            np.multiply(d_p, self.half_lambda_sal, out=trace.d_sal)
         elif config.saliency_enabled:
-            d_sal.fill(0.0)
+            trace.d_sal.fill(0.0)
 
         l_values = self.l2_values
         l_reg = float(l_values @ l_values)
@@ -825,14 +818,12 @@ class _StepKernel:
 
     def backward(self, trace: ForwardTrace) -> None:
         """The total's gradient into ``grad``, from ``trace.d_scores`` and ``d_sal``."""
-        (w_cls_t, w_det_t, gw_cls, gw_det, head_bias_grad, sal_params, trunk_params,
-         l2_values, l2_grad, l2_term, lambda_l2) = self.backward_params
-        (d_scores, a, b, softmax, d_cls, d_det, d_streams, tmp, tmp_cls, tmp_det, col, row,
-         g_t, d_g, tmp_g, relu_pre, relu_d_z, d_h, sal_arrays,
-         trunk_layers) = trace.backward_arrays
-        np.multiply(d_scores, b, out=d_cls)
-        np.multiply(d_scores, a, out=d_det)
+        d_scores, d_cls, d_det = trace.d_scores, trace.d_cls, trace.d_det
+        np.multiply(d_scores, trace.det_softmax, out=d_cls)
+        np.multiply(d_scores, trace.cls_softmax, out=d_det)
         # softmax backward: d_s = a * (d_a - sum(d_a * a)) per row, per column for b
+        d_streams, softmax, tmp = trace.d_streams, trace.softmax, trace.tmp
+        tmp_cls, tmp_det, col, row = trace.tmp_cls, trace.tmp_det, trace.col, trace.row
         np.multiply(d_streams, softmax, out=tmp)
         _add_reduce(tmp_cls, axis=1, keepdims=True, out=col)
         _add_reduce(tmp_det, axis=0, keepdims=True, out=row)
@@ -841,38 +832,39 @@ class _StepKernel:
         d_streams -= tmp
         d_streams *= softmax
 
-        np.dot(g_t, d_cls, out=gw_cls)
-        np.dot(g_t, d_det, out=gw_det)
-        _add_reduce(d_streams, axis=1, out=head_bias_grad)
-        np.dot(d_cls, w_cls_t, out=d_g)
-        np.dot(d_det, w_det_t, out=tmp_g)
+        g_t, d_g, tmp_g = trace.weighted_t, trace.d_g, trace.tmp_g
+        np.dot(g_t, d_cls, out=self.cls_w_grad)
+        np.dot(g_t, d_det, out=self.det_w_grad)
+        _add_reduce(d_streams, axis=1, out=self.head_bias_grad)
+        np.dot(d_cls, self.cls_w_t, out=d_g)
+        np.dot(d_det, self.det_w_t, out=tmp_g)
         d_g += tmp_g
 
         # every ReLU layer's 0/1 mask at once, each in its layer's d_z
-        np.greater(relu_pre, _ZERO, out=relu_d_z)
+        np.greater(trace.relu_pre, _ZERO, out=trace.relu_d_z)
         # without the branch ``d_h`` is ``d_g`` itself, where P = 1
-        if sal_arrays is not None:
-            w_t, w_out, gw, gb, gw_out, gb_out = sal_params
-            (p_col, h, d_p, d_sal, p, d_logit, one_minus_p, hidden_t, d_logit_col, d_u, d_z,
-             h_t) = sal_arrays
-            d_h[...] = p_col
+        d_h = trace.d_h
+        if trace.saliency_enabled:
+            p, d_p, d_logit = trace.saliency, trace.d_p, trace.d_logit
+            one_minus_p, d_u, d_z = trace.one_minus_p, trace.d_u, trace.d_z_sal
+            d_h[...] = trace.saliency_col
             d_h *= d_g
-            np.multiply(d_g, h, out=tmp_g)
+            np.multiply(d_g, trace.trunk_out, out=tmp_g)
             _add_reduce(tmp_g, axis=1, out=d_p)
-            d_p += d_sal
+            d_p += trace.d_sal
             np.multiply(d_p, p, out=d_logit)
             np.subtract(_ONE, p, out=one_minus_p)
             d_logit *= one_minus_p
-            np.dot(hidden_t, d_logit, out=gw_out)
-            _add_reduce(d_logit, keepdims=True, out=gb_out)
-            np.multiply(d_logit_col, w_out, out=d_u)
+            np.dot(trace.sal_hidden_t, d_logit, out=self.sal_out_w_grad)
+            _add_reduce(d_logit, keepdims=True, out=self.sal_out_b_grad)
+            np.multiply(trace.d_logit_col, self.sal_out_w, out=d_u)
             d_z *= d_u
-            np.dot(h_t, d_z, out=gw)
-            _add_reduce(d_z, axis=0, out=gb)
-            np.dot(d_z, w_t, out=tmp_g)
+            np.dot(trace.trunk_out_t, d_z, out=self.sal_w_grad)
+            _add_reduce(d_z, axis=0, out=self.sal_b_grad)
+            np.dot(d_z, self.sal_w_t, out=tmp_g)
             d_h += tmp_g
 
-        for (d_z, x_t, d_in), (gw, gb, w_t) in zip(trunk_layers, trunk_params):
+        for (d_z, x_t, d_in), (gw, gb, w_t) in zip(trace.trunk_layers_back, self.trunk_grads):
             d_z *= d_h
             np.dot(x_t, d_z, out=gw)
             _add_reduce(d_z, axis=0, out=gb)
@@ -880,7 +872,8 @@ class _StepKernel:
                 d_h = np.dot(d_z, w_t, out=d_in)
 
         # the L2 term joins last: g + lambda * w
-        l2_grad += np.multiply(l2_values, lambda_l2, out=l2_term)
+        l2_grad = self.l2_grad
+        l2_grad += np.multiply(self.l2_values, self.lambda_l2, out=self.l2_term)
 
     def run(self, x: np.ndarray, y: np.ndarray, assignment):
         """Forward, losses and backward of one image's checked inputs in the workspace.

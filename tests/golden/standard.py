@@ -33,8 +33,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import pytest
-
 from saldet import _accel, benchmark, cli
 from saldet.dataio import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from saldet.evaluate import evaluate
@@ -65,18 +63,9 @@ def _sha256(data: bytes) -> str:
 
 def run_grid():
     """The standard grid over seeds 0-4, and each run's parameter digest in run order."""
-    digests, trained = [], benchmark.train
     params_digest = _load_perfbench("workloads").params_digest
-
-    def recording_train(*args, **kwargs):
-        params, log = trained(*args, **kwargs)
-        digests.append(params_digest(params))
-        return params, log
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(benchmark, "train", recording_train)
-        result = benchmark.run_benchmark(seeds=range(5))
-    return result, digests
+    result = benchmark.run_benchmark(seeds=range(5))
+    return result, [params_digest(run.params) for run in result.runs]
 
 
 def pipeline(root: Path):

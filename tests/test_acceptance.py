@@ -24,6 +24,7 @@ from oracles import (
     prefix_ap,
     quadratic_nms,
 )
+from saldet import benchmark
 from saldet.core import Box, iou
 from saldet.dataio import SynthConfig, generate_synthetic
 from saldet.evaluate import (
@@ -285,6 +286,16 @@ def test_criterion_7_ablation_ordering(benchmark_result):
         f"CRITERION 7 PASS: CorLoc full {full:.3f} > no_sal {no_sal:.3f} > "
         f"baseline {baseline:.3f}; separation {full - baseline:.3f} >= 0.02"
     )
+
+
+@pytest.mark.parametrize("variant, seed", [("full", 0), ("no_sal", 1), ("baseline", 2)])
+def test_run_variant_is_that_run_of_the_grid(benchmark_result, variant, seed):
+    result, _, _ = benchmark_result
+    [run] = [r for r in result.runs if (r.variant, r.seed) == (variant, seed)]
+    alone = benchmark.run_variant(variant, seed)
+    assert alone.train_report.as_json_dict() == run.train_report.as_json_dict()
+    assert alone.test_report.as_json_dict() == run.test_report.as_json_dict()
+    assert alone.params.flat_values.tobytes() == run.params.flat_values.tobytes()
 
 
 def test_standard_results_match_the_recorded_contract(benchmark_result, tmp_path):

@@ -10,7 +10,8 @@ from saldet import benchmark
 
 @pytest.fixture
 def stubbed(monkeypatch):
-    """Counts of generated splits, and each ``train`` call's (records, train config)."""
+    """Counts of generated splits, and each ``train`` call's (records, model config,
+    train config)."""
     generated, trained = [], []
     real_generate = benchmark.generate_synthetic
 
@@ -19,7 +20,7 @@ def stubbed(monkeypatch):
         return real_generate(cfg)
 
     def train(records, model_config, train_config):
-        trained.append((records, train_config))
+        trained.append((records, model_config, train_config))
         return object(), None
 
     def evaluate(params, records, config):
@@ -42,8 +43,9 @@ def test_grid_generates_each_split_pair_once(stubbed):
     assert [(r.variant, r.seed) for r in result.runs] == [
         (v, s) for v in benchmark.VARIANTS for s in seeds
     ]
+    assert all(m is benchmark.STANDARD_MODEL for _, m, _ in trained)
     assert [(t.shuffle_seed, t.disable_saliency_subnet, t.disable_seed_losses)
-            for _, t in trained] == [
+            for _, _, t in trained] == [
         (s, v != "full", v == "baseline") for v in benchmark.VARIANTS for s in seeds
     ]
     for k, s in enumerate(seeds):
@@ -61,5 +63,25 @@ def test_given_records_are_both_splits_of_every_run(stubbed):
     generated.clear()
     result = benchmark.run_benchmark([0, 1], records=records)
     assert generated == []
-    assert all(r is records for r, _ in trained)
+    assert all(r is records for r, _, _ in trained)
     assert all(run.test_report is run.train_report for run in result.runs)
+
+
+def test_given_records_size_the_standard_model(stubbed):
+    _, trained = stubbed
+    synth = replace(benchmark.STANDARD_SYNTH, classes=3, feature_dim=5)
+    records, _ = benchmark.generate_synthetic(synth)
+    benchmark.run_benchmark([0], records=records)
+    sized = replace(benchmark.STANDARD_MODEL, feature_dim=5, num_classes=3)
+    assert [m for _, m, _ in trained] == [sized] * 3
+
+
+def test_given_no_records_is_refused():
+    with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
+        benchmark.run_benchmark([0], records=[])
+
+
+def test_run_variant_refuses_an_unknown_variant():
+    message = r"^unknown variant 'ful'; expected one of \('full', 'no_sal', 'baseline'\)$"
+    with pytest.raises(ValueError, match=message):
+        benchmark.run_variant("ful", 0)

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: output schemas and exit codes."""
 
 import csv
+import errno
 import inspect
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -162,37 +164,83 @@ class TestSeeds:
                         e["contrast"]) == (rs, ns, contrast)
 
 
-def _break_width(ds):
-    path = sorted((ds / "records").glob("*.json"))[0]
+def _edit_json(path, edit):
     doc = json.loads(path.read_text())
-    doc["width"] = str(doc["width"])
+    edit(doc)
     path.write_text(json.dumps(doc))
+
+
+def _break_width(ds):
+    _edit_json(ds / "records" / "img_0000.json", lambda doc: doc.update(width=str(doc["width"])))
+    return "img_0000.json: field 'width' must be an integer, got '32'"
 
 
 def _drop_gt_box(ds):
-    path = sorted((ds / "records").glob("*.json"))[0]
-    doc = json.loads(path.read_text())
-    del doc["gt_boxes"][0]["box"]
-    path.write_text(json.dumps(doc))
+    _edit_json(ds / "records" / "img_0000.json", lambda doc: doc["gt_boxes"][0].pop("box"))
+    return "img_0000.json: gt_boxes[0]: missing field 'box'"
 
 
 def _escape_records(ds):
-    path = ds / "manifest.json"
-    doc = json.loads(path.read_text())
-    doc["images"][0] = "../../" + doc["images"][0]
-    path.write_text(json.dumps(doc))
+    _edit_json(ds / "manifest.json", lambda doc: doc.update(images=["../../img_0000", "img_0001"]))
+    return "manifest.json: image stem '../../img_0000' is not a plain file name"
+
+
+def _manifest_seed_not_an_integer(ds):
+    _edit_json(ds / "manifest.json", lambda doc: doc.update(seed=1.5))
+    return "manifest.json: field 'seed' must be an integer or null"
+
+
+def _manifest_not_an_object(ds):
+    (ds / "manifest.json").write_text("[]")
+    return "manifest.json: expected a JSON object"
+
+
+def _record_id_not_its_stem(ds):
+    _edit_json(ds / "records" / "img_0000.json", lambda doc: doc.update(id="img_0001"))
+    return "img_0000.json: field 'id' (img_0001) != file stem"
+
+
+def _one_label_missing(ds):
+    _edit_json(ds / "records" / "img_0001.json", lambda doc: doc["labels"].pop())
+    return "img_0001.json: field 'labels' has 3 entries, manifest declares 4 classes"
+
+
+def _bin_version(ds):
+    path = ds / "records" / "img_0001.bin"
+    data = bytearray(path.read_bytes())
+    data[8:12] = struct.pack("<I", 7)
+    path.write_bytes(bytes(data))
+    return "img_0001.bin: unsupported version 7"
 
 
 class TestMalformedDataset:
-    @pytest.mark.parametrize("corrupt", [_break_width, _drop_gt_box, _escape_records])
+    @pytest.mark.parametrize("corrupt", [
+        _break_width, _drop_gt_box, _escape_records, _manifest_seed_not_an_integer,
+        _manifest_not_an_object, _record_id_not_its_stem, _one_label_missing, _bin_version,
+    ])
     def test_one_error_line_exit_1(self, tmp_path, capsys, corrupt):
         ds = tmp_path / "ds"
         assert main(["synth", "--out", str(ds), "--images", "2"]) == 0
         capsys.readouterr()
-        corrupt(ds)
+        message = corrupt(ds)
         assert main(["seeds", "--data", str(ds)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        line = _one_error_line(capsys)
+        assert line.startswith(f"error: {ds}") and line.endswith(message), line
+
+
+class TestRuntimeFailures:
+    @pytest.mark.parametrize("exc", [
+        OSError(errno.ENOSPC, "No space left on device"),
+        RuntimeError("verification failed"),
+        FloatingPointError("non-finite activation in trunk layer 0"),
+    ], ids=["OSError", "RuntimeError", "FloatingPointError"])
+    def test_exit_2_with_one_error_line(self, monkeypatch, capsys, exc):
+        def fail(**kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_gradient_check", fail)
+        assert main(["gradcheck", "--instances", "1"]) == 2
+        assert _one_error_line(capsys) == f"error: {exc}"
 
 
 class TestOutputPathIsADirectory:
@@ -459,6 +507,15 @@ class TestAblate:
             assert 0.0 <= row["mean_corloc"] <= 1.0
             assert 0.0 <= row["mean_map"] <= 1.0
 
+    def test_model_takes_the_dataset_widths(self, tmp_path, capsys):
+        # 3 classes of 5 features, where the standard model has 4 of 16
+        ds = tmp_path / "ds"
+        assert main(["synth", "--out", str(ds), "--images", "3", "--classes", "3",
+                     "--feature-dim", "5"]) == 0
+        capsys.readouterr()
+        assert main(["--json", "ablate", "--data", str(ds), "--seeds", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out.strip())
+        assert [r["variant"] for r in doc["rows"]] == ["full", "no_sal", "baseline"]
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_no_seeds_is_one_error_line(self, capsys, seeds):

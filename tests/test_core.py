@@ -1,6 +1,6 @@
 """Geometry primitives: boxes, IoU, grids, adjacency, proposals, records."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -101,6 +101,10 @@ class TestSuperpixelGrid:
         # the counts are read off the same sort
         assert grid.pixel_counts.dtype == np.int64 and not grid.pixel_counts.flags.writeable
         np.testing.assert_array_equal(grid.pixel_counts, np.bincount(flat))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="^grid must contain at least one pixel$"):
+            SuperpixelGrid(width=0, height=0, labels=np.zeros((0, 0), dtype=np.int32))
 
     def test_id_beyond_pixel_count_rejected_before_counting(self):
         # sizing a count array by this id would ask for 16 GiB
@@ -265,6 +269,11 @@ class TestLabelVector:
         with pytest.raises(ValueError, match=r"entries must be \+1 or -1"):
             LabelVector(y=[1, value])
 
+    @pytest.mark.parametrize("y", [[], [[1, -1]], 1], ids=["empty", "2-d", "scalar"])
+    def test_requires_a_nonempty_1d_vector(self, y):
+        with pytest.raises(ValueError, match="^labels must be a nonempty 1-d vector$"):
+            LabelVector(y=y)
+
     def test_positives(self):
         lv = LabelVector(y=np.array([1, -1, 1], dtype=np.int8))
         assert lv.positives == (0, 2)
@@ -281,6 +290,11 @@ class TestSaliencyMap:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SaliencyMap(values=np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("shape", [(), (4,), (1, 2, 2)])
+    def test_rejects_other_than_a_2d_grid(self, shape):
+        with pytest.raises(ValueError, match="^saliency values must be a 2-d grid$"):
+            SaliencyMap(values=np.zeros(shape))
 
     def test_class_is_not_an_argument(self):
         with pytest.raises(TypeError):
@@ -352,6 +366,17 @@ class TestImageRecord:
                 features=rec.features[:2], labels=rec.labels,
                 saliency=dict(rec.saliency), gt_boxes=rec.gt_boxes,
             )
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"proposals": [], "features": np.ones((0, 4))}, "needs at least one proposal"),
+        ({"features": np.full((3, 4), np.nan)}, "non-finite feature values"),
+        ({"features": np.full((3, 4), -np.inf)}, "non-finite feature values"),
+        ({"saliency": {0: SaliencyMap(np.ones((16, 8))), 1: SaliencyMap(np.ones((16, 16)))}},
+         r"saliency map 0 shape \(16, 8\) does not match grid \(16, 16\)"),
+    ], ids=["no proposal", "nan feature", "inf feature", "saliency shape"])
+    def test_rejects_a_broken_invariant(self, touching_objects_record, changes, message):
+        with pytest.raises(ValueError, match=f"^record touching: {message}$"):
+            replace(touching_objects_record, **changes)
 
     @pytest.mark.parametrize("gt,message", [
         ((0, Box(0, 0, 17, 4)), "exceeds grid bounds"),

@@ -51,6 +51,11 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             replace(TINY, **kw)
 
+    def test_more_objects_than_the_tiling_holds(self):
+        # two objects of at least 2x2 superpixels each on a 2x2 tiling
+        with pytest.raises(ValueError, match="^config infeasible: more objects than the tiling"):
+            SynthConfig(grid_side=4, superpixels=4, classes=2, feature_dim=2)
+
     def test_integer_errors_name_the_field(self):
         with pytest.raises(ValueError, match="images must be an integer, got 2.0"):
             replace(TINY, images=2.0)

@@ -108,6 +108,13 @@ class TestDetection:
         with pytest.raises(ValueError, match=f"{name} must be integers"):
             DetectionTable(**columns, score=[0.5])
 
+    @pytest.mark.parametrize("name", ["image", "class_id", "proposal"])
+    def test_rejects_negative_indices(self, name):
+        columns = {"image": [0, 0], "class_id": [1, 1], "proposal": [2, 2], name: [0, -1]}
+        message = "^detection image, class and proposal indices must be >= 0$"
+        with pytest.raises(ValueError, match=message):
+            DetectionTable(**columns, score=[0.5, 0.5])
+
     def test_accepts_any_integer_dtype(self):
         table = DetectionTable(image=np.array([0], dtype=np.uint8), class_id=[1],
                                proposal=np.array([2], dtype=np.int32), score=[0.5])

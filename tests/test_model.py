@@ -1027,6 +1027,13 @@ class TestOneImageTrace:
             with pytest.raises(TypeError):
                 backward(params, trace, np.zeros((3, 4)), None, config)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (12,)])
+    def test_backward_refuses_a_score_gradient_that_does_not_fit(self, shape):
+        params = random_params(CFG2, 5)
+        trace = forward(params, np.random.default_rng(9).normal(size=(3, 4)), CFG2)
+        with pytest.raises(ValueError, match="^d_scores shape mismatch$"):
+            backward(params, trace, np.zeros(shape), np.zeros(3), CFG2)
+
     def test_step_losses_and_backward_refuse_a_run_of_images(self):
         # the detection softmax's backward would mix the images' rows
         params = random_params(CFG2, 5)

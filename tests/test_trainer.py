@@ -589,7 +589,7 @@ class TestBindingFollowsTheBuffer:
             buffer, kept = kernel.buffer, len(kernel._workspaces)
             terms = real(kernel, features, *args)
             trace = kernel._workspaces[features.shape[0]]
-            views = [trace.pre, trace.d_g, trace.forward_arrays[-1], trace.backward_arrays[0]]
+            views = [trace.pre, trace.d_g, trace.image_scores, trace.d_scores]
             steps.append((kernel.buffer is not buffer, len(kernel._workspaces) < kept,
                           all(np.shares_memory(a, kernel.buffer) for a in views)))
             return terms
