@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import benchmark as bench
@@ -39,16 +39,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _envelope(args, payload: dict, indent=None) -> str:
+    """``payload`` in the versioned envelope of ``args.command``, as JSON text."""
+    return json.dumps(
+        {"schema_version": SCHEMA_VERSION, "command": args.command, **payload},
+        sort_keys=True, indent=indent,
+    )
+
+
 def _emit(args, payload: dict, human: str):
     if args.json:
-        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
-        print(json.dumps(payload, sort_keys=True))
+        print(_envelope(args, payload))
     elif human:
         print(human)
 
 
-def _box_list(box):
-    return list(box.as_tuple())
+def _config(cls, args, **explicit):
+    """``cls`` built from the flags named as its fields, then from ``explicit``."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **explicit)
 
 
 def _check_output_path(path) -> None:
@@ -66,17 +75,8 @@ def _check_output_path(path) -> None:
 # subcommand implementations
 
 def _cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        grid_side=args.grid_side,
-        superpixels=args.superpixels,
-        objects_per_image=(args.min_objects, args.max_objects),
-        images=args.images,
-        classes=args.classes,
-        feature_dim=args.feature_dim,
-        noise_amplitude=args.noise_amplitude,
-        feature_snr=args.snr,
-        seed=args.seed,
-    )
+    cfg = _config(SynthConfig, args, feature_snr=args.snr,
+                  objects_per_image=(args.min_objects, args.max_objects))
     records, manifest = generate_synthetic(cfg)
     save_dataset(records, manifest, args.out)
     _emit(
@@ -118,16 +118,12 @@ def _cmd_seeds(args) -> int:
         }
         if args.theta is not None:
             entry["threshold_boxes"] = {
-                str(c): [_box_list(b) for b in threshold_baseline(smap, args.theta)]
+                str(c): [list(b.as_tuple()) for b in threshold_baseline(smap, args.theta)]
                 for c, smap in sorted(rec.saliency.items())
             }
         images[rec.id] = entry
     payload = {"sigma": args.sigma, "images": images}
-    text = json.dumps(
-        {"schema_version": SCHEMA_VERSION, "command": "seeds", **payload},
-        sort_keys=True,
-        indent=None if args.json else 1,
-    )
+    text = _envelope(args, payload, indent=None if args.json else 1)
     if args.out:
         Path(args.out).write_text(text + "\n")
         _emit(args, {"out": str(args.out), "images": len(images)},
@@ -137,35 +133,11 @@ def _cmd_seeds(args) -> int:
     return 0
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        lr_phase1=args.lr_phase1,
-        lr_phase2=args.lr_phase2,
-        phase_boundary=args.phase_boundary,
-        momentum=args.momentum,
-        sigma=args.sigma,
-        shuffle_seed=args.seed,
-        init_seed=args.seed,
-        feature_jitter=args.feature_jitter,
-        disable_seed_losses=args.disable_seed_losses,
-        disable_saliency_subnet=args.disable_saliency_subnet,
-    )
-
-
 def _cmd_train(args) -> int:
     _check_output_path(args.out)
-    train_config = _train_config(args)
+    train_config = _config(TrainConfig, args, shuffle_seed=args.seed, init_seed=args.seed)
     # checks the flags now; the dataset's widths replace the placeholder 1s
-    model_config = ModelConfig(
-        feature_dim=1,
-        num_classes=1,
-        trunk_widths=tuple(args.trunk_widths),
-        saliency_hidden=args.saliency_hidden,
-        lambda_seed_cls=args.lambda_seed_cls,
-        lambda_seed_sal=args.lambda_seed_sal,
-        lambda_l2=args.lambda_l2,
-    )
+    model_config = _config(ModelConfig, args, feature_dim=1, num_classes=1)
     records, manifest = load_dataset(args.data)
     model_config = replace(
         model_config, feature_dim=manifest.feature_dim, num_classes=manifest.num_classes
@@ -175,14 +147,12 @@ def _cmd_train(args) -> int:
     )
     if args.json:
         for entry in train_log.as_json_dict()["epochs"]:
-            print(json.dumps({
-                "schema_version": SCHEMA_VERSION,
-                "command": "train",
+            print(_envelope(args, {
                 "event": "epoch",
                 **entry,
                 "mean_total_loss": entry["loss"]["total"],
                 "mean_image_cls_loss": entry["loss"]["image_cls"],
-            }, sort_keys=True))
+            }))
     else:
         for e in train_log.epochs:
             print(

@@ -53,7 +53,8 @@ class Box:
         # four plain ints, the usual input, need no check one by one
         if not type(x0) is type(y0) is type(x1) is type(y1) is int:
             for name, value in zip(("x0", "y0", "x1", "y1"), (x0, y0, x1, y1)):
-                _as_int(value, f"box {name}")
+                object.__setattr__(self, name, _as_int(value, f"box {name}"))
+            x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
         if x0 < 0 or y0 < 0:
             raise ValueError(f"box origin must be >= 0, got {self}")
         if x1 <= x0 or y1 <= y0:
@@ -78,30 +79,43 @@ def iou(a: Box, b: Box) -> float:
 
 
 def check_number_fields(config) -> None:
-    """Raise ValueError naming the first bool or number field of a dataclass that is wrong.
+    """Raise ValueError naming the first bool or number field of a dataclass
+    that is wrong; store each checked field as a plain Python value.
 
     A ``bool`` field must hold a bool or numpy bool. A ``float`` field
-    must hold a finite int, float or numpy number that is not a bool. An
-    ``int`` field, and each entry of a tuple-of-``int`` field, must be an
-    int or numpy integer, not a bool.
+    must hold a finite int, float or numpy number that is not a bool; an
+    int stays an int. An ``int`` field, and each entry of a tuple-of-``int``
+    field, must be an int or numpy integer, not a bool; the field is
+    stored as an int or a tuple of ints. An ``int | None`` field may also
+    hold None.
     """
     for f in fields(config):
-        value = getattr(config, f.name)
+        value, kind = getattr(config, f.name), f.type
+        if kind == int | None:
+            if value is None:
+                continue
+            kind = int
         is_bool = isinstance(value, (bool, np.bool_))
-        if f.type is bool and not is_bool:
-            raise ValueError(f"{f.name} must be a bool, got {value!r}")
-        if f.type is float:
+        if kind is bool:
+            if not is_bool:
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
+            value = bool(value)
+        elif kind is float:
             if is_bool or not isinstance(value, (int, float, np.integer, np.floating)):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if f.type is int:
-            _as_int(value, f.name)
-        elif get_origin(f.type) is tuple and int in get_args(f.type):
+            if isinstance(value, np.generic):
+                value = value.item()
+        elif kind is int:
+            value = _as_int(value, f.name)
+        elif get_origin(kind) is tuple and int in get_args(kind):
             if not isinstance(value, (tuple, list)):
                 raise ValueError(f"{f.name} must be a tuple of integers, got {value!r}")
-            for entry in value:
-                _as_int(entry, f"{f.name} entry")
+            value = tuple(_as_int(entry, f"{f.name} entry") for entry in value)
+        else:
+            continue
+        object.__setattr__(config, f.name, value)
 
 
 def _freeze(arr: np.ndarray, given=None) -> np.ndarray:
@@ -343,8 +357,10 @@ class ImageRecord:
         members, boxes = proposal_geometry(self.grid, self.proposals)
         object.__setattr__(self, "proposal_members", members)
         object.__setattr__(self, "proposal_boxes", boxes)
-        for c, box in self.gt_boxes:
-            _as_int(c, f"record {self.id}: gt box class")
+        gt_boxes = [(_as_int(c, f"record {self.id}: gt box class"), box)
+                    for c, box in self.gt_boxes]
+        object.__setattr__(self, "gt_boxes", gt_boxes)
+        for c, box in gt_boxes:
             if not (0 <= c < self.labels.num_classes):
                 raise ValueError(f"record {self.id}: gt box class {c} out of range")
             if box.x1 > self.grid.width or box.y1 > self.grid.height:

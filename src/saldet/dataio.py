@@ -74,6 +74,7 @@ class DatasetManifest:
     seed: int | None = None
 
     def __post_init__(self):
+        check_number_fields(self)
         images, seen = tuple(self.images), set()
         for stem in images:
             # a stem names files inside records/, so it must be one plain name

@@ -106,7 +106,6 @@ class ModelConfig:
             raise ValueError("saliency_hidden must be >= 1")
         if min(self.lambda_seed_cls, self.lambda_seed_sal, self.lambda_l2) < 0:
             raise ValueError("loss weights must be >= 0")
-        object.__setattr__(self, "trunk_widths", tuple(self.trunk_widths))
 
     @property
     def trunk_out(self) -> int:

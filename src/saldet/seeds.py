@@ -19,11 +19,12 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from . import _accel
-from .core import Box, ImageRecord
+from .core import Box, ImageRecord, _as_int
 
 log = logging.getLogger(__name__)
 
@@ -47,14 +48,24 @@ class SeedAssignment:
     proposal index. ``sample_indices`` lists the seed indices followed by
     the negatives; ``targets`` aligns 1.0 / 0.0 with that order. Two
     classes may share a seed proposal, but negatives are always disjoint
-    from every seed and from each other. Indices are >= 0; the training
-    step checks them against the image's proposal count.
+    from every seed and from each other. Class ids and indices are stored
+    as ints. Indices are >= 0; the training step checks them against the
+    image's proposal count.
     """
 
     seeds: tuple[tuple[int, int], ...]  # (class_id, proposal_index)
     negatives: tuple[int, ...]
 
     def __post_init__(self):
+        # plain ints, the usual input, need no check one by one
+        if set(map(type, chain(*self.seeds, self.negatives))) != {int}:
+            object.__setattr__(self, "seeds", tuple(
+                (_as_int(c, "seeds class id"), _as_int(i, "seeds proposal index"))
+                for c, i in self.seeds
+            ))
+            object.__setattr__(self, "negatives", tuple(
+                _as_int(i, "negatives proposal index") for i in self.negatives
+            ))
         classes = [c for c, _ in self.seeds]
         if classes != sorted(set(classes)):
             raise ValueError("seed classes must be unique and ascending")

@@ -8,7 +8,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -557,24 +557,86 @@ class TestParserContract:
         synth = parser.parse_args(["synth", "--out", "x"])
         seeds = parser.parse_args(["seeds", "--data", "x"])
         train = parser.parse_args(["train", "--data", "x", "--out", "x"])
-        assert SynthConfig(
-            grid_side=synth.grid_side, superpixels=synth.superpixels,
-            objects_per_image=(synth.min_objects, synth.max_objects), images=synth.images,
-            classes=synth.classes, feature_dim=synth.feature_dim,
-            noise_amplitude=synth.noise_amplitude, feature_snr=synth.snr, seed=synth.seed,
+        assert cli._config(
+            SynthConfig, synth, feature_snr=synth.snr,
+            objects_per_image=(synth.min_objects, synth.max_objects),
         ) == SynthConfig()
         assert seeds.sigma == TrainConfig.sigma
-        assert cli._train_config(train) == TrainConfig()
-        assert ModelConfig(
-            feature_dim=1, num_classes=1, trunk_widths=tuple(train.trunk_widths),
-            saliency_hidden=train.saliency_hidden, lambda_seed_cls=train.lambda_seed_cls,
-            lambda_seed_sal=train.lambda_seed_sal, lambda_l2=train.lambda_l2,
-        ) == ModelConfig(feature_dim=1, num_classes=1)
+        assert cli._config(
+            TrainConfig, train, shuffle_seed=train.seed, init_seed=train.seed
+        ) == TrainConfig()
+        assert cli._config(ModelConfig, train, feature_dim=1, num_classes=1) == ModelConfig(
+            feature_dim=1, num_classes=1
+        )
         evaluated = parser.parse_args(["eval", "--data", "x", "--checkpoint", "x"])
         defaults = inspect.signature(evaluate).parameters
         assert (evaluated.nms, evaluated.iou) == (
             defaults["nms_threshold"].default, defaults["iou_threshold"].default
         ) == (0.4, 0.5)
+
+    def test_every_config_field_is_set_by_its_flag(self, tmp_path, monkeypatch):
+        """Each flag sets the field of its name, or its one named mapping."""
+        flags = {
+            SynthConfig: {
+                "images": 4, "classes": 3, "feature_dim": 6, "grid_side": 48,
+                "superpixels": 36, "noise_amplitude": 0.1, "seed": 5,
+            },
+            TrainConfig: {
+                "epochs": 2, "phase_boundary": 1, "lr_phase1": 1e-3, "lr_phase2": 1e-4,
+                "momentum": 0.8, "sigma": 500.0, "feature_jitter": 0.01,
+                "disable_seed_losses": True, "disable_saliency_subnet": True,
+            },
+            ModelConfig: {
+                "trunk_widths": (8, 8), "saliency_hidden": 4, "lambda_seed_cls": 0.2,
+                "lambda_seed_sal": 0.5, "lambda_l2": 1e-4,
+            },
+        }
+        # fields set otherwise: the explicit mappings, the dataset's widths,
+        # and the saliency branch, which --disable-saliency-subnet switches
+        others = {
+            SynthConfig: {"feature_snr", "objects_per_image"},
+            TrainConfig: {"shuffle_seed", "init_seed"},
+            ModelConfig: {"feature_dim", "num_classes", "saliency_enabled"},
+        }
+        for cls, values in flags.items():
+            assert {f.name for f in fields(cls)} == set(values) | others[cls]
+            for name, value in values.items():
+                assert value != getattr(cls, name), f"{name} is set to its default"
+
+        def argv(flags):
+            out = []
+            for name, value in flags.items():
+                flag = "--" + name.replace("_", "-")
+                if value is True:
+                    out.append(flag)
+                else:
+                    out += [flag, *map(str, value if isinstance(value, tuple) else (value,))]
+            return out
+
+        captured = {}
+        real_generate, real_train = cli.generate_synthetic, cli.train
+
+        def generate(cfg):
+            captured[SynthConfig] = cfg
+            return real_generate(cfg)
+
+        def train(records, model_config, train_config, **kwargs):
+            captured[ModelConfig], captured[TrainConfig] = model_config, train_config
+            return real_train(records, model_config, train_config, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_synthetic", generate)
+        monkeypatch.setattr(cli, "train", train)
+        data = tmp_path / "ds"
+        assert main(["synth", "--out", str(data), *argv(flags[SynthConfig]), "--snr", "3",
+                     "--min-objects", "2", "--max-objects", "3"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                     "--seed", "1", *argv(flags[TrainConfig]), *argv(flags[ModelConfig])]) == 0
+        for cls, values in flags.items():
+            assert {name: getattr(captured[cls], name) for name in values} == values
+        synth, trained, model = captured[SynthConfig], captured[TrainConfig], captured[ModelConfig]
+        assert (synth.feature_snr, synth.objects_per_image) == (3.0, (2, 3))
+        assert (trained.shuffle_seed, trained.init_seed) == (1, 1)
+        assert (model.feature_dim, model.num_classes, model.saliency_enabled) == (6, 3, True)
 
 
 class TestSubprocessEntry:

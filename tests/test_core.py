@@ -41,6 +41,9 @@ class TestBox:
 
     def test_as_tuple(self):
         assert Box(1, 2, 3, 4).as_tuple() == (1, 2, 3, 4)
+        # numpy corners are stored as ints
+        corners = Box(*np.array([1, 2, 3, 4], dtype=np.int32)).as_tuple()
+        assert corners == (1, 2, 3, 4) and {type(v) for v in corners} == {int}
 
 
 class TestIou:

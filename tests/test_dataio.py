@@ -11,7 +11,7 @@ import pytest
 from conftest import build_record, dir_bytes, tiling_grid
 from oracles import reference_synthetic
 from saldet import _accel, dataio
-from saldet.core import SuperpixelGrid, iou, proposal_from_superpixels
+from saldet.core import Box, SuperpixelGrid, iou, proposal_from_superpixels
 from saldet.dataio import (
     DatasetError,
     DatasetManifest,
@@ -180,6 +180,43 @@ class TestRoundTrip:
         assert all(a[k] == b[k] for k in a)
 
 
+class TestPlainNumbers:
+    """numpy integers are stored as Python ints, so they save like them."""
+
+    def test_numpy_seed_saves_the_bytes_of_the_int_seed(self, tmp_path):
+        for name, seed in (("int", 3), ("numpy", np.int64(3))):
+            config = replace(TINY, seed=seed)
+            assert type(config.seed) is int
+            save_dataset(*generate_synthetic(config), tmp_path / name)
+        load_dataset(tmp_path / "numpy")
+        assert dir_bytes(tmp_path / "numpy") == dir_bytes(tmp_path / "int")
+
+    def test_numpy_int_ground_truth_saves_the_bytes_of_int_ground_truth(self, tmp_path):
+        grid = tiling_grid(8, 2)
+        for name, i in (("int", int), ("numpy", np.int64)):
+            record = _small_record("r", grid, 0, gt_boxes=[(i(0), Box(i(0), i(0), i(4), i(4)))])
+            manifest = DatasetManifest(
+                num_classes=i(2), feature_dim=i(4), class_names=("a", "b"), images=("r",),
+                seed=i(7),
+            )
+            save_dataset([record], manifest, tmp_path / name)
+        assert dir_bytes(tmp_path / "numpy") == dir_bytes(tmp_path / "int")
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"seed": "7"}, "seed must be an integer, got '7'"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"num_classes": True}, "num_classes must be an integer, got True"),
+        ({"feature_dim": 4.0}, "feature_dim must be an integer, got 4.0"),
+    ], ids=["str-seed", "float-seed", "bool-seed", "bool-classes", "float-width"])
+    def test_manifest_refuses_numbers_that_load_refuses(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            DatasetManifest(**{
+                "num_classes": 1, "feature_dim": 4, "class_names": ("a",), "images": ("r",),
+                **bad,
+            })
+
+
 class TestSaveRefuses:
     """Save writes only datasets that load accepts: nothing is written otherwise."""
 
@@ -235,13 +272,13 @@ def _count_grid_kernels(monkeypatch):
     return calls
 
 
-def _small_record(rec_id, grid, seed):
+def _small_record(rec_id, grid, seed, gt_boxes=()):
     """A two-class record on ``grid`` with two proposals and random payloads."""
     rng = np.random.default_rng(seed)
     shape = (grid.height, grid.width)
     return build_record(
         rec_id, grid, [[0], [1, 2]], rng.normal(size=(2, 4)), [1, -1],
-        {0: rng.random(shape)}, [],
+        {0: rng.random(shape)}, list(gt_boxes),
     )
 
 

@@ -611,6 +611,9 @@ class TestClassificationAp:
         # "a" ranks first: class 0 flags F T, class 1 flags T F
         assert classification_ap(scores, records) == {0: 0.5, 1: 1.0}
 
+    def test_no_records_gives_no_classes(self):
+        assert classification_ap({}, []) == {}
+
     def test_class_without_positives_skipped(self):
         records = [metric_record("a", [1, -1], [(0, Box(0, 0, 6, 6))])]
         result = classification_ap({"a": np.array([0.5, 0.5])}, records)

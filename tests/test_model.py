@@ -81,6 +81,15 @@ class TestModelConfig:
                              trunk_widths=[np.int64(8)], saliency_hidden=np.uint8(3))
         assert config == ModelConfig(feature_dim=4, num_classes=2, trunk_widths=(8,),
                                      saliency_hidden=3)
+        widths = (config.feature_dim, config.num_classes, config.saliency_hidden)
+        assert {type(v) for v in widths + config.trunk_widths} == {int}
+
+    def test_numbers_are_stored_as_plain_values(self):
+        config = ModelConfig(feature_dim=4, num_classes=2, lambda_seed_cls=1,
+                             lambda_l2=np.float32(0.5), saliency_enabled=np.bool_(False))
+        # an int given for a float field stays an int, as it prints the same
+        assert type(config.lambda_seed_cls) is int and type(config.lambda_l2) is float
+        assert config.saliency_enabled is False
 
     def test_trunk_out(self):
         assert ModelConfig(feature_dim=4, num_classes=2, trunk_widths=(8, 6)).trunk_out == 6

@@ -377,8 +377,19 @@ class TestSeedAssignment:
             (((0, 3), (1, 4)), (5, 5), "distinct"),
             (((0, 3),), (1, 2), "more negatives"),
             (((0, -1),), (2,), "index -1 is negative"),
+            # an index of 2.9 would train proposal 2 as a negative
+            (((0, 1),), (2.9,), "negatives proposal index must be an integer, got 2.9"),
+            (((0, 1.0),), (), "seeds proposal index must be an integer, got 1.0"),
+            (((0, True),), (), "seeds proposal index must be an integer, got True"),
+            (((np.float64(0), 1),), (), "seeds class id must be an integer"),
         ],
     )
     def test_rejects(self, seeds, negatives, msg):
         with pytest.raises(ValueError, match=msg):
             SeedAssignment(seeds=seeds, negatives=negatives)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        i64 = np.int64
+        a = SeedAssignment(seeds=((i64(0), i64(3)), (2, np.int32(5))), negatives=(i64(1),))
+        assert a.seeds == ((0, 3), (2, 5)) and a.negatives == (1,)
+        assert {type(v) for pair in a.seeds for v in pair} | {type(a.negatives[0])} == {int}
