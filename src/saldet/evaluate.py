@@ -14,19 +14,28 @@ a row per scored (image, class, proposal), with no per-detection Python
 objects and no boxes: NMS, AP and CorLoc read a row's box from its
 record's ``proposal_boxes`` and its (image, class) group from one
 numbering, ``_index``, so no array size or key depends on a class id's
-value. A class id past the records' label count has no ground truth and
-no positive image: AP skips it with a log note, and CorLoc never reads
-it. NMS lays the scores out as one (group, proposal box) matrix, NaN
-where no row is, and finds each image's overlapping proposal pairs once
-for all classes: over x0/y0/x1/y1 columns, in tiles of rows against the
-columns from the tile's first row on, images of equal proposal count
-together. Each class orients those pairs by its scores, every group is
-suppressed at once, and only the kept rows are sorted. AP matches ground
-truth only for the rows that reach the IoU threshold against some
-ground-truth box; CorLoc takes the top row of every group of the NMS
-output, which NMS never drops.
+value. What they read of the records (proposal counts and boxes, the
+label count, the ground truth, the image-id order) is derived once per
+``evaluate()`` call, in one private split object that feeds NMS, AP,
+CorLoc and classification AP; a stage called alone derives its own. A
+row's group is its class id when every id is below the records' label
+count, as in every table ``score_dataset`` makes. A class id past the
+records' label count has no ground truth and no positive image: AP skips
+it with a log note, and CorLoc never reads it. NMS lays the scores out
+as one (group, proposal box) matrix, NaN where no row is, and finds each
+image's overlapping proposal pairs once for all classes: over
+x0/y0/x1/y1 columns, in tiles of rows against the columns from the
+tile's first row on, images of equal proposal count together. Each class
+orients those pairs by its scores, every group is suppressed at once,
+and only the kept rows are sorted. AP matches ground truth only for the
+rows that reach the IoU threshold against some ground-truth box, in
+rounds: rows of different (image, class) keys never compete for a box,
+so round r matches the r-th such row of every key at once (one round on
+the standard splits, three on the dense ones); CorLoc takes the top row
+of every group of the NMS output, which NMS never drops.
 """
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -160,6 +169,7 @@ def score_dataset(params: ModelParams, records: list[ImageRecord], config: Model
         n = counts[images]
         scores[np.repeat(starts[images] - np.cumsum(n) + n, n) + np.arange(n.sum())] = trace.scores
         taus[images] = trace.image_scores
+        del trace  # freed before the next chunk's trace is built
     table = DetectionTable(
         image=np.repeat(np.repeat(np.arange(len(records)), counts), num_classes),
         class_id=np.tile(np.arange(num_classes), len(scores)),
@@ -169,27 +179,76 @@ def score_dataset(params: ModelParams, records: list[ImageRecord], config: Model
     return table, {rec.id: tau for rec, tau in zip(records, taus)}
 
 
-def _index(d: DetectionTable, records: list[ImageRecord]):
-    """(boxes, box_of, counts, classes, group): the records' proposal boxes
-    concatenated, each row's index into them, each record's proposal count,
-    the sorted union of 0..C-1 (C the records' largest label count) and the
-    table's class ids, and each row's index there, so class c < C is group c."""
-    if len(d) and d.image.max() >= len(records):
+class _Split:
+    """What NMS, AP, CorLoc and classification AP read of a split's records, derived on first use.
+
+    ``evaluate()`` makes one per call and hands it to every stage; a
+    stage called alone makes its own. Nothing outlives it or is kept on
+    the records.
+    """
+
+    def __init__(self, records: list[ImageRecord]):
+        self.records = records
+
+    @functools.cached_property
+    def proposals(self):
+        """(counts, starts, boxes): each record's proposal count and first
+        row in ``boxes``, the records' proposal boxes concatenated."""
+        records = self.records
+        counts = np.array([rec.num_proposals for rec in records], dtype=np.int64)
+        boxes = [np.empty((0, 4), dtype=np.int64)] + [rec.proposal_boxes for rec in records]
+        return counts, np.cumsum(counts) - counts, np.concatenate(boxes)
+
+    @functools.cached_property
+    def num_classes(self) -> int:
+        """C, the records' largest label count."""
+        return max([rec.labels.num_classes for rec in self.records], default=0)
+
+    @functools.cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each record's position in image-id order, which breaks score ties."""
+        records = self.records
+        rank = np.empty(len(records), dtype=np.int64)
+        rank[sorted(range(len(records)), key=lambda i: records[i].id)] = np.arange(len(records))
+        return rank
+
+    @functools.cached_property
+    def ground_truth(self):
+        """(image, classes, boxes) of every GT box, by (image, class), each
+        pair's boxes in record order, which breaks matching ties. A box of
+        class c in image i has key ``i * groups + c`` (class c is group c),
+        as ``_index``'s rows do."""
+        gt = [(i, c, box.as_tuple()) for i, rec in enumerate(self.records)
+              for c, box in rec.gt_boxes]
+        image = np.array([i for i, _, _ in gt], dtype=np.int64)
+        classes = np.array([c for _, c, _ in gt], dtype=np.int64)
+        boxes = np.array([b for _, _, b in gt], dtype=np.int64).reshape(-1, 4)
+        order = np.lexsort((classes, image))
+        return image[order], classes[order], boxes[order]
+
+
+def _index(d: DetectionTable, split: _Split):
+    """(box_of, classes, group): each row's index into the split's proposal
+    boxes, the sorted union of 0..C-1 and the table's class ids, and each
+    row's index there, so class c < C is group c."""
+    counts, starts, _ = split.proposals
+    if len(d) and d.image.max() >= counts.size:
         raise ValueError("detection image index outside the evaluated records")
-    counts = np.array([rec.num_proposals for rec in records], dtype=np.int64)
     if (d.proposal >= counts[d.image]).any():
         raise ValueError("detection proposal index outside its image's proposals")
-    boxes = [np.empty((0, 4), dtype=np.int64)] + [rec.proposal_boxes for rec in records]
-    box_of = (np.cumsum(counts) - counts)[d.image] + d.proposal
-    num_classes = max([rec.labels.num_classes for rec in records], default=0)
+    box_of = starts[d.image] + d.proposal
+    num_classes = split.num_classes
+    if not len(d) or d.class_id.max() < num_classes:  # every id is its own group
+        return box_of, np.arange(num_classes), d.class_id
     classes = np.union1d(np.arange(num_classes), d.class_id)
     # searching the sorted classes makes fewer row-sized temporaries than
     # ``np.unique``'s ``return_inverse``, which raised dense peak RSS
-    return np.concatenate(boxes), box_of, counts, classes, np.searchsorted(classes, d.class_id)
+    return box_of, classes, np.searchsorted(classes, d.class_id)
 
 
 def nms(
-    detections: DetectionTable, records: list[ImageRecord], iou_threshold: float = NMS_IOU
+    detections: DetectionTable, records: list[ImageRecord], iou_threshold: float = NMS_IOU,
+    *, _split: _Split | None = None,
 ) -> DetectionTable:
     """Greedy non-maximum suppression within each (image, class) group.
 
@@ -204,7 +263,9 @@ def nms(
     d = detections
     if not len(d):
         return d
-    boxes, box_of, counts, classes, group_of = _index(d, records)
+    split = _split or _Split(records)
+    box_of, classes, group_of = _index(d, split)
+    counts, _, boxes = split.proposals
     groups = classes.size
     # one score cell per (group, box); NaN, which is never kept, where no row is
     cell = group_of * len(boxes) + box_of
@@ -257,28 +318,6 @@ def check_thresholds(nms_threshold: float = NMS_IOU, iou_threshold: float = MATC
         raise ValueError(f"IoU matching threshold must be in (0, 1], got {iou_threshold}")
 
 
-def _id_rank(records: list[ImageRecord]) -> np.ndarray:
-    """Each record's position in image-id order, which breaks score ties."""
-    rank = np.empty(len(records), dtype=np.int64)
-    rank[sorted(range(len(records)), key=lambda i: records[i].id)] = np.arange(len(records))
-    return rank
-
-
-def _ground_truth(records: list[ImageRecord], groups: int):
-    """GT boxes keyed like ``_index``'s rows, sorted by key.
-
-    A box of class c in image i has key ``i * groups + c``, as class c is
-    group c; within a key the boxes keep their record order, which breaks
-    matching ties. Returns (keys, boxes, classes).
-    """
-    gt = [(i, c, box.as_tuple()) for i, rec in enumerate(records) for c, box in rec.gt_boxes]
-    keys = np.array([i * groups + c for i, c, _ in gt], dtype=np.int64)
-    classes = np.array([c for _, c, _ in gt], dtype=np.int64)
-    boxes = np.array([b for _, _, b in gt], dtype=np.int64).reshape(-1, 4)
-    order = np.argsort(keys, kind="stable")
-    return keys[order], boxes[order], classes[order]
-
-
 def _gt_pairs(row_keys, row_boxes, gt_keys, gt_boxes):
     """(row, gt, IoU) for every row and GT box of the same (image, class) key."""
     lo = np.searchsorted(gt_keys, row_keys, side="left")
@@ -293,6 +332,7 @@ def detection_ap(
     records: list[ImageRecord],
     iou_threshold: float = MATCH_IOU,
     eleven_point: bool = False,
+    *, _split: _Split | None = None,
 ) -> dict[int, float]:
     """Per-class average precision of (ideally post-NMS) detections.
 
@@ -304,26 +344,39 @@ def detection_ap(
     id past the records' label count, is skipped with a log note.
     """
     check_thresholds(iou_threshold=iou_threshold)
-    d = detections
-    boxes, box_of, _, classes, group = _index(d, records)
+    d, split = detections, _split or _Split(records)
+    box_of, classes, group = _index(d, split)
     groups = classes.size
-    gt_keys, gt_boxes, gt_cls = _ground_truth(records, groups)
-    order = np.lexsort((d.proposal, _id_rank(records)[d.image], -d.score, group))
-    row, gt, iou = _gt_pairs(
-        d.image[order] * groups + group[order], boxes[box_of[order]], gt_keys, gt_boxes
-    )
+    gt_image, gt_cls, gt_boxes = split.ground_truth
+    gt_keys = gt_image * groups + gt_cls
+    _, _, boxes = split.proposals
+    order = np.lexsort((d.proposal, split.id_rank[d.image], -d.score, group))
+    keys = d.image[order] * groups + group[order]
+    row, gt, iou = _gt_pairs(keys, boxes[box_of[order]], gt_keys, gt_boxes)
     # only rows reaching the threshold against some GT box can be true
-    # positives; their matching depends on earlier matches, so it is sequential
+    # positives, and rows of different keys never compete for a box: round
+    # r takes the r-th reaching row of every key at once, and each takes
+    # its first highest-IoU free box if that reaches the threshold
     tp = np.zeros(len(d), dtype=bool)
     used = np.zeros(gt_keys.size, dtype=bool)
     reach = np.unique(row[iou >= iou_threshold])
-    bounds = np.searchsorted(row, np.stack([reach, reach + 1]))
-    for k, lo, hi in zip(reach.tolist(), *bounds.tolist()):
-        free = np.where(used[gt[lo:hi]], -1.0, iou[lo:hi])
-        j = int(free.argmax())
-        if free[j] >= iou_threshold:
-            used[gt[lo + j]] = True
-            tp[k] = True
+    lo, hi = np.searchsorted(row, np.stack([reach, reach + 1]))
+    # a row's round: how many reaching rows of its key come before it
+    by_key = np.argsort(keys[reach], kind="stable")
+    sorted_keys = keys[reach[by_key]]
+    rounds = np.empty(reach.size, dtype=np.int64)
+    rounds[by_key] = np.arange(reach.size) - np.searchsorted(sorted_keys, sorted_keys)
+    for r in range(rounds.max(initial=-1) + 1):
+        q = np.flatnonzero(rounds == r)
+        n = hi[q] - lo[q]
+        seg = np.cumsum(n) - n
+        pair = np.repeat(lo[q] - seg, n) + np.arange(n.sum())
+        free = np.where(used[gt[pair]], -1.0, iou[pair])
+        best = np.maximum.reduceat(free, seg)
+        take = np.minimum.reduceat(np.where(free == np.repeat(best, n), pair, row.size), seg)
+        hit = best >= iou_threshold
+        used[gt[take[hit]]] = True
+        tp[reach[q[hit]]] = True
 
     # the ordered rows run class by class, in ``classes`` order
     ends = np.cumsum(np.bincount(group, minlength=groups)).tolist()
@@ -341,6 +394,7 @@ def corloc(
     detections: DetectionTable,
     records: list[ImageRecord],
     iou_threshold: float = MATCH_IOU,
+    *, _split: _Split | None = None,
 ) -> dict[int, float]:
     """Fraction of positive images whose top-scoring box hits a GT box.
 
@@ -352,10 +406,12 @@ def corloc(
     and after ``nms``.
     """
     check_thresholds(iou_threshold=iou_threshold)
-    d = detections
-    boxes, box_of, _, classes, group = _index(d, records)
+    d, split = detections, _split or _Split(records)
+    box_of, classes, group = _index(d, split)
+    _, _, boxes = split.proposals
     groups = classes.size
-    gt_keys, gt_boxes, _ = _ground_truth(records, groups)
+    gt_image, gt_cls, gt_boxes = split.ground_truth
+    gt_keys = gt_image * groups + gt_cls
     keys = d.image * groups + group
     order = np.argsort(keys, kind="stable")
     keys, score, box_of = keys[order], d.score[order], box_of[order]
@@ -386,13 +442,14 @@ def classification_ap(
     image_scores: dict[str, np.ndarray],
     records: list[ImageRecord],
     eleven_point: bool = False,
+    *, _split: _Split | None = None,
 ) -> dict[int, float]:
     """Per-class AP of ranking images by their class score tau_c (ties by id)."""
     if not records:
         return {}
     scores = np.stack([image_scores[r.id] for r in records]).astype(np.float64)
     positive = np.stack([r.labels.y == 1 for r in records])
-    id_rank = _id_rank(records)
+    id_rank = (_split or _Split(records)).id_rank
     result = {}
     for c in range(positive.shape[1]):
         flags = positive[np.lexsort((id_rank, -scores[:, c])), c]
@@ -422,10 +479,11 @@ def evaluate(
     if not records:
         raise ValueError("cannot evaluate an empty dataset")
     detections, image_scores = score_dataset(params, records, config)
-    kept = nms(detections, records, nms_threshold)
-    det_ap = detection_ap(kept, records, iou_threshold, eleven_point)
-    loc = corloc(kept, records, iou_threshold)
-    cls_ap = classification_ap(image_scores, records, eleven_point)
+    split = _Split(records)
+    kept = nms(detections, records, nms_threshold, _split=split)
+    det_ap = detection_ap(kept, records, iou_threshold, eleven_point, _split=split)
+    loc = corloc(kept, records, iou_threshold, _split=split)
+    cls_ap = classification_ap(image_scores, records, eleven_point, _split=split)
     return EvalReport(
         detection_ap=det_ap,
         mean_detection_ap=_mean(det_ap),

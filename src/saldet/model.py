@@ -81,6 +81,14 @@ _ZERO, _ONE, _MINUS_ONE, _HALF, _TWO = map(_kept, (0.0, 1.0, -1.0, 0.5, 2.0))
 _EPSILON_KEPT = _kept(_EPSILON)
 
 _add_reduce, _max_reduce, _min_reduce = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+# a step's ufuncs, bound once: numpy's module ``__getattr__`` leaves every
+# ``np.<name>`` load unspecialized, and a step makes ~45 of them. Its
+# matrix products are ndarray methods, which skip ``np.dot``'s
+# ``__array_function__`` dispatch and run the same product
+_abs, _copysign, _divide, _exp, _greater, _log = (
+    np.abs, np.copysign, np.divide, np.exp, np.greater, np.log)
+_maximum, _minimum, _multiply, _negative, _subtract = (
+    np.maximum, np.minimum, np.multiply, np.negative, np.subtract)
 
 
 @dataclass(frozen=True)
@@ -278,7 +286,7 @@ def _seed_saliency_loss(saliency, idx, targets):
     """The loss and its gradient w.r.t. P, which the duplicates of an index sum into."""
     residual = saliency[idx]
     residual -= targets
-    total = float(residual @ residual)
+    total = float(residual.dot(residual))
     residual *= _TWO
     # bincount adds each index's terms in order into zeros, as np.add.at would
     return total, np.bincount(idx, residual, minlength=saliency.size)
@@ -308,17 +316,17 @@ def _check_labels(labels_y, shape) -> np.ndarray:
 def _image_classification_loss(tau, y, epsilon, grad, arg, clamped, mask):
     """The loss for checked float64 labels ``y``; its gradient goes to
     ``grad``, the other arrays are scratch."""
-    np.subtract(tau, _HALF, out=arg)
+    _subtract(tau, _HALF, out=arg)
     arg *= y
     arg += _HALF
-    np.maximum(arg, epsilon, out=clamped)
-    total = float(-np.add.reduce(np.log(clamped, out=grad)))
+    _maximum(arg, epsilon, out=clamped)
+    total = float(-_add_reduce(_log(clamped, out=grad)))
     # -y / clamped where arg > epsilon, else 0.0: the negation turns the
     # -0.0 left outside the mask into 0.0
-    np.greater(arg, epsilon, out=mask)
+    _greater(arg, epsilon, out=mask)
     grad.fill(-0.0)
-    np.divide(y, clamped, out=grad, where=mask)
-    np.negative(grad, out=grad)
+    _divide(y, clamped, out=grad, where=mask)
+    _negative(grad, out=grad)
     return total
 
 
@@ -444,8 +452,9 @@ class ForwardTrace:
     consecutive images of equal count, on views built here once, as
     tuples of per-run entries: the matrix products (``trunk_dots`` per
     layer, ``sal_dots`` and ``head_dots``) as (product, x, out), the
-    product ``np.dot`` for a run of one image and ``np.matmul`` for a
-    stack, which runs each image's product on that image's shape and so
+    product ``np.ndarray.dot`` for a run of one image (``np.dot``'s
+    bits, without its ``__array_function__`` dispatch) and ``np.matmul``
+    for a stack, which runs each image's product on that image's shape and so
     gives it the bits of its own ``np.dot`` (1-row images, the saliency
     gemv and 600-row stacks included; one product over the concatenated
     rows would not, as the BLAS kernel changes with the row count), and
@@ -536,7 +545,7 @@ class ForwardTrace:
             return x[rows] if k == 1 else x[rows].reshape(k, m, *x.shape[1:])
 
         def dots(x, out):  # each run's rows of both
-            return tuple((np.dot if k == 1 else np.matmul,
+            return tuple((np.ndarray.dot if k == 1 else np.matmul,
                           stacked(x, rows, k, m), stacked(out, rows, k, m))
                          for rows, _, k, m in runs)
 
@@ -596,7 +605,7 @@ class ForwardTrace:
         for x, out in self.det_sum:
             _add_reduce(x, axis=-2, out=out)
         sums -= _ONE
-        np.abs(sums, out=sums)
+        _abs(sums, out=sums)
         if not _max_reduce(sums) <= 1e-6:
             if not row_sums.max() <= 1e-6:
                 raise FloatingPointError("classification softmax rows do not sum to 1")
@@ -698,7 +707,7 @@ class _StepKernel:
                 product(x, w, out=out)
             h[...] = bias  # a same-shape add costs less than one that broadcasts
             z += h
-            np.maximum(z, _ZERO, out=h)
+            _maximum(z, _ZERO, out=h)
 
         if trace.saliency_enabled:
             hidden_dots, out_dots = trace.sal_dots
@@ -708,20 +717,20 @@ class _StepKernel:
                 product(x, self.sal_w, out=out)
             hidden[...] = self.sal_b
             sal_pre += hidden
-            np.maximum(sal_pre, _ZERO, out=hidden)
+            _maximum(sal_pre, _ZERO, out=hidden)
             for product, x, out in out_dots:
                 product(x, self.sal_out_w, out=out)
             raw += self.sal_out_b
             low, high = self.logit_cap
-            np.maximum(raw, low, out=logit)
-            np.minimum(logit, high, out=logit)
+            _maximum(raw, low, out=logit)
+            _minimum(logit, high, out=logit)
             # sigmoid: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))
             # below; the numerator is exp(min(x, 0)), the denominator
             # 1 + exp(-|x|), and one exp takes the [denominator, P] pair
-            np.minimum(logit, _ZERO, out=p)
-            np.copysign(logit, _MINUS_ONE, out=den)
+            _minimum(logit, _ZERO, out=p)
+            _copysign(logit, _MINUS_ONE, out=den)
             sigmoid = trace.sigmoid
-            np.exp(sigmoid, out=sigmoid)
+            _exp(sigmoid, out=sigmoid)
             den += _ONE
             p /= den
             weighted = trace.weighted
@@ -758,8 +767,8 @@ class _StepKernel:
             tmp_det[...] = row
         else:
             np.take(row, row_image, axis=0, out=tmp_det)
-        np.subtract(streams, tmp, out=softmax)
-        np.exp(softmax, out=softmax)
+        _subtract(streams, tmp, out=softmax)
+        _exp(softmax, out=softmax)
         _add_reduce(a, axis=1, keepdims=True, out=col)
         for x, out in trace.det_sum:
             _add_reduce(x, axis=-2, out=out)
@@ -770,12 +779,12 @@ class _StepKernel:
             np.take(row, row_image, axis=0, out=tmp_det)
         softmax /= tmp
 
-        np.multiply(a, trace.det_softmax, out=trace.scores)
+        _multiply(a, trace.det_softmax, out=trace.scores)
         # the per-class sum is <= 1 exactly; min() only absorbs summation rounding
         for x, out in trace.tau_sum:
             _add_reduce(x, axis=-2, out=out)
         image_scores = trace.image_scores
-        np.minimum(image_scores, _ONE, out=image_scores)
+        _minimum(image_scores, _ONE, out=image_scores)
         trace.check_ranges()
 
     def losses(self, trace, y, assignment) -> tuple[float, float, float, float, float]:
@@ -805,12 +814,12 @@ class _StepKernel:
         ):
             l_ss, d_p = _seed_saliency_loss(trace.saliency, assignment._sample_array,
                                             assignment.targets)
-            np.multiply(d_p, self.half_lambda_sal, out=trace.d_sal)
+            _multiply(d_p, self.half_lambda_sal, out=trace.d_sal)
         elif config.saliency_enabled:
             trace.d_sal.fill(0.0)
 
         l_values = self.l2_values
-        l_reg = float(l_values @ l_values)
+        l_reg = float(l_values.dot(l_values))
         lambda_sc, half_lambda_ss, half_lambda_l2 = self.total_weights
         total = l_ic + lambda_sc * l_sc + half_lambda_ss * l_ss + half_lambda_l2 * l_reg
         return l_ic, l_sc, l_ss, l_reg, total
@@ -818,12 +827,12 @@ class _StepKernel:
     def backward(self, trace: ForwardTrace) -> None:
         """The total's gradient into ``grad``, from ``trace.d_scores`` and ``d_sal``."""
         d_scores, d_cls, d_det = trace.d_scores, trace.d_cls, trace.d_det
-        np.multiply(d_scores, trace.det_softmax, out=d_cls)
-        np.multiply(d_scores, trace.cls_softmax, out=d_det)
+        _multiply(d_scores, trace.det_softmax, out=d_cls)
+        _multiply(d_scores, trace.cls_softmax, out=d_det)
         # softmax backward: d_s = a * (d_a - sum(d_a * a)) per row, per column for b
         d_streams, softmax, tmp = trace.d_streams, trace.softmax, trace.tmp
         tmp_cls, tmp_det, col, row = trace.tmp_cls, trace.tmp_det, trace.col, trace.row
-        np.multiply(d_streams, softmax, out=tmp)
+        _multiply(d_streams, softmax, out=tmp)
         _add_reduce(tmp_cls, axis=1, keepdims=True, out=col)
         _add_reduce(tmp_det, axis=0, keepdims=True, out=row)
         tmp_cls[...] = col
@@ -832,15 +841,15 @@ class _StepKernel:
         d_streams *= softmax
 
         g_t, d_g, tmp_g = trace.weighted_t, trace.d_g, trace.tmp_g
-        np.dot(g_t, d_cls, out=self.cls_w_grad)
-        np.dot(g_t, d_det, out=self.det_w_grad)
+        g_t.dot(d_cls, out=self.cls_w_grad)
+        g_t.dot(d_det, out=self.det_w_grad)
         _add_reduce(d_streams, axis=1, out=self.head_bias_grad)
-        np.dot(d_cls, self.cls_w_t, out=d_g)
-        np.dot(d_det, self.det_w_t, out=tmp_g)
+        d_cls.dot(self.cls_w_t, out=d_g)
+        d_det.dot(self.det_w_t, out=tmp_g)
         d_g += tmp_g
 
         # every ReLU layer's 0/1 mask at once, each in its layer's d_z
-        np.greater(trace.relu_pre, _ZERO, out=trace.relu_d_z)
+        _greater(trace.relu_pre, _ZERO, out=trace.relu_d_z)
         # without the branch ``d_h`` is ``d_g`` itself, where P = 1
         d_h = trace.d_h
         if trace.saliency_enabled:
@@ -848,31 +857,31 @@ class _StepKernel:
             one_minus_p, d_u, d_z = trace.one_minus_p, trace.d_u, trace.d_z_sal
             d_h[...] = trace.saliency_col
             d_h *= d_g
-            np.multiply(d_g, trace.trunk_out, out=tmp_g)
+            _multiply(d_g, trace.trunk_out, out=tmp_g)
             _add_reduce(tmp_g, axis=1, out=d_p)
             d_p += trace.d_sal
-            np.multiply(d_p, p, out=d_logit)
-            np.subtract(_ONE, p, out=one_minus_p)
+            _multiply(d_p, p, out=d_logit)
+            _subtract(_ONE, p, out=one_minus_p)
             d_logit *= one_minus_p
-            np.dot(trace.sal_hidden_t, d_logit, out=self.sal_out_w_grad)
+            trace.sal_hidden_t.dot(d_logit, out=self.sal_out_w_grad)
             _add_reduce(d_logit, keepdims=True, out=self.sal_out_b_grad)
-            np.multiply(trace.d_logit_col, self.sal_out_w, out=d_u)
+            _multiply(trace.d_logit_col, self.sal_out_w, out=d_u)
             d_z *= d_u
-            np.dot(trace.trunk_out_t, d_z, out=self.sal_w_grad)
+            trace.trunk_out_t.dot(d_z, out=self.sal_w_grad)
             _add_reduce(d_z, axis=0, out=self.sal_b_grad)
-            np.dot(d_z, self.sal_w_t, out=tmp_g)
+            d_z.dot(self.sal_w_t, out=tmp_g)
             d_h += tmp_g
 
         for (d_z, x_t, d_in), (gw, gb, w_t) in zip(trace.trunk_layers_back, self.trunk_grads):
             d_z *= d_h
-            np.dot(x_t, d_z, out=gw)
+            x_t.dot(d_z, out=gw)
             _add_reduce(d_z, axis=0, out=gb)
             if d_in is not None:  # the gradient w.r.t. the input features is not needed
-                d_h = np.dot(d_z, w_t, out=d_in)
+                d_h = d_z.dot(w_t, out=d_in)
 
         # the L2 term joins last: g + lambda * w
         l2_grad = self.l2_grad
-        l2_grad += np.multiply(self.l2_values, self.lambda_l2, out=self.l2_term)
+        l2_grad += _multiply(self.l2_values, self.lambda_l2, out=self.l2_term)
 
     def run(self, x: np.ndarray, y: np.ndarray, assignment):
         """Forward, losses and backward of one image's checked inputs in the workspace.
@@ -912,13 +921,13 @@ def _momentum_update(layout, w, v, grad, lr, momentum, scratch) -> None:
     that overflows on finite entries finds none and the step is taken).
     Runs in ``_quiet()``, where that overflow raises no warning.
     """
-    if not math.isfinite(np.dot(grad, grad)):
+    if not math.isfinite(grad.dot(grad)):
         for name, g in layout.views(grad).items():
             if not np.isfinite(g).all():
                 raise FloatingPointError(f"non-finite gradient for {name}")
     v *= momentum
     v += grad
-    w -= np.multiply(v, lr, out=scratch)
+    w -= _multiply(v, lr, out=scratch)
 
 
 def _quiet():

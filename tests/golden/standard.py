@@ -23,13 +23,29 @@ where the fingerprint matches, since BLAS and CPU change the bits.
 To rewrite the file from this checkout (it prints each field that changed)::
 
     PYTHONPATH=src python tests/golden/standard.py
+
+To compare this checkout's record with the one that revision ``REV``'s
+``src/`` computes on this machine, field by field, without touching the
+file::
+
+    PYTHONPATH=src python tests/golden/standard.py --against REV
+
+``REV``'s ``src/`` is extracted with ``git archive`` into a temporary
+directory, and a child process computes the record with ``PYTHONPATH``
+set to that copy (this checkout's script and ``perfbench/`` compute it).
+It needs the repository's history, not the network.
 """
 
+import argparse
 import hashlib
 import importlib.util
+import io
 import json
+import os
 import re
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -152,14 +168,49 @@ def changed(old: dict, new: dict) -> list[str]:
     return sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
 
 
-def main() -> int:
+def compute() -> dict:
+    """This interpreter's ``saldet`` record: the grid, its digests and one pipeline run."""
     result, digests = run_grid()
     with tempfile.TemporaryDirectory() as tmp:
-        new = record(result, digests, pipeline(Path(tmp)))
-    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    diff = changed(old, new)
-    GOLDEN.write_text(json.dumps(new, indent=2) + "\n", encoding="utf-8")
-    print(f"{GOLDEN}: {len(diff)} field(s) changed")
+        return record(result, digests, pipeline(Path(tmp)))
+
+
+def compute_at(rev: str) -> dict:
+    """The record that revision ``rev``'s ``src/`` computes, in a child process."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        stdout=subprocess.PIPE, check=True,
+    ).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        out = Path(tmp) / "record.json"
+        code = ("import json, pathlib, sys, standard; "
+                "pathlib.Path(sys.argv[1]).write_text(json.dumps(standard.compute()))")
+        path = os.pathsep.join([str(Path(tmp) / "src"), str(GOLDEN.parent)])
+        subprocess.run([sys.executable, "-c", code, str(out)],
+                       env={**os.environ, "PYTHONPATH": path}, cwd=tmp, check=True,
+                       stdout=subprocess.DEVNULL)
+        return json.loads(out.read_text(encoding="utf-8"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument(
+        "--against", metavar="REV",
+        help="compare with the record REV's src/ computes; standard.json is left as is",
+    )
+    args = parser.parse_args(argv)
+    if args.against:
+        theirs = compute_at(args.against)
+        diff = changed(theirs, compute())
+        print(f"against {args.against}: {len(diff)} field(s) changed")
+    else:
+        new = compute()
+        old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+        diff = changed(old, new)
+        GOLDEN.write_text(json.dumps(new, indent=2) + "\n", encoding="utf-8")
+        print(f"{GOLDEN}: {len(diff)} field(s) changed")
     for key in diff:
         print(f"  {key}")
     return 0

@@ -18,10 +18,12 @@ from oracles import (
     prefix_ap,
     quadratic_nms,
 )
-from saldet.core import Box, ImageRecord, proposal_from_superpixels
+from saldet.benchmark import STANDARD_MODEL, benchmark_datasets
+from saldet.core import Box, ImageRecord, iou, proposal_from_superpixels
 from saldet.dataio import SynthConfig, generate_synthetic
 from saldet.evaluate import (
     DetectionTable,
+    EvalReport,
     classification_ap,
     corloc,
     detection_ap,
@@ -29,7 +31,8 @@ from saldet.evaluate import (
     nms,
     score_dataset,
 )
-from saldet.model import ModelConfig, forward, init_params
+from saldet.model import ModelConfig, _workspace_plan, forward, init_params
+from saldet.trainer import TrainConfig, train
 
 # the module, which the package's ``evaluate`` function shadows as an attribute
 evaluate_module = importlib.import_module("saldet.evaluate")
@@ -405,6 +408,39 @@ class TestDetectionAp:
         ]
         assert ap(dets, records)[0] == pytest.approx(0.5, abs=1e-12)
 
+    @staticmethod
+    def check_against_greedy_oracle(dets, records):
+        # per class: rows by (-score, image id, proposal), each image's rows
+        # matched greedily in that order, AP over every prefix
+        got = ap(dets, records)
+        gt_classes = {c for r in records for c, _ in r.gt_boxes}
+        assert set(got) == gt_classes
+        for c, value in got.items():
+            by_img = {}
+            ordered = sorted(
+                (d for d in dets if d.class_id == c),
+                key=lambda d: (-d.score, d.image_id, d.proposal_index),
+            )
+            for d in ordered:
+                by_img.setdefault(d.image_id, []).append(d)
+            queues = {
+                img: iter(
+                    match_detections(
+                        [d.bbox for d in group],
+                        [b for cc, b in
+                         next(r for r in records if r.id == img).gt_boxes
+                         if cc == c],
+                        0.5,
+                    )
+                )
+                for img, group in by_img.items()
+            }
+            flags = [next(queues[d.image_id]) for d in ordered]
+            n_gt = sum(
+                1 for r in records for cc, _ in r.gt_boxes if cc == c
+            )
+            assert value == pytest.approx(prefix_ap(flags, n_gt), abs=1e-12)
+
     def test_matches_greedy_oracle_on_random_inputs(self):
         rng = np.random.default_rng(41)
         records, _ = generate_synthetic(SynthConfig(images=6, seed=8))
@@ -417,32 +453,55 @@ class TestDetectionAp:
                             dets.append(
                                 det(rec.id, c, prop.bbox, float(rng.random()), i)
                             )
-            got = ap(dets, records)
-            for c, value in got.items():
-                by_img = {}
-                ordered = sorted(
-                    (d for d in dets if d.class_id == c),
-                    key=lambda d: (-d.score, d.image_id, d.proposal_index),
-                )
-                for d in ordered:
-                    by_img.setdefault(d.image_id, []).append(d)
-                queues = {
-                    img: iter(
-                        match_detections(
-                            [d.bbox for d in group],
-                            [b for cc, b in
-                             next(r for r in records if r.id == img).gt_boxes
-                             if cc == c],
-                            0.5,
-                        )
-                    )
-                    for img, group in by_img.items()
-                }
-                flags = [next(queues[d.image_id]) for d in ordered]
-                n_gt = sum(
-                    1 for r in records for cc, _ in r.gt_boxes if cc == c
-                )
-                assert value == pytest.approx(prefix_ap(flags, n_gt), abs=1e-12)
+            self.check_against_greedy_oracle(dets, records)
+
+    def test_matches_greedy_oracle_with_same_class_boxes(self):
+        # 2-3 ground-truth boxes of one class per image, overlapping, and
+        # proposals near them: several rows of one (image, class) reach
+        # the threshold and compete for its boxes, a proposal midway
+        # between two boxes has equal IoUs against both, and scores repeat
+        rng = np.random.default_rng(43)
+        competing = equal_iou = 0
+        for _ in range(15):
+            records, dets = [], []
+            for k in range(int(rng.integers(2, 6))):
+                gt = []
+                for c in rng.permutation(3)[: int(rng.integers(1, 4))].tolist():
+                    # inside the records' 24 x 24 grid
+                    x0, y0 = int(rng.integers(0, 4)), int(rng.integers(0, 16))
+                    w, h = int(rng.integers(6, 9)), int(rng.integers(6, 9))
+                    for _ in range(int(rng.integers(2, 4))):
+                        gt.append((c, Box(x0, y0, x0 + w, y0 + h)))
+                        x0 += int(rng.integers(1, 4)) * int(rng.integers(1, 3))
+                present = {c for c, _ in gt}
+                y = [1 if c in present else -1 for c in range(3)]
+                records.append(metric_record(f"img{k}", y, gt))
+                boxes = []
+                for (_, a), (_, b) in zip(gt, gt[1:]):
+                    # midway: equal IoUs when the shift is even
+                    boxes.append(Box((a.x0 + b.x0) // 2, a.y0, (a.x1 + b.x1) // 2, a.y1))
+                for _, b in gt:
+                    for _ in range(2):
+                        dx, dy = (int(v) for v in rng.integers(-2, 3, size=2))
+                        boxes.append(Box(max(b.x0 + dx, 0), max(b.y0 + dy, 0),
+                                         b.x1 + dx + 1, b.y1 + dy))
+                x0, y0 = int(rng.integers(0, 30)), int(rng.integers(0, 30))
+                boxes.append(Box(x0, y0, x0 + 5, y0 + 5))
+                start = len(dets)
+                for i, box in enumerate(boxes):
+                    for c in range(3):
+                        if rng.random() < 0.7:
+                            score = float(rng.choice([0.25, 0.5, 0.5, 0.75, rng.random()]))
+                            dets.append(det(f"img{k}", c, box, score, i))
+                for c in range(3):
+                    mine = [b for cc, b in gt if cc == c]
+                    ious = [sorted(iou(d.bbox, b) for b in mine)
+                            for d in dets[start:] if d.class_id == c]
+                    reaching = [v for v in ious if v and v[-1] >= 0.5]
+                    competing += len(reaching) >= 2
+                    equal_iou += sum(len(v) > 1 and v[-1] == v[-2] for v in reaching)
+            self.check_against_greedy_oracle(dets, records)
+        assert competing >= 10 and equal_iou >= 3
 
 
 class TestCorloc:
@@ -771,6 +830,31 @@ class TestEvaluatePipeline:
             assert np.array_equal(dets.score[dets.image == i], trace.scores.ravel())
             assert np.array_equal(taus[rec.id], trace.image_scores)
 
+    def test_each_chunk_trace_is_freed_before_the_next_is_built(self, monkeypatch):
+        # with two traces alive at once the peak, less the outputs, is about
+        # two chunk traces
+        monkeypatch.setattr(evaluate_module, "_CHUNK_ROWS", 40)
+        records, _ = generate_synthetic(SynthConfig(images=24, seed=1))
+        config = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(64, 64),
+                             saliency_hidden=32)
+        params = init_params(config, 0)
+        counts = [rec.num_proposals for rec in records]
+        chunks = evaluate_module._chunks(counts)
+        assert len(chunks) == 5
+        trace_bytes = max(
+            8 * _workspace_plan(config, sum(counts[a:b]), b - a)[0] for a, b in chunks
+        )
+        score_dataset(params, records, config)  # lazy set-up outside the traced call
+        tracemalloc.start()
+        try:
+            dets, taus = score_dataset(params, records, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = (dets.image, dets.class_id, dets.proposal, dets.score)
+        outputs = sum(col.nbytes for col in columns) + len(taus) * 4 * 8
+        assert peak - outputs < 1.5 * trace_bytes
+
     def test_chunks_hold_whole_records_within_the_row_budget(self, monkeypatch):
         monkeypatch.setattr(evaluate_module, "_CHUNK_ROWS", 10)
         chunks = evaluate_module._chunks([1, 8, 1, 12, 3, 7, 10, 2])
@@ -849,6 +933,33 @@ class TestEvaluatePipeline:
                 ranked = sorted(records, key=lambda r: (-float(taus[r.id][c]), r.id))
                 flags = [bool(r.labels.y[c] == 1) for r in ranked]
                 assert v == pytest.approx(prefix_ap(flags, sum(flags)), abs=1e-12)
+
+    @pytest.mark.parametrize("split", ["standard", "dense"])
+    def test_report_equals_its_stages_called_alone(self, split):
+        # the split arrays that evaluate() derives once and hands to every
+        # stage give the bits each stage derives alone
+        if split == "standard":
+            train_records, records = benchmark_datasets(0)
+            model = STANDARD_MODEL
+        else:
+            train_records = records = dense_records(5)
+            model = ModelConfig(feature_dim=16, num_classes=4, trunk_widths=(8,),
+                                saliency_hidden=4)
+        train_config = TrainConfig(epochs=2, phase_boundary=1)
+        params, _ = train(train_records, model, train_config)
+        config = train_config.effective_model_config(model)
+        dets, taus = score_dataset(params, records, config)
+        kept = nms(dets, records)
+        parts = {"detection_ap": detection_ap(kept, records), "corloc": corloc(kept, records),
+                 "classification_ap": classification_ap(taus, records)}
+        want = EvalReport(
+            **parts,
+            **{f"mean_{name}": float(np.mean(list(v.values()))) if v else 0.0
+               for name, v in parts.items()},
+            num_images=len(records), num_gt_boxes=sum(len(r.gt_boxes) for r in records),
+        )
+        got = evaluate(params, records, config)
+        assert json.dumps(got.as_json_dict()) == json.dumps(want.as_json_dict())
 
     def test_rejects_bad_iou_threshold(self):
         records, _ = generate_synthetic(SynthConfig(images=3, seed=1))

@@ -1005,15 +1005,17 @@ class TestStackedRuns:
         assert [x.shape for _, x, _ in trace.trunk_dots[0]] == [
             (2, 9, 4), (6, 4), (2, 1, 4), (6, 4), (3, 9, 4)
         ]
-        # np.dot for one image's rows, np.matmul for a stack
+        # ndarray.dot for one image's rows, np.matmul for a stack
         assert [product for product, _, _ in trace.trunk_dots[0]] == [
-            np.matmul, np.dot, np.matmul, np.dot, np.matmul
+            np.matmul, np.ndarray.dot, np.matmul, np.ndarray.dot, np.matmul
         ]
         assert [out.shape for _, out in trace.tau_sum] == [(2, 4), (4,), (2, 4), (4,), (3, 4)]
         # a one-image trace, as a training step's workspace, has 2-D views only
         one = forward(params, rng.normal(size=(9, 4)), CFG2)
         runs = one.trunk_dots[0] + one.head_dots[0]
-        assert [(product, x.ndim) for product, x, _ in runs] == [(np.dot, 2), (np.dot, 2)]
+        assert [(product, x.ndim) for product, x, _ in runs] == [
+            (np.ndarray.dot, 2), (np.ndarray.dot, 2)
+        ]
 
 
 class TestOneImageTrace:
