@@ -213,14 +213,12 @@ def load_dataset(manifest_path):
         raise DatasetError(f"{manifest_path}: manifest file not found")
     doc = _read_json(manifest_path)
     _check_fields(doc, manifest_path, _MANIFEST_FIELDS)
-    if not (doc.get("seed") is None or _is_int(doc["seed"])):
-        raise DatasetError(f"{manifest_path}: field 'seed' must be an integer or null")
     if doc["version"] != FORMAT_VERSION:
         raise DatasetError(f"{manifest_path}: unsupported version {doc['version']}")
-    try:
+    try:  # the manifest checks its number fields; a missing one is None
         manifest = DatasetManifest(
-            num_classes=doc["num_classes"],
-            feature_dim=doc["feature_dim"],
+            num_classes=doc.get("num_classes"),
+            feature_dim=doc.get("feature_dim"),
             class_names=tuple(doc["class_names"]),
             images=tuple(doc["images"]),
             seed=doc.get("seed"),
@@ -258,8 +256,6 @@ def _is_str(value) -> bool:
 _INT = (_is_int, "an integer")
 _MANIFEST_FIELDS = {
     "version": _INT,
-    "num_classes": _INT,
-    "feature_dim": _INT,
     "class_names": (_list_of(_is_str), "a list of strings"),
     "images": (_list_of(_is_str), "a list of strings"),
 }

@@ -12,18 +12,18 @@ comparability with older conventions.
 Everything after scoring works on one :class:`DetectionTable` per split,
 a row per scored (image, class, proposal), with no per-detection Python
 objects and no boxes: NMS, AP and CorLoc read a row's box from its
-record's ``proposal_boxes`` and its (image, class) group from one
-numbering, ``_index``, so no array size or key depends on a class id's
-value. What they read of the records (proposal counts and boxes, the
-label count, the ground truth, the image-id order) is derived once per
-``evaluate()`` call, in one private split object that feeds NMS, AP,
-CorLoc and classification AP; a stage called alone derives its own. A
-row's group is its class id when every id is below the records' label
-count, as in every table ``score_dataset`` makes. A class id past the
-records' label count has no ground truth and no positive image: AP skips
-it with a log note, and CorLoc never reads it. NMS lays the scores out
-as one (group, proposal box) matrix, NaN where no row is, and finds each
-image's overlapping proposal pairs once for all classes: over
+record's ``proposal_boxes``. A row's class indexes the records' label
+vector, as its image indexes the records and its proposal the image's
+proposals; NMS, AP and CorLoc refuse a table that breaks any of the
+three. With C the records' label count, the key of an (image, class)
+group, of rows and ground-truth boxes alike, is ``image * C + class``,
+so no array is sized or keyed by more than C classes. What the stages
+read of the records (proposal counts and boxes, the label count, the
+ground truth, the image-id order) is derived once per ``evaluate()``
+call, in one private split object that feeds NMS, AP, CorLoc and
+classification AP; a stage called alone derives its own. NMS lays the
+scores out as one (class, proposal box) matrix, NaN where no row is, and
+finds each image's overlapping proposal pairs once for all classes: over
 x0/y0/x1/y1 columns, in tiles of rows against the columns from the
 tile's first row on, images of equal proposal count together. Each class
 orients those pairs by its scores, every group is suppressed at once,
@@ -64,9 +64,11 @@ _CHUNK_ROWS = 512
 class DetectionTable:
     """Columnar scores: one row per (image, class, proposal).
 
-    ``image`` indexes the evaluated records and ``proposal`` the image's
-    proposals. The index columns must be given as integers, and every
-    score must be finite and in [0, 1].
+    ``image`` indexes the evaluated records, ``class_id`` their label
+    vector (it is below the records' label count) and ``proposal`` the
+    image's proposals; NMS, AP and CorLoc refuse a row that breaks this.
+    The index columns must be given as integers, and every score must be
+    finite and in [0, 1].
     """
 
     image: np.ndarray     # (K,) int64
@@ -214,36 +216,29 @@ class _Split:
 
     @functools.cached_property
     def ground_truth(self):
-        """(image, classes, boxes) of every GT box, by (image, class), each
-        pair's boxes in record order, which breaks matching ties. A box of
-        class c in image i has key ``i * groups + c`` (class c is group c),
-        as ``_index``'s rows do."""
-        gt = [(i, c, box.as_tuple()) for i, rec in enumerate(self.records)
-              for c, box in rec.gt_boxes]
-        image = np.array([i for i, _, _ in gt], dtype=np.int64)
+        """(keys, classes, boxes) of every GT box, by key: a box of class c
+        in image i has key ``i * C + c``, as a row of that image and class
+        does. A key's boxes are in record order, which breaks matching ties."""
+        gt = [(i * self.num_classes + c, c, box.as_tuple())
+              for i, rec in enumerate(self.records) for c, box in rec.gt_boxes]
+        keys = np.array([k for k, _, _ in gt], dtype=np.int64)
         classes = np.array([c for _, c, _ in gt], dtype=np.int64)
         boxes = np.array([b for _, _, b in gt], dtype=np.int64).reshape(-1, 4)
-        order = np.lexsort((classes, image))
-        return image[order], classes[order], boxes[order]
+        order = np.argsort(keys, kind="stable")
+        return keys[order], classes[order], boxes[order]
 
 
-def _index(d: DetectionTable, split: _Split):
-    """(box_of, classes, group): each row's index into the split's proposal
-    boxes, the sorted union of 0..C-1 and the table's class ids, and each
-    row's index there, so class c < C is group c."""
+def _index(d: DetectionTable, split: _Split) -> np.ndarray:
+    """Each row's index into the split's proposal boxes, once its image,
+    class and proposal are checked against the records."""
     counts, starts, _ = split.proposals
     if len(d) and d.image.max() >= counts.size:
         raise ValueError("detection image index outside the evaluated records")
+    if len(d) and d.class_id.max() >= split.num_classes:
+        raise ValueError("detection class index outside the records' label count")
     if (d.proposal >= counts[d.image]).any():
         raise ValueError("detection proposal index outside its image's proposals")
-    box_of = starts[d.image] + d.proposal
-    num_classes = split.num_classes
-    if not len(d) or d.class_id.max() < num_classes:  # every id is its own group
-        return box_of, np.arange(num_classes), d.class_id
-    classes = np.union1d(np.arange(num_classes), d.class_id)
-    # searching the sorted classes makes fewer row-sized temporaries than
-    # ``np.unique``'s ``return_inverse``, which raised dense peak RSS
-    return box_of, classes, np.searchsorted(classes, d.class_id)
+    return starts[d.image] + d.proposal
 
 
 def nms(
@@ -264,18 +259,18 @@ def nms(
     if not len(d):
         return d
     split = _split or _Split(records)
-    box_of, classes, group_of = _index(d, split)
+    box_of = _index(d, split)
     counts, _, boxes = split.proposals
-    groups = classes.size
-    # one score cell per (group, box); NaN, which is never kept, where no row is
-    cell = group_of * len(boxes) + box_of
-    score = np.full(groups * len(boxes), np.nan)
+    num_classes = split.num_classes
+    # one score cell per (class, box); NaN, which is never kept, where no row is
+    cell = d.class_id * len(boxes) + box_of
+    score = np.full(num_classes * len(boxes), np.nan)
     score[cell] = d.score
     if np.count_nonzero(~np.isnan(score)) != len(d):
         raise ValueError("an (image, class, proposal) occurs more than once")
     # within an image a lower box is a lower proposal, so ``nms_keep``
     # breaks score ties as this function does
-    keep = _accel.nms_keep(boxes, iou_threshold, counts, score.reshape(groups, len(boxes)))
+    keep = _accel.nms_keep(boxes, iou_threshold, counts, score.reshape(num_classes, len(boxes)))
     # the kept cells come in (class, image, proposal) order, so a stable
     # sort by descending score, then by (image, class), leaves equal
     # scores in proposal order; only the kept rows are sorted
@@ -283,7 +278,7 @@ def nms(
     row_of = np.empty(score.size, dtype=np.int64)
     row_of[cell] = np.arange(len(d))
     rows = row_of[kept]
-    order = np.lexsort((-score[kept], d.image[rows] * groups + kept // len(boxes)))
+    order = np.lexsort((-score[kept], d.image[rows] * num_classes + kept // len(boxes)))
     return d.take(rows[order])
 
 
@@ -340,18 +335,17 @@ def detection_ap(
     proposal index), is matched to the highest-IoU still-unmatched
     ground-truth box of its class in its image; it is a true positive
     when that IoU is >= the threshold, otherwise a false positive
-    (duplicates included). A class with rows but no ground truth, as any
-    id past the records' label count, is skipped with a log note.
+    (duplicates included). A class with rows but no ground truth is
+    skipped with a log note.
     """
     check_thresholds(iou_threshold=iou_threshold)
     d, split = detections, _split or _Split(records)
-    box_of, classes, group = _index(d, split)
-    groups = classes.size
-    gt_image, gt_cls, gt_boxes = split.ground_truth
-    gt_keys = gt_image * groups + gt_cls
+    box_of = _index(d, split)
+    num_classes = split.num_classes
+    gt_keys, gt_cls, gt_boxes = split.ground_truth
     _, _, boxes = split.proposals
-    order = np.lexsort((d.proposal, split.id_rank[d.image], -d.score, group))
-    keys = d.image[order] * groups + group[order]
+    order = np.lexsort((d.proposal, split.id_rank[d.image], -d.score, d.class_id))
+    keys = d.image[order] * num_classes + d.class_id[order]
     row, gt, iou = _gt_pairs(keys, boxes[box_of[order]], gt_keys, gt_boxes)
     # only rows reaching the threshold against some GT box can be true
     # positives, and rows of different keys never compete for a box: round
@@ -378,11 +372,11 @@ def detection_ap(
         used[gt[take[hit]]] = True
         tp[reach[q[hit]]] = True
 
-    # the ordered rows run class by class, in ``classes`` order
-    ends = np.cumsum(np.bincount(group, minlength=groups)).tolist()
-    n_gt = np.bincount(gt_cls, minlength=groups).tolist()
+    # the ordered rows run class by class
+    ends = np.cumsum(np.bincount(d.class_id, minlength=num_classes)).tolist()
+    n_gt = np.bincount(gt_cls, minlength=num_classes).tolist()
     result = {}
-    for c, lo, hi, n in zip(classes.tolist(), [0] + ends, ends, n_gt):
+    for c, (lo, hi, n) in enumerate(zip([0] + ends, ends, n_gt)):
         if n:
             result[c] = _ap_from_pr(*_pr_curve(tp[lo:hi], n), eleven_point)
         elif hi > lo:
@@ -401,18 +395,16 @@ def corloc(
     For each (image, positive class) pair the single highest-scoring
     detection of that class (ties by lower proposal index) is checked
     against the class's ground truth at the IoU threshold. Classes with
-    no positive images, as any id past the records' label count, are
-    skipped. NMS keeps that detection, so the result is the same before
-    and after ``nms``.
+    no positive images are skipped. NMS keeps that detection, so the
+    result is the same before and after ``nms``.
     """
     check_thresholds(iou_threshold=iou_threshold)
     d, split = detections, _split or _Split(records)
-    box_of, classes, group = _index(d, split)
+    box_of = _index(d, split)
     _, _, boxes = split.proposals
-    groups = classes.size
-    gt_image, gt_cls, gt_boxes = split.ground_truth
-    gt_keys = gt_image * groups + gt_cls
-    keys = d.image * groups + group
+    num_classes = split.num_classes
+    gt_keys, _, gt_boxes = split.ground_truth
+    keys = d.image * num_classes + d.class_id
     order = np.argsort(keys, kind="stable")
     keys, score, box_of = keys[order], d.score[order], box_of[order]
     first = np.ones(keys.size, dtype=bool)
@@ -425,7 +417,8 @@ def corloc(
     top_box = np.minimum.reduceat(np.where(reach, box_of, len(boxes)), starts)
     top_keys, top_boxes = keys[starts], boxes[top_box]
 
-    positive = [(i * groups + c, c) for i, rec in enumerate(records) for c in rec.labels.positives]
+    positive = [(i * num_classes + c, c)
+                for i, rec in enumerate(records) for c in rec.labels.positives]
     pos_keys = np.array([k for k, _ in positive], dtype=np.int64)
     pos_class = np.array([c for _, c in positive], dtype=np.int64)
     at = np.searchsorted(top_keys, pos_keys)

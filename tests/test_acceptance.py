@@ -317,6 +317,22 @@ def test_standard_results_match_the_recorded_contract(benchmark_result, tmp_path
     )
 
 
+@pytest.mark.parametrize("old, new, flat, fields", [
+    # a nested value that differs
+    ({"a": 1, "b": {"c": 2, "d": 3}}, {"a": 1, "b": {"c": 2, "d": 4}},
+     {"a": 1, "b.c": 2, "b.d": 4}, ["b.d"]),
+    # fields that only one side has, nested and at the top
+    ({"a": 1, "b": {"c": 2}}, {"a": 1, "b": {"c": 2, "e": 5}, "f": [6]},
+     {"a": 1, "b.c": 2, "b.e": 5, "f": [6]}, ["b.e", "f"]),
+    # equal records
+    ({"a": [1, 2], "b": {"c": {"d": "x"}}}, {"a": [1, 2], "b": {"c": {"d": "x"}}},
+     {"a": [1, 2], "b.c.d": "x"}, []),
+])
+def test_contract_diff_names_each_differing_field(old, new, flat, fields):
+    assert golden._flatten(new) == flat
+    assert golden.changed(old, new) == golden.changed(new, old) == fields
+
+
 def test_criterion_8_pipeline_is_byte_deterministic(tmp_path):
     data_a, seeds_a, ckpt_a, report_a = golden.pipeline(tmp_path / "run_a")
     data_b, seeds_b, ckpt_b, report_b = golden.pipeline(tmp_path / "run_b")

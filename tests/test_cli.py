@@ -187,7 +187,12 @@ def _escape_records(ds):
 
 def _manifest_seed_not_an_integer(ds):
     _edit_json(ds / "manifest.json", lambda doc: doc.update(seed=1.5))
-    return "manifest.json: field 'seed' must be an integer or null"
+    return "manifest.json: seed must be an integer, got 1.5"
+
+
+def _manifest_lacks_num_classes(ds):
+    _edit_json(ds / "manifest.json", lambda doc: doc.pop("num_classes"))
+    return "manifest.json: num_classes must be an integer, got None"
 
 
 def _manifest_not_an_object(ds):
@@ -216,7 +221,7 @@ def _bin_version(ds):
 class TestMalformedDataset:
     @pytest.mark.parametrize("corrupt", [
         _break_width, _drop_gt_box, _escape_records, _manifest_seed_not_an_integer,
-        _manifest_not_an_object, _record_id_not_its_stem, _one_label_missing, _bin_version,
+        _manifest_lacks_num_classes, _manifest_not_an_object, _record_id_not_its_stem, _one_label_missing, _bin_version,
     ])
     def test_one_error_line_exit_1(self, tmp_path, capsys, corrupt):
         ds = tmp_path / "ds"
